@@ -31,12 +31,9 @@ from .probability import (  # noqa: F401
     Pmf,
     bsc,
     cascade,
-    conditional_mutual_information,
     entropy,
     erasure_channel,
     erase_further,
-    marginalize,
-    mutual_information,
     product_channel,
 )
 

@@ -25,6 +25,7 @@ constraint I(V1,V2;Z|V0) <= I(V1;Z|V0) + I(V2;Z|V0) - I(V1;V2|V0) within
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -45,6 +46,10 @@ REEVAL_TOL = 1e-9
 
 class PatternError(ValueError):
     """A distribution does not match the declared factorization pattern."""
+
+
+class ReevaluationError(RuntimeError):
+    """A maximizer's argmax does not reproduce the value its search reported."""
 
 
 # pattern -> (axes, [(targets, given), ...]); X is always the final axis
@@ -91,7 +96,13 @@ class AuxSpec:
     def __post_init__(self):
         if self.pattern not in PATTERNS:
             raise PatternError(f"unknown pattern {self.pattern!r}")
+        auxiliaries = PATTERNS[self.pattern][0][:-1]
         for k, v in self.cards.items():
+            if k not in auxiliaries:
+                raise PatternError(
+                    f"pattern {self.pattern!r} has auxiliaries {list(auxiliaries)}, not {k!r}"
+                    " (|X| is fixed by the channel input)"
+                )
             if v < 1:
                 raise ValueError(f"cardinality of {k} must be >= 1, got {v}")
 
@@ -110,8 +121,6 @@ class AuxSpec:
         out = {}
         for a in axes:
             out[a] = x_size if a == "X" else int(self.cards.get(a, defaults[a]))
-        if out["X"] != x_size:
-            raise PatternError("X cardinality is fixed by the channel input")
         return out
 
 
@@ -127,11 +136,7 @@ def factor_shapes(pattern: str, sizes: Mapping[str, int]) -> list[tuple[int, int
 
 def source_joint(pattern: str, sizes: Mapping[str, int], tables: Params) -> JointPmf:
     """Realize the pattern's source distribution from raw stochastic tables."""
-    axes, chain = PATTERNS[pattern]
-    j = JointPmf((), np.asarray(1.0).reshape(()))
-    for (targets, given), table in zip(chain, tables):
-        j = j.extend(given, [(t, sizes[t]) for t in targets], ConditionalPmf(table))
-    return j
+    return build_factored(pattern, sizes, tables).realization
 
 
 def build_factored(pattern: str, sizes: Mapping[str, int], tables: Params) -> FactoredDistribution:
@@ -231,6 +236,13 @@ def _as_joint(dist, pattern: str, strict_tag: bool = True) -> JointPmf:
     return j
 
 
+def _with_receivers(dist, pattern: str, chans: BroadcastChannels) -> JointPmf:
+    """The pattern's joint law with Y1, Y2 and Z attached to X."""
+    return _as_joint(dist, pattern).attach_receivers(
+        ("X",), {"Y1": chans.to_y1, "Y2": chans.to_y2, "Z": chans.to_z}
+    )
+
+
 @dataclass(frozen=True)
 class BroadcastChannels:
     """Marginal channels from X to the two receivers and the eavesdropper."""
@@ -284,10 +296,6 @@ class MultilevelChannel:
         m = self.to_y1z3.matrix.reshape(self.x_size, self.y1_size, self.z3_size)
         return ConditionalPmf(m.sum(axis=1))
 
-    @property
-    def to_z2(self) -> ConditionalPmf:
-        return ConditionalPmf(self.to_y1.matrix @ self.z2_given_y1.matrix)
-
     @classmethod
     def from_joint(
         cls,
@@ -314,7 +322,7 @@ class MultilevelChannel:
             else:
                 z2g[y1] = num / den
         recon = p_y1z3[:, :, None, :] * z2g[None, :, :, None]
-        if not np.allclose(recon.transpose(0, 1, 2, 3), t, atol=tol):
+        if not np.allclose(recon, t, atol=tol):
             raise DistributionError(
                 "channel is not multilevel: p(y1,z2,z3|x) != p(y1,z3|x) p(z2|y1)"
             )
@@ -324,12 +332,6 @@ class MultilevelChannel:
             z3_size,
             ConditionalPmf(z2g),
         )
-
-
-def _attach(j: JointPmf, outputs: Sequence[tuple[str, Sequence[str], ConditionalPmf]]) -> JointPmf:
-    for name, inputs, chan in outputs:
-        j = j.extend(tuple(inputs), [(name, chan.cols)], chan)
-    return j
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +347,13 @@ def wiretap_rate(dist, chan_y: ConditionalPmf, chan_z: ConditionalPmf) -> float:
     j = _as_joint(dist, "wiretap", strict_tag=False)
     if j.size("X") != chan_y.rows or chan_y.rows != chan_z.rows:
         raise DistributionError("channel input alphabet does not match X")
-    j = _attach(j, [("Y", ("X",), chan_y), ("Z", ("X",), chan_z)])
+    j = j.attach_receivers(("X",), {"Y": chan_y, "Z": chan_z})
     return j.mutual_information(("V",), ("Y",)) - j.mutual_information(("V",), ("Z",))
 
 
 def ck_extension_rate(dist, chans: BroadcastChannels) -> float:
     """min_j I(V;Yj|Q) - I(V;Z|Q): the two-receiver wiretap extension."""
-    j = _as_joint(dist, "ck")
-    j = _attach(
-        j,
-        [
-            ("Y1", ("X",), chans.to_y1),
-            ("Y2", ("X",), chans.to_y2),
-            ("Z", ("X",), chans.to_z),
-        ],
-    )
+    j = _with_receivers(dist, "ck", chans)
     vz = j.conditional_mutual_information(("V",), ("Z",), ("Q",))
     return min(
         j.conditional_mutual_information(("V",), ("Y1",), ("Q",)) - vz,
@@ -369,15 +363,7 @@ def ck_extension_rate(dist, chans: BroadcastChannels) -> float:
 
 def corollary1_rate(dist, chans: BroadcastChannels) -> float:
     """min{I(X;Y1|Q) - I(X;Z|Q), I(V;Y2|Q) - I(V;Z|Q)}."""
-    j = _as_joint(dist, "ck")
-    j = _attach(
-        j,
-        [
-            ("Y1", ("X",), chans.to_y1),
-            ("Y2", ("X",), chans.to_y2),
-            ("Z", ("X",), chans.to_z),
-        ],
-    )
+    j = _with_receivers(dist, "ck", chans)
     first = j.conditional_mutual_information(("X",), ("Y1",), ("Q",)) - \
         j.conditional_mutual_information(("X",), ("Z",), ("Q",))
     second = j.conditional_mutual_information(("V",), ("Y2",), ("Q",)) - \
@@ -397,15 +383,7 @@ def admissibility_slack(j: JointPmf) -> float:
 
 def theorem1_rate(dist, chans: BroadcastChannels) -> Optional[float]:
     """Marton-coded secrecy rate, or None when the point is inadmissible."""
-    j = _as_joint(dist, "theorem1")
-    j = _attach(
-        j,
-        [
-            ("Y1", ("X",), chans.to_y1),
-            ("Y2", ("X",), chans.to_y2),
-            ("Z", ("X",), chans.to_z),
-        ],
-    )
+    j = _with_receivers(dist, "theorem1", chans)
     if admissibility_slack(j) < -ADMISSIBILITY_TOL:
         return None
     r1 = j.conditional_mutual_information(("V0", "V1"), ("Y1",), ("Q",)) - \
@@ -480,15 +458,7 @@ def theorem2_region(dist, chans: BroadcastChannels) -> Optional[RateRegionSample
     Rows stated as a min over two information expressions are emitted
     with the min already evaluated.
     """
-    j = _as_joint(dist, "theorem2")
-    j = _attach(
-        j,
-        [
-            ("Y1", ("X",), chans.to_y1),
-            ("Y2", ("X",), chans.to_y2),
-            ("Z", ("X",), chans.to_z),
-        ],
-    )
+    j = _with_receivers(dist, "theorem2", chans)
     if admissibility_slack(j) < -ADMISSIBILITY_TOL:
         return None
     mi = j.mutual_information
@@ -531,15 +501,7 @@ def prop1_region(dist, chans: BroadcastChannels) -> RateRegionSample:
     The ordering hypothesis is the caller's responsibility (check it with
     the orderings module); this evaluator just samples the three bounds.
     """
-    j = _as_joint(dist, "prop1")
-    j = _attach(
-        j,
-        [
-            ("Y1", ("X",), chans.to_y1),
-            ("Y2", ("X",), chans.to_y2),
-            ("Z", ("X",), chans.to_z),
-        ],
-    )
+    j = _with_receivers(dist, "prop1", chans)
     cmi = j.conditional_mutual_information
     d1 = cmi(("X",), ("Y1",), ("U",)) - cmi(("X",), ("Z",), ("U",))
     d2 = cmi(("X",), ("Y2",), ("U",)) - cmi(("X",), ("Z",), ("U",))
@@ -685,9 +647,9 @@ def reversely_degraded_bound(components: Sequence[ProductComponent]) -> RevDegra
         u = np.asarray([float(v) for v in comp.u], dtype=float)
         j = j.extend((), [(f"U{l}", u.size)], ConditionalPmf([u]))
         j = j.extend((f"U{l}",), [(f"X{l}", comp.x_given_u.cols)], comp.x_given_u)
-        j = j.extend((f"X{l}",), [(f"Y1_{l}", comp.to_y1.cols)], comp.to_y1)
-        j = j.extend((f"X{l}",), [(f"Y2_{l}", comp.to_y2.cols)], comp.to_y2)
-        j = j.extend((f"X{l}",), [(f"Z{l}", comp.to_z.cols)], comp.to_z)
+        j = j.attach_receivers(
+            (f"X{l}",), {f"Y1_{l}": comp.to_y1, f"Y2_{l}": comp.to_y2, f"Z{l}": comp.to_z}
+        )
         d1.append(
             j.mutual_information((f"U{l}",), (f"Y1_{l}",))
             - j.mutual_information((f"U{l}",), (f"Z{l}",))
@@ -761,11 +723,19 @@ def bound_ids() -> tuple[str, ...]:
     return tuple(_SCALAR_BOUNDS)
 
 
-def evaluate_bound(bound_id: str, dist, chans: BroadcastChannels) -> Optional[float]:
+def _lookup(bound_id: str) -> tuple[str, Callable]:
     if bound_id not in _SCALAR_BOUNDS:
         raise KeyError(f"unknown bound id {bound_id!r}; have {sorted(_SCALAR_BOUNDS)}")
-    _, fn = _SCALAR_BOUNDS[bound_id]
-    return fn(dist, chans)
+    return _SCALAR_BOUNDS[bound_id]
+
+
+def bound_pattern(bound_id: str) -> str:
+    """The factorization pattern a scalar bound is evaluated and maximized on."""
+    return _lookup(bound_id)[0]
+
+
+def evaluate_bound(bound_id: str, dist, chans: BroadcastChannels) -> Optional[float]:
+    return _lookup(bound_id)[1](dist, chans)
 
 
 def _expand_family(tables: Params, sizes: Mapping[str, int], family: str) -> Params:
@@ -780,49 +750,30 @@ def _expand_family(tables: Params, sizes: Mapping[str, int], family: str) -> Par
     return [head, pv0, pv12, px]
 
 
-def _maximize_theorem1(
-    aux: AuxSpec,
-    chans: BroadcastChannels,
-    budget: SearchBudget,
-    on_eval: Optional[Callable[[Params, float], None]],
-) -> BoundResult:
-    """Search the structured families on which Marton admissibility holds.
+def _search_spaces(
+    pattern: str, sizes: Mapping[str, int]
+) -> list[tuple[list[tuple[int, int]], Callable[[Params], Params]]]:
+    """(table shapes, searched tables -> pattern tables) for each search.
 
-    Admissibility rearranges to I(V1;V2|V0,Z) = 0, a measure-zero manifold
-    that unconstrained simplex search never hits; the search therefore
-    parameterizes conditionally independent satellites with the channel
-    input ignoring one of them (each family satisfies the constraint
-    identically, and the collapse V2 = V0 lies inside the first family).
+    Every pattern is searched over its own factor tables, except theorem1.
+    Marton admissibility rearranges to I(V1;V2|V0,Z) = 0, a measure-zero
+    manifold that unconstrained simplex search never hits; theorem1 is
+    therefore searched over two structured families, conditionally
+    independent satellites with the channel input ignoring one of them
+    (each family satisfies the constraint identically, and the collapse
+    V2 = V0 lies inside the first family).
     """
-    sizes = aux.resolve(chans.x_size)
+    if pattern != "theorem1":
+        return [(factor_shapes(pattern, sizes), lambda tables: tables)]
     nq, n0, n1, n2, nx = (
         sizes["Q"], sizes["V0"], sizes["V1"], sizes["V2"], sizes["X"]
     )
-    best: Optional[tuple] = None
+    spaces = []
     for family in ("z_ignores_v2", "z_ignores_v1"):
         q_rows = n0 * n2 if family == "z_ignores_v1" else n0 * n1
         shapes = [(1, nq), (nq, n0), (n0, n1), (n0, n2), (q_rows, nx)]
-
-        def objective(tables: Params, family=family) -> Optional[float]:
-            full = _expand_family(tables, sizes, family)
-            return theorem1_rate(source_joint("theorem1", sizes, full), chans)
-
-        baseline = [np.full((rows, cols), 1.0 / cols) for rows, cols in shapes]
-        res = search_factored(objective, shapes, budget, on_eval, extra_starts=[baseline])
-        if best is None or res.value > best[0].value:
-            best = (res, family)
-    res, family = best
-    argmax = build_factored("theorem1", sizes, _expand_family(res.params, sizes, family))
-    check = theorem1_rate(argmax, chans)
-    assert check is not None and abs(check - res.value) <= REEVAL_TOL
-    return BoundResult(
-        bound_id="theorem1",
-        value=res.value,
-        argmax=argmax,
-        restarts=res.restarts,
-        best_restart=res.best_restart,
-        evaluations=res.evaluations,
-    )
+        spaces.append((shapes, partial(_expand_family, sizes=sizes, family=family)))
+    return spaces
 
 
 def maximize(
@@ -837,29 +788,32 @@ def maximize(
     Deterministic under a fixed seed; inadmissible theorem1 points are
     skipped (the theorem1 search draws from the admissible families), and
     exhausting the budget without one admissible point raises
-    NoAdmissiblePointError.
+    NoAdmissiblePointError.  The argmax is re-evaluated as a factored
+    distribution; a value that does not reproduce raises ReevaluationError.
     """
-    if bound_id not in _SCALAR_BOUNDS:
-        raise KeyError(f"unknown bound id {bound_id!r}; have {sorted(_SCALAR_BOUNDS)}")
-    pattern, fn = _SCALAR_BOUNDS[bound_id]
+    pattern, fn = _lookup(bound_id)
     if aux.pattern != pattern:
         raise PatternError(f"bound {bound_id!r} needs pattern {pattern!r}")
-    if bound_id == "theorem1":
-        return _maximize_theorem1(aux, chans, budget, on_eval)
     sizes = aux.resolve(chans.x_size)
+    best = None
+    for shapes, expand in _search_spaces(pattern, sizes):
 
-    def objective(tables: Params) -> Optional[float]:
-        j = source_joint(pattern, sizes, tables)
-        return fn(j, chans)
+        def objective(tables: Params, expand=expand) -> Optional[float]:
+            return fn(source_joint(pattern, sizes, expand(tables)), chans)
 
-    shapes = factor_shapes(pattern, sizes)
-    # deterministic all-uniform start: the auxiliaries decouple from X there,
-    # pinning the reported maximum at >= 0 (these secrecy bounds clamp at 0)
-    baseline = [np.full((rows, cols), 1.0 / cols) for rows, cols in shapes]
-    res = search_factored(objective, shapes, budget, on_eval, extra_starts=[baseline])
-    argmax = build_factored(pattern, sizes, res.params)
+        # deterministic all-uniform start: the auxiliaries decouple from X there,
+        # pinning the reported maximum at >= 0 (these secrecy bounds clamp at 0)
+        baseline = [np.full((rows, cols), 1.0 / cols) for rows, cols in shapes]
+        res = search_factored(objective, shapes, budget, on_eval, extra_starts=[baseline])
+        if best is None or res.value > best[0].value:
+            best = (res, expand)
+    res, expand = best
+    argmax = build_factored(pattern, sizes, expand(res.params))
     check = fn(argmax, chans)
-    assert check is not None and abs(check - res.value) <= REEVAL_TOL
+    if check is None or abs(check - res.value) > REEVAL_TOL:
+        raise ReevaluationError(
+            f"{bound_id} argmax re-evaluates to {check}, search reported {res.value}"
+        )
     return BoundResult(
         bound_id=bound_id,
         value=res.value,

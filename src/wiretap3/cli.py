@@ -53,7 +53,7 @@ def _require_seed(args):
 
 def _budget(args) -> SearchBudget:
     return SearchBudget(
-        grid_points=args.grid,
+        grid_points=getattr(args, "grid", SearchBudget.grid_points),
         restarts=args.restarts,
         seed=args.seed,
         refine_sweeps=args.sweeps,
@@ -77,7 +77,7 @@ def cmd_info(args) -> int:
         if args.input and args.input in doc.pmfs:
             p = doc.pmfs[args.input][1]
             if p.alphabet_size == chan.rows:
-                j = JointPmf.product([("X", p)]).extend(("X",), [("Y", chan.cols)], chan)
+                j = JointPmf.product([("X", p)]).attach_receivers(("X",), {"Y": chan})
                 mi = j.mutual_information(("X",), ("Y",))
                 entry["mutual_information_bits"] = mi
                 lines.append(f"channel {name}: I(X;Y) = {mi:.6f} bits at pmf {args.input}")
@@ -156,8 +156,7 @@ def cmd_bound(args) -> int:
     for kv in args.card or []:
         k, v = kv.split("=", 1)
         cards[k] = int(v)
-    pattern = {"wiretap": "wiretap", "ck_extension": "ck", "corollary1": "ck", "theorem1": "theorem1"}[args.id]
-    aux = bounds.AuxSpec(pattern, cards)
+    aux = bounds.AuxSpec(bounds.bound_pattern(args.id), cards)
     res = bounds.maximize(args.id, aux, chans, _budget(args))
     payload = {
         "subcommand": "bound",
@@ -344,22 +343,25 @@ def cmd_simulate(args) -> int:
         doc = _load_spec(str(spec_path))
     caps = sim.Caps(**cfg.get("caps", {}))
     scheme = cfg["scheme"]
+    if scheme not in ("wiretap-equivocation", "marton-equivocation", "decode", "lemma1"):
+        raise CliError(f"unknown scheme {scheme!r}")
     n_list = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
     eps = cfg.get("epsilon", 0.5)
+    dist = _dist_from_config(cfg, doc)
+    chan = None if scheme == "lemma1" else _channel_from_config(cfg["channel"], doc)
     rows = []
     for n in n_list:
         params = sim.TypicalityParams(
             n=n, epsilon=eps, delta=cfg.get("delta", 0.05), delta1=cfg.get("delta1", 0.1)
         )
-        if scheme == "wiretap-equivocation":
-            dist = _dist_from_config(cfg, doc)
-            chan = _channel_from_config(cfg["channel"], doc)
+        if scheme in ("wiretap-equivocation", "decode"):
             r = cfg["rates"]
             cb = sim.build_wiretap_codebook(
                 dist,
                 sim.WiretapRates(r["message"], r["total"], r.get("satellite", 0.0)),
                 params, args.seed, caps,
             )
+        if scheme == "wiretap-equivocation":
             trials = cfg.get("trials", 0)
             rep = (
                 sim.exact_equivocation(cb, chan, caps)
@@ -375,8 +377,6 @@ def cmd_simulate(args) -> int:
                 "ci_halfwidth": rep.ci_halfwidth,
             })
         elif scheme == "marton-equivocation":
-            dist = _dist_from_config(cfg, doc)
-            chan = _channel_from_config(cfg["channel"], doc)
             r = cfg["rates"]
             cb = sim.build_marton_codebook(
                 dist,
@@ -393,21 +393,12 @@ def cmd_simulate(args) -> int:
                 "exact": True,
             })
         elif scheme == "decode":
-            dist = _dist_from_config(cfg, doc)
-            chan = _channel_from_config(cfg["channel"], doc)
-            r = cfg["rates"]
-            cb = sim.build_wiretap_codebook(
-                dist,
-                sim.WiretapRates(r["message"], r["total"], r.get("satellite", 0.0)),
-                params, args.seed, caps,
-            )
             pe, trials = sim.decoding_error_rate(
                 cb, chan, params, cfg.get("trials", 1000), args.seed,
                 decoder=cfg.get("decoder", "indirect"),
             )
             rows.append({"n": n, "p_error": pe, "trials": trials})
-        elif scheme == "lemma1":
-            dist = _dist_from_config(cfg, doc)
+        else:
             rep = sim.lemma1_experiment(
                 dist, cfg["s_rate"], params, cfg.get("trials", 1000), args.seed, caps
             )
@@ -419,8 +410,6 @@ def cmd_simulate(args) -> int:
                 "info_rate": rep.info_rate,
                 "in_concentration_regime": rep.in_concentration_regime,
             })
-        else:
-            raise CliError(f"unknown scheme {scheme!r}")
     payload = {"subcommand": "simulate", "scheme": scheme, "seed": args.seed, "rows": rows}
     if args.format == "csv":
         buf = io.StringIO()
@@ -447,8 +436,7 @@ def cmd_simulate(args) -> int:
 def cmd_repro_example(args) -> int:
     _require_seed(args)
     rep = fig1.reproduce_example(
-        SearchBudget(restarts=args.restarts, seed=args.seed, grid_points=args.grid,
-                     refine_sweeps=args.sweeps),
+        _budget(args),
         q2_card=args.q2_card,
         v2_card=args.v2_card,
     )
@@ -488,14 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wiretap3", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, seeded=False):
-        sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
+    def common(sp):
+        sp.add_argument("--format", choices=("human", "json"), default="human")
         sp.add_argument("-o", "--output", default=None)
-        if seeded:
-            sp.add_argument("--seed", type=int, default=None)
-            sp.add_argument("--restarts", type=int, default=64)
-            sp.add_argument("--grid", type=int, default=20)
-            sp.add_argument("--sweeps", type=int, default=60)
+
+    def searched(sp):
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--restarts", type=int, default=64)
+        sp.add_argument("--sweeps", type=int, default=60)
 
     sp = sub.add_parser("info", help="information measures of spec objects")
     sp.add_argument("--spec", required=True)
@@ -510,7 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--relation", required=True,
                     choices=("degraded", "less_noisy", "more_capable"))
     sp.add_argument("--aux-card", type=int, default=2)
-    common(sp, seeded=True)
+    common(sp)
+    searched(sp)
+    sp.add_argument("--grid", type=int, default=20)
     sp.set_defaults(fn=cmd_ordering)
 
     sp = sub.add_parser("bound", help="evaluate or maximize a scalar rate bound")
@@ -521,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", required=True)
     sp.add_argument("--dist", default=None, help="evaluate at this factored dist")
     sp.add_argument("--card", action="append", help="aux cardinality NAME=K")
-    common(sp, seeded=True)
+    common(sp)
+    searched(sp)
     sp.set_defaults(fn=cmd_bound)
 
     sp = sub.add_parser("region", help="sample a rate region at a distribution")
@@ -549,7 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run a coding experiment from a config file")
     sp.add_argument("--config", required=True)
-    common(sp, seeded=True)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
+    sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("repro-example", help="reproduce the worked example end to end")
@@ -557,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v2-card", type=int, default=4)
     sp.add_argument("--export-channel", default=None,
                     help="also write the example channel as a spec file")
-    common(sp, seeded=True)
+    common(sp)
+    searched(sp)
     sp.set_defaults(fn=cmd_repro_example)
     return p
 

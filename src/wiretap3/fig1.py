@@ -42,6 +42,7 @@ from .probability import (
     Pmf,
     binary_entropy,
     cascade,
+    entropy_of_vector,
     erase_further,
     erasure_channel,
     product_channel,
@@ -136,10 +137,9 @@ def closed_form_rates(gamma: float) -> ClosedFormRates:
 def component1_measured(gamma: float, chan: Optional[Fig1Channel] = None) -> ClosedFormRates:
     """The same five quantities via generic evaluation on the wiring."""
     chan = chan or Fig1Channel.build()
-    j = JointPmf.product([("X1", Pmf([gamma, 1.0 - gamma]))])
-    j = j.extend(("X1",), [("Y21", 2)], chan.y21)
-    j = j.extend(("X1",), [("Y11", 3)], chan.y11)
-    j = j.extend(("X1",), [("Z1", 3)], chan.z1)
+    j = JointPmf.product([("X1", Pmf([gamma, 1.0 - gamma]))]).attach_receivers(
+        ("X1",), {"Y21": chan.y21, "Y11": chan.y11, "Z1": chan.z1}
+    )
     iy21 = j.mutual_information(("X1",), ("Y21",))
     iy11 = j.mutual_information(("X1",), ("Y11",))
     iz1 = j.mutual_information(("X1",), ("Z1",))
@@ -165,12 +165,6 @@ def achievable_rate(chan: Optional[Fig1Channel] = None) -> float:
     return corollary1_rate(achievability_distribution(), chan.broadcast())
 
 
-def _h(t: np.ndarray) -> float:
-    t = t.ravel()
-    nz = t[t > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def second_component_measures(tables, chan: Optional[Fig1Channel] = None):
     """(I(V2;Y12|Q2), I(V2;Z2|Q2)) for tables [p(q2), p(v2|q2), p(x2|v2)].
 
@@ -183,10 +177,11 @@ def second_component_measures(tables, chan: Optional[Fig1Channel] = None):
     p_qvx = pq[0][:, None, None] * pvq[:, :, None] * pxv[None, :, :]
     p_qvy = p_qvx @ y_mat
     p_qvz = p_qvx @ z_mat
-    hq = _h(p_qvx.sum(axis=(1, 2)))
-    hqv = _h(p_qvx.sum(axis=2))
-    iy = hqv + _h(p_qvy.sum(axis=1)) - _h(p_qvy) - hq
-    iz = hqv + _h(p_qvz.sum(axis=1)) - _h(p_qvz) - hq
+    h = entropy_of_vector
+    hq = h(p_qvx.sum(axis=(1, 2)))
+    hqv = h(p_qvx.sum(axis=2))
+    iy = hqv + h(p_qvy.sum(axis=1)) - h(p_qvy) - hq
+    iz = hqv + h(p_qvz.sum(axis=1)) - h(p_qvz) - hq
     return max(iy, 0.0), max(iz, 0.0)
 
 

@@ -371,7 +371,6 @@ def system_feasible(
     """Closure feasibility of the rows plus assumption rows (atoms free)."""
     rows = list(sys.inequalities) + list(assumptions)
     vars_, atoms = _joint_space([sys], assumptions)
-    dim = len(vars_) + len(atoms)
     if not rows:
         return True
     # a.x <= b with free x: x = u - w, add slack: a.u - a.w + s = b
@@ -476,10 +475,6 @@ def substitute(
             )
         )
     return InequalitySystem(tuple(new_order), rows, sys.bindings)
-
-
-# the rate-splitting transformations are plain affine substitutions
-substitute_rate_split = substitute
 
 
 def rename_variables(sys: InequalitySystem, names: Mapping[str, str]) -> InequalitySystem:

@@ -113,20 +113,12 @@ def check_degraded(p_yx: ConditionalPmf, p_zx: ConditionalPmf) -> OrderingVerdic
     )
 
 
-def _info_gap(joint: JointPmf, first: str) -> float:
-    return joint.mutual_information((first,), ("Y",)) - joint.mutual_information(
-        (first,), ("Z",)
-    )
-
-
-def _gap_from_params(
-    p_yx: ConditionalPmf, p_zx: ConditionalPmf, p_ux: np.ndarray
+def _info_gap(
+    axes: tuple[str, ...], p: np.ndarray, p_yx: ConditionalPmf, p_zx: ConditionalPmf
 ) -> float:
-    """I(U;Y) - I(U;Z) for a joint p(u,x) given as a (|U|, |X|) array."""
-    j = JointPmf(("U", "X"), p_ux)
-    j = j.extend(("X",), [("Y", p_yx.cols)], p_yx)
-    j = j.extend(("X",), [("Z", p_zx.cols)], p_zx)
-    return _info_gap(j, "U")
+    """I(A;Y) - I(A;Z) for A = axes[0], given p over ``axes`` ending in X."""
+    j = JointPmf(axes, p).attach_receivers(("X",), {"Y": p_yx, "Z": p_zx})
+    return j.mutual_information(axes[:1], ("Y",)) - j.mutual_information(axes[:1], ("Z",))
 
 
 def _grid_simplex(cells: int, g: int) -> list[np.ndarray]:
@@ -163,7 +155,7 @@ def _minimize_gap(
     cells = aux_card * nx
 
     def objective(flat: np.ndarray) -> float:
-        return _gap_from_params(p_yx, p_zx, flat.reshape(aux_card, nx))
+        return _info_gap(("U", "X"), flat.reshape(aux_card, nx), p_yx, p_zx)
 
     val, arg = _minimize_flat(objective, cells, budget)
     return float(val), arg.reshape(aux_card, nx)
@@ -211,17 +203,10 @@ def check_more_capable(
             "more_capable", True, deg.witness, None, "implied by degradedness"
         )
 
-    nx = p_yx.rows
-
     def objective(px: np.ndarray) -> float:
-        j = JointPmf(("X",), px)
-        j = j.extend(("X",), [("Y", p_yx.cols)], p_yx)
-        j = j.extend(("X",), [("Z", p_zx.cols)], p_zx)
-        return j.mutual_information(("X",), ("Y",)) - j.mutual_information(
-            ("X",), ("Z",)
-        )
+        return _info_gap(("X",), px, p_yx, p_zx)
 
-    best_val, best = _minimize_flat(objective, nx, budget)
+    best_val, best = _minimize_flat(objective, p_yx.rows, budget)
     if best_val < -VIOLATION_TOL:
         return OrderingVerdict(
             "more_capable", False, JointPmf(("X",), best), -best_val,

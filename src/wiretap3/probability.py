@@ -24,7 +24,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -60,16 +60,15 @@ def _as_fraction_or_none(values) -> Optional[tuple]:
     return tuple(out)
 
 
-def _xlog2x(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = p[mask] * np.log2(p[mask])
-    return out
-
-
 def entropy_of_vector(p: np.ndarray) -> float:
-    """H(p) in bits with the 0*log0 = 0 convention."""
-    return float(-_xlog2x(np.asarray(p, dtype=float)).sum()) + 0.0
+    """H(p) in bits with the 0*log0 = 0 convention, over all cells of ``p``.
+
+    The package's only -sum p log2 p: every entropy and (conditional)
+    mutual information goes through here.
+    """
+    p = np.asarray(p, dtype=float)
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum()) + 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,11 +271,10 @@ class JointPmf:
 
     def entropy(self, axes: Optional[Sequence[str]] = None) -> float:
         if axes is None:
-            return entropy_of_vector(self.tensor.ravel())
+            return entropy_of_vector(self.tensor)
         keep = self._check_axes(axes)
         drop = tuple(i for i, a in enumerate(self.axes) if a not in keep)
-        t = self.tensor.sum(axis=drop) if drop else self.tensor
-        return entropy_of_vector(t.ravel())
+        return entropy_of_vector(self.tensor.sum(axis=drop) if drop else self.tensor)
 
     def mutual_information(self, axes_a: Sequence[str], axes_b: Sequence[str]) -> float:
         a = self._check_axes(axes_a)
@@ -350,6 +348,19 @@ class JointPmf:
         tensor = np.einsum(f"{lhs},{fac}->{out}", self.tensor, factor)
         return JointPmf(tuple(self.axes) + tuple(names), tensor)
 
+    def attach_receivers(
+        self, given: Sequence[str], channels: Mapping[str, ConditionalPmf]
+    ) -> "JointPmf":
+        """Attach one output axis per named channel, each fed by ``given``.
+
+        Outputs are conditionally independent given their inputs, which is
+        all any per-receiver information expression needs.
+        """
+        j = self
+        for name, chan in channels.items():
+            j = j.extend(given, [(name, chan.cols)], chan)
+        return j
+
     @staticmethod
     def from_pmf(axis: str, p: Pmf) -> "JointPmf":
         return JointPmf((axis,), p.probs)
@@ -361,19 +372,6 @@ class JointPmf:
         for name, p in parts[1:]:
             j = j.extend((), [(name, p.alphabet_size)], ConditionalPmf([p.probs]))
         return j
-
-
-def marginalize(j: JointPmf, keep: Sequence[str]) -> JointPmf:
-    """Sum out all axes not listed in keep."""
-    return j.marginal(keep)
-
-
-def mutual_information(j: JointPmf, axes_a, axes_b) -> float:
-    return j.mutual_information(axes_a, axes_b)
-
-
-def conditional_mutual_information(j: JointPmf, axes_a, axes_b, axes_c) -> float:
-    return j.conditional_mutual_information(axes_a, axes_b, axes_c)
 
 
 @dataclass(frozen=True)
@@ -459,20 +457,3 @@ class FactoredDistribution:
             # realization axes follow generation order; reorder to declaration
             joint = joint.marginal(self.axes)
         return joint
-
-
-def joint_of_chain(
-    dist: FactoredDistribution,
-    receivers: Sequence[tuple[str, Sequence[str], ConditionalPmf]],
-) -> JointPmf:
-    """Realize a factored source and attach receiver channels.
-
-    Each receiver is (axis_name, input_axes, channel); channels are applied
-    conditionally independently given their inputs, which is sufficient for
-    all per-receiver information expressions evaluated in this package.
-    """
-    j = dist.realization
-    for name, inputs, chan in receivers:
-        cols_axes = [(name, chan.cols)]
-        j = j.extend(tuple(inputs), cols_axes, chan)
-    return j

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .probability import ConditionalPmf, DistributionError, FactoredDistribution
+from .probability import ConditionalPmf, DistributionError, FactoredDistribution, entropy_of_vector
 
 LOG2 = np.log2
 
@@ -467,25 +467,12 @@ class SimReport:
     ci_halfwidth: Optional[float] = None
 
 
-def _zn_pmf(rows: np.ndarray) -> np.ndarray:
-    """Product distribution over Z^n from per-position rows (n, |Z|)."""
-    v = rows[0]
-    for i in range(1, rows.shape[0]):
-        v = (v[:, None] * rows[i][None, :]).ravel()
-    return v
-
-
 def _zn_pmf_batch(rows: np.ndarray) -> np.ndarray:
     """Product distributions for a batch: (B, n, |Z|) -> (B, |Z|^n)."""
     v = rows[:, 0]
     for i in range(1, rows.shape[1]):
         v = (v[:, :, None] * rows[:, i][:, None, :]).reshape(rows.shape[0], -1)
     return v
-
-
-def _entropy_bits(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-(nz * LOG2(nz)).sum())
 
 
 def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndarray, float]:
@@ -508,7 +495,6 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
         n_cw = cb.v_seqs.shape[0] * cb.x_seqs.shape[1]
         if out_space * n_cw > caps.max_exact_work:
             raise CapExceededError("exact equivocation work above cap")
-        n_sat = cb.x_seqs.shape[1]
         conds = np.zeros((cb.n_messages, out_space))
         for m in range(cb.n_messages):
             flat = cb.x_seqs[m * cb.bin_size:(m + 1) * cb.bin_size].reshape(-1, n)
@@ -541,7 +527,7 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
                         rows = (
                             cb.v0_seqs[l0] * n1 + cb.v1_seqs[l0, t1]
                         ) * n2 + cb.v2_seqs[l0, t2]
-                        acc += _zn_pmf(Wc[rows])
+                        acc += _zn_pmf_batch(Wc[rows][None])[0]
                         cnt += 1
             if cnt == 0:
                 raise DistributionError(
@@ -582,7 +568,7 @@ def exact_equivocation(
         p_error=None,
         equivocation_rate=hmz / n,
         leakage_rate=leak / n,
-        message_rate=_entropy_bits(p_m) / n,
+        message_rate=entropy_of_vector(p_m) / n,
         trials=0,
         encoding_failure_rate=fail_rate,
         exact=True,

@@ -216,12 +216,6 @@ def parse_spec(text: str) -> SpecDocument:
     return doc
 
 
-def _fmt_value(v, exact_row) -> str:
-    if exact_row is not None:
-        return str(exact_row)
-    return repr(float(v))
-
-
 def _format_table(chan: ConditionalPmf) -> list[str]:
     rows = []
     for r in range(chan.rows):

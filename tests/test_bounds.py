@@ -1,10 +1,15 @@
 """Rate-bound evaluators, region samples, and the maximizer."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wiretap3 import bounds
 from wiretap3.bounds import (
     AuxSpec,
     random_admissible_dist,
@@ -12,6 +17,7 @@ from wiretap3.bounds import (
     MultilevelChannel,
     PatternError,
     ProductComponent,
+    ReevaluationError,
     admissibility_slack,
     build_factored,
     ck_extension_rate,
@@ -550,6 +556,43 @@ class TestMaximize:
         again = evaluate_bound("wiretap", res.argmax, ch)
         assert again == pytest.approx(res.value, abs=1e-9)
 
+    def test_drifting_reevaluation_raises(self, monkeypatch):
+        calls = []
+
+        def drifting(dist, chans):
+            calls.append(None)
+            return 1e-3 * len(calls)
+
+        monkeypatch.setitem(bounds._SCALAR_BOUNDS, "wiretap", ("wiretap", drifting))
+        budget = SearchBudget(restarts=1, seed=0, refine_sweeps=1)
+        with pytest.raises(ReevaluationError):
+            maximize("wiretap", AuxSpec("wiretap", {"V": 2}), chans_deg(), budget)
+
+    def test_reevaluation_check_survives_optimize_flag(self):
+        script = (
+            "from wiretap3 import bounds\n"
+            "from wiretap3.optim import SearchBudget\n"
+            "from wiretap3.probability import bsc\n"
+            "calls = []\n"
+            "def drifting(dist, chans):\n"
+            "    calls.append(None)\n"
+            "    return 1e-3 * len(calls)\n"
+            "bounds._SCALAR_BOUNDS['wiretap'] = ('wiretap', drifting)\n"
+            "ch = bounds.BroadcastChannels(bsc(0.1), bsc(0.1), bsc(0.2))\n"
+            "try:\n"
+            "    bounds.maximize('wiretap', bounds.AuxSpec('wiretap', {'V': 2}), ch,\n"
+            "                    SearchBudget(restarts=1, seed=0, refine_sweeps=1))\n"
+            "except bounds.ReevaluationError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(bounds.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised"
+
     def test_pattern_mismatch_rejected(self):
         ch = chans_deg()
         with pytest.raises(PatternError):
@@ -578,3 +621,13 @@ class TestAuxSpec:
     def test_bad_cardinality(self):
         with pytest.raises(ValueError):
             AuxSpec("ck", {"Q": 0})
+
+    def test_unknown_auxiliary_rejected(self):
+        with pytest.raises(PatternError, match="'v'"):
+            AuxSpec("ck", {"Q": 2, "v": 3})
+        with pytest.raises(PatternError, match="'V0'"):
+            AuxSpec("ck", {"V0": 2})
+
+    def test_x_cardinality_rejected(self):
+        with pytest.raises(PatternError, match="'X'"):
+            AuxSpec("ck", {"V": 2, "X": 7})

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wiretap3.cli import main
+from wiretap3.cli import build_parser, main
 from wiretap3.specfmt import parse_spec, write_spec
 
 SPEC = """
@@ -103,6 +103,46 @@ class TestExitCodes:
         cfile = tmp_path / "cfg.json"
         cfile.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == 2
+
+    def test_unknown_auxiliary_cardinality(self, spec_file, capsys):
+        for card in ("X=9", "Vee=3"):
+            rc = main([
+                "bound", "--spec", str(spec_file), "--id", "ck_extension",
+                "--y1", "y1", "--y2", "y2", "--z", "z", "--seed", "1",
+                "--restarts", "1", "--card", "V=2", "--card", card,
+            ])
+            assert rc == 1
+            assert card.split("=")[0] in capsys.readouterr().err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "c.json", "--seed", "1", "--restarts", "4"],
+        ["simulate", "--config", "c.json", "--seed", "1", "--sweeps", "4"],
+        ["simulate", "--config", "c.json", "--seed", "1", "--grid", "4"],
+        ["bound", "--spec", "s", "--id", "wiretap", "--y1", "a", "--y2", "b", "--z", "c",
+         "--grid", "4"],
+        ["repro-example", "--seed", "1", "--grid", "4"],
+        ["info", "--spec", "s", "--format", "csv"],
+        ["region", "--spec", "s", "--id", "prop1", "--dist", "d", "--format", "csv"],
+        ["fme", "--fixture", "theorem1", "--format", "csv"],
+        ["ordering", "--spec", "s", "--y", "a", "--z", "b", "--relation", "degraded",
+         "--format", "csv"],
+    ])
+    def test_options_a_subcommand_never_reads_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_search_options_kept_where_read(self):
+        p = build_parser()
+        args = p.parse_args(["ordering", "--spec", "s", "--y", "a", "--z", "b",
+                             "--relation", "less_noisy", "--grid", "4", "--restarts", "3"])
+        assert (args.grid, args.restarts, args.sweeps) == (4, 3, 60)
+        args = p.parse_args(["repro-example", "--seed", "1", "--restarts", "2", "--sweeps", "5"])
+        assert (args.restarts, args.sweeps) == (2, 5)
+        args = p.parse_args(["simulate", "--config", "c.json", "--format", "csv"])
+        assert args.format == "csv"
 
 
 class TestRoundTrip:

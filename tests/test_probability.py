@@ -21,8 +21,6 @@ from wiretap3.probability import (
     entropy,
     erase_further,
     erasure_channel,
-    marginalize,
-    mutual_information,
     product_channel,
 )
 
@@ -75,17 +73,17 @@ class TestEntropy:
 class TestMutualInformation:
     def test_independent_coins(self):
         j = JointPmf.product([("X", Pmf.uniform(2)), ("Y", Pmf.uniform(2))])
-        assert mutual_information(j, ("X",), ("Y",)) == 0.0
+        assert j.mutual_information(("X",), ("Y",)) == 0.0
 
     def test_identity_channel(self):
         j = JointPmf.product([("X", Pmf.uniform(2))]).extend(
             ("X",), [("Y", 2)], ConditionalPmf.identity(2)
         )
-        assert mutual_information(j, ("X",), ("Y",)) == pytest.approx(1.0, abs=1e-12)
+        assert j.mutual_information(("X",), ("Y",)) == pytest.approx(1.0, abs=1e-12)
 
     def test_bsc_01_against_summation_oracle(self):
         j = JointPmf.product([("X", Pmf.uniform(2))]).extend(("X",), [("Y", 2)], bsc(0.1))
-        got = mutual_information(j, ("X",), ("Y",))
+        got = j.mutual_information(("X",), ("Y",))
         oracle = brute_mi(j.tensor)
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got == pytest.approx(0.531004, abs=5e-7)  # 1 - H(0.1)
@@ -93,7 +91,7 @@ class TestMutualInformation:
     def test_overlapping_axes_error(self):
         j = JointPmf.product([("X", Pmf.uniform(2)), ("Y", Pmf.uniform(2))])
         with pytest.raises(AxisError):
-            mutual_information(j, ("X",), ("X",))
+            j.mutual_information(("X",), ("X",))
 
 
 class TestConditionalMutualInformation:
@@ -126,25 +124,25 @@ class TestConditionalMutualInformation:
 class TestMarginalizeAndChannels:
     def test_marginal_of_product_is_factor(self):
         j = JointPmf.product([("X", Pmf([0.2, 0.8])), ("Y", Pmf.uniform(3))])
-        m = marginalize(j, ("X",))
+        m = j.marginal(("X",))
         assert np.allclose(m.tensor, [0.2, 0.8])
 
     def test_marginal_keep_all_is_identity(self):
         j = JointPmf.product([("X", Pmf([0.2, 0.8])), ("Y", Pmf.uniform(3))])
-        m = marginalize(j, ("X", "Y"))
+        m = j.marginal(("X", "Y"))
         assert np.allclose(m.tensor, j.tensor)
 
     def test_marginal_unknown_axis_error(self):
         j = JointPmf.product([("X", Pmf.uniform(2))])
         with pytest.raises(AxisError):
-            marginalize(j, ("Q",))
+            j.marginal(("Q",))
 
     def test_erasure_marginal_matches_hand_sum(self):
         # X1 uniform through a half-erasure: output marginal (0, E, 1)
         j = JointPmf.product([("X1", Pmf.uniform(2))]).extend(
             ("X1",), [("Y11", 3)], erasure_channel(F(1, 2))
         )
-        assert np.allclose(marginalize(j, ("Y11",)).tensor, [0.25, 0.5, 0.25])
+        assert np.allclose(j.marginal(("Y11",)).tensor, [0.25, 0.5, 0.25])
 
     def test_cascade_identity(self):
         c = cascade(bsc(F(1, 10)), ConditionalPmf.identity(2))
