@@ -500,7 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--aux-card", type=int, default=2)
     common(sp)
     searched(sp)
-    sp.add_argument("--grid", type=int, default=20)
+    sp.add_argument("--grid", type=int, default=20,
+                    help="simplex grid seeds per edge; read only when the searched "
+                         "simplex has 2 or 3 cells (more_capable with |X| <= 3, "
+                         "less_noisy with aux-card*|X| <= 3), ignored otherwise")
     sp.set_defaults(fn=cmd_ordering)
 
     sp = sub.add_parser("bound", help="evaluate or maximize a scalar rate bound")

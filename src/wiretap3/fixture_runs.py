@@ -16,7 +16,10 @@ from typing import Mapping
 
 from .fme import (
     InequalitySystem,
+    _joint_space,
+    _row_vector,
     eliminate_all,
+    implied_by,
     parse_system,
     region_equal,
     remove_redundant,
@@ -122,12 +125,10 @@ def run_rate_split() -> FixtureResult:
     # each numbered row is individually redundant given the kept rows
     numbered_certs = {}
     ok_numbered = True
-    from .fme import _implication_certificate, _joint_space
-
     vars_, atoms = _joint_space([presplit, numbered], assumptions)
-    premise = list(presplit.inequalities) + list(assumptions)
+    premise = [_row_vector(r, vars_, atoms) for r in (*presplit.inequalities, *assumptions)]
     for row in numbered.inequalities:
-        cert = _implication_certificate(premise, row, vars_, atoms)
+        cert = implied_by(premise, _row_vector(row, vars_, atoms))
         numbered_certs[row.label or row.format()] = (
             None if cert is None else [str(c) for c in cert]
         )

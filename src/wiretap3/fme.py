@@ -360,8 +360,8 @@ def _joint_space(
 def _row_vector(
     ineq: LinearInequality, vars_: Sequence[str], atoms: Sequence[str]
 ) -> tuple[list[Fraction], Fraction]:
-    vec = [ineq.coeffs.get(v, Fraction(0)) for v in vars_]
-    vec += [-ineq.rhs_atoms.get(a, Fraction(0)) for a in atoms]
+    vec = [ineq.coeffs.get(v, 0) for v in vars_]
+    vec += [-ineq.rhs_atoms.get(a, 0) for a in atoms]
     return vec, ineq.rhs_const
 
 
@@ -386,17 +386,6 @@ def system_feasible(
     return feasible_eq(A, b) is not None
 
 
-def _implication_certificate(
-    premise: Sequence[LinearInequality],
-    target: LinearInequality,
-    vars_: Sequence[str],
-    atoms: Sequence[str],
-):
-    rows = [_row_vector(r, vars_, atoms) for r in premise]
-    tvec, trhs = _row_vector(target, vars_, atoms)
-    return implied_by(rows, (tvec, trhs))
-
-
 def remove_redundant(
     sys: InequalitySystem,
     assumptions: Sequence[LinearInequality] = (),
@@ -419,17 +408,18 @@ def remove_redundant(
     sys = normalize(sys)
     vars_, atoms = _joint_space([sys], assumptions)
     rows = list(sys.inequalities)
+    vecs = [_row_vector(r, vars_, atoms) for r in rows]
+    assumed = [_row_vector(r, vars_, atoms) for r in assumptions]
     kept: list[LinearInequality] = []
     # one pass, testing each row against all other rows (already-dropped rows
     # are excluded; rows not yet visited are included)
-    active = list(rows)
-    for r in rows:
-        premise = [x for x in active if x is not r] + list(assumptions)
-        cert = _implication_certificate(premise, r, vars_, atoms)
-        if cert is None:
+    active = list(range(len(rows)))
+    for i, r in enumerate(rows):
+        premise = [vecs[j] for j in active if j != i] + assumed
+        if implied_by(premise, vecs[i]) is None:
             kept.append(r)
         else:
-            active = [x for x in active if x is not r]
+            active.remove(i)
     return sys.with_rows(kept)
 
 
@@ -513,9 +503,10 @@ def region_equal(
     def direction(src: InequalitySystem, dst: InequalitySystem, key: str) -> bool:
         premise = list(src.inequalities) + list(assumptions)
         names = [r.label or r.format() for r in premise]
+        vecs = [_row_vector(r, vars_, atoms) for r in premise]
         ok = True
         for row in dst.inequalities:
-            mult = _implication_certificate(premise, row, vars_, atoms)
+            mult = implied_by(vecs, _row_vector(row, vars_, atoms))
             entry = {"row": row.format()}
             if mult is None:
                 entry["implied"] = False

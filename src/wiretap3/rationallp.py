@@ -1,17 +1,24 @@
 """Exact rational linear programming, sized for desk-scale systems.
 
-A small two-phase tableau simplex over ``fractions.Fraction``.  Systems in
-this package have at most a few dozen rows and unknowns, where exactness
-matters far more than speed: redundancy certificates and region equality
-must be decided with zero tolerance.
+A small two-phase tableau simplex, kept exact without ``Fraction``
+arithmetic in the pivots.  Each tableau row is a list of Python ints with
+one positive int denominator, gcd-reduced after every pivot (fraction-free
+pivoting in the manner of Edmonds-Bareiss and Avis's lrs, with a per-row
+rather than a global denominator).  The objective row is one more such row
+that every pivot updates, so reduced costs are never rebuilt from the
+basis.  Ratio tests cross-multiply integers (row denominators cancel) and
+reduced costs compare as numerators over one denominator.  Redundancy
+certificates and region equality are decided with zero tolerance.
 
-Pivoting uses Dantzig's rule with a Bland fallback once no strict progress
-is made, which keeps the method finite on degenerate tableaus.
+Pivoting uses Dantzig's rule with a Bland fallback after 30 degenerate
+pivots in a row, which keeps the method finite on degenerate tableaus;
+ratio-test ties go to the lowest basis index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Vec = list[Fraction]
@@ -22,147 +29,144 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _to_frac_vec(v) -> Vec:
-    return [Fraction(x) for x in v]
-
-
 class SimplexResult:
-    def __init__(self, status: str, x: Optional[Vec] = None, value: Optional[Fraction] = None):
+    """``x`` is the optimum, or for UNBOUNDED the basic feasible point from
+    which ``ray`` (x >= 0 direction with A ray = 0 and c.ray < 0) leaves."""
+
+    def __init__(self, status: str, x: Optional[Vec] = None,
+                 value: Optional[Fraction] = None, ray: Optional[Vec] = None):
         self.status = status
         self.x = x
         self.value = value
+        self.ray = ray
+
+
+def _exact(vals) -> list:
+    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
+
+
+def _int_row(vals) -> tuple[list[int], int]:
+    """Integers ``r`` and a positive ``d`` with ``vals == r / d``."""
+    d = lcm(*(q.denominator for q in vals))
+    return [q.numerator * (d // q.denominator) for q in vals], d
+
+
+def _pivot(tab: list[list[int]], den: list[int], r: int, e: int) -> None:
+    """Make column ``e`` basic in row ``r`` (``tab[r][e] > 0``), in every row."""
+    g = gcd(*tab[r])
+    piv = tab[r] = [v // g for v in tab[r]]
+    p = den[r] = piv[e]
+    for i, row in enumerate(tab):
+        f = row[e]
+        if f and i != r:
+            new = [p * a - f * b for a, b in zip(row, piv)]
+            g = gcd(den[i] * p, *new)
+            tab[i] = [v // g for v in new]
+            den[i] = den[i] * p // g
+
+
+def _objective(cost: list, tab: list[list[int]], den: list[int], basis: list[int]) -> None:
+    """Append the row ``cost - sum_i cost[basis_i] * row_i`` to ``tab``."""
+    terms = [(cost[bi], i) for i, bi in enumerate(basis) if cost[bi]]
+    d = lcm(*(q.denominator for q in cost), *(q.denominator * den[i] for q, i in terms))
+    obj = [q.numerator * (d // q.denominator) for q in cost] + [0]
+    for q, i in terms:
+        f = q.numerator * (d // (q.denominator * den[i]))
+        obj = [o - f * a for o, a in zip(obj, tab[i])]
+    g = gcd(d, *obj)
+    tab.append([v // g for v in obj])
+    den.append(d // g)
 
 
 def simplex_min_eq(A: Mat, b: Vec, c: Vec) -> SimplexResult:
     """Minimize c.x subject to A x = b, x >= 0, exactly.
 
     Returns OPTIMAL with an optimal basic solution, INFEASIBLE, or
-    UNBOUNDED (objective unbounded below over the feasible set).
+    UNBOUNDED (objective unbounded below over the feasible set) with the
+    ray along the entering column.
     """
     m = len(A)
     n = len(c)
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
+    c = _exact(c)
+    tab, den = [], []
     for i in range(m):
         if len(A[i]) != n:
             raise ValueError("ragged constraint matrix")
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-
-    # Phase 1: artificial variable per row.
-    total = n + m
-    tab = [A[i] + [Fraction(int(j == i)) for j in range(m)] + [b[i]] for i in range(m)]
+        r, d = _int_row(_exact(list(A[i]) + [b[i]]))
+        if r[n] < 0:
+            r = [-v for v in r]
+        tab.append(r[:n] + [d if j == i else 0 for j in range(m)] + r[n:])
+        den.append(d)
+    # Phase 1: artificial variable per row; tab[m] is the objective row.
     basis = [n + i for i in range(m)]
-    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
+    _objective([0] * n + [1] * m, tab, den, basis)
 
-    def run(cost: Vec) -> str:
-        # objective row: reduced costs z_j - c_j form, stored as c_j - z_j
+    def run() -> int:
+        """Pivot to optimality; -1, or the entering column of an unbounded ray."""
+        obj, T = tab[m], len(tab[m]) - 1
         stall = 0
         while True:
-            red = cost[:]
-            obj = Fraction(0)
-            for i, bi in enumerate(basis):
-                cb = cost[bi]
-                if cb:
-                    row = tab[i]
-                    obj += cb * row[total]
-                    for j in range(total):
-                        if row[j]:
-                            red[j] -= cb * row[j]
-            entering = -1
             if stall < 30:
-                best = Fraction(0)
-                for j in range(total):
-                    if red[j] < best:
-                        best = red[j]
-                        entering = j
+                entering = min(range(T), key=obj.__getitem__, default=-1)
+                if entering >= 0 and obj[entering] >= 0:
+                    entering = -1
             else:  # Bland's rule
-                for j in range(total):
-                    if red[j] < 0:
-                        entering = j
-                        break
+                entering = next((j for j in range(T) if obj[j] < 0), -1)
             if entering < 0:
-                return OPTIMAL
-            ratio = None
+                return -1
             leave = -1
             for i in range(m):
                 a = tab[i][entering]
                 if a > 0:
-                    r = tab[i][total] / a
-                    if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                        ratio = r
-                        leave = i
+                    if leave >= 0:
+                        lhs, rhs = tab[i][T] * lead[entering], lead[T] * a
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                            continue
+                    leave, lead = i, tab[i]
             if leave < 0:
-                return UNBOUNDED
-            if ratio == 0:
-                stall += 1
-            else:
-                stall = 0
-            piv = tab[leave][entering]
-            row = tab[leave]
-            if piv != 1:
-                tab[leave] = row = [v / piv for v in row]
-            for i in range(m):
-                if i != leave and tab[i][entering]:
-                    f = tab[i][entering]
-                    ri = tab[i]
-                    tab[i] = [ri[k] - f * row[k] for k in range(total + 1)]
+                return entering
+            stall = stall + 1 if lead[T] == 0 else 0
+            _pivot(tab, den, leave, entering)
+            obj = tab[m]
             basis[leave] = entering
 
-    status = run(cost1)
-    phase1_obj = sum((tab[i][total] for i in range(m) if basis[i] >= n), Fraction(0))
-    if status != OPTIMAL or phase1_obj != 0:
+    if run() >= 0 or tab[m][-1] != 0:
         return SimplexResult(INFEASIBLE)
     # Drive artificials out of the basis where possible; drop dependent rows.
     keep: list[int] = []
     for i in range(m):
         if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if tab[i][j] != 0:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
+            col = next((j for j in range(n) if tab[i][j]), -1)
+            if col < 0:
                 continue  # redundant row
-            piv = tab[i][pivot_col]
-            tab[i] = [v / piv for v in tab[i]]
-            for k in range(m):
-                if k != i and tab[k][pivot_col]:
-                    f = tab[k][pivot_col]
-                    tab[k] = [tab[k][t] - f * tab[i][t] for t in range(total + 1)]
-            basis[i] = pivot_col
+            if tab[i][col] < 0:
+                tab[i] = [-v for v in tab[i]]
+            _pivot(tab, den, i, col)
+            basis[i] = col
         keep.append(i)
-    if len(keep) != m:
-        global_rows = [tab[i] for i in keep]
-        new_basis = [basis[i] for i in keep]
-        tab.clear()
-        tab.extend(global_rows)
-        basis.clear()
-        basis.extend(new_basis)
-        m = len(tab)
-    # Forbid artificials from re-entering: set huge phase-2 cost.
-    cost2 = c + [Fraction(0)] * (total - n)
-    # zero out artificial columns so they never price in
-    for row in tab:
-        for j in range(n, total):
-            row[j] = Fraction(0)
-    status = run(cost2)
-    if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED)
+    # Phase 2 without the artificial columns, which can never price in.
+    tab = [tab[i][:n] + tab[i][-1:] for i in keep]
+    den = [den[i] for i in keep]
+    basis = [basis[i] for i in keep]
+    m = len(tab)
+    _objective(c, tab, den, basis)
+    entering = run()
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tab[i][total]
-    value = sum((c[j] * x[j] for j in range(n)), Fraction(0))
-    return SimplexResult(OPTIMAL, x, value)
+        x[bi] = Fraction(tab[i][n], den[i])
+    if entering >= 0:
+        ray = [Fraction(0)] * n
+        ray[entering] = Fraction(1)
+        for i, bi in enumerate(basis):
+            ray[bi] = Fraction(-tab[i][entering], den[i])
+        return SimplexResult(UNBOUNDED, x, None, ray)
+    return SimplexResult(OPTIMAL, x, Fraction(-tab[m][n], den[m]))
 
 
 def feasible_eq(A: Mat, b: Vec) -> Optional[Vec]:
     """A solution x >= 0 of A x = b, or None."""
     n = len(A[0]) if A else 0
-    res = simplex_min_eq(A, b, [Fraction(0)] * n)
+    res = simplex_min_eq(A, b, [0] * n)
     return res.x if res.status == OPTIMAL else None
 
 
@@ -176,25 +180,54 @@ def implied_by(
     variable space.  Returns multipliers y >= 0 with sum y_i a_i = c and
     sum y_i beta_i <= delta for target (c, delta), or None when no such
     certificate exists.  For a feasible system this is exactly logical
-    implication; callers must handle the infeasible-system case themselves.
+    implication; infeasible rows imply anything, and their certificate
+    follows the LP's unbounded ray far enough to reach delta.  Every
+    certificate passes ``verify_certificate`` before it is returned.
     """
-    c, delta = _to_frac_vec(target[0]), Fraction(target[1])
+    c, delta = target
     k = len(rows)
-    dim = len(c)
     if k == 0:
         return [] if all(v == 0 for v in c) and delta >= 0 else None
     # variables: y_1..y_k >= 0; constraints: sum_i y_i a_i = c (dim equalities)
-    A = [[Fraction(rows[i][0][d]) for i in range(k)] for d in range(dim)]
-    b = [c[d] for d in range(dim)]
-    cost = [Fraction(rows[i][1]) for i in range(k)]
-    res = simplex_min_eq(A, b, cost)
+    A = [list(col) for col in zip(*(a for a, _ in rows))]
+    cost = [beta for _, beta in rows]
+    res = simplex_min_eq(A, list(c), cost)
     if res.status == UNBOUNDED:
-        # a ray with negative cost certifies 0 <= negative: rows infeasible,
-        # hence they imply anything; report the trivial certificate marker.
-        return [Fraction(0)] * k
-    if res.status != OPTIMAL or res.value > delta:
+        value = sum(q * v for q, v in zip(cost, res.x))
+        slope = sum(q * r for q, r in zip(cost, res.ray))
+        t = max(Fraction(0), (value - delta) / -slope)
+        y = [v + t * r for v, r in zip(res.x, res.ray)]
+    elif res.status != OPTIMAL or res.value > delta:
         return None
-    return res.x
+    else:
+        y = res.x
+    verify_certificate(rows, target, y)
+    return y
+
+
+def verify_certificate(
+    rows: Sequence[tuple[Sequence[Fraction], Fraction]],
+    target: tuple[Sequence[Fraction], Fraction],
+    y: Sequence[Fraction],
+) -> None:
+    """Check y >= 0, sum y_i a_i = c and sum y_i beta_i <= delta exactly.
+
+    Raises ValueError (also under ``python -O``) when y certifies nothing.
+    """
+    c, delta = target
+    if len(y) != len(rows):
+        raise ValueError(f"{len(y)} multipliers for {len(rows)} rows")
+    lhs, bound = [0] * len(c), 0
+    for yi, (a, beta) in zip(y, rows):
+        if yi:
+            if yi < 0:
+                raise ValueError(f"negative multiplier {yi}")
+            lhs = [s + yi * v for s, v in zip(lhs, a)]
+            bound += yi * beta
+    if lhs != list(c):
+        raise ValueError("multipliers do not reproduce the target coefficients")
+    if bound > delta:
+        raise ValueError(f"multipliers bound the target by {bound} > {delta}")
 
 
 def solve_square(A: Mat, b: Vec) -> Optional[Vec]:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wiretap3 import orderings
 from wiretap3.cli import build_parser, main
 from wiretap3.specfmt import parse_spec, write_spec
 
@@ -143,6 +144,68 @@ class TestParser:
         assert (args.restarts, args.sweeps) == (2, 5)
         args = p.parse_args(["simulate", "--config", "c.json", "--format", "csv"])
         assert args.format == "csv"
+
+
+TERNARY = """
+alphabet X 3
+alphabet Y 3
+channel a : X -> Y
+4/5 1/10 1/10
+1/10 4/5 1/10
+1/10 1/10 4/5
+channel b : X -> Y
+1 0 0
+0 1 0
+0 1 0
+"""
+
+
+class TestOrderingGrid:
+    """``--grid`` seeds only 2- and 3-cell searches and is ignored above."""
+
+    def _seeds(self, monkeypatch, capsys, argv):
+        seen = []
+        real = orderings.search_factored
+
+        def recording(*args, extra_starts=(), **kwargs):
+            seen.append(len(extra_starts))
+            return real(*args, extra_starts=extra_starts, **kwargs)
+
+        monkeypatch.setattr(orderings, "search_factored", recording)
+        argv = argv + ["--seed", "1", "--restarts", "1", "--sweeps", "1", "--format", "json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["holds"] != "true"  # degradedness did not short-cut
+        return seen, out
+
+    @pytest.mark.parametrize("relation, extra, seeds", [
+        ("more_capable", [], [5]),                    # |X| = 2
+        ("less_noisy", ["--aux-card", "1"], [5]),     # 1 x 2 cells
+        ("less_noisy", [], [0]),                      # 2 x 2 cells: no grid
+    ])
+    def test_binary_input(self, spec_file, monkeypatch, capsys, relation, extra, seeds):
+        argv = ["ordering", "--spec", str(spec_file), "--y", "z", "--z", "y1",
+                "--relation", relation, "--grid", "4"] + extra
+        assert self._seeds(monkeypatch, capsys, argv)[0] == seeds
+
+    def test_ternary_input(self, tmp_path, monkeypatch, capsys):
+        spec = tmp_path / "ternary.chan"
+        spec.write_text(TERNARY)
+        base = ["ordering", "--spec", str(spec), "--y", "a", "--z", "b"]
+        seen, _ = self._seeds(monkeypatch, capsys,
+                              base + ["--relation", "more_capable", "--grid", "4"])
+        assert seen == [15]                           # 3 cells
+        for grid in ("4", "40"):
+            seen, _ = self._seeds(monkeypatch, capsys, base + [
+                "--relation", "less_noisy", "--aux-card", "1", "--grid", grid])
+            assert seen == [15 if grid == "4" else 861]
+
+    def test_ignored_above_three_cells(self, spec_file, monkeypatch, capsys):
+        argv = ["ordering", "--spec", str(spec_file), "--y", "z", "--z", "y1",
+                "--relation", "less_noisy"]
+        outs = {self._seeds(monkeypatch, capsys, argv + ["--grid", g])[1]
+                for g in ("2", "20", "200")}
+        assert len(outs) == 1
 
 
 class TestRoundTrip:
