@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .optim import Params, SearchBudget, search_factored
+from .optim import Params, SearchBudget, per_point, search_factored
 from .probability import (
     AxisError,
     ConditionalPmf,
@@ -781,7 +781,6 @@ def maximize(
     aux: AuxSpec,
     chans: BroadcastChannels,
     budget: SearchBudget,
-    on_eval: Optional[Callable[[Params, float], None]] = None,
 ) -> BoundResult:
     """Multi-start maximization of a scalar bound over its factored simplex.
 
@@ -804,7 +803,7 @@ def maximize(
         # deterministic all-uniform start: the auxiliaries decouple from X there,
         # pinning the reported maximum at >= 0 (these secrecy bounds clamp at 0)
         baseline = [np.full((rows, cols), 1.0 / cols) for rows, cols in shapes]
-        res = search_factored(objective, shapes, budget, on_eval, extra_starts=[baseline])
+        res = search_factored(per_point(objective), shapes, budget, extra_starts=[baseline])
         if best is None or res.value > best[0].value:
             best = (res, expand)
     res, expand = best

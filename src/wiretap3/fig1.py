@@ -42,7 +42,7 @@ from .probability import (
     Pmf,
     binary_entropy,
     cascade,
-    entropy_of_vector,
+    entropy_bits,
     erase_further,
     erasure_channel,
     product_channel,
@@ -169,29 +169,32 @@ def second_component_measures(tables, chan: Optional[Fig1Channel] = None):
     """(I(V2;Y12|Q2), I(V2;Z2|Q2)) for tables [p(q2), p(v2|q2), p(x2|v2)].
 
     Hot path of the upper-bound search: raw tensor arithmetic, no
-    intermediate distribution objects.
+    intermediate distribution objects.  Each table may carry leading
+    batch axes, (..., rows, cols); the two measures then come back with
+    those leading axes, one pair per point, each the same bits as the
+    point alone.
     """
     y_mat = (chan.y12 if chan else _FIG1.y12).matrix
     z_mat = (chan.z2 if chan else _FIG1.z2).matrix
     pq, pvq, pxv = tables
-    p_qvx = pq[0][:, None, None] * pvq[:, :, None] * pxv[None, :, :]
+    p_qvx = pq[..., 0, :, None, None] * pvq[..., :, :, None] * pxv[..., None, :, :]
     p_qvy = p_qvx @ y_mat
     p_qvz = p_qvx @ z_mat
-    h = entropy_of_vector
-    hq = h(p_qvx.sum(axis=(1, 2)))
-    hqv = h(p_qvx.sum(axis=2))
-    iy = hqv + h(p_qvy.sum(axis=1)) - h(p_qvy) - hq
-    iz = hqv + h(p_qvz.sum(axis=1)) - h(p_qvz) - hq
-    return max(iy, 0.0), max(iz, 0.0)
+    hq = entropy_bits(p_qvx.sum(axis=(-2, -1)), 1)
+    hqv = entropy_bits(p_qvx.sum(axis=-1), 2)
+    iy = hqv + entropy_bits(p_qvy.sum(axis=-2), 2) - entropy_bits(p_qvy, 3) - hq
+    iz = hqv + entropy_bits(p_qvz.sum(axis=-2), 2) - entropy_bits(p_qvz, 3) - hq
+    return np.maximum(iy, 0.0), np.maximum(iz, 0.0)
 
 
-def rck_upper_bound_objective(iy: float, iz: float) -> float:
+def rck_upper_bound_objective(iy, iz):
     """min{1/3 + I(V2;Y12|Q2) - I(V2;Z2|Q2), 5/6 - I(V2;Z2|Q2)}.
 
     This is the classical-extension upper bound for the example after the
-    first component has been optimized out at gamma = 1/2.
+    first component has been optimized out at gamma = 1/2.  Elementwise on
+    arrays of measures.
     """
-    return min(1.0 / 3.0 + (iy - iz), 5.0 / 6.0 - iz)
+    return np.minimum(1.0 / 3.0 + (iy - iz), 5.0 / 6.0 - iz)
 
 
 @dataclass(frozen=True)
@@ -232,9 +235,10 @@ def reproduce_example(
     def objective(tables):
         nonlocal trace_dev, trace_hits
         iy, iz = second_component_measures(tables, chan)
-        if iz < 1e-9:
-            trace_hits += 1
-            trace_dev = max(trace_dev, abs(iy - iz))
+        silent = iz < 1e-9
+        if silent.any():
+            trace_hits += int(silent.sum())
+            trace_dev = max(trace_dev, float(np.abs(iy - iz)[silent].max()))
         return rck_upper_bound_objective(iy, iz)
 
     shapes = [(1, q2_card), (q2_card, v2_card), (v2_card, 2)]

@@ -41,7 +41,7 @@ def _frac(x) -> Fraction:
 
 
 def _clean(d: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    return {k: Fraction(v) for k, v in d.items() if Fraction(v) != 0}
+    return {k: f for k, v in d.items() if (f := Fraction(v)) != 0}
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optim import SearchBudget, search_factored
+from .optim import SearchBudget, per_point, search_factored
 from .probability import ConditionalPmf, DistributionError, JointPmf
 from .rationallp import feasible_eq
 
@@ -140,7 +140,7 @@ def _minimize_flat(objective, cells: int, budget: SearchBudget) -> tuple[float, 
         return -objective(params[0][0])
 
     extra = [[g.reshape(1, cells)] for g in _grid_simplex(cells, budget.grid_points)]
-    res = search_factored(neg, [(1, cells)], budget, extra_starts=extra)
+    res = search_factored(per_point(neg), [(1, cells)], budget, extra_starts=extra)
     return -res.value, res.params[0][0]
 
 

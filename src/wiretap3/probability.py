@@ -60,15 +60,25 @@ def _as_fraction_or_none(values) -> Optional[tuple]:
     return tuple(out)
 
 
-def entropy_of_vector(p: np.ndarray) -> float:
-    """H(p) in bits with the 0*log0 = 0 convention, over all cells of ``p``.
+def entropy_bits(p, ndim: Optional[int] = None) -> np.ndarray:
+    """H in bits over the trailing ``ndim`` axes of ``p`` (all axes by default).
 
     The package's only -sum p log2 p: every entropy and (conditional)
-    mutual information goes through here.
+    mutual information goes through here, one pmf or a stack of them.
+    Cells <= 0 contribute 0 (the 0*log0 = 0 convention) and never reach
+    log2.  The trailing cells are reduced as one flat run by one dot
+    product each, so a pmf in a stack gets the same bits as the pmf alone.
     """
     p = np.asarray(p, dtype=float)
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum()) + 0.0
+    k = p.ndim if ndim is None else ndim
+    flat = p.reshape(p.shape[: p.ndim - k] + (-1,))
+    logs = np.log2(flat, out=np.zeros(flat.shape), where=flat > 0)
+    return 0.0 - np.vecdot(flat, logs)  # 0.0 - x folds -0.0 into 0.0
+
+
+def entropy_of_vector(p: np.ndarray) -> float:
+    """H(p) in bits over all cells of ``p``, as a float."""
+    return float(entropy_bits(p))
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,30 +73,49 @@ class TestWiring:
         composed = chan.y12.matrix @ w.matrix
         assert np.allclose(composed, chan.z2.matrix, atol=1e-12)
 
+    @staticmethod
+    def _stacked_matches_points(tables_list):
+        """One stacked call over every point; each entry equals its own call."""
+        stack = [np.stack([t[k] for t in tables_list]) for k in range(3)]
+        iy_b, iz_b = second_component_measures(stack)
+        assert iy_b.shape == iz_b.shape == (len(tables_list),)
+        for b, tables in enumerate(tables_list):
+            iy, iz = second_component_measures(tables)
+            assert abs(iy_b[b] - iy) <= 1e-12 and abs(iz_b[b] - iz) <= 1e-12
+        return iy_b, iz_b
+
     def test_second_component_halving_identity_200_dists(self):
         rng = np.random.default_rng(7)
         worst = 0.0
+        points = []
         for _ in range(200):
             tables = [
                 rng.dirichlet(np.ones(3), size=1),
                 rng.dirichlet(np.ones(4), size=3),
                 rng.dirichlet(np.ones(2), size=4),
             ]
+            points.append(tables)
             iy, iz = second_component_measures(tables)
             worst = max(worst, abs(iz - 0.5 * iy))
         assert worst < 1e-10
+        iy_b, iz_b = self._stacked_matches_points(points)
+        assert np.abs(iz_b - 0.5 * iy_b).max() < 1e-10
 
     def test_difference_equals_z_side(self):
         # I(V2;Y12|Q2) - I(V2;Z2|Q2) = I(V2;Z2|Q2) on this wiring
         rng = np.random.default_rng(8)
+        points = []
         for _ in range(50):
             tables = [
                 rng.dirichlet(np.ones(2), size=1),
                 rng.dirichlet(np.ones(3), size=2),
                 rng.dirichlet(np.ones(2), size=3),
             ]
+            points.append(tables)
             iy, iz = second_component_measures(tables)
             assert (iy - iz) == pytest.approx(iz, abs=1e-10)
+        iy_b, iz_b = self._stacked_matches_points(points)
+        assert np.abs((iy_b - iz_b) - iz_b).max() < 1e-10
 
 
 class TestExampleReproduction:
