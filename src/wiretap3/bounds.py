@@ -20,24 +20,44 @@ Factorization patterns (auxiliary chains ending in the channel input X):
 The theorem1/theorem2 evaluators enforce the Marton admissibility
 constraint I(V1,V2;Z|V0) <= I(V1;Z|V0) + I(V2;Z|V0) - I(V1;V2|V0) within
 1e-9 and report inadmissible points as None; the maximizer skips them.
+
+Scalar bounds are data: each is a ``BoundTerms``, the (conditional) mutual
+informations it is made of, written as in the paper, the signed sums they
+form, the minimum taken over those sums and, for theorem1, the admissibility
+slack that masks a point out.  One batched engine evaluates them on a stack
+of B source laws at once.  ``_realize`` multiplies the stacked factor tables
+(B, rows, cols) of a pattern's chain into p(aux..., X) of shape (B, sizes...),
+after one row-stochastic check of every table.  ``_information`` then forms
+each entropy from a small marginal: a term with a receiver pushes p(aux, X)
+through that receiver's matrix, so the joint over all receivers is never
+built, and ``_bound_values`` combines the terms.  Entropies are memoized per axis set within a call and all go through
+``probability.entropy_bits``.  A term below -MEASURE_TOL raises
+DistributionError; otherwise it is clamped at 0, as ``JointPmf`` does.
+``maximize`` hands this engine to the lockstep search as its objective, and
+the scalar evaluators (``ck_extension_rate`` and the others) run the same
+engine on a one-point stack.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .optim import Params, SearchBudget, per_point, search_factored
+from .optim import Params, SearchBudget, search_factored
 from .probability import (
+    MEASURE_TOL,
+    PMF_TOL,
     AxisError,
     ConditionalPmf,
     DistributionError,
     Factor,
     FactoredDistribution,
     JointPmf,
+    entropy_bits,
 )
 
 ADMISSIBILITY_TOL = 1e-9
@@ -182,24 +202,27 @@ def _admissible_tables(
         p2[np.arange(n0), np.arange(n0)] = 1.0
     else:
         p2 = rng.dirichlet(np.ones(n2), size=n0)
-    pv12 = (p1[:, :, None] * p2[:, None, :]).reshape(n0, n1 * n2)
+    q = rng.dirichlet(np.ones(nx), size=n0 * (n2 if family == "z_ignores_v1" else n1))
+    return _expand_family([p1, p2, q], sizes, family)
+
+
+def _expand_family(tables: Params, sizes: Mapping[str, int], family: str) -> Params:
+    """Family tables [..., p(v1|v0), p(v2|v0), q] -> [..., p(v1,v2|v0), p(x|v0,v1,v2)].
+
+    ``q`` holds the input law per (v0, v2) row for z_ignores_v1 and per
+    (v0, v1) row otherwise (z_ignores_v2; collapse_v2, whose p(v2|v0) copies
+    V0).  Leading tables pass through unchanged.  Works on single tables
+    (rows, cols) and on stacks (B, rows, cols) alike.
+    """
+    *head, p1, p2, q = tables
+    n0, n1, n2 = sizes["V0"], sizes["V1"], sizes["V2"]
+    lead, nx = q.shape[:-2], q.shape[-1]
+    pv12 = (p1[..., :, None] * p2[..., None, :]).reshape(lead + (n0, n1 * n2))
     if family == "z_ignores_v1":
-        q = rng.dirichlet(np.ones(nx), size=n0 * n2)
-        px = np.vstack([
-            q[v0 * n2 + v2]
-            for v0 in range(n0)
-            for v1 in range(n1)
-            for v2 in range(n2)
-        ])
-    else:  # z_ignores_v2 and collapse_v2: input depends on (v0, v1)
-        q = rng.dirichlet(np.ones(nx), size=n0 * n1)
-        px = np.vstack([
-            q[v0 * n1 + v1]
-            for v0 in range(n0)
-            for v1 in range(n1)
-            for v2 in range(n2)
-        ])
-    return [pv12, px]
+        px = q.reshape(lead + (n0, 1, n2, nx)).repeat(n1, axis=-3)
+    else:
+        px = q.reshape(lead + (n0, n1, 1, nx)).repeat(n2, axis=-2)
+    return [*head, pv12, px.reshape(lead + (n0 * n1 * n2, nx))]
 
 
 def random_admissible_dist(
@@ -335,8 +358,176 @@ class MultilevelChannel:
 
 
 # ---------------------------------------------------------------------------
-# Scalar bound evaluators
+# Scalar bounds as data, and the batched engine that evaluates them
 # ---------------------------------------------------------------------------
+
+# I(A;B|C) as its three axis sets; C is empty for a plain mutual information.
+Term = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
+# A signed sum of terms, added left to right.
+Expr = tuple[tuple[int, Term], ...]
+
+_TERM = re.compile(r"\s*([+-]?)\s*I\(([\w,]+);([\w,]+)(?:\|([\w,]+))?\)\s*")
+
+
+def _expr(text: str) -> Expr:
+    """Parse a signed sum such as ``I(V0,V1;Y1|Q) - I(V0,V1;Z|Q)``."""
+    matches = list(_TERM.finditer(text))
+    if "".join(m.group(0) for m in matches) != text:
+        raise ValueError(f"cannot parse information expression {text!r}")
+    return tuple(
+        (-1 if sign == "-" else 1, tuple(tuple(s.split(",")) if s else () for s in (a, b, c)))
+        for sign, a, b, c in (m.groups() for m in matches)
+    )
+
+
+@dataclass(frozen=True)
+class BoundTerms:
+    """A scalar bound: the minimum of its ``rates``, each a signed sum of
+    (C)MI terms, and NaN (inadmissible) where the signed sum ``gate`` falls
+    below -ADMISSIBILITY_TOL.  A term names pattern axes and at most one
+    receiver (Y1, Y2 or Z)."""
+
+    rates: tuple[Expr, ...]
+    gate: Expr = ()
+
+
+_MARTON_SLACK = _expr("I(V1;Z|V0) + I(V2;Z|V0) - I(V1;V2|V0) - I(V1,V2;Z|V0)")
+
+# the wiretap bound's legitimate receiver is Y1
+_WIRETAP = BoundTerms((_expr("I(V;Y1) - I(V;Z)"),))
+_CK_EXTENSION = BoundTerms((_expr("I(V;Y1|Q) - I(V;Z|Q)"), _expr("I(V;Y2|Q) - I(V;Z|Q)")))
+_COROLLARY1 = BoundTerms((_expr("I(X;Y1|Q) - I(X;Z|Q)"), _expr("I(V;Y2|Q) - I(V;Z|Q)")))
+_THEOREM1 = BoundTerms(
+    (_expr("I(V0,V1;Y1|Q) - I(V0,V1;Z|Q)"), _expr("I(V0,V2;Y2|Q) - I(V0,V2;Z|Q)")),
+    gate=_MARTON_SLACK,
+)
+
+
+def _signed_sum(expr: Expr, information: Callable):
+    total = 0.0
+    for sign, term in expr:
+        value = information(*term)
+        total = total + value if sign > 0 else total - value
+    return total
+
+
+def _checked(table: np.ndarray) -> np.ndarray:
+    """A stack of tables that passes ConditionalPmf's row checks, clipped at 0."""
+    normalized = np.abs(table.sum(axis=-1) - 1.0) <= PMF_TOL  # False for NaN
+    if np.count_nonzero(normalized) != normalized.size:
+        raise DistributionError("factor table has a row that does not sum to 1")
+    if np.count_nonzero(table < 0):
+        if np.count_nonzero(table < -PMF_TOL):
+            raise DistributionError("factor table has negative entries")
+        table = np.maximum(table, 0.0)
+    return table
+
+
+def _realize(pattern: str, sizes: Mapping[str, int], tables: Params) -> np.ndarray:
+    """p(aux..., X) of stacked factor tables (B, rows, cols): (B, pattern sizes).
+
+    Every pattern's chain generates its axes in declaration order, and each
+    factor's given axes are earlier axes in that order, so a table of
+    p(targets | given) broadcasts against the joint so far by reshaping.
+    """
+    _, chain = PATTERNS[pattern]
+    joint = np.ones(len(tables[0]))
+    covered: tuple[str, ...] = ()
+    for (targets, given), table in zip(chain, tables):
+        shape = tuple(sizes[a] if a in given else 1 for a in covered)
+        shape += tuple(sizes[a] for a in targets)
+        joint = joint.reshape(joint.shape + (1,) * len(targets)) * _checked(table).reshape(
+            (len(table),) + shape
+        )
+        covered += targets
+    return joint
+
+
+def _information(axes: tuple[str, ...], joint: np.ndarray, channels: Mapping[str, np.ndarray]):
+    """I(A;B|C) -> (B,) bits on a stack of source laws ``joint`` over ``axes``.
+
+    ``channels`` maps each receiver to its |X| x |R| matrix.  An entropy over
+    aux axes reads a marginal of ``joint``; one with a receiver pushes the
+    marginal p(aux, X) through that receiver's matrix.  Marginals and
+    entropies are memoized per axis set.
+    """
+    batch, nx = len(joint), joint.shape[-1]  # X is the last pattern axis
+    marginals: dict[tuple[str, ...], np.ndarray] = {}
+    entropies: dict[frozenset, np.ndarray] = {}
+
+    def marginal(keep: tuple[str, ...]) -> np.ndarray:
+        if keep not in marginals:
+            drop = tuple(1 + i for i, a in enumerate(axes) if a not in keep)
+            marginals[keep] = joint.sum(axis=drop) if drop else joint
+        return marginals[keep]
+
+    def entropy(names: tuple[str, ...]) -> np.ndarray:
+        key = frozenset(names)
+        if key not in entropies:
+            receivers = [a for a in names if a not in axes]
+            if len(receivers) > 1:
+                raise AxisError(f"a term names more than one receiver: {receivers}")
+            if receivers:
+                src = marginal(tuple(a for a in axes if a in key or a == "X"))
+                src = src.reshape(batch, -1, nx)
+                w = channels[receivers[0]]
+                p = src[..., None] * w if "X" in key else src @ w
+            else:
+                p = marginal(tuple(a for a in axes if a in key))
+            entropies[key] = entropy_bits(p, p.ndim - 1)
+        return entropies[key]
+
+    def information(a: tuple[str, ...], b: tuple[str, ...], c: tuple[str, ...]) -> np.ndarray:
+        if c:
+            value = entropy(a + c) + entropy(b + c) - entropy(a + b + c) - entropy(c)
+        else:
+            value = entropy(a) + entropy(b) - entropy(a + b)
+        if np.count_nonzero(value < -MEASURE_TOL):
+            raise DistributionError(
+                f"I({a};{b}|{c}) = {value.min()} is below -{MEASURE_TOL}"
+            )
+        return np.maximum(value, 0.0)
+
+    return information
+
+
+def _bound_values(
+    bound: BoundTerms,
+    axes: tuple[str, ...],
+    joint: np.ndarray,
+    channels: Mapping[str, np.ndarray],
+) -> np.ndarray:
+    """``bound`` at each of a stack of source laws: B floats, NaN inadmissible."""
+    information = _information(axes, joint, channels)
+    gate = _signed_sum(bound.gate, information) if bound.gate else None
+    value = _signed_sum(bound.rates[0], information)
+    for rate in bound.rates[1:]:
+        value = np.minimum(value, _signed_sum(rate, information))
+    if gate is not None:
+        value = np.where(gate < -ADMISSIBILITY_TOL, np.nan, value)
+    return value
+
+
+def _channels(chans: BroadcastChannels) -> dict[str, np.ndarray]:
+    return {"Y1": chans.to_y1.matrix, "Y2": chans.to_y2.matrix, "Z": chans.to_z.matrix}
+
+
+def _at_point(
+    bound: BoundTerms,
+    pattern: str,
+    dist,
+    channels: Mapping[str, np.ndarray],
+    strict_tag: bool = True,
+) -> float:
+    """``bound`` at one distribution: the batched engine on a one-point stack.
+
+    Axes of ``dist`` outside the pattern are marginalized away.
+    """
+    axes = PATTERNS[pattern][0]
+    j = _as_joint(dist, pattern, strict_tag)
+    if any(w.shape[0] != j.size("X") for w in channels.values()):
+        raise DistributionError("channel input alphabet does not match X")
+    return float(_bound_values(bound, axes, j.marginal(axes).tensor[None], channels)[0])
 
 
 def wiretap_rate(dist, chan_y: ConditionalPmf, chan_z: ConditionalPmf) -> float:
@@ -344,53 +535,30 @@ def wiretap_rate(dist, chan_y: ConditionalPmf, chan_z: ConditionalPmf) -> float:
 
     Accepts any distribution whose axes include V and X.
     """
-    j = _as_joint(dist, "wiretap", strict_tag=False)
-    if j.size("X") != chan_y.rows or chan_y.rows != chan_z.rows:
-        raise DistributionError("channel input alphabet does not match X")
-    j = j.attach_receivers(("X",), {"Y": chan_y, "Z": chan_z})
-    return j.mutual_information(("V",), ("Y",)) - j.mutual_information(("V",), ("Z",))
+    return _at_point(
+        _WIRETAP, "wiretap", dist, {"Y1": chan_y.matrix, "Z": chan_z.matrix}, strict_tag=False
+    )
 
 
 def ck_extension_rate(dist, chans: BroadcastChannels) -> float:
     """min_j I(V;Yj|Q) - I(V;Z|Q): the two-receiver wiretap extension."""
-    j = _with_receivers(dist, "ck", chans)
-    vz = j.conditional_mutual_information(("V",), ("Z",), ("Q",))
-    return min(
-        j.conditional_mutual_information(("V",), ("Y1",), ("Q",)) - vz,
-        j.conditional_mutual_information(("V",), ("Y2",), ("Q",)) - vz,
-    )
+    return _at_point(_CK_EXTENSION, "ck", dist, _channels(chans))
 
 
 def corollary1_rate(dist, chans: BroadcastChannels) -> float:
     """min{I(X;Y1|Q) - I(X;Z|Q), I(V;Y2|Q) - I(V;Z|Q)}."""
-    j = _with_receivers(dist, "ck", chans)
-    first = j.conditional_mutual_information(("X",), ("Y1",), ("Q",)) - \
-        j.conditional_mutual_information(("X",), ("Z",), ("Q",))
-    second = j.conditional_mutual_information(("V",), ("Y2",), ("Q",)) - \
-        j.conditional_mutual_information(("V",), ("Z",), ("Q",))
-    return min(first, second)
+    return _at_point(_COROLLARY1, "ck", dist, _channels(chans))
 
 
 def admissibility_slack(j: JointPmf) -> float:
     """I(V1;Z|V0) + I(V2;Z|V0) - I(V1;V2|V0) - I(V1,V2;Z|V0)."""
-    return (
-        j.conditional_mutual_information(("V1",), ("Z",), ("V0",))
-        + j.conditional_mutual_information(("V2",), ("Z",), ("V0",))
-        - j.conditional_mutual_information(("V1",), ("V2",), ("V0",))
-        - j.conditional_mutual_information(("V1", "V2"), ("Z",), ("V0",))
-    )
+    return _signed_sum(_MARTON_SLACK, j.conditional_mutual_information)
 
 
 def theorem1_rate(dist, chans: BroadcastChannels) -> Optional[float]:
     """Marton-coded secrecy rate, or None when the point is inadmissible."""
-    j = _with_receivers(dist, "theorem1", chans)
-    if admissibility_slack(j) < -ADMISSIBILITY_TOL:
-        return None
-    r1 = j.conditional_mutual_information(("V0", "V1"), ("Y1",), ("Q",)) - \
-        j.conditional_mutual_information(("V0", "V1"), ("Z",), ("Q",))
-    r2 = j.conditional_mutual_information(("V0", "V2"), ("Y2",), ("Q",)) - \
-        j.conditional_mutual_information(("V0", "V2"), ("Z",), ("Q",))
-    return min(r1, r2)
+    value = _at_point(_THEOREM1, "theorem1", dist, _channels(chans))
+    return None if np.isnan(value) else value
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +876,8 @@ class BoundResult:
     argmax: FactoredDistribution
     restarts: int
     best_restart: int
-    evaluations: int
+    evaluations: int  # the winning search's count; theorem1 runs one per family
+    search_evaluations: int  # the total over every search maximize ran
 
 
 _SCALAR_BOUNDS: dict[str, tuple[str, Callable]] = {
@@ -716,6 +885,14 @@ _SCALAR_BOUNDS: dict[str, tuple[str, Callable]] = {
     "ck_extension": ("ck", ck_extension_rate),
     "corollary1": ("ck", corollary1_rate),
     "theorem1": ("theorem1", theorem1_rate),
+}
+
+# what maximize's batched objective evaluates for each bound id
+_BOUND_TERMS: dict[str, BoundTerms] = {
+    "wiretap": _WIRETAP,
+    "ck_extension": _CK_EXTENSION,
+    "corollary1": _COROLLARY1,
+    "theorem1": _THEOREM1,
 }
 
 
@@ -736,18 +913,6 @@ def bound_pattern(bound_id: str) -> str:
 
 def evaluate_bound(bound_id: str, dist, chans: BroadcastChannels) -> Optional[float]:
     return _lookup(bound_id)[1](dist, chans)
-
-
-def _expand_family(tables: Params, sizes: Mapping[str, int], family: str) -> Params:
-    """Searched family tables -> full theorem1-pattern tables."""
-    head, pv0, p1, p2, q = tables
-    n0, n1, n2 = sizes["V0"], sizes["V1"], sizes["V2"]
-    pv12 = (p1[:, :, None] * p2[:, None, :]).reshape(n0, n1 * n2)
-    if family == "z_ignores_v1":
-        px = q.reshape(n0, 1, n2, -1).repeat(n1, axis=1).reshape(n0 * n1 * n2, -1)
-    else:
-        px = q.reshape(n0, n1, 1, -1).repeat(n2, axis=2).reshape(n0 * n1 * n2, -1)
-    return [head, pv0, pv12, px]
 
 
 def _search_spaces(
@@ -787,23 +952,30 @@ def maximize(
     Deterministic under a fixed seed; inadmissible theorem1 points are
     skipped (the theorem1 search draws from the admissible families), and
     exhausting the budget without one admissible point raises
-    NoAdmissiblePointError.  The argmax is re-evaluated as a factored
-    distribution; a value that does not reproduce raises ReevaluationError.
+    NoAdmissiblePointError.  The searches evaluate the bound's terms on the
+    stacked tables of all their starts at once.  The argmax is re-evaluated
+    as a factored distribution through the bound's scalar evaluator; a value
+    that does not reproduce raises ReevaluationError.  ``evaluations`` is
+    the winning search's count, ``search_evaluations`` the count over every
+    search (theorem1 searches both of its admissible families).
     """
     pattern, fn = _lookup(bound_id)
     if aux.pattern != pattern:
         raise PatternError(f"bound {bound_id!r} needs pattern {pattern!r}")
     sizes = aux.resolve(chans.x_size)
+    axes, terms, channels = PATTERNS[pattern][0], _BOUND_TERMS[bound_id], _channels(chans)
     best = None
+    search_evaluations = 0
     for shapes, expand in _search_spaces(pattern, sizes):
 
-        def objective(tables: Params, expand=expand) -> Optional[float]:
-            return fn(source_joint(pattern, sizes, expand(tables)), chans)
+        def objective(tables: Params, expand=expand) -> np.ndarray:
+            return _bound_values(terms, axes, _realize(pattern, sizes, expand(tables)), channels)
 
         # deterministic all-uniform start: the auxiliaries decouple from X there,
         # pinning the reported maximum at >= 0 (these secrecy bounds clamp at 0)
         baseline = [np.full((rows, cols), 1.0 / cols) for rows, cols in shapes]
-        res = search_factored(per_point(objective), shapes, budget, extra_starts=[baseline])
+        res = search_factored(objective, shapes, budget, extra_starts=[baseline])
+        search_evaluations += res.evaluations
         if best is None or res.value > best[0].value:
             best = (res, expand)
     res, expand = best
@@ -820,4 +992,5 @@ def maximize(
         restarts=res.restarts,
         best_restart=res.best_restart,
         evaluations=res.evaluations,
+        search_evaluations=search_evaluations,
     )

@@ -166,6 +166,7 @@ def cmd_bound(args) -> int:
         "restarts": res.restarts,
         "best_restart": res.best_restart,
         "evaluations": res.evaluations,
+        "search_evaluations": res.search_evaluations,
         "argmax_tables": _tables_to_jsonable(res.argmax),
         "note": "search lower bound on the true maximum",
     }
@@ -506,7 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "less_noisy with aux-card*|X| <= 3), ignored otherwise")
     sp.set_defaults(fn=cmd_ordering)
 
-    sp = sub.add_parser("bound", help="evaluate or maximize a scalar rate bound")
+    sp = sub.add_parser(
+        "bound", help="evaluate or maximize a scalar rate bound",
+        description="Evaluate a scalar rate bound at a factored distribution (--dist), "
+                    "or maximize it over the auxiliary simplex. A maximization reports "
+                    "'evaluations', the objective evaluations of the search that found "
+                    "the maximum, and 'search_evaluations', the total over every search "
+                    "it ran; they differ only for theorem1, which searches two admissible "
+                    "families.",
+    )
     sp.add_argument("--spec", required=True)
     sp.add_argument("--id", required=True, choices=bounds.bound_ids())
     sp.add_argument("--y1", required=True)

@@ -1,0 +1,149 @@
+"""The scalar bounds and their maximization before the batched engine, kept verbatim.
+
+It is the reference for the differential tests in ``test_bound_engine.py``.
+Each bound attaches Y1, Y2 and Z to the realized ``JointPmf`` and reads its
+(conditional) mutual informations through the ``JointPmf`` methods; the
+maximizer evaluates it once per start through ``optim.per_point`` on
+``source_joint`` of the expanded tables.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+from typing import Optional
+
+import numpy as np
+
+from wiretap3.bounds import (
+    ADMISSIBILITY_TOL,
+    PATTERNS,
+    BroadcastChannels,
+    PatternError,
+    factor_shapes,
+    source_joint,
+)
+from wiretap3.optim import per_point, search_factored
+from wiretap3.probability import DistributionError, FactoredDistribution, JointPmf
+
+
+def _as_joint(dist, pattern: str, strict_tag: bool = True) -> JointPmf:
+    axes, _ = PATTERNS[pattern]
+    if isinstance(dist, FactoredDistribution):
+        if strict_tag and dist.pattern is not None and dist.pattern != pattern:
+            raise PatternError(f"expected pattern {pattern!r}, got {dist.pattern!r}")
+        j = dist.realization
+    elif isinstance(dist, JointPmf):
+        j = dist
+    else:
+        raise PatternError(f"cannot interpret {type(dist).__name__} as a distribution")
+    missing = [a for a in axes if a not in j.axes]
+    if missing:
+        raise PatternError(f"distribution is missing axes {missing} for {pattern!r}")
+    return j
+
+
+def _with_receivers(dist, pattern: str, chans: BroadcastChannels) -> JointPmf:
+    """The pattern's joint law with Y1, Y2 and Z attached to X."""
+    return _as_joint(dist, pattern).attach_receivers(
+        ("X",), {"Y1": chans.to_y1, "Y2": chans.to_y2, "Z": chans.to_z}
+    )
+
+
+def wiretap_rate(dist, chan_y, chan_z) -> float:
+    j = _as_joint(dist, "wiretap", strict_tag=False)
+    if j.size("X") != chan_y.rows or chan_y.rows != chan_z.rows:
+        raise DistributionError("channel input alphabet does not match X")
+    j = j.attach_receivers(("X",), {"Y": chan_y, "Z": chan_z})
+    return j.mutual_information(("V",), ("Y",)) - j.mutual_information(("V",), ("Z",))
+
+
+def ck_extension_rate(dist, chans: BroadcastChannels) -> float:
+    j = _with_receivers(dist, "ck", chans)
+    vz = j.conditional_mutual_information(("V",), ("Z",), ("Q",))
+    return min(
+        j.conditional_mutual_information(("V",), ("Y1",), ("Q",)) - vz,
+        j.conditional_mutual_information(("V",), ("Y2",), ("Q",)) - vz,
+    )
+
+
+def corollary1_rate(dist, chans: BroadcastChannels) -> float:
+    j = _with_receivers(dist, "ck", chans)
+    first = j.conditional_mutual_information(("X",), ("Y1",), ("Q",)) - \
+        j.conditional_mutual_information(("X",), ("Z",), ("Q",))
+    second = j.conditional_mutual_information(("V",), ("Y2",), ("Q",)) - \
+        j.conditional_mutual_information(("V",), ("Z",), ("Q",))
+    return min(first, second)
+
+
+def admissibility_slack(j: JointPmf) -> float:
+    return (
+        j.conditional_mutual_information(("V1",), ("Z",), ("V0",))
+        + j.conditional_mutual_information(("V2",), ("Z",), ("V0",))
+        - j.conditional_mutual_information(("V1",), ("V2",), ("V0",))
+        - j.conditional_mutual_information(("V1", "V2"), ("Z",), ("V0",))
+    )
+
+
+def theorem1_rate(dist, chans: BroadcastChannels) -> Optional[float]:
+    j = _with_receivers(dist, "theorem1", chans)
+    if admissibility_slack(j) < -ADMISSIBILITY_TOL:
+        return None
+    r1 = j.conditional_mutual_information(("V0", "V1"), ("Y1",), ("Q",)) - \
+        j.conditional_mutual_information(("V0", "V1"), ("Z",), ("Q",))
+    r2 = j.conditional_mutual_information(("V0", "V2"), ("Y2",), ("Q",)) - \
+        j.conditional_mutual_information(("V0", "V2"), ("Z",), ("Q",))
+    return min(r1, r2)
+
+
+SCALAR_BOUNDS = {
+    "wiretap": ("wiretap", lambda d, ch: wiretap_rate(d, ch.to_y1, ch.to_z)),
+    "ck_extension": ("ck", ck_extension_rate),
+    "corollary1": ("ck", corollary1_rate),
+    "theorem1": ("theorem1", theorem1_rate),
+}
+
+
+def expand_family(tables, sizes, family):
+    """Searched family tables -> full theorem1-pattern tables."""
+    head, pv0, p1, p2, q = tables
+    n0, n1, n2 = sizes["V0"], sizes["V1"], sizes["V2"]
+    pv12 = (p1[:, :, None] * p2[:, None, :]).reshape(n0, n1 * n2)
+    if family == "z_ignores_v1":
+        px = q.reshape(n0, 1, n2, -1).repeat(n1, axis=1).reshape(n0 * n1 * n2, -1)
+    else:
+        px = q.reshape(n0, n1, 1, -1).repeat(n2, axis=2).reshape(n0 * n1 * n2, -1)
+    return [head, pv0, pv12, px]
+
+
+def search_spaces(pattern, sizes):
+    if pattern != "theorem1":
+        return [(factor_shapes(pattern, sizes), lambda tables: tables)]
+    nq, n0, n1, n2, nx = (
+        sizes["Q"], sizes["V0"], sizes["V1"], sizes["V2"], sizes["X"]
+    )
+    spaces = []
+    for family in ("z_ignores_v2", "z_ignores_v1"):
+        q_rows = n0 * n2 if family == "z_ignores_v1" else n0 * n1
+        shapes = [(1, nq), (nq, n0), (n0, n1), (n0, n2), (q_rows, nx)]
+        spaces.append((shapes, partial(expand_family, sizes=sizes, family=family)))
+    return spaces
+
+
+def maximize(bound_id, aux, chans, budget):
+    """The old maximize loop: (best SearchResult, its pattern tables, every SearchResult)."""
+    pattern, fn = SCALAR_BOUNDS[bound_id]
+    sizes = aux.resolve(chans.x_size)
+    best = None
+    runs = []
+    for shapes, expand in search_spaces(pattern, sizes):
+
+        def objective(tables, expand=expand) -> Optional[float]:
+            return fn(source_joint(pattern, sizes, expand(tables)), chans)
+
+        baseline = [np.full((rows, cols), 1.0 / cols) for rows, cols in shapes]
+        res = search_factored(per_point(objective), shapes, budget, extra_starts=[baseline])
+        runs.append(res)
+        if best is None or res.value > best[0].value:
+            best = (res, expand)
+    res, expand = best
+    return res, expand(res.params), runs

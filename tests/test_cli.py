@@ -256,6 +256,28 @@ class TestBoundCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_reports_evaluations_of_every_search(self, tmp_path, capsys):
+        spec = tmp_path / "bsc.chan"
+        spec.write_text(
+            "alphabet X 2\nalphabet Y 2\n"
+            "channel y1 : X -> Y\n9/10 1/10\n1/10 9/10\n"
+            "channel y2 : X -> Y\n22/25 3/25\n3/25 22/25\n"
+            "channel z : X -> Y\n3/4 1/4\n1/4 3/4\n"
+        )
+        argv = [
+            "bound", "--spec", str(spec), "--id", "theorem1",
+            "--y1", "y1", "--y2", "y2", "--z", "z", "--seed", "1", "--restarts", "2",
+            "--sweeps", "5", "--card", "Q=1", "--card", "V0=2", "--card", "V1=2",
+            "--card", "V2=2", "--format", "json",
+        ]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        # the two admissible family searches took 502 and 501 evaluations
+        assert (out["evaluations"], out["search_evaluations"]) == (502, 1003)
+        with pytest.raises(SystemExit):
+            main(["bound", "-h"])
+        assert "'search_evaluations', the total" in " ".join(capsys.readouterr().out.split())
+
 
 class TestRegionCommand:
     def test_theorem2_membership(self, spec_file, capsys):
