@@ -93,12 +93,13 @@ class Pmf:
         arr = np.asarray([float(p) for p in probs], dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DistributionError("pmf must be a non-empty vector")
-        if (arr < -PMF_TOL).any():
-            raise DistributionError(f"pmf has negative entries: {arr}")
+        # written so that NaN fails the checks (every comparison with NaN is False)
+        if not (arr >= -PMF_TOL).all():
+            raise DistributionError(f"pmf has negative or NaN entries: {arr}")
         if exact is not None:
             if sum(exact, Fraction(0)) != 1:
                 raise DistributionError("exact pmf entries do not sum to 1")
-        elif abs(arr.sum() - 1.0) > PMF_TOL:
+        elif not abs(arr.sum() - 1.0) <= PMF_TOL:
             raise DistributionError(f"pmf sums to {arr.sum()}, not 1")
         object.__setattr__(self, "probs", np.clip(arr, 0.0, None))
         object.__setattr__(self, "exact", exact)
@@ -140,12 +141,12 @@ class ConditionalPmf:
         if arr.ndim != 2 or arr.size == 0:
             raise DistributionError("conditional pmf must be a non-empty matrix")
         for i, row in enumerate(arr):
-            if (row < -PMF_TOL).any():
-                raise DistributionError(f"row {i} has negative entries")
+            if not (row >= -PMF_TOL).all():
+                raise DistributionError(f"row {i} has negative or NaN entries")
             if exact is not None:
                 if sum(exact[i], Fraction(0)) != 1:
                     raise DistributionError(f"exact row {i} does not sum to 1")
-            elif abs(row.sum() - 1.0) > PMF_TOL:
+            elif not abs(row.sum() - 1.0) <= PMF_TOL:
                 raise DistributionError(f"row {i} sums to {row.sum()}, not 1")
         object.__setattr__(self, "matrix", np.clip(arr, 0.0, None))
         object.__setattr__(self, "exact", exact)
@@ -250,9 +251,9 @@ class JointPmf:
             raise AxisError(
                 f"tensor has {arr.ndim} dimensions for {len(axes)} axes"
             )
-        if (arr < -PMF_TOL).any():
-            raise DistributionError("joint pmf has negative entries")
-        if abs(arr.sum() - 1.0) > PMF_TOL * max(1, arr.size):
+        if not (arr >= -PMF_TOL).all():
+            raise DistributionError("joint pmf has negative or NaN entries")
+        if not abs(arr.sum() - 1.0) <= PMF_TOL * max(1, arr.size):
             raise DistributionError(f"joint pmf sums to {arr.sum()}, not 1")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "tensor", np.clip(arr, 0.0, None))

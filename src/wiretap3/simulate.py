@@ -10,7 +10,14 @@ the exact routine refuses loudly and points there.
 
 Typicality is robust (strong) typicality: a tuple sequence is eps-typical
 when every joint-symbol count k(a) satisfies |k(a)/n - p(a)| <= eps p(a),
-in particular k(a) = 0 wherever p(a) = 0.
+in particular k(a) = 0 wherever p(a) = 0.  Decoding builds one plan per
+(codebook, channel, params, decoder) and screens by support first: a
+codeword with a symbol in a zero-probability cell is atypical, so only the
+others are counted, over the support cells.
+
+Monte Carlo scores are computed in the log domain (sums of log2 W, then a
+max-shifted log-sum-exp over codewords and messages), so they neither
+underflow nor go negative at large n.
 
 Randomness: every public operation takes an integer seed; internal
 streams derive from numpy SeedSequence(seed, spawn_key=...) with fixed
@@ -64,9 +71,20 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
+# Scores (trials x codewords) per Monte Carlo chunk and counted cells per
+# lemma1 chunk.  Small temporaries keep the heap from growing: freed heap
+# memory stays resident and raises the peak of later exact computations.
+_SCORE_CHUNK = 1 << 14
+_COUNT_CHUNK = 1 << 16
+
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 def _exponent(n: int, rate: float) -> int:
@@ -398,6 +416,73 @@ def _channel_to(cb: WiretapCodebook, chan: ConditionalPmf) -> np.ndarray:
     return chan.matrix
 
 
+@dataclass(frozen=True, eq=False)
+class _DecodePlan:
+    """What a typicality decoder needs from (codebook, channel, params).
+
+    Cells are the joint symbols of the cell pmf ``p`` ((v, y) for direct
+    decoding, (v, x, y) for indirect), numbered row-major.  ``bases[c, i]``
+    is the cell of codeword c at position i when y_i = 0, so its cell
+    sequence for y is ``bases[c] + y``.  A cell outside the support has the
+    window [0, 0], so a codeword that hits one is atypical: ``allowed[i, y]``
+    marks the codewords whose cell at position i is in the support when
+    y_i = y, and only codewords allowed at every position are counted, over
+    the support cells alone (``index`` numbers them; ``lb``/``ub`` are their
+    windows).  The same codewords pass as under a check of every cell.
+    """
+
+    lb: np.ndarray
+    ub: np.ndarray
+    index: np.ndarray
+    bases: np.ndarray
+    allowed: np.ndarray
+    per_cloud: int       # codewords per v-sequence: 1 direct, the satellites indirect
+    bin_size: int
+
+    def decode(self, y_seq: np.ndarray) -> DecodeResult:
+        n = self.bases.shape[1]
+        cand = np.flatnonzero(self.allowed[np.arange(n), y_seq].all(axis=0))
+        if cand.size:
+            counts = joint_counts(self.index[self.bases[cand] + y_seq], self.lb.size)
+            cand = cand[typical_mask(counts, self.lb, self.ub)]
+        if cand.size == 0:
+            return DecodeResult(None, None, "none-typical")
+        l0 = int(cand[0]) // self.per_cloud
+        if int(cand[-1]) // self.per_cloud != l0:
+            return DecodeResult(None, None, "ambiguous")
+        return DecodeResult(l0 // self.bin_size, l0, "ok")
+
+
+def _decode_plan(
+    cb: WiretapCodebook, chan: ConditionalPmf, params: TypicalityParams, decoder: str
+) -> _DecodePlan:
+    if decoder == "direct":
+        W = _channel_to(cb, chan)
+        ny = W.shape[1]
+        p = cb.p_v[:, None] * (cb.p_x_given_v @ W)   # p(v, y)
+        bases = cb.v_seqs * ny
+        per_cloud = 1
+    elif decoder == "indirect":
+        if cb.x_seqs.shape[1] < 1:
+            raise DistributionError("indirect decoding needs a satellite layer")
+        W = _channel_to(cb, chan)
+        ny = W.shape[1]
+        nx = cb.p_x_given_v.shape[1]
+        p = (cb.p_v[:, None] * cb.p_x_given_v)[:, :, None] * W[None, :, :]   # p(v, x, y)
+        bases = ((cb.v_seqs[:, None, :] * nx + cb.x_seqs) * ny).reshape(-1, cb.n)
+        per_cloud = cb.x_seqs.shape[1]
+    else:
+        raise ValueError("decoder must be direct or indirect")
+    lb, ub = count_bounds(p, cb.n, params.epsilon)
+    support = p.ravel() > 0
+    index = np.cumsum(support) - 1
+    allowed = np.stack([support[bases.T + y] for y in range(ny)], axis=1)
+    return _DecodePlan(
+        lb=lb[support], ub=ub[support], index=index,
+        bases=bases, allowed=allowed, per_cloud=per_cloud, bin_size=cb.bin_size,
+    )
+
+
 def decode_direct(
     cb: WiretapCodebook,
     y_seq: np.ndarray,
@@ -405,21 +490,7 @@ def decode_direct(
     chan: ConditionalPmf,
 ) -> DecodeResult:
     """Unique jointly typical v-sequence against the induced p(v, y)."""
-    W = _channel_to(cb, chan)
-    ny = W.shape[1]
-    nv = cb.p_v.size
-    p_y_given_v = cb.p_x_given_v @ W
-    p_vy = cb.p_v[:, None] * p_y_given_v
-    lb, ub = count_bounds(p_vy, cb.n, params.epsilon)
-    cells = cb.v_seqs * ny + y_seq[None, :]
-    ok = typical_mask(joint_counts(cells, nv * ny), lb, ub)
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
-        return DecodeResult(None, None, "none-typical")
-    if hits.size > 1:
-        return DecodeResult(None, None, "ambiguous")
-    l0 = int(hits[0])
-    return DecodeResult(cb.message_of(l0), l0, "ok")
+    return _decode_plan(cb, chan, params, "direct").decode(y_seq)
 
 
 def decode_indirect(
@@ -429,25 +500,7 @@ def decode_indirect(
     chan: ConditionalPmf,
 ) -> DecodeResult:
     """Unique cloud index with *some* satellite jointly typical with y."""
-    if cb.x_seqs.shape[1] < 1:
-        raise DistributionError("indirect decoding needs a satellite layer")
-    W = _channel_to(cb, chan)
-    ny = W.shape[1]
-    nv = cb.p_v.size
-    nx = cb.p_x_given_v.shape[1]
-    p_vxy = (cb.p_v[:, None] * cb.p_x_given_v)[:, :, None] * W[None, :, :]
-    lb, ub = count_bounds(p_vxy, cb.n, params.epsilon)
-    vx = cb.v_seqs[:, None, :] * nx + cb.x_seqs
-    cells = vx * ny + y_seq[None, None, :]
-    counts = joint_counts(cells, nv * nx * ny)
-    ok = typical_mask(counts, lb, ub).any(axis=1)
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
-        return DecodeResult(None, None, "none-typical")
-    if hits.size > 1:
-        return DecodeResult(None, None, "ambiguous")
-    l0 = int(hits[0])
-    return DecodeResult(cb.message_of(l0), l0, "ok")
+    return _decode_plan(cb, chan, params, "indirect").decode(y_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -513,27 +566,22 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
         conds = np.zeros((cb.n_messages, out_space))
         failures = 0
         total = 0
+        per_msg = cb.bin_size * nb1 * nb2
         for m in range(cb.n_messages):
-            acc = np.zeros(out_space)
-            cnt = 0
-            for l0 in range(m * cb.bin_size, (m + 1) * cb.bin_size):
-                for b1 in range(nb1):
-                    for b2 in range(nb2):
-                        t1, t2 = cb.pairing[l0, b1, b2]
-                        total += 1
-                        if t1 < 0:
-                            failures += 1
-                            continue
-                        rows = (
-                            cb.v0_seqs[l0] * n1 + cb.v1_seqs[l0, t1]
-                        ) * n2 + cb.v2_seqs[l0, t2]
-                        acc += _zn_pmf_batch(Wc[rows][None])[0]
-                        cnt += 1
-            if cnt == 0:
+            # every (l0, b1, b2) of the bin in order, unpaired ones dropped
+            l0 = np.repeat(np.arange(m * cb.bin_size, (m + 1) * cb.bin_size), nb1 * nb2)
+            t1, t2 = cb.pairing[m * cb.bin_size:(m + 1) * cb.bin_size].reshape(-1, 2).T
+            paired = t1 >= 0
+            total += per_msg
+            failures += per_msg - int(np.count_nonzero(paired))
+            if not paired.any():
                 raise DistributionError(
                     f"message {m} has no successfully paired bins"
                 )
-            conds[m] = acc / cnt
+            l0, t1, t2 = l0[paired], t1[paired], t2[paired]
+            rows = (cb.v0_seqs[l0] * n1 + cb.v1_seqs[l0, t1]) * n2 + cb.v2_seqs[l0, t2]
+            # rows add one after another, as a running sum over the pairs would
+            conds[m] = _zn_pmf_batch(Wc[rows]).sum(axis=0) / len(rows)
         return conds, failures / total
     raise TypeError(f"unknown codebook type {type(cb).__name__}")
 
@@ -575,6 +623,66 @@ def exact_equivocation(
     )
 
 
+def _message_log_likelihoods(
+    onehot: np.ndarray, logw: np.ndarray, dead: Optional[np.ndarray], z: np.ndarray, n_m: int
+) -> np.ndarray:
+    """log2 p(z^n | m) for a chunk of outputs z (T, n): (T, messages).
+
+    ``onehot[c, i*|X| + x]`` marks x = x_i of codeword c, so one matmul sums
+    log2 W[x_i, z_i] over the positions of every codeword.  ``logw`` holds 0
+    where W is 0 and ``dead`` (None when W has no zero) counts those
+    positions instead; a codeword with any of them has likelihood exactly
+    -inf.  Each message mixes its codewords by a max-shifted log-mean-exp.
+    """
+    t = len(z)
+    ll = logw.T[z].reshape(t, -1) @ onehot.T
+    if dead is not None:
+        ll[dead.T[z].reshape(t, -1) @ onehot.T > 0] = -np.inf
+    ll = ll.reshape(t, n_m, -1)
+    top = ll.max(axis=2, keepdims=True)
+    top[~np.isfinite(top)] = 0.0   # a message none of whose codewords can emit z
+    with np.errstate(divide="ignore"):
+        return LOG2(np.exp2(ll - top).mean(axis=2)) + top[..., 0]
+
+
+def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """The per-trial scores -log2 p(m|z^n) of ``mc_equivocation``.
+
+    Trial t draws (m, bin member, satellite, z^n) from its own stream.  With
+    l_m = log2 p(z^n|m), its score is log2 sum_m' 2^(l_m' - l_m), computed
+    from the largest l_m'; the sum holds the exact term 1, so a score is
+    never negative, and no likelihood product underflows.
+    """
+    n, n_m, nx = cb.n, cb.n_messages, W.shape[0]
+    n_sat = cb.x_seqs.shape[1]
+    flat_x = cb.x_seqs.reshape(-1, n)
+    onehot = (flat_x[:, :, None] == np.arange(nx)).reshape(len(flat_x), n * nx).astype(float)
+    logw = LOG2(W, out=np.zeros_like(W), where=W > 0)
+    dead = (W == 0).astype(float) if (W == 0).any() else None
+    chunk = max(1, _SCORE_CHUNK // max(len(flat_x), n * nx))
+    samples = np.empty(trials)
+    for start in range(0, trials, chunk):
+        block = range(start, min(start + chunk, trials))
+        sent = np.empty(len(block), dtype=np.int64)
+        z = np.empty((len(block), n), dtype=np.int64)
+        for i, t in enumerate(block):
+            rng = _rng(seed, 3, t)
+            m = int(rng.integers(n_m))
+            l0 = m * cb.bin_size + int(rng.integers(cb.bin_size))
+            l1 = int(rng.integers(n_sat))
+            sent[i] = m
+            z[i] = sample_given(W, cb.x_seqs[l0, l1], rng)
+        ell = _message_log_likelihoods(onehot, logw, dead, z, n_m)
+        top = ell.max(axis=1)
+        with np.errstate(invalid="ignore"):
+            score = top - ell[np.arange(len(block)), sent] + LOG2(
+                np.exp2(ell - top[:, None]).sum(axis=1)
+            )
+        # a z that no codeword can emit (float dust at a row's last cell) scores 0
+        samples[start:block.stop] = np.where(np.isfinite(top), score, 0.0)
+    return samples
+
+
 def mc_equivocation(
     cb,
     chan: ConditionalPmf,
@@ -584,31 +692,18 @@ def mc_equivocation(
     """Monte Carlo equivocation: sample (m, z^n), score -log2 p(m|z^n).
 
     p(m|z^n) is computed exactly for each sampled z^n (mixture over the
-    codebook), so the estimator is an unbiased sample mean of the exact
-    conditional surprisal; the reported ci_halfwidth is 1.96 sigma/sqrt(T).
+    codebook, in the log domain), so the estimator is an unbiased sample
+    mean of the exact conditional surprisal; the reported ci_halfwidth is
+    1.96 sigma/sqrt(T).
     """
     if not isinstance(cb, WiretapCodebook):
         raise TypeError("mc_equivocation supports superposition codebooks")
-    W = chan.matrix
-    n_m = cb.n_messages
-    samples = np.zeros(trials)
-    n_sat = cb.x_seqs.shape[1]
-    flat_x = cb.x_seqs.reshape(-1, cb.n)
-    for t in range(trials):
-        rng = _rng(seed, 3, t)
-        m = int(rng.integers(n_m))
-        l0 = m * cb.bin_size + int(rng.integers(cb.bin_size))
-        l1 = int(rng.integers(n_sat))
-        z = sample_given(W, cb.x_seqs[l0, l1], rng)
-        # p(z | l) for every codeword, then mix per message
-        pz_given_cw = W[flat_x, z[None, :]].reshape(len(flat_x), cb.n).prod(axis=1)
-        per_msg = pz_given_cw.reshape(n_m, cb.bin_size * n_sat).mean(axis=1)
-        tot = per_msg.mean()
-        samples[t] = -LOG2(per_msg[m] / (tot * n_m)) if tot > 0 else 0.0
+    _check_trials(trials)
+    samples = _mc_samples(cb, _channel_to(cb, chan), trials, seed)
     mean = float(samples.mean())
     half = float(1.96 * samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
     n = cb.n
-    hm = LOG2(n_m) / n
+    hm = float(LOG2(cb.n_messages)) / n
     return SimReport(
         p_error=None,
         equivocation_rate=mean / n,
@@ -629,20 +724,20 @@ def decoding_error_rate(
     seed: int,
     decoder: str = "indirect",
 ) -> tuple[float, int]:
-    """Monte Carlo block error rate of direct or indirect decoding."""
-    if decoder not in ("direct", "indirect"):
-        raise ValueError("decoder must be direct or indirect")
-    fn = decode_direct if decoder == "direct" else decode_indirect
+    """Monte Carlo block error rate of direct or indirect decoding.
+
+    The decode plan is built once; each trial draws its message, encoding
+    and channel output from its own stream, as a single decode would.
+    """
+    _check_trials(trials)
+    plan = _decode_plan(cb, chan, params, decoder)
     errors = 0
     for t in range(trials):
         rng = _rng(seed, 3, t)
         m = int(rng.integers(cb.n_messages))
         enc = encode(cb, m, int(rng.integers(1 << 31)))
-        if enc.erased:  # encoding failures count as block errors
-            errors += 1
-            continue
         y = sample_given(chan.matrix, enc.x_seq, rng)
-        res = fn(cb, y, params, chan)
+        res = plan.decode(y)
         if not res.ok or res.message != m:
             errors += 1
     return errors / trials, trials
@@ -682,6 +777,7 @@ def lemma1_experiment(
     """
     from .probability import JointPmf
 
+    _check_trials(trials)
     if isinstance(dist, FactoredDistribution):
         j = dist.realization
     elif isinstance(dist, JointPmf):
@@ -709,27 +805,25 @@ def lemma1_experiment(
     threshold = (1 + params.delta1) * 2 ** (n * (s_eff - info + params.delta))
     lb, ub = count_bounds(t, n, params.epsilon)
     n_cells = nu * nv * nz
-    exceed = 0
-    counts_sum = 0.0
-    max_count = 0
-    for tr in range(trials):
-        rng = _rng(seed, 3, tr)
-        u = sample_iid(p_u, n, rng)[0]
-        vs = sample_given(p_v_u, np.repeat(u[None, :], n_list, axis=0), rng)
-        ell = int(rng.integers(n_list))
-        z = sample_given(p_z_uv, u * nv + vs[ell], rng)
-        cells = (u[None, :] * nv + vs) * nz + z[None, :]
-        mask = typical_mask(joint_counts(cells, n_cells), lb, ub)
-        count = int(mask.sum())
-        counts_sum += count
-        max_count = max(max_count, count)
-        if count >= threshold:
-            exceed += 1
+    counts = np.empty(trials, dtype=np.int64)
+    chunk = min(trials, max(1, _COUNT_CHUNK // (n_list * n)))
+    cells = np.empty((chunk, n_list, n), dtype=np.int64)   # every chunk's trials, in turn
+    for start in range(0, trials, chunk):
+        block = cells[:min(chunk, trials - start)]
+        for i in range(len(block)):
+            rng = _rng(seed, 3, start + i)
+            u = sample_iid(p_u, n, rng)[0]
+            vs = sample_given(p_v_u, np.repeat(u[None, :], n_list, axis=0), rng)
+            ell = int(rng.integers(n_list))
+            z = sample_given(p_z_uv, u * nv + vs[ell], rng)
+            block[i] = (u[None, :] * nv + vs) * nz + z[None, :]
+        mask = typical_mask(joint_counts(block, n_cells), lb, ub)
+        counts[start:start + len(block)] = mask.sum(axis=1)
     return Lemma1Report(
-        exceedance_frequency=exceed / trials,
+        exceedance_frequency=int(np.count_nonzero(counts >= threshold)) / trials,
         threshold=float(threshold),
-        mean_count=counts_sum / trials,
-        max_count=max_count,
+        mean_count=float(counts.sum()) / trials,
+        max_count=int(counts.max()),
         info_rate=float(info),
         s_rate=s_eff,
         in_concentration_regime=bool(s_eff > info + params.delta),

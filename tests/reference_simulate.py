@@ -1,0 +1,288 @@
+"""The simulator's per-trial loops as they were before batching, kept verbatim.
+
+It is the reference for the differential tests in ``test_simulate_batched.py``:
+each decode rebuilds the cell pmf and count windows and counts all cells of
+every codeword; Monte Carlo equivocation multiplies the per-symbol
+likelihoods of every codeword (which underflows at large n); the Marton
+conditionals and the lemma1 counts loop over bins and trials one at a time.
+The draw helpers, encoders and codebooks come from ``wiretap3.simulate``,
+which did not change them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wiretap3.probability import ConditionalPmf, DistributionError, FactoredDistribution
+from wiretap3.simulate import (
+    LOG2,
+    Caps,
+    CapExceededError,
+    DEFAULT_CAPS,
+    DecodeResult,
+    Lemma1Report,
+    MartonCodebook,
+    SimReport,
+    TypicalityParams,
+    WiretapCodebook,
+    _channel_to,
+    _exponent,
+    _rng,
+    _zn_pmf_batch,
+    count_bounds,
+    encode,
+    joint_counts,
+    sample_given,
+    sample_iid,
+    typical_mask,
+)
+
+
+def decode_direct(
+    cb: WiretapCodebook,
+    y_seq: np.ndarray,
+    params: TypicalityParams,
+    chan: ConditionalPmf,
+) -> DecodeResult:
+    """Unique jointly typical v-sequence against the induced p(v, y)."""
+    W = _channel_to(cb, chan)
+    ny = W.shape[1]
+    nv = cb.p_v.size
+    p_y_given_v = cb.p_x_given_v @ W
+    p_vy = cb.p_v[:, None] * p_y_given_v
+    lb, ub = count_bounds(p_vy, cb.n, params.epsilon)
+    cells = cb.v_seqs * ny + y_seq[None, :]
+    ok = typical_mask(joint_counts(cells, nv * ny), lb, ub)
+    hits = np.flatnonzero(ok)
+    if hits.size == 0:
+        return DecodeResult(None, None, "none-typical")
+    if hits.size > 1:
+        return DecodeResult(None, None, "ambiguous")
+    l0 = int(hits[0])
+    return DecodeResult(cb.message_of(l0), l0, "ok")
+
+
+def decode_indirect(
+    cb: WiretapCodebook,
+    y_seq: np.ndarray,
+    params: TypicalityParams,
+    chan: ConditionalPmf,
+) -> DecodeResult:
+    """Unique cloud index with *some* satellite jointly typical with y."""
+    if cb.x_seqs.shape[1] < 1:
+        raise DistributionError("indirect decoding needs a satellite layer")
+    W = _channel_to(cb, chan)
+    ny = W.shape[1]
+    nv = cb.p_v.size
+    nx = cb.p_x_given_v.shape[1]
+    p_vxy = (cb.p_v[:, None] * cb.p_x_given_v)[:, :, None] * W[None, :, :]
+    lb, ub = count_bounds(p_vxy, cb.n, params.epsilon)
+    vx = cb.v_seqs[:, None, :] * nx + cb.x_seqs
+    cells = vx * ny + y_seq[None, None, :]
+    counts = joint_counts(cells, nv * nx * ny)
+    ok = typical_mask(counts, lb, ub).any(axis=1)
+    hits = np.flatnonzero(ok)
+    if hits.size == 0:
+        return DecodeResult(None, None, "none-typical")
+    if hits.size > 1:
+        return DecodeResult(None, None, "ambiguous")
+    l0 = int(hits[0])
+    return DecodeResult(cb.message_of(l0), l0, "ok")
+
+
+def decoding_error_rate(
+    cb: WiretapCodebook,
+    chan: ConditionalPmf,
+    params: TypicalityParams,
+    trials: int,
+    seed: int,
+    decoder: str = "indirect",
+) -> tuple[float, int]:
+    """Monte Carlo block error rate of direct or indirect decoding."""
+    if decoder not in ("direct", "indirect"):
+        raise ValueError("decoder must be direct or indirect")
+    fn = decode_direct if decoder == "direct" else decode_indirect
+    errors = 0
+    for t in range(trials):
+        rng = _rng(seed, 3, t)
+        m = int(rng.integers(cb.n_messages))
+        enc = encode(cb, m, int(rng.integers(1 << 31)))
+        if enc.erased:  # encoding failures count as block errors
+            errors += 1
+            continue
+        y = sample_given(chan.matrix, enc.x_seq, rng)
+        res = fn(cb, y, params, chan)
+        if not res.ok or res.message != m:
+            errors += 1
+    return errors / trials, trials
+
+
+def decode_trials(cb, chan, params, trials, seed, decoder="indirect") -> list[DecodeResult]:
+    """The per-trial results behind ``decoding_error_rate``, same draws."""
+    fn = decode_direct if decoder == "direct" else decode_indirect
+    out = []
+    for t in range(trials):
+        rng = _rng(seed, 3, t)
+        m = int(rng.integers(cb.n_messages))
+        enc = encode(cb, m, int(rng.integers(1 << 31)))
+        y = sample_given(chan.matrix, enc.x_seq, rng)
+        out.append(fn(cb, y, params, chan))
+    return out
+
+
+def mc_samples(cb, chan: ConditionalPmf, trials: int, seed: int) -> np.ndarray:
+    """The per-trial scores -log2 p(m|z^n) of ``mc_equivocation``, product form."""
+    W = chan.matrix
+    n_m = cb.n_messages
+    samples = np.zeros(trials)
+    n_sat = cb.x_seqs.shape[1]
+    flat_x = cb.x_seqs.reshape(-1, cb.n)
+    for t in range(trials):
+        rng = _rng(seed, 3, t)
+        m = int(rng.integers(n_m))
+        l0 = m * cb.bin_size + int(rng.integers(cb.bin_size))
+        l1 = int(rng.integers(n_sat))
+        z = sample_given(W, cb.x_seqs[l0, l1], rng)
+        # p(z | l) for every codeword, then mix per message
+        pz_given_cw = W[flat_x, z[None, :]].reshape(len(flat_x), cb.n).prod(axis=1)
+        per_msg = pz_given_cw.reshape(n_m, cb.bin_size * n_sat).mean(axis=1)
+        tot = per_msg.mean()
+        samples[t] = -LOG2(per_msg[m] / (tot * n_m)) if tot > 0 else 0.0
+    return samples
+
+
+def mc_equivocation(
+    cb,
+    chan: ConditionalPmf,
+    trials: int,
+    seed: int,
+) -> SimReport:
+    """Monte Carlo equivocation: sample (m, z^n), score -log2 p(m|z^n)."""
+    if not isinstance(cb, WiretapCodebook):
+        raise TypeError("mc_equivocation supports superposition codebooks")
+    n_m = cb.n_messages
+    samples = mc_samples(cb, chan, trials, seed)
+    mean = float(samples.mean())
+    half = float(1.96 * samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
+    n = cb.n
+    hm = LOG2(n_m) / n
+    return SimReport(
+        p_error=None,
+        equivocation_rate=mean / n,
+        leakage_rate=hm - mean / n,
+        message_rate=hm,
+        trials=trials,
+        encoding_failure_rate=0.0,
+        exact=False,
+        ci_halfwidth=None if half is None else half / n,
+    )
+
+
+def marton_conditionals(cb: MartonCodebook, chan: ConditionalPmf, caps: Caps = DEFAULT_CAPS):
+    """p(z^n | m) for every message of a Marton codebook, one pair at a time."""
+    nz = chan.cols
+    n = cb.n
+    out_space = nz ** n
+    if out_space > caps.max_exact_outputs:
+        raise CapExceededError("|Z|^n above cap")
+    W = chan.matrix
+    nq, n0, n1, n2 = cb.sizes
+    p_x = cb.tables[3]
+    if W.shape[0] != p_x.shape[1]:
+        raise DistributionError("channel input must be the X alphabet")
+    Wc = p_x @ W  # (n0*n1*n2, nz): symbol-wise input sampling folded in
+    nb1, nb2 = cb.pairing.shape[1], cb.pairing.shape[2]
+    n_cw = cb.v0_seqs.shape[0] * nb1 * nb2
+    if out_space * n_cw > caps.max_exact_work:
+        raise CapExceededError("exact equivocation work above cap")
+    conds = np.zeros((cb.n_messages, out_space))
+    failures = 0
+    total = 0
+    for m in range(cb.n_messages):
+        acc = np.zeros(out_space)
+        cnt = 0
+        for l0 in range(m * cb.bin_size, (m + 1) * cb.bin_size):
+            for b1 in range(nb1):
+                for b2 in range(nb2):
+                    t1, t2 = cb.pairing[l0, b1, b2]
+                    total += 1
+                    if t1 < 0:
+                        failures += 1
+                        continue
+                    rows = (
+                        cb.v0_seqs[l0] * n1 + cb.v1_seqs[l0, t1]
+                    ) * n2 + cb.v2_seqs[l0, t2]
+                    acc += _zn_pmf_batch(Wc[rows][None])[0]
+                    cnt += 1
+        if cnt == 0:
+            raise DistributionError(
+                f"message {m} has no successfully paired bins"
+            )
+        conds[m] = acc / cnt
+    return conds, failures / total
+
+
+def lemma1_experiment(
+    dist,
+    s_rate: float,
+    params: TypicalityParams,
+    trials: int,
+    seed: int,
+    caps: Caps = DEFAULT_CAPS,
+) -> Lemma1Report:
+    """Count conditionally-i.i.d. v-sequences jointly typical with (u, z)."""
+    from wiretap3.probability import JointPmf
+
+    if isinstance(dist, FactoredDistribution):
+        j = dist.realization
+    elif isinstance(dist, JointPmf):
+        j = dist
+    else:
+        raise DistributionError("need a joint distribution over (U, V, Z)")
+    t = j.marginal(("U", "V", "Z")).tensor
+    nu, nv, nz = t.shape
+    p_u = t.sum(axis=(1, 2))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_v_u = np.where(p_u[:, None] > 0, t.sum(axis=2) / p_u[:, None], 1.0 / nv)
+        p_uv = t.sum(axis=2)
+        p_z_uv = np.where(
+            p_uv[:, :, None] > 0, t / p_uv[:, :, None], 1.0 / nz
+        ).reshape(nu * nv, nz)
+    info = JointPmf(("U", "V", "Z"), t).conditional_mutual_information(
+        ("V",), ("Z",), ("U",)
+    )
+    n = params.n
+    k = _exponent(n, s_rate)
+    n_list = 1 << k
+    if n_list * n * trials > caps.max_codebook_entries * 8:
+        raise CapExceededError("lemma1 experiment size above cap")
+    s_eff = k / n
+    threshold = (1 + params.delta1) * 2 ** (n * (s_eff - info + params.delta))
+    lb, ub = count_bounds(t, n, params.epsilon)
+    n_cells = nu * nv * nz
+    exceed = 0
+    counts_sum = 0.0
+    max_count = 0
+    for tr in range(trials):
+        rng = _rng(seed, 3, tr)
+        u = sample_iid(p_u, n, rng)[0]
+        vs = sample_given(p_v_u, np.repeat(u[None, :], n_list, axis=0), rng)
+        ell = int(rng.integers(n_list))
+        z = sample_given(p_z_uv, u * nv + vs[ell], rng)
+        cells = (u[None, :] * nv + vs) * nz + z[None, :]
+        mask = typical_mask(joint_counts(cells, n_cells), lb, ub)
+        count = int(mask.sum())
+        counts_sum += count
+        max_count = max(max_count, count)
+        if count >= threshold:
+            exceed += 1
+    return Lemma1Report(
+        exceedance_frequency=exceed / trials,
+        threshold=float(threshold),
+        mean_count=counts_sum / trials,
+        max_count=max_count,
+        info_rate=float(info),
+        s_rate=s_eff,
+        in_concentration_regime=bool(s_eff > info + params.delta),
+        trials=trials,
+    )

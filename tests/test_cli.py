@@ -105,6 +105,32 @@ class TestExitCodes:
         cfile.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("scheme,trials", [("decode", 0), ("decode", -2), ("lemma1", 0),
+                                               ("wiretap-equivocation", -1)])
+    def test_trials_below_one_is_validation_error(self, spec_file, tmp_path, capsys, scheme, trials):
+        cfg = {
+            "scheme": scheme,
+            "spec": str(spec_file),
+            "dist": {"pattern": "wiretap", "sizes": {"V": 2, "X": 2},
+                     "tables": [[[0.5, 0.5]], [[1, 0], [0, 1]]]},
+            "channel": "y1",
+            "rates": {"message": 0.25, "total": 0.5},
+            "n": [4],
+            "epsilon": 2.0,
+            "trials": trials,
+        }
+        if scheme == "lemma1":
+            cfg["dist"] = {"sizes": {"U": 2, "V": 2, "Z": 2}, "chain": [
+                {"targets": ["U"], "table": [[0.5, 0.5]]},
+                {"targets": ["V"], "given": ["U"], "table": [[0.75, 0.25], [0.25, 0.75]]},
+                {"targets": ["Z"], "given": ["V"], "table": [[0.75, 0.25], [0.25, 0.75]]},
+            ]}
+            cfg["s_rate"] = 0.5
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == 1
+        assert "trials must be >= 1" in capsys.readouterr().err
+
     def test_unknown_auxiliary_cardinality(self, spec_file, capsys):
         for card in ("X=9", "Vee=3"):
             rc = main([

@@ -247,3 +247,37 @@ class TestFactoredDistribution:
                 [("A", 2), ("B", 2)],
                 [Factor(["A"], ["B"], np.full((2, 2), 0.5))],
             )
+
+
+class TestNanRejected:
+    """NaN passes `x < -tol` and `|sum - 1| > tol` (both False); the checks must not."""
+
+    def test_pmf(self):
+        with pytest.raises(DistributionError, match="NaN"):
+            Pmf([math.nan, 1.0])
+        with pytest.raises(DistributionError):
+            Pmf([math.nan, math.nan])
+
+    def test_conditional_pmf(self):
+        with pytest.raises(DistributionError, match="row 0"):
+            ConditionalPmf([[math.nan, 1.0], [0.5, 0.5]])
+        with pytest.raises(DistributionError, match="row 1"):
+            ConditionalPmf([[0.5, 0.5], [0.5, math.nan]])
+
+    def test_joint_pmf(self):
+        with pytest.raises(DistributionError, match="NaN"):
+            JointPmf(("A",), [math.nan, 1.0])
+        with pytest.raises(DistributionError):
+            JointPmf(("A", "B"), [[0.25, 0.25], [0.5, math.nan]])
+
+    def test_build_factored(self):
+        from wiretap3.bounds import build_factored
+
+        with pytest.raises(DistributionError):
+            build_factored("wiretap", {"V": 2, "X": 2}, [[[math.nan, 1.0]], [[1, 0], [0, 1]]])
+
+    def test_infinity_still_rejected(self):
+        with pytest.raises(DistributionError):
+            Pmf([math.inf, 0.0])
+        with pytest.raises(DistributionError):
+            ConditionalPmf([[math.inf, 1.0]])

@@ -1,0 +1,344 @@
+"""The batched simulator against the per-trial loops it replaced.
+
+``reference_simulate`` keeps the old loops verbatim.  Decoding, the Marton
+conditionals and the lemma1 counts must match them bit for bit.  Monte Carlo
+scores moved to the log domain, so they must match the old product form
+within 1e-12 wherever that form does not underflow, and stay inside
+[0, H(M)] where it does.
+"""
+
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import reference_simulate as ref
+from wiretap3 import simulate as sim
+from wiretap3.bounds import build_factored
+from wiretap3.probability import ConditionalPmf, DistributionError, bsc
+from wiretap3.specfmt import parse_spec
+from wiretap3.simulate import (
+    MartonRates,
+    TypicalityParams,
+    WiretapRates,
+    build_marton_codebook,
+    build_wiretap_codebook,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = ROOT / "docs" / "examples" / "multilevel_product.chan"
+
+
+def cloud():
+    """|V| = 2, |X| = 4, two satellites per cloud symbol: the decode example."""
+    return build_factored(
+        "wiretap", {"V": 2, "X": 4},
+        [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5]])],
+    )
+
+
+def identity(nx=2):
+    return build_factored("wiretap", {"V": nx, "X": nx}, [np.full((1, nx), 1.0 / nx), np.eye(nx)])
+
+
+def satellites():
+    p_xv = np.array([[0.6, 0.4], [0.3, 0.7]])
+    return build_factored("wiretap", {"V": 2, "X": 2}, [np.array([[0.5, 0.5]]), p_xv])
+
+
+def to_y1():
+    return parse_spec(SPEC.read_text()).channel("to_y1")
+
+
+def full_support():
+    return ConditionalPmf([[0.7, 0.2, 0.1], [0.25, 0.5, 0.25], [0.1, 0.3, 0.6], [0.2, 0.2, 0.6]])
+
+
+def new_decode_trials(cb, chan, params, trials, seed, decoder):
+    """Per-trial results with the draws of ``decoding_error_rate``."""
+    fn = sim.decode_direct if decoder == "direct" else sim.decode_indirect
+    out = []
+    for t in range(trials):
+        rng = sim._rng(seed, 3, t)
+        m = int(rng.integers(cb.n_messages))
+        enc = sim.encode(cb, m, int(rng.integers(1 << 31)))
+        y = sim.sample_given(chan.matrix, enc.x_seq, rng)
+        out.append(fn(cb, y, params, chan))
+    return out
+
+
+class TestDecodePlan:
+    @pytest.mark.parametrize("decoder", ["direct", "indirect"])
+    @pytest.mark.parametrize("chan", [to_y1, full_support], ids=["to_y1", "full_support"])
+    @pytest.mark.parametrize("n,eps", [(4, 2.0), (8, 2.0), (8, 0.6), (12, 1.0)])
+    def test_matches_reference(self, decoder, chan, n, eps):
+        chan = chan()
+        params = TypicalityParams(n, eps)
+        rates = WiretapRates(0.5, 0.75, 0.25)
+        for seed in (1, 7, 23):
+            cb = build_wiretap_codebook(cloud(), rates, params, seed)
+            want = ref.decode_trials(cb, chan, params, 40, seed, decoder)
+            got = new_decode_trials(cb, chan, params, 40, seed, decoder)
+            assert got == want
+            assert sim.decoding_error_rate(cb, chan, params, 40, seed, decoder) == (
+                ref.decoding_error_rate(cb, chan, params, 40, seed, decoder)
+            )
+
+    def test_outcomes_exercised(self):
+        # every reason occurs, so equality above is not equality of constants
+        reasons = set()
+        for n, eps, rates in ((8, 2.0, WiretapRates(0.5, 0.75, 0.25)),
+                              (4, 2.0, WiretapRates(0.75, 1.0, 0.25)),
+                              (8, 0.3, WiretapRates(0.25, 0.25, 0.25))):
+            params = TypicalityParams(n, eps)
+            cb = build_wiretap_codebook(cloud(), rates, params, 3)
+            reasons |= {r.reason for r in new_decode_trials(cb, to_y1(), params, 60, 3, "indirect")}
+        assert reasons == {"ok", "ambiguous", "none-typical"}
+
+    def test_screen_on_zero_cells_and_full_support(self):
+        params = TypicalityParams(8, 2.0)
+        cb = build_wiretap_codebook(cloud(), WiretapRates(0.5, 0.75, 0.25), params, 1)
+        y = sim.transmit(to_y1(), sim.encode(cb, 0, 0).x_seq, 0)
+        for decoder in ("direct", "indirect"):
+            plan = sim._decode_plan(cb, full_support(), params, decoder)
+            assert plan.allowed.all()          # every codeword survives the screen
+            plan = sim._decode_plan(cb, to_y1(), params, decoder)
+            alive = plan.allowed[np.arange(8), y].all(axis=0)
+            assert 0 < alive.sum() < alive.size   # the screen removes some, not all
+
+    def test_survivors_are_exactly_the_fully_typical(self):
+        # the compact support check passes the same codewords as all cells
+        params = TypicalityParams(8, 2.0)
+        cb = build_wiretap_codebook(cloud(), WiretapRates(0.5, 0.75, 0.25), params, 5)
+        W = to_y1().matrix
+        p = (cb.p_v[:, None] * cb.p_x_given_v)[:, :, None] * W[None, :, :]
+        lb, ub = sim.count_bounds(p, 8, 2.0)
+        plan = sim._decode_plan(cb, to_y1(), params, "indirect")
+        for t in range(20):
+            y = sim.transmit(to_y1(), sim.encode(cb, t % cb.n_messages, t).x_seq, t)
+            full = sim.typical_mask(sim.joint_counts(plan.bases + y, p.size), lb, ub)
+            cand = np.flatnonzero(plan.allowed[np.arange(8), y].all(axis=0))
+            counts = sim.joint_counts(plan.index[plan.bases[cand] + y], plan.lb.size)
+            assert np.array_equal(cand[sim.typical_mask(counts, plan.lb, plan.ub)],
+                                  np.flatnonzero(full))
+
+    def test_bad_decoder_and_channel(self):
+        params = TypicalityParams(4, 2.0)
+        cb = build_wiretap_codebook(cloud(), WiretapRates(0.5, 0.75, 0.25), params, 1)
+        with pytest.raises(ValueError, match="direct or indirect"):
+            sim.decoding_error_rate(cb, to_y1(), params, 5, 1, decoder="joint")
+        with pytest.raises(DistributionError, match="X alphabet"):
+            sim.decoding_error_rate(cb, bsc(0.1), params, 5, 1)
+
+
+def assert_no_warnings(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args)
+
+
+class TestMonteCarloScores:
+    @pytest.mark.parametrize("n", [4, 6, 10, 16])
+    @pytest.mark.parametrize("dist,rates", [
+        (identity, WiretapRates(0.25, 0.5)),
+        (satellites, WiretapRates(0.25, 0.5, 0.25)),
+    ], ids=["identity", "satellites"])
+    def test_scores_match_product_form(self, n, dist, rates):
+        for seed in (0, 3):
+            cb = build_wiretap_codebook(dist(), rates, TypicalityParams(n, 0.5), seed)
+            want = ref.mc_samples(cb, bsc(0.2), 120, seed)
+            got = assert_no_warnings(sim._mc_samples, cb, bsc(0.2).matrix, 120, seed)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert (got >= 0).all()
+
+    def test_chunks_do_not_change_scores(self, monkeypatch):
+        cb = build_wiretap_codebook(identity(), WiretapRates(0.25, 0.5), TypicalityParams(8, 0.5), 2)
+        whole = sim._mc_samples(cb, bsc(0.2).matrix, 50, 4)
+        monkeypatch.setattr(sim, "_SCORE_CHUNK", 7 * 16)  # 7 trials a chunk, last one short
+        np.testing.assert_allclose(sim._mc_samples(cb, bsc(0.2).matrix, 50, 4), whole, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("W", [
+        [[1.0, 0.0], [0.3, 0.7]],          # Z channel
+        [[1.0, 0.0], [0.0, 1.0]],          # noiseless: most codewords cannot emit z
+        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],  # binary erasure
+    ], ids=["z", "noiseless", "erasure"])
+    def test_zero_entries_give_no_nan_and_no_warning(self, W):
+        chan = ConditionalPmf(W)
+        for seed in range(4):
+            cb = build_wiretap_codebook(identity(), WiretapRates(0.25, 0.5), TypicalityParams(8, 0.5), seed)
+            got = assert_no_warnings(sim._mc_samples, cb, chan.matrix, 80, seed)
+            assert np.isfinite(got).all() and (got >= 0).all()
+            np.testing.assert_allclose(got, ref.mc_samples(cb, chan, 80, seed), rtol=0, atol=1e-12)
+            rep = assert_no_warnings(sim.mc_equivocation, cb, chan, 80, seed)
+            assert 0.0 <= rep.equivocation_rate <= rep.message_rate
+
+    def test_message_without_possible_codeword(self):
+        # noiseless channel, one codeword per message: every other message
+        # has likelihood exactly 0, so each score is exactly 0
+        cb = build_wiretap_codebook(identity(), WiretapRates(0.25, 0.25), TypicalityParams(8, 0.5), 5)
+        assert len({tuple(s) for s in cb.v_seqs}) == cb.v_seqs.shape[0]
+        got = assert_no_warnings(sim._mc_samples, cb, np.eye(2), 40, 1)
+        assert np.array_equal(got, np.zeros(40))
+
+    def test_report_matches_reference(self):
+        cb = build_wiretap_codebook(satellites(), WiretapRates(0.25, 0.5, 0.25), TypicalityParams(12, 0.5), 9)
+        got = sim.mc_equivocation(cb, bsc(0.15), 300, 2)
+        want = ref.mc_equivocation(cb, bsc(0.15), 300, 2)
+        for field in ("equivocation_rate", "leakage_rate", "message_rate", "ci_halfwidth"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-12)
+        assert (got.trials, got.exact) == (want.trials, want.exact)
+
+    def test_plain_floats(self):
+        cb = build_wiretap_codebook(identity(), WiretapRates(0.25, 0.5), TypicalityParams(8, 0.5), 1)
+        rep = sim.mc_equivocation(cb, bsc(0.2), 20, 1)
+        for field in ("equivocation_rate", "leakage_rate", "message_rate", "ci_halfwidth"):
+            assert type(getattr(rep, field)) is float, field
+
+    @pytest.mark.parametrize("rows", [
+        [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]],
+        [[0.9, 0.1]],
+    ], ids=["three_rows", "one_row"])
+    def test_channel_must_have_x_rows(self, rows):
+        cb = build_wiretap_codebook(identity(), WiretapRates(0.25, 0.5), TypicalityParams(8, 0.5), 1)
+        with pytest.raises(DistributionError, match="channel input must be the X alphabet"):
+            sim.mc_equivocation(cb, ConditionalPmf(rows), 10, 1)
+
+
+UNDERFLOW = """
+import numpy as np
+from wiretap3.bounds import build_factored
+from wiretap3.probability import bsc
+from wiretap3 import simulate as sim
+d = build_factored("wiretap", {"V": 2, "X": 2}, [np.array([[0.5, 0.5]]), np.eye(2)])
+for n, trials in ((1200, 200), (2000, 100)):
+    for seed in range(1, 6):
+        cb = sim.build_wiretap_codebook(
+            d, sim.WiretapRates(0.002, 0.004), sim.TypicalityParams(n, 0.5), seed)
+        rep = sim.mc_equivocation(cb, bsc(0.3), trials, seed)
+        if not 0.0 <= rep.equivocation_rate <= rep.message_rate:
+            raise SystemExit(f"n={n} seed={seed}: {rep.equivocation_rate}")
+print("ok")
+"""
+
+
+class TestUnderflow:
+    """At n = 1200 every likelihood product underflows; log-domain scores do not."""
+
+    @pytest.mark.parametrize("n,trials", [(1200, 200), (2000, 100)])
+    def test_equivocation_in_range(self, n, trials):
+        for seed in range(1, 6):
+            cb = build_wiretap_codebook(identity(), WiretapRates(0.002, 0.004), TypicalityParams(n, 0.5), seed)
+            assert np.prod(np.full(n, 0.7)) < 1e-180   # the old products are near or below the subnormals
+            rep = assert_no_warnings(sim.mc_equivocation, cb, bsc(0.3), trials, seed)
+            assert 0.0 <= rep.equivocation_rate <= rep.message_rate
+            assert rep.leakage_rate <= rep.message_rate
+
+    def test_under_python_O(self):
+        env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", UNDERFLOW], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
+
+
+def marton_dist(correlated=False):
+    pq = np.array([[1.0]])
+    pv0 = np.array([[0.5, 0.5]])
+    if correlated:
+        pv12 = np.array([[0.4, 0.1, 0.1, 0.4], [0.1, 0.4, 0.4, 0.1]])
+    else:
+        p1 = np.array([[0.7, 0.3], [0.2, 0.8]])
+        p2 = np.array([[0.5, 0.5], [0.4, 0.6]])
+        pv12 = (p1[:, :, None] * p2[:, None, :]).reshape(2, 4)
+    px = np.zeros((8, 2))
+    for v0 in range(2):
+        for v1 in range(2):
+            for v2 in range(2):
+                px[(v0 * 2 + v1) * 2 + v2] = [0.85, 0.15] if v1 == 0 else [0.2, 0.8]
+    return build_factored(
+        "theorem1", {"Q": 1, "V0": 2, "V1": 2, "V2": 2, "X": 2}, [pq, pv0, pv12, px]
+    )
+
+
+class TestMartonConditionals:
+    @pytest.mark.parametrize("correlated", [False, True])
+    @pytest.mark.parametrize("rates,params,outcomes", [
+        # no failures; some unpaired bins; whole messages unpaired (orphans)
+        (MartonRates(0.25, 0.5, 0.5, 0.5, 0.25, 0.25), TypicalityParams(8, 8.0), {"clean"}),
+        (MartonRates(0.25, 0.75, 0.5, 0.5, 0.25, 0.25), TypicalityParams(8, 1.0), {"failures"}),
+        (MartonRates(1 / 6, 0.5, 0.34, 0.34, 0.17, 0.17), TypicalityParams(6, 1.0),
+         {"failures", "orphan"}),
+    ])
+    def test_bitwise_equal(self, correlated, rates, params, outcomes):
+        seen = set()
+        for seed in range(6):
+            cb = build_marton_codebook(marton_dist(correlated), rates, params, seed)
+            try:
+                want = ref.marton_conditionals(cb, bsc(0.2))
+            except DistributionError as e:
+                seen.add("orphan")
+                with pytest.raises(DistributionError, match=f"^{e}$"):
+                    sim._message_conditionals(cb, bsc(0.2), sim.DEFAULT_CAPS)
+                continue
+            got = sim._message_conditionals(cb, bsc(0.2), sim.DEFAULT_CAPS)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            seen.add("failures" if want[1] > 0 else "clean")
+        assert seen == outcomes
+
+    def test_orphaned_message_same_error(self):
+        rates = MartonRates(0.5, 0.5, 0.34, 0.34, 0.17, 0.17)
+        raised = 0
+        for seed in range(30):
+            cb = build_marton_codebook(marton_dist(), rates, TypicalityParams(6, 0.8), seed)
+            try:
+                ref.marton_conditionals(cb, bsc(0.2))
+            except DistributionError as e:
+                raised += 1
+                with pytest.raises(DistributionError, match=f"^{e}$"):
+                    sim._message_conditionals(cb, bsc(0.2), sim.DEFAULT_CAPS)
+        assert raised
+
+
+def lemma1_dist():
+    from wiretap3.probability import Factor, FactoredDistribution
+
+    return FactoredDistribution(
+        [("U", 2), ("V", 2), ("Z", 2)],
+        [Factor(["U"], [], [[0.5, 0.5]]),
+         Factor(["V"], ["U"], bsc(0.25)),
+         Factor(["Z"], ["V"], bsc(0.25))],
+    )
+
+
+class TestLemma1:
+    @pytest.mark.parametrize("n,s_rate", [(4, 0.443), (8, 0.443), (10, 0.6), (12, 0.3)])
+    def test_bitwise_equal(self, n, s_rate):
+        for seed in (1, 5):
+            params = TypicalityParams(n, 2.0)
+            assert sim.lemma1_experiment(lemma1_dist(), s_rate, params, 150, seed) == (
+                ref.lemma1_experiment(lemma1_dist(), s_rate, params, 150, seed)
+            )
+
+    def test_chunks_do_not_change_report(self, monkeypatch):
+        params = TypicalityParams(8, 1.0)
+        want = ref.lemma1_experiment(lemma1_dist(), 0.5, params, 101, 3)
+        monkeypatch.setattr(sim, "_COUNT_CHUNK", 16 * 8 * 10)  # 10 trials a chunk, last one short
+        assert sim.lemma1_experiment(lemma1_dist(), 0.5, params, 101, 3) == want
+
+
+class TestTrialsAtLeastOne:
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejected(self, trials):
+        params = TypicalityParams(4, 2.0)
+        cb = build_wiretap_codebook(identity(), WiretapRates(0.25, 0.5), params, 1)
+        with pytest.raises(ValueError, match="trials"):
+            sim.decoding_error_rate(cb, bsc(0.1), params, trials, 1)
+        with pytest.raises(ValueError, match="trials"):
+            sim.mc_equivocation(cb, bsc(0.1), trials, 1)
+        with pytest.raises(ValueError, match="trials"):
+            sim.lemma1_experiment(lemma1_dist(), 0.5, params, trials, 1)
