@@ -27,15 +27,16 @@ form, the minimum taken over those sums and, for theorem1, the admissibility
 slack that masks a point out.  One batched engine evaluates them on a stack
 of B source laws at once.  ``_realize`` multiplies the stacked factor tables
 (B, rows, cols) of a pattern's chain into p(aux..., X) of shape (B, sizes...),
-after one row-stochastic check of every table.  ``_information`` then forms
-each entropy from a small marginal: a term with a receiver pushes p(aux, X)
-through that receiver's matrix, so the joint over all receivers is never
-built, and ``_bound_values`` combines the terms.  Entropies are memoized per axis set within a call and all go through
-``probability.entropy_bits``.  A term below -MEASURE_TOL raises
-DistributionError; otherwise it is clamped at 0, as ``JointPmf`` does.
-``maximize`` hands this engine to the lockstep search as its objective, and
-the scalar evaluators (``ck_extension_rate`` and the others) run the same
-engine on a one-point stack.
+after one row-stochastic check of every table.  ``_BoundPlan`` compiles a
+``BoundTerms`` once against the pattern's axes and the receiver matrices:
+each distinct entropy is routed from a small marginal, and a term with a
+receiver pushes p(aux, X) through that receiver's matrix, so the joint over
+all receivers is never built.  A call then runs that fixed list of numpy
+operations; every entropy goes through ``probability.entropy_bits``.  A term
+below -MEASURE_TOL raises DistributionError; otherwise it is clamped at 0,
+as ``JointPmf`` does.  ``maximize`` compiles the plan once and hands it to
+the lockstep search as its objective, and the scalar evaluators
+(``ck_extension_rate`` and the others) run a plan on a one-point stack.
 """
 
 from __future__ import annotations
@@ -403,11 +404,12 @@ _THEOREM1 = BoundTerms(
 )
 
 
-def _signed_sum(expr: Expr, information: Callable):
+def _signed_sum(expr, value: Callable):
+    """A signed sum added left to right; ``value`` maps each term to its value."""
     total = 0.0
     for sign, term in expr:
-        value = information(*term)
-        total = total + value if sign > 0 else total - value
+        v = value(term)
+        total = total + v if sign > 0 else total - v
     return total
 
 
@@ -443,69 +445,95 @@ def _realize(pattern: str, sizes: Mapping[str, int], tables: Params) -> np.ndarr
     return joint
 
 
-def _information(axes: tuple[str, ...], joint: np.ndarray, channels: Mapping[str, np.ndarray]):
-    """I(A;B|C) -> (B,) bits on a stack of source laws ``joint`` over ``axes``.
+class _BoundPlan:
+    """A ``BoundTerms`` compiled against a pattern's axes and receiver matrices.
 
-    ``channels`` maps each receiver to its |X| x |R| matrix.  An entropy over
-    aux axes reads a marginal of ``joint``; one with a receiver pushes the
-    marginal p(aux, X) through that receiver's matrix.  Marginals and
-    entropies are memoized per axis set.
+    Compiling resolves, once, every distinct entropy the terms need (keyed
+    by axis set) to its route: the pattern axes to sum away, then for an
+    entropy that names a receiver, that receiver's |X| x |R| matrix, applied
+    with ``@`` or, when X itself is kept, as an outer product.  Each term
+    keeps the slots of its entropies, and each rate and the gate the signed
+    term slots they add.  A call on a stack of source laws ``joint`` (B,
+    pattern sizes) is then a flat run of numpy operations: the same
+    marginals, ``entropy_bits`` calls and sums, in the same order, as
+    forming each term alone.
     """
-    batch, nx = len(joint), joint.shape[-1]  # X is the last pattern axis
-    marginals: dict[tuple[str, ...], np.ndarray] = {}
-    entropies: dict[frozenset, np.ndarray] = {}
 
-    def marginal(keep: tuple[str, ...]) -> np.ndarray:
-        if keep not in marginals:
-            drop = tuple(1 + i for i, a in enumerate(axes) if a not in keep)
-            marginals[keep] = joint.sum(axis=drop) if drop else joint
-        return marginals[keep]
+    def __init__(
+        self, bound: BoundTerms, axes: tuple[str, ...], channels: Mapping[str, np.ndarray]
+    ):
+        drops: dict[tuple[str, ...], int] = {}
+        entropies: dict[frozenset, int] = {}
+        terms: dict[Term, int] = {}
+        self.drops: list[tuple[int, ...]] = []  # axes summed away, per marginal
+        self.entropies: list[tuple[int, Optional[np.ndarray], bool]] = []
+        self.terms: list[tuple[Term, tuple[int, ...]]] = []
 
-    def entropy(names: tuple[str, ...]) -> np.ndarray:
-        key = frozenset(names)
-        if key not in entropies:
-            receivers = [a for a in names if a not in axes]
-            if len(receivers) > 1:
-                raise AxisError(f"a term names more than one receiver: {receivers}")
-            if receivers:
-                src = marginal(tuple(a for a in axes if a in key or a == "X"))
-                src = src.reshape(batch, -1, nx)
-                w = channels[receivers[0]]
-                p = src[..., None] * w if "X" in key else src @ w
+        def marginal(keep: tuple[str, ...]) -> int:
+            if keep not in drops:
+                drops[keep] = len(self.drops)
+                self.drops.append(tuple(1 + i for i, a in enumerate(axes) if a not in keep))
+            return drops[keep]
+
+        def entropy(names: tuple[str, ...]) -> int:
+            key = frozenset(names)
+            if key not in entropies:
+                receivers = [a for a in names if a not in axes]
+                if len(receivers) > 1:
+                    raise AxisError(f"a term names more than one receiver: {receivers}")
+                if receivers:
+                    src = marginal(tuple(a for a in axes if a in key or a == "X"))
+                    route = (src, channels[receivers[0]], "X" in key)
+                else:
+                    route = (marginal(tuple(a for a in axes if a in key)), None, False)
+                entropies[key] = len(self.entropies)
+                self.entropies.append(route)
+            return entropies[key]
+
+        def term(t: Term) -> int:
+            if t not in terms:
+                a, b, c = t
+                names = (a + c, b + c, a + b + c, c) if c else (a, b, a + b)
+                terms[t] = len(self.terms)
+                self.terms.append((t, tuple(entropy(n) for n in names)))
+            return terms[t]
+
+        def signed(expr: Expr) -> list[tuple[int, int]]:
+            return [(sign, term(t)) for sign, t in expr]
+
+        self.rates = [signed(rate) for rate in bound.rates]
+        self.gate = signed(bound.gate) if bound.gate else None
+
+    def __call__(self, joint: np.ndarray) -> np.ndarray:
+        """The bound at each of a stack of source laws: B floats, NaN inadmissible."""
+        batch, nx = len(joint), joint.shape[-1]  # X is the last pattern axis
+        marginals = [joint.sum(axis=drop) if drop else joint for drop in self.drops]
+        h = []
+        for src, w, outer in self.entropies:
+            p = marginals[src]
+            if w is not None:
+                p = p.reshape(batch, -1, nx)
+                p = p[..., None] * w if outer else p @ w
+            h.append(entropy_bits(p, p.ndim - 1))
+        info = []
+        for (a, b, c), slots in self.terms:
+            if c:
+                value = h[slots[0]] + h[slots[1]] - h[slots[2]] - h[slots[3]]
             else:
-                p = marginal(tuple(a for a in axes if a in key))
-            entropies[key] = entropy_bits(p, p.ndim - 1)
-        return entropies[key]
+                value = h[slots[0]] + h[slots[1]] - h[slots[2]]
+            if np.count_nonzero(value < -MEASURE_TOL):
+                raise DistributionError(
+                    f"I({a};{b}|{c}) = {value.min()} is below -{MEASURE_TOL}"
+                )
+            info.append(np.maximum(value, 0.0))
 
-    def information(a: tuple[str, ...], b: tuple[str, ...], c: tuple[str, ...]) -> np.ndarray:
-        if c:
-            value = entropy(a + c) + entropy(b + c) - entropy(a + b + c) - entropy(c)
-        else:
-            value = entropy(a) + entropy(b) - entropy(a + b)
-        if np.count_nonzero(value < -MEASURE_TOL):
-            raise DistributionError(
-                f"I({a};{b}|{c}) = {value.min()} is below -{MEASURE_TOL}"
-            )
-        return np.maximum(value, 0.0)
-
-    return information
-
-
-def _bound_values(
-    bound: BoundTerms,
-    axes: tuple[str, ...],
-    joint: np.ndarray,
-    channels: Mapping[str, np.ndarray],
-) -> np.ndarray:
-    """``bound`` at each of a stack of source laws: B floats, NaN inadmissible."""
-    information = _information(axes, joint, channels)
-    gate = _signed_sum(bound.gate, information) if bound.gate else None
-    value = _signed_sum(bound.rates[0], information)
-    for rate in bound.rates[1:]:
-        value = np.minimum(value, _signed_sum(rate, information))
-    if gate is not None:
-        value = np.where(gate < -ADMISSIBILITY_TOL, np.nan, value)
-    return value
+        value = _signed_sum(self.rates[0], info.__getitem__)
+        for rate in self.rates[1:]:
+            value = np.minimum(value, _signed_sum(rate, info.__getitem__))
+        if self.gate is not None:
+            gate = _signed_sum(self.gate, info.__getitem__)
+            value = np.where(gate < -ADMISSIBILITY_TOL, np.nan, value)
+        return value
 
 
 def _channels(chans: BroadcastChannels) -> dict[str, np.ndarray]:
@@ -527,7 +555,7 @@ def _at_point(
     j = _as_joint(dist, pattern, strict_tag)
     if any(w.shape[0] != j.size("X") for w in channels.values()):
         raise DistributionError("channel input alphabet does not match X")
-    return float(_bound_values(bound, axes, j.marginal(axes).tensor[None], channels)[0])
+    return float(_BoundPlan(bound, axes, channels)(j.marginal(axes).tensor[None])[0])
 
 
 def wiretap_rate(dist, chan_y: ConditionalPmf, chan_z: ConditionalPmf) -> float:
@@ -552,7 +580,7 @@ def corollary1_rate(dist, chans: BroadcastChannels) -> float:
 
 def admissibility_slack(j: JointPmf) -> float:
     """I(V1;Z|V0) + I(V2;Z|V0) - I(V1;V2|V0) - I(V1,V2;Z|V0)."""
-    return _signed_sum(_MARTON_SLACK, j.conditional_mutual_information)
+    return _signed_sum(_MARTON_SLACK, lambda t: j.conditional_mutual_information(*t))
 
 
 def theorem1_rate(dist, chans: BroadcastChannels) -> Optional[float]:
@@ -878,6 +906,7 @@ class BoundResult:
     best_restart: int
     evaluations: int  # the winning search's count; theorem1 runs one per family
     search_evaluations: int  # the total over every search maximize ran
+    objective_points: int  # points the searches evaluated, speculative ones included
 
 
 _SCALAR_BOUNDS: dict[str, tuple[str, Callable]] = {
@@ -963,19 +992,20 @@ def maximize(
     if aux.pattern != pattern:
         raise PatternError(f"bound {bound_id!r} needs pattern {pattern!r}")
     sizes = aux.resolve(chans.x_size)
-    axes, terms, channels = PATTERNS[pattern][0], _BOUND_TERMS[bound_id], _channels(chans)
+    plan = _BoundPlan(_BOUND_TERMS[bound_id], PATTERNS[pattern][0], _channels(chans))
     best = None
-    search_evaluations = 0
+    search_evaluations = objective_points = 0
     for shapes, expand in _search_spaces(pattern, sizes):
 
         def objective(tables: Params, expand=expand) -> np.ndarray:
-            return _bound_values(terms, axes, _realize(pattern, sizes, expand(tables)), channels)
+            return plan(_realize(pattern, sizes, expand(tables)))
 
         # deterministic all-uniform start: the auxiliaries decouple from X there,
         # pinning the reported maximum at >= 0 (these secrecy bounds clamp at 0)
         baseline = [np.full((rows, cols), 1.0 / cols) for rows, cols in shapes]
         res = search_factored(objective, shapes, budget, extra_starts=[baseline])
         search_evaluations += res.evaluations
+        objective_points += res.objective_points
         if best is None or res.value > best[0].value:
             best = (res, expand)
     res, expand = best
@@ -993,4 +1023,5 @@ def maximize(
         best_restart=res.best_restart,
         evaluations=res.evaluations,
         search_evaluations=search_evaluations,
+        objective_points=objective_points,
     )

@@ -207,10 +207,49 @@ class ExampleReport:
     identity_points_checked: int
     restarts: int
     evaluations: int
+    objective_points: int             # points the search objective evaluated
 
     @property
     def gap_is_strict(self) -> bool:
         return self.rck_gap > 1e-3
+
+
+class _IdentityTrace:
+    """The upper-bound search objective, tracing the zero-leakage identity.
+
+    At points that leak nothing to Z2 (I(V2;Z2|Q2) < 1e-9) it records
+    |I(V2;Y12|Q2) - I(V2;Z2|Q2)|.  Only points the sequential search
+    evaluates count: a call's silent points stay pending until the next
+    call or ``settle``, and the search's ``logical`` mask drops the
+    speculative ones first.
+    """
+
+    def __init__(self, chan: Fig1Channel):
+        self.chan = chan
+        self.points_checked = 0
+        self.max_deviation = 0.0
+        self._pending = None  # (silent mask, |iy - iz|) of the last call
+
+    def __call__(self, tables):
+        self.settle()
+        iy, iz = second_component_measures(tables, self.chan)
+        silent = iz < 1e-9
+        if silent.any():
+            self._pending = (silent, np.abs(iy - iz))
+        return rck_upper_bound_objective(iy, iz)
+
+    def logical(self, mask: np.ndarray) -> None:
+        if self._pending is not None:
+            silent, dev = self._pending
+            self._pending = (silent & mask, dev)
+
+    def settle(self) -> None:
+        if self._pending is not None:
+            silent, dev = self._pending
+            self._pending = None
+            if silent.any():
+                self.points_checked += int(np.count_nonzero(silent))
+                self.max_deviation = max(self.max_deviation, float(dev[silent].max()))
 
 
 def reproduce_example(
@@ -228,28 +267,18 @@ def reproduce_example(
     """
     chan = chan or Fig1Channel.build()
     achievable = achievable_rate(chan)
-
-    trace_dev = 0.0
-    trace_hits = 0
-
-    def objective(tables):
-        nonlocal trace_dev, trace_hits
-        iy, iz = second_component_measures(tables, chan)
-        silent = iz < 1e-9
-        if silent.any():
-            trace_hits += int(silent.sum())
-            trace_dev = max(trace_dev, float(np.abs(iy - iz)[silent].max()))
-        return rck_upper_bound_objective(iy, iz)
-
+    trace = _IdentityTrace(chan)
     shapes = [(1, q2_card), (q2_card, v2_card), (v2_card, 2)]
-    res = search_factored(objective, shapes, budget)
+    res = search_factored(trace, shapes, budget)
+    trace.settle()
     return ExampleReport(
         achievable=achievable,
         rck_best=res.value,
         rck_gap=5.0 / 6.0 - res.value,
         rck_best_tables=tuple(t.copy() for t in res.params),
-        identity_max_deviation=trace_dev,
-        identity_points_checked=trace_hits,
+        identity_max_deviation=trace.max_deviation,
+        identity_points_checked=trace.points_checked,
         restarts=res.restarts,
         evaluations=res.evaluations,
+        objective_points=res.objective_points,
     )

@@ -16,15 +16,35 @@ Lockstep: ``search_factored`` refines all of its starts (the extra starts,
 then the restarts) together in one ``refine_rows`` call.  Each factor table
 is stacked as (B, rows, cols), one slice per start.  Every start walks the
 same candidate order (table, row, vertex, then toward before away) and
-keeps its own step size, improved flag and early stop as length-B arrays.
-A candidate is evaluated only for the starts still running, and an "away"
-move only where it exists (``row[i] > 0`` and a positive total), so each
-start takes exactly the accept/reject path it would take alone and the
-evaluation count is exact per start.
+keeps its own step size, improved flag and early stop as length-B arrays,
+so each start takes exactly the accept/reject path it would take alone.
+
+Speculative rows: the candidates of a row are built for every live start
+from that start's current row, toward and away from each vertex, and
+evaluated in one objective call.  A start takes its first candidate, in the
+sequential order, that beats its best by more than 1e-13; after a "toward
+i" gain the "away from i" candidate, which the sequential search also
+builds from the row before the move, must beat the new best.  The rest of
+the row is then built again from the new row, in a call that holds only
+the starts that moved.  A call offers a window of vertices: the whole row,
+unless the live starts alone fill a call of about ``_CALL_POINTS`` points,
+so that a large batch pays for no candidates beyond the ones it needs.
+``evaluations`` is the logical count, what the sequential search evaluates
+(an "away" move only where ``row[i] > 0`` and the total is positive);
+``objective_points`` counts every point handed to the objective.  If a
+call raises, the rest of that row is offered one vertex per call, so
+only points the sequential search evaluates are evaluated: an error comes
+out where the sequential search raises it, or not at all.
 
 Objective contract: an objective takes stacked tables, a list of
-(B, rows, cols) arrays for the B starts being evaluated, and returns B
-finite values as a float array, NaN marking an inadmissible point.  A scalar
+(B, rows, cols) arrays for the B points being evaluated, and returns B
+finite values as a float array, NaN marking an inadmissible point.  Its
+values must be pure, each point's value the same whatever else is in the
+stack, because it is also called on speculative points the sequential
+search never visits.  An objective that records what it sees may define
+``logical(mask)``: right after a call in which some start moved, the search
+passes the boolean mask of that call's points that the sequential search
+evaluates (every point of any other call is one of them).  A scalar
 objective (one list of (rows, cols) tables in, a float or None out) goes
 through ``per_point``.
 """
@@ -47,6 +67,11 @@ class SearchBudget:
     refine_sweeps: int = 60
 
 
+# Points per call above which a row is split into several calls.  Larger
+# calls amortize the per-call cost no further, and every speculative point
+# past a start's first gain is work the sequential search never does.
+_CALL_POINTS = 256
+
 Params = list[np.ndarray]
 Objective = Callable[[Params], np.ndarray]  # stacked tables -> values, NaN inadmissible
 
@@ -59,6 +84,7 @@ class SearchResult:
     best_restart: int
     evaluations: int
     admissible_found: bool
+    objective_points: int  # points handed to the objective, speculative ones included
 
 
 class NoAdmissiblePointError(RuntimeError):
@@ -80,64 +106,115 @@ def per_point(fn: Callable[[Params], Optional[float]]) -> Objective:
 
 def refine_rows(
     objective: Objective, tables: Params, sweeps: int
-) -> tuple[np.ndarray, Params, int]:
+) -> tuple[np.ndarray, Params, int, int]:
     """Coordinate-wise projected ascent over every row of every table.
 
     ``tables`` holds B starts stacked as (B, rows, cols); they are refined in
-    lockstep (see the module docstring).  Returns each start's final value
-    (NaN if it never reached an admissible point), the refined stack and the
-    total number of evaluations.
+    lockstep, a row of candidates per objective call (see the module
+    docstring).  Returns each start's final value (NaN if it never reached
+    an admissible point), the refined stack, the logical evaluation count
+    (what the sequential search evaluates) and the number of points the
+    objective was handed, speculative ones included.
     """
     tables = [t.copy() for t in tables]
     n = len(tables[0])
     best = objective(tables)
     best[np.isnan(best)] = -np.inf  # inadmissible so far: any value is a gain
-    evals = n
+    evals = points = n
     step = np.full(n, 0.25)
     live = np.ones(n, dtype=bool)  # starts not yet stopped early
     improved = np.zeros(n, dtype=bool)
+    logical = getattr(objective, "logical", None)
 
-    def offer(fi: int, r: int, starts: np.ndarray, cand: np.ndarray) -> None:
-        """Evaluate row ``r`` of table ``fi`` set to ``cand`` for ``starts``; keep strict gains."""
-        nonlocal evals
-        trial = [t.take(starts, axis=0) for t in tables]  # take: cheaper than t[starts]
-        trial[fi][:, r] = cand
-        val = objective(trial)
-        evals += len(starts)
-        keep = val > best.take(starts) + 1e-13  # False for NaN
-        if np.count_nonzero(keep):  # cheaper than keep.any() on tiny arrays
-            won = starts[keep]
-            best[won] = val[keep]
-            tables[fi][won, r] = cand[keep]
-            improved[won] = True
+    def row_round(fi: int, r: int, starts: np.ndarray, first: np.ndarray, window: int):
+        """Offer ``window`` vertices of row ``r`` to ``starts``, from ``first`` on, in one call.
+
+        Every candidate is built from the start's current row, toward vertex
+        i before away from it.  A start takes its first strict gain in that
+        order; after a "toward" gain, the "away" candidate of the same vertex
+        (built from the same row, as in the sequential search) must beat the
+        new best.  Returns the starts with vertices left and their next vertex,
+        or None if a call of several vertices raised.
+        """
+        nonlocal evals, points
+        p, cols, width = starts.size, tables[fi].shape[2], 2 * window
+        row = tables[fi][starts, r]
+        vertex = first[:, None] + np.arange(window)
+        offered = vertex < cols
+        vertex = np.minimum(vertex, cols - 1)
+        s = step.take(starts)[:, None, None]
+        move = s * np.eye(cols).take(vertex, axis=0)  # s * each offered vertex
+        away = np.maximum(row[:, None, :] - move, 0.0)
+        tot = np.add.reduce(away, axis=2)
+        ok = (row.take(vertex + cols * np.arange(p)[:, None]) > 0) & (tot > 0)  # "away" exists
+        np.divide(away, tot[..., None], out=away, where=ok[..., None])
+        # slot 2j is "toward" the j-th vertex, 2j + 1 "away": the sequential order
+        toward = (1 - s) * row[:, None, :] + move
+        cand = np.concatenate([toward[:, :, None], away[:, :, None]], axis=2).reshape(-1, cols)
+        flat = np.flatnonzero(np.concatenate([offered[..., None], (offered & ok)[..., None]], 2))
+        trial = [t.take(starts.take(flat // width), axis=0) for t in tables]
+        trial[fi][:, r] = cand.take(flat, axis=0)
+        try:
+            values = objective(trial)
+        except Exception:
+            # a speculative point may raise where the sequential search never
+            # looks; the caller then offers the rest of the row one vertex per
+            # call, and such a call evaluates logical points only
+            if window == 1:
+                raise
+            return None
+        points += flat.size
+        full = np.full(p * width, np.nan)
+        full[flat] = values
+        gain = full.reshape(p, width) > (best.take(starts) + 1e-13)[:, None]  # False for NaN
+        if not np.count_nonzero(gain):  # no start moves: every offered point was logical
+            evals += flat.size
+            first = first + window
+        else:
+            k = gain.argmax(axis=1)
+            at = np.arange(p) * width
+            won = gain.ravel().take(at + k)
+            # "toward" won: "away" from the same vertex (k | 1) may still beat the new best
+            k += won & (full.take(at + (k | 1)) > full.take(at + k) + 1e-13)
+            # a start's logical candidates run through the vertex it moved at
+            last = np.where(won, (k | 1) + 1, width)
+            seen = (np.arange(width) < last[:, None]).ravel().take(flat)
+            evals += int(np.count_nonzero(seen))
+            if logical is not None:
+                logical(seen)
+            moved, pick = starts[won], (at + k)[won]
+            best[moved] = full.take(pick)
+            tables[fi][moved, r] = cand.take(pick, axis=0)
+            improved[moved] = True
+            first = first + np.where(won, k // 2 + 1, window)
+        left = first < cols
+        return starts[left], first[left]
 
     for _ in range(sweeps):
         improved[:] = False
-        starts = np.flatnonzero(live)
-        s = step[starts, None]
-        keep_share = 1 - s
+        running = np.flatnonzero(live)
+        # vertices per call: the whole row, unless the live starts alone fill a call
+        spread = max(1, _CALL_POINTS // (2 * running.size))
         for fi, table in enumerate(tables):
             _, rows, cols = table.shape
             if cols < 2:
                 continue
-            vertices = np.eye(cols)
             for r in range(rows):
-                for i in range(cols):
-                    row = table[:, r].take(starts, axis=0)
-                    move = s * vertices[i]
-                    away = np.maximum(row - move, 0.0)
-                    tot = np.add.reduce(away, axis=1)
-                    ok = (row[:, i] > 0) & (tot > 0)
-                    offer(fi, r, starts, keep_share * row + move)
-                    if np.count_nonzero(ok):
-                        offer(fi, r, starts[ok], away[ok] / tot[ok, None])
+                calls = -(-cols // spread)  # a row's calls when no start moves
+                starts, first, window = running, np.zeros(running.size, dtype=int), -(-cols // calls)
+                while starts.size:
+                    left = row_round(fi, r, starts, first, window)
+                    if left is None:
+                        window = 1
+                    else:
+                        starts, first = left
         stalled = live & ~improved
         step[stalled] *= 0.5
         live &= step >= 1e-4
         if not live.any():
             break
     best[best == -np.inf] = np.nan
-    return best, tables, evals
+    return best, tables, evals, points
 
 
 def search_factored(
@@ -158,7 +235,7 @@ def search_factored(
         starts.append([rng.dirichlet(np.ones(cols), size=rows) for rows, cols in shapes])
     if starts:
         stacked = [np.array([p[k] for p in starts], dtype=float) for k in range(len(shapes))]
-        values, tables, evals = refine_rows(objective, stacked, budget.refine_sweeps)
+        values, tables, evals, points = refine_rows(objective, stacked, budget.refine_sweeps)
     if not starts or np.isnan(values).all():
         raise NoAdmissiblePointError(
             f"no admissible point found in {budget.restarts} restarts"
@@ -172,4 +249,5 @@ def search_factored(
         best_restart=k - n_extra if k >= n_extra else -1 - k,
         evaluations=evals,
         admissible_found=True,
+        objective_points=points,
     )

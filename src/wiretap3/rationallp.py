@@ -228,21 +228,3 @@ def verify_certificate(
         raise ValueError("multipliers do not reproduce the target coefficients")
     if bound > delta:
         raise ValueError(f"multipliers bound the target by {bound} > {delta}")
-
-
-def solve_square(A: Mat, b: Vec) -> Optional[Vec]:
-    """Exact solution of a square system, or None if singular."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), -1)
-        if piv < 0:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [v / pv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [M[r][k] - f * M[col][k] for k in range(n + 1)]
-    return [M[i][n] for i in range(n)]

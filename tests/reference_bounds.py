@@ -5,6 +5,10 @@ Each bound attaches Y1, Y2 and Z to the realized ``JointPmf`` and reads its
 (conditional) mutual informations through the ``JointPmf`` methods; the
 maximizer evaluates it once per start through ``optim.per_point`` on
 ``source_joint`` of the expanded tables.
+
+``information`` and ``bound_values`` are the batched engine as it was before
+``bounds._BoundPlan`` compiled it: the same entropies, found per call through
+memo dicts keyed by axis set.  The plan must give the same bits.
 """
 
 from __future__ import annotations
@@ -19,11 +23,19 @@ from wiretap3.bounds import (
     PATTERNS,
     BroadcastChannels,
     PatternError,
+    _signed_sum,
     factor_shapes,
     source_joint,
 )
 from wiretap3.optim import per_point, search_factored
-from wiretap3.probability import DistributionError, FactoredDistribution, JointPmf
+from wiretap3.probability import (
+    MEASURE_TOL,
+    AxisError,
+    DistributionError,
+    FactoredDistribution,
+    JointPmf,
+    entropy_bits,
+)
 
 
 def _as_joint(dist, pattern: str, strict_tag: bool = True) -> JointPmf:
@@ -147,3 +159,64 @@ def maximize(bound_id, aux, chans, budget):
             best = (res, expand)
     res, expand = best
     return res, expand(res.params), runs
+
+
+def information(axes, joint, channels):
+    """I(A;B|C) -> (B,) bits on a stack of source laws ``joint`` over ``axes``.
+
+    ``channels`` maps each receiver to its |X| x |R| matrix.  An entropy over
+    aux axes reads a marginal of ``joint``; one with a receiver pushes the
+    marginal p(aux, X) through that receiver's matrix.  Marginals and
+    entropies are memoized per axis set.
+    """
+    batch, nx = len(joint), joint.shape[-1]  # X is the last pattern axis
+    marginals = {}
+    entropies = {}
+
+    def marginal(keep):
+        if keep not in marginals:
+            drop = tuple(1 + i for i, a in enumerate(axes) if a not in keep)
+            marginals[keep] = joint.sum(axis=drop) if drop else joint
+        return marginals[keep]
+
+    def entropy(names):
+        key = frozenset(names)
+        if key not in entropies:
+            receivers = [a for a in names if a not in axes]
+            if len(receivers) > 1:
+                raise AxisError(f"a term names more than one receiver: {receivers}")
+            if receivers:
+                src = marginal(tuple(a for a in axes if a in key or a == "X"))
+                src = src.reshape(batch, -1, nx)
+                w = channels[receivers[0]]
+                p = src[..., None] * w if "X" in key else src @ w
+            else:
+                p = marginal(tuple(a for a in axes if a in key))
+            entropies[key] = entropy_bits(p, p.ndim - 1)
+        return entropies[key]
+
+    def info(a, b, c):
+        if c:
+            value = entropy(a + c) + entropy(b + c) - entropy(a + b + c) - entropy(c)
+        else:
+            value = entropy(a) + entropy(b) - entropy(a + b)
+        if np.count_nonzero(value < -MEASURE_TOL):
+            raise DistributionError(
+                f"I({a};{b}|{c}) = {value.min()} is below -{MEASURE_TOL}"
+            )
+        return np.maximum(value, 0.0)
+
+    return info
+
+
+def bound_values(bound, axes, joint, channels):
+    """``bound`` at each of a stack of source laws: B floats, NaN inadmissible."""
+    info = information(axes, joint, channels)
+    term = lambda t: info(*t)  # noqa: E731
+    gate = _signed_sum(bound.gate, term) if bound.gate else None
+    value = _signed_sum(bound.rates[0], term)
+    for rate in bound.rates[1:]:
+        value = np.minimum(value, _signed_sum(rate, term))
+    if gate is not None:
+        value = np.where(gate < -ADMISSIBILITY_TOL, np.nan, value)
+    return value

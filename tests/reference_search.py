@@ -111,4 +111,5 @@ def search_factored(
         best_restart=best_restart,
         evaluations=total_evals,
         admissible_found=True,
+        objective_points=total_evals,
     )

@@ -5,7 +5,8 @@
 engine must reach the same maxima by the same search paths, give the same
 values on stacks (NaN exactly where the old theorem1 returned None), give
 each point of a stack the bits it gets alone, and keep its table and
-measure checks under ``python -O``.
+measure checks under ``python -O``.  The compiled ``_BoundPlan`` must give
+the bits of the memoized engine it replaced (``reference_bounds.bound_values``).
 """
 
 import os
@@ -113,12 +114,10 @@ def test_theorem1_counts_every_family_search(monkeypatch):
 def _engine_values(bound_id, cards, chans, tables):
     """The batched engine's values on stacked pattern tables."""
     pattern = bounds.bound_pattern(bound_id)
-    return bounds._bound_values(
-        bounds._BOUND_TERMS[bound_id],
-        bounds.PATTERNS[pattern][0],
-        bounds._realize(pattern, AuxSpec(pattern, cards).resolve(chans.x_size), tables),
-        bounds._channels(chans),
+    plan = bounds._BoundPlan(
+        bounds._BOUND_TERMS[bound_id], bounds.PATTERNS[pattern][0], bounds._channels(chans)
     )
+    return plan(bounds._realize(pattern, AuxSpec(pattern, cards).resolve(chans.x_size), tables))
 
 
 def _reference_values(bound_id, cards, chans, tables):
@@ -192,6 +191,18 @@ def test_each_point_gets_its_own_bits(bound_id, cards, channel, kind):
         _engine_values(bound_id, cards, chans, [t[b:b + 1] for t in tables]) for b in range(64)
     ])
     assert np.array_equal(together, alone, equal_nan=True)
+
+
+@pytest.mark.parametrize("bound_id,cards,channel,kind", STACK_CASES)
+def test_compiled_plan_matches_the_memoized_engine(bound_id, cards, channel, kind):
+    chans = CHANNELS[channel]()
+    tables = _tables_for(bound_id, cards, chans, kind, seed=29)
+    pattern = bounds.bound_pattern(bound_id)
+    joint = bounds._realize(pattern, AuxSpec(pattern, cards).resolve(chans.x_size), tables)
+    want = reference_bounds.bound_values(
+        bounds._BOUND_TERMS[bound_id], bounds.PATTERNS[pattern][0], joint, bounds._channels(chans)
+    )
+    assert np.array_equal(_engine_values(bound_id, cards, chans, tables), want, equal_nan=True)
 
 
 def test_stacked_family_expansion_matches_per_point():
@@ -272,7 +283,7 @@ for tables in (negative, unnormalized):
 doubled = np.full((4, 2, 2), 0.5)
 chans = {"Y1": np.eye(2), "Z": np.eye(2)}
 try:
-    bounds._bound_values(bounds._WIRETAP, ("V", "X"), doubled, chans)
+    bounds._BoundPlan(bounds._WIRETAP, ("V", "X"), chans)(doubled)
 except DistributionError:
     print("term rejected")
 """
@@ -316,11 +327,10 @@ def test_terms_are_clamped_at_zero_like_joint_pmf():
     pvq = rng.dirichlet(np.ones(3), size=(64, 2))
     pxv = rng.dirichlet(np.ones(4), size=(64, 1)).repeat(3, axis=1)
     joint = bounds._realize("ck", sizes, [pq, pvq, pxv])
-    information = bounds._information(bounds.PATTERNS["ck"][0], joint, bounds._channels(
-        _example_spec()
-    ))
+    channels = bounds._channels(_example_spec())
     for receiver in ("Y1", "Y2", "Z"):
-        value = information(("V",), (receiver,), ("Q",))
+        term = bounds.BoundTerms((bounds._expr(f"I(V;{receiver}|Q)"),))
+        value = bounds._BoundPlan(term, bounds.PATTERNS["ck"][0], channels)(joint)
         assert (value >= 0).all() and value.max() <= 1e-12
 
 

@@ -300,9 +300,14 @@ class TestBoundCommand:
         out = json.loads(capsys.readouterr().out)
         # the two admissible family searches took 502 and 501 evaluations
         assert (out["evaluations"], out["search_evaluations"]) == (502, 1003)
+        # speculative rows evaluate every logical point once, plus some more
+        assert type(out["objective_points"]) is int
+        assert out["objective_points"] > out["search_evaluations"]
         with pytest.raises(SystemExit):
             main(["bound", "-h"])
-        assert "'search_evaluations', the total" in " ".join(capsys.readouterr().out.split())
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "'search_evaluations', the total" in help_text
+        assert "'objective_points' is the number of points" in help_text
 
 
 class TestRegionCommand:
@@ -394,6 +399,16 @@ class TestReproExample:
         out = json.loads(capsys.readouterr().out)
         assert abs(out["achievable"] - 5 / 6) < 1e-10
         assert out["rck_best"] < 5 / 6 - 1e-3
+
+    def test_reports_objective_points(self, capsys):
+        argv = ["repro-example", "--seed", "46", "--restarts", "32", "--sweeps", "10"]
+        assert main(argv + ["--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert type(out["evaluations"]) is int and type(out["objective_points"]) is int
+        assert out["objective_points"] > out["evaluations"]
+        with pytest.raises(SystemExit):
+            main(["repro-example", "-h"])
+        assert "'objective_points' counts the points" in " ".join(capsys.readouterr().out.split())
 
     def test_channel_export_round_trips(self, tmp_path, capsys):
         target = tmp_path / "fig1.chan"

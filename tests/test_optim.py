@@ -1,10 +1,10 @@
-"""Lockstep multi-start search against the sequential search it replaced.
+"""Lockstep speculative search against the sequential search it replaced.
 
 ``reference_search`` is the old search, one start after another with one
-scalar objective call per candidate.  The lockstep search must take every
-start down the same accept/reject path: the same evaluation counts, the
-same best start, the same example trace counters, and values equal to
-1e-12.
+scalar objective call per candidate.  The lockstep search evaluates whole
+rows of candidates per call, but must take every start down the same
+accept/reject path: the same evaluation counts, the same best start, the
+same example trace counters, and the same bits in values and tables.
 """
 
 import numpy as np
@@ -15,8 +15,6 @@ from wiretap3 import bounds, fig1, optim, orderings
 from wiretap3.bounds import AuxSpec, BroadcastChannels, maximize
 from wiretap3.optim import NoAdmissiblePointError, SearchBudget, per_point, search_factored
 from wiretap3.probability import bsc, erasure_channel
-
-TOL = 1e-12
 
 
 def _scalar(objective):
@@ -58,11 +56,21 @@ def _assert_same_search(got, want):
     assert got.evaluations == want.evaluations
     assert got.best_restart == want.best_restart
     assert got.restarts == want.restarts
-    assert abs(got.value - want.value) <= TOL
+    assert got.value == want.value
     assert len(got.params) == len(want.params)
     for a, b in zip(got.params, want.params):
         assert a.shape == b.shape
-        assert np.abs(a - b).max() <= TOL
+        assert np.array_equal(a, b)
+    # every logical point is evaluated once; speculation may add more
+    assert got.objective_points >= got.evaluations
+
+
+def _assert_same_report(got, want):
+    """Two ExampleReports with the same search results and the same identity trace."""
+    assert got.evaluations == want.evaluations
+    assert got.rck_best == want.rck_best
+    assert got.identity_points_checked == want.identity_points_checked
+    assert got.identity_max_deviation == want.identity_max_deviation
 
 
 def _assert_same_searches(got, want):
@@ -91,7 +99,7 @@ def _example_objective(tables):
 def test_refine_rows_matches_each_start_refined_alone():
     starts = _example_stack(restarts=5, seed=9)
     stacked = [np.stack([s[k] for s in starts]) for k in range(3)]
-    values, tables, evals = optim.refine_rows(_example_objective, stacked, 60)
+    values, tables, evals, _ = optim.refine_rows(_example_objective, stacked, 60)
     per_start = [
         reference_search.refine_rows(_scalar(_example_objective), s, 60) for s in starts
     ]
@@ -99,9 +107,9 @@ def test_refine_rows_matches_each_start_refined_alone():
     assert len({n for _, _, n in per_start}) > 1
     assert evals == sum(n for _, _, n in per_start)
     for b, (val, params, _) in enumerate(per_start):
-        assert abs(values[b] - val) <= TOL
+        assert values[b] == val
         for k in range(3):
-            assert np.abs(tables[k][b] - params[k]).max() <= TOL
+            assert np.array_equal(tables[k][b], params[k])
 
 
 @pytest.mark.parametrize("restarts,seed", [(6, 3), (1, 20260810)])
@@ -110,11 +118,8 @@ def test_example_report_matches_reference(monkeypatch, restarts, seed):
     (got, got_runs), (want, want_runs) = _both(
         monkeypatch, fig1, lambda: fig1.reproduce_example(budget)
     )
+    _assert_same_report(got, want)
     _assert_same_searches(got_runs, want_runs)
-    assert got.evaluations == want.evaluations
-    assert got.identity_points_checked == want.identity_points_checked
-    assert abs(got.identity_max_deviation - want.identity_max_deviation) <= TOL
-    assert abs(got.rck_best - want.rck_best) <= TOL
 
 
 def test_example_trace_counts_zero_leakage_points(monkeypatch):
@@ -133,9 +138,134 @@ def test_example_trace_counts_zero_leakage_points(monkeypatch):
         reports.append(fig1.reproduce_example(budget))
     got, want = reports
     assert got.identity_points_checked > 0
-    assert got.identity_points_checked == want.identity_points_checked
-    assert abs(got.identity_max_deviation - want.identity_max_deviation) <= TOL
+    _assert_same_report(got, want)
     _assert_same_search(*runs)
+
+
+def test_example_trace_skips_speculative_silent_points(monkeypatch):
+    # seed 46, 32 restarts, 10 sweeps: speculative candidates that the
+    # sequential search never visits leak nothing to Z2; they must not count
+    budget = SearchBudget(restarts=32, seed=46, refine_sweeps=10)
+    seen = []
+    measures = fig1.second_component_measures
+
+    def counting(tables, chan=None):
+        iy, iz = measures(tables, chan)
+        seen.append(int(np.count_nonzero(iz < 1e-9)))
+        return iy, iz
+
+    monkeypatch.setattr(fig1, "second_component_measures", counting)
+    (got, got_runs), (want, want_runs) = _both(
+        monkeypatch, fig1, lambda: fig1.reproduce_example(budget)
+    )
+    _assert_same_report(got, want)
+    _assert_same_searches(got_runs, want_runs)
+    assert got.objective_points > got.evaluations
+    # both searches handed the objective silent points, the speculative one more
+    speculative_silent = sum(seen) - 2 * want.identity_points_checked
+    assert speculative_silent > 0
+
+
+@pytest.mark.parametrize("seed", [5, 12])
+def test_example_at_256_restarts_matches_reference(monkeypatch, seed):
+    # 257 live starts fill a call with one vertex each: the narrowest rows
+    budget = SearchBudget(restarts=256, seed=seed, refine_sweeps=2)
+    (got, got_runs), (want, want_runs) = _both(
+        monkeypatch, fig1, lambda: fig1.reproduce_example(budget)
+    )
+    _assert_same_report(got, want)
+    _assert_same_searches(got_runs, want_runs)
+
+
+def test_example_seed_1_at_256_restarts_and_60_sweeps():
+    # values of tests/reference_search.py (and of the lockstep search before
+    # speculative rows) on this budget; the reference takes about 20 s
+    rep = fig1.reproduce_example(SearchBudget(restarts=256, seed=1, refine_sweeps=60))
+    assert rep.evaluations == 235057
+    assert rep.identity_points_checked == 2
+    assert rep.identity_max_deviation == 0.0
+    assert rep.rck_best == 0.5833333333313804
+    want = [
+        [[0.0, 0.007736414612622643, 0.9922635853873774]],
+        [
+            [0.7361038993003869, 0.09543031128061565, 0.02110231420551145, 0.1473634752134861],
+            [0.3409808004538312, 0.31221087029037586, 0.3429173380448554, 0.0038909912109375],
+            [0.29867235912088336, 0.3427537099008115, 0.3585739309783052, 0.0],
+        ],
+        [[0.0, 1.0], [0.7072805723089874, 0.29271942769101256], [0.0, 1.0],
+         [0.2410228159306576, 0.7589771840693424]],
+    ]
+    for got, table in zip(rep.rck_best_tables, want):
+        assert np.array_equal(got, np.array(table))
+
+
+# -- synthetic objectives ----------------------------------------------------
+
+
+def _stacked_inadmissible(tables):
+    """``_partly_inadmissible`` on a stack, elementwise: NaN where p(0) < 0.3."""
+    a, b = tables[0][:, 0], tables[1]
+    value = np.sin(5 * a[:, 1]) + a[:, 0] * b[:, 0, 1] - (b[:, 1, 0] - 0.4) ** 2
+    return np.where(a[:, 0] < 0.3, np.nan, value)
+
+
+@pytest.mark.parametrize("starts", [5, 40, 150])
+def test_refine_rows_matches_reference_at_every_call_width(starts):
+    # 5 starts get whole rows per call, 40 split a 4-cell row in two calls,
+    # 150 offer one vertex per call
+    shapes = [(1, 3), (2, 4)]
+    rng = np.random.default_rng(starts)
+    stack = [rng.dirichlet(np.ones(c), size=(starts, r)) for r, c in shapes]
+    stack[0][::3, 0] = [0.1, 0.45, 0.45]  # some starts begin inadmissible
+    values, tables, evals, points = optim.refine_rows(_stacked_inadmissible, stack, 60)
+    per_start = [
+        reference_search.refine_rows(_scalar(_stacked_inadmissible), [t[b] for t in stack], 60)
+        for b in range(starts)
+    ]
+    assert len({n for _, _, n in per_start}) > 1  # staggered early stops
+    assert evals == sum(n for _, _, n in per_start)
+    assert points >= evals
+    for b, (val, params, _) in enumerate(per_start):
+        assert values[b] == val or (val is None and np.isnan(values[b]))
+        for k in range(2):
+            assert np.array_equal(tables[k][b], params[k])
+
+
+def _first_row_objective(raise_when, raised):
+    """Maximize p(0) of a 1x3 table; raise ValueError on points ``raise_when`` marks."""
+
+    def objective(tables):
+        row = tables[0][:, 0]
+        if np.count_nonzero(raise_when(row)):
+            raised.append(len(row))
+            raise ValueError("point outside the objective's domain")
+        return row[:, 0].copy()
+
+    return objective
+
+
+def test_speculative_point_does_not_raise_where_the_sequential_search_does_not():
+    # from the uniform row, "toward 0" wins at once; "toward 1" built from the
+    # replaced row has p(1) = 1/2, a point the sequential search never makes
+    raised = []
+    objective = _first_row_objective(lambda row: row[:, 1] >= 0.5 - 1e-12, raised)
+    start = [np.full((1, 3), 1 / 3)]
+    val, params, n = reference_search.refine_rows(_scalar(objective), start, 20)
+    assert raised == []
+    values, tables, evals, _ = optim.refine_rows(objective, [start[0][None]], 20)
+    assert raised == [6]  # the whole first row in one call, then one vertex per call
+    assert (values[0], evals) == (val, n)
+    assert np.array_equal(tables[0][0], params[0])
+
+
+def test_logical_point_raises_like_the_reference():
+    # p(0) climbs past 0.9 along the sequential path itself
+    objective = _first_row_objective(lambda row: row[:, 0] > 0.9, [])
+    start = [np.full((1, 3), 1 / 3)]
+    with pytest.raises(ValueError):
+        reference_search.refine_rows(_scalar(objective), start, 20)
+    with pytest.raises(ValueError):
+        optim.refine_rows(objective, [start[0][None]], 20)
 
 
 # -- scalar objectives through per_point -----------------------------------
@@ -168,14 +298,14 @@ def test_partly_inadmissible_objective_matches_reference():
 def test_inadmissible_start_is_refined_like_the_reference():
     bad_start = [np.array([[0.1, 0.45, 0.45]]), np.full((2, 2), 0.5)]
     stacked = [t[None] for t in bad_start]
-    values, tables, evals = optim.refine_rows(per_point(_partly_inadmissible), stacked, 60)
+    values, tables, evals, _ = optim.refine_rows(per_point(_partly_inadmissible), stacked, 60)
     val, params, n = reference_search.refine_rows(_partly_inadmissible, bad_start, 60)
     # the first move toward vertex 0 makes the start admissible
     assert val is not None
     assert evals == n
-    assert abs(values[0] - val) <= TOL
+    assert values[0] == val
     for k in range(2):
-        assert np.abs(tables[k][0] - params[k]).max() <= TOL
+        assert np.array_equal(tables[k][0], params[k])
 
 
 def test_nowhere_admissible_raises_like_the_reference():
@@ -216,7 +346,23 @@ def test_bound_search_with_baseline_matches_reference(monkeypatch, restarts):
     _assert_same_searches(got_runs, want_runs)
     assert got.evaluations == want.evaluations
     assert got.best_restart == want.best_restart
-    assert abs(got.value - want.value) <= TOL
+    assert got.value == want.value
+
+
+@pytest.mark.parametrize(
+    "bound_id,aux",
+    [("wiretap", AuxSpec("wiretap", {"V": 3})), ("corollary1", AuxSpec("ck", {"Q": 2, "V": 2}))],
+)
+def test_other_bounds_with_baseline_match_reference(monkeypatch, bound_id, aux):
+    budget = SearchBudget(restarts=2, seed=11, refine_sweeps=8)
+    (got, got_runs), (want, want_runs) = _both(
+        monkeypatch, bounds, lambda: maximize(bound_id, aux, _bsc_pair(), budget)
+    )
+    _assert_same_searches(got_runs, want_runs)
+    assert (got.value, got.evaluations, got.best_restart) == (
+        want.value, want.evaluations, want.best_restart
+    )
+    assert got.objective_points == sum(r.objective_points for r in got_runs)
 
 
 def test_theorem1_families_match_reference(monkeypatch):
@@ -227,7 +373,7 @@ def test_theorem1_families_match_reference(monkeypatch):
     )
     assert len(got_runs) == 2  # both admissible families
     _assert_same_searches(got_runs, want_runs)
-    assert abs(got.value - want.value) <= TOL
+    assert got.value == want.value
 
 
 @pytest.mark.parametrize(

@@ -16,12 +16,46 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from typing import Optional
 
 import numpy as np
 
-from wiretap3.rationallp import feasible_eq, solve_square
+from wiretap3.rationallp import feasible_eq
 
 Row = tuple[list[Fraction], Fraction]  # a . x <= b
+
+
+def solve_square(A: list[list], b: list) -> Optional[list[Fraction]]:
+    """Exact solution of a square system of ints and Fractions, or None if singular.
+
+    Fraction-free Gauss-Jordan (Bareiss): each row [A_i | b_i] is scaled to
+    integers by its common denominator, and every elimination step divides
+    by the previous pivot, which is exact because every entry stays a minor
+    of the scaled matrix.  Pivots are the first nonzero entry at or below
+    the diagonal, as in the rational elimination this replaces, so the same
+    systems come out singular.  Only the solution is built from Fractions.
+    """
+    n = len(A)
+    M = []
+    for i in range(n):
+        row = [*A[i], b[i]]
+        den = lcm(*(v.denominator for v in row))
+        M.append([v.numerator * (den // v.denominator) for v in row])
+    prev = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col]), -1)
+        if piv < 0:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        top = M[col]
+        p = top[col]
+        for r in range(n):
+            if r != col:
+                row, f = M[r], M[r][col]
+                M[r] = [(p * v - f * t) // prev for v, t in zip(row, top)]
+        prev = p
+    return [Fraction(M[i][n], M[i][i]) for i in range(n)]
 
 
 def enumerate_vertices(rows: list[Row], dim: int) -> list[tuple[Fraction, ...]]:
