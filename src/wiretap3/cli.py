@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -333,6 +334,17 @@ def _channel_from_config(cfg_value, doc: Optional[SpecDocument]):
     return ConditionalPmf(cfg_value["matrix"])
 
 
+def _caps_from_config(cfg: dict) -> sim.Caps:
+    given = cfg.get("caps", {})
+    if not isinstance(given, dict):
+        raise CliError("caps must be an object mapping cap names to integers")
+    known = [f.name for f in fields(sim.Caps)]
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise CliError(f"unknown caps key(s) {', '.join(unknown)}; known: {', '.join(known)}")
+    return sim.Caps(**given)
+
+
 def cmd_simulate(args) -> int:
     _require_seed(args)
     with open(args.config) as fh:
@@ -343,7 +355,7 @@ def cmd_simulate(args) -> int:
         if not spec_path.is_absolute():
             spec_path = Path(args.config).resolve().parent / spec_path
         doc = _load_spec(str(spec_path))
-    caps = sim.Caps(**cfg.get("caps", {}))
+    caps = _caps_from_config(cfg)
     scheme = cfg["scheme"]
     if scheme not in ("wiretap-equivocation", "marton-equivocation", "decode", "lemma1"):
         raise CliError(f"unknown scheme {scheme!r}")

@@ -22,13 +22,20 @@ underflow nor go negative at large n.
 Randomness: every public operation takes an integer seed; internal
 streams derive from numpy SeedSequence(seed, spawn_key=...) with fixed
 role keys (0=codebook, 1=encoding, 2=channel, 3=experiment trials), so
-identical (config, seed) pairs reproduce results bit for bit.
+identical (config, seed) pairs reproduce results bit for bit.  The
+per-trial streams of decoding, Monte Carlo equivocation and lemma1 (and
+each decode trial's encoding stream) are derived in one batch: numpy's
+SeedSequence hashing runs vectorized over the trials, with the same bits
+as SeedSequence(seed, spawn_key=(role, t)), and only PCG64's own seeding
+runs once per trial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from functools import cache
+from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -68,6 +75,12 @@ class Caps:
     max_exact_outputs: int = 1 << 14      # |Z|^n for exact equivocation
     max_exact_work: int = 1 << 28         # |Z|^n * codewords
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ValueError(f"cap {f.name} must be an integer >= 1, got {v!r}")
+
 
 DEFAULT_CAPS = Caps()
 
@@ -76,10 +89,114 @@ DEFAULT_CAPS = Caps()
 # memory stays resident and raises the peak of later exact computations.
 _SCORE_CHUNK = 1 << 14
 _COUNT_CHUNK = 1 << 16
+# Streams whose SeedSequence hashing runs as one batch: numpy's per-call
+# cost is spread over the block, and the state rows take 32 bytes a stream.
+_STREAM_BLOCK = 1 << 10
+
+# numpy SeedSequence's hashing constants (a pool of four 32-bit words)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _uint32_words(x: int) -> list[int]:
+    """A non-negative int as 32-bit words, least significant first, as numpy splits it."""
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _seed_states(seed, key: tuple) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` for a batch.
+
+    ``seed`` and each entry of the non-empty ``key`` are an int or a 1-D
+    array of ints in [0, 2^32), one per stream; the result has one row per
+    stream.  This is numpy's entropy assembly (the seed's words padded to the
+    pool size, then the key's), pool mixing and output hashing, in uint32
+    arithmetic.
+    """
+    words = []
+    for i, part in enumerate((seed, *key)):
+        if isinstance(part, np.ndarray):
+            if part.size and not (part.min() >= 0 and part.max() <= _MASK32):
+                raise ValueError("batched seed words must lie in [0, 2^32)")
+            words.append(part.astype(np.uint32))
+        else:
+            words += _uint32_words(int(part))
+        if i == 0:   # a spawn key follows, so the seed is padded to the pool size
+            words += [0] * (4 - len(words))
+    rows = max((w.size for w in words if isinstance(w, np.ndarray)), default=1)
+    words = [np.broadcast_to(np.uint32(w), (rows,)) for w in words]
+    hc = [_INIT_A]
+
+    def hashmix(v):
+        v = v ^ np.uint32(hc[0])
+        hc[0] = hc[0] * _MULT_A & _MASK32
+        v = v * np.uint32(hc[0])
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    state = np.empty((rows, 8), dtype=np.uint32)
+    hb = _INIT_B
+    for i in range(8):
+        v = pool[i % 4] ^ np.uint32(hb)
+        hb = hb * _MULT_B & _MASK32
+        v = v * np.uint32(hb)
+        state[:, i] = v ^ (v >> 16)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+@cache
+def _fixed_seed_sequence() -> type:
+    """An ISeedSequence handing PCG64 a precomputed state row (imported lazily)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state   # PCG64 asks for (4, np.uint64), the row's shape
+
+    return FixedState
+
+
+def _streams(seed, *key) -> Iterator[np.random.Generator]:
+    """``_rng(seed, *key)`` for every stream of a batch (see ``_seed_states``).
+
+    The states are hashed at the call; each generator is built when it is taken.
+    """
+    fixed = _fixed_seed_sequence()
+    pcg, gen = np.random.PCG64, np.random.Generator
+    return (gen(pcg(fixed(row))) for row in _seed_states(seed, key))
+
+
+def _trial_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """``_rng(seed, 3, t)`` for t = 0, 1, ..., trials - 1, hashed a block at a time."""
+    for start in range(0, trials, _STREAM_BLOCK):
+        yield from _streams(seed, 3, np.arange(start, min(trials, start + _STREAM_BLOCK)))
 
 
 def _check_trials(trials: int) -> None:
@@ -98,12 +215,36 @@ def sample_iid(p: np.ndarray, n: int, rng: np.random.Generator, size: int = 1) -
     return rng.choice(p.size, size=(size, n), p=p).astype(np.int64)
 
 
+def _symbol_bounds(chan: np.ndarray) -> list[np.ndarray]:
+    """The inner symbol boundaries of chan's rows, one array per column but the last.
+
+    Boundary j is the running maximum of the row's cumulative sums up to j,
+    so boundaries never decrease along a row.  The last boundary is never
+    compared: it counts as past every uniform draw, which guards against
+    float dust in the row sum.
+    """
+    cum = np.maximum.accumulate(np.cumsum(chan, axis=1), axis=1)
+    return [np.ascontiguousarray(cum[:, j]) for j in range(chan.shape[1] - 1)]
+
+
+def _sample_bounds(
+    bounds: list[np.ndarray], given: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """``sample_given`` with the channel's ``_symbol_bounds`` computed once by the caller.
+
+    A draw u picks the first symbol whose cumulative sum exceeds u, the last
+    symbol when none does; that is the number of inner boundaries at or below u.
+    """
+    u = rng.random(given.shape)
+    out = np.zeros(given.shape, dtype=np.int64)
+    for b in bounds:
+        out += u >= b[given]
+    return out
+
+
 def sample_given(chan: np.ndarray, given: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One output symbol per position, rows of chan indexed by ``given``."""
-    cum = np.cumsum(chan, axis=1)
-    cum[:, -1] = 1.0 + 1e-9  # guard against float dust beyond the last boundary
-    u = rng.random(given.shape)
-    return (u[..., None] < cum[given]).argmax(axis=-1).astype(np.int64)
+    return _sample_bounds(_symbol_bounds(chan), given, rng)
 
 
 def count_bounds(p: np.ndarray, n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -362,14 +503,18 @@ class EncodeResult:
         return self.x_seq is None
 
 
+def _wiretap_pick(cb: WiretapCodebook, message: int, rng: np.random.Generator) -> tuple[int, int]:
+    """A uniform member l0 of the message's bin, then a uniform satellite l1."""
+    l0 = message * cb.bin_size + int(rng.integers(cb.bin_size))
+    return l0, int(rng.integers(1 << cb.k_sat))
+
+
 def encode(cb, message: int, seed: int) -> EncodeResult:
     """Uniform bin-member and satellite choice; emits the input sequence."""
     if isinstance(cb, WiretapCodebook):
         if not 0 <= message < cb.n_messages:
             raise ValueError(f"message {message} out of range")
-        rng = _rng(seed, 1)
-        l0 = message * cb.bin_size + int(rng.integers(cb.bin_size))
-        l1 = int(rng.integers(1 << cb.k_sat))
+        l0, l1 = _wiretap_pick(cb, message, _rng(seed, 1))
         return EncodeResult(cb.x_seqs[l0, l1].copy(), l0, (l1,))
     if isinstance(cb, MartonCodebook):
         if not 0 <= message < cb.n_messages:
@@ -521,7 +666,12 @@ class SimReport:
 
 
 def _zn_pmf_batch(rows: np.ndarray) -> np.ndarray:
-    """Product distributions for a batch: (B, n, |Z|) -> (B, |Z|^n)."""
+    """Product distributions for a batch: (B, n, |Z|) -> (B, |Z|^n), z_1 most significant.
+
+    With n = 0 every row is the empty product, a single 1.
+    """
+    if rows.shape[1] == 0:
+        return np.ones((rows.shape[0], 1))
     v = rows[:, 0]
     for i in range(1, rows.shape[1]):
         v = (v[:, :, None] * rows[:, i][:, None, :]).reshape(rows.shape[0], -1)
@@ -532,6 +682,11 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
     """p(z^n | m) for every message, by exact marginalization.
 
     Returns (matrix of shape (n_messages, |Z|^n), encoding_failure_rate).
+    A wiretap message's law is the mean over its codewords c of the product
+    law of c, which splits as head_c (x) tail_c over the first h = n // 2
+    positions and the other n - h; one batched matmul of (messages, |Z|^h,
+    codewords) by (messages, codewords, |Z|^(n-h)) sums every message's
+    outer products, rows indexed by z_1..z_h, so z_1 stays most significant.
     """
     nz = chan.cols
     n = cb.n
@@ -548,10 +703,12 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
         n_cw = cb.v_seqs.shape[0] * cb.x_seqs.shape[1]
         if out_space * n_cw > caps.max_exact_work:
             raise CapExceededError("exact equivocation work above cap")
-        conds = np.zeros((cb.n_messages, out_space))
-        for m in range(cb.n_messages):
-            flat = cb.x_seqs[m * cb.bin_size:(m + 1) * cb.bin_size].reshape(-1, n)
-            conds[m] = _zn_pmf_batch(W[flat]).mean(axis=0)
+        n_m, h = cb.n_messages, n // 2
+        x = cb.x_seqs.reshape(n_m, -1, n)   # every message's bin codewords, in order
+        head = _zn_pmf_batch(W[x[..., :h].reshape(n_cw, h)]).reshape(n_m, x.shape[1], -1)
+        tail = _zn_pmf_batch(W[x[..., h:].reshape(n_cw, n - h)]).reshape(n_m, x.shape[1], -1)
+        conds = (head.transpose(0, 2, 1) @ tail).reshape(n_m, out_space)
+        conds /= x.shape[1]
         return conds, 0.0
     if isinstance(cb, MartonCodebook):
         nq, n0, n1, n2 = cb.sizes
@@ -654,24 +811,23 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
     never negative, and no likelihood product underflows.
     """
     n, n_m, nx = cb.n, cb.n_messages, W.shape[0]
-    n_sat = cb.x_seqs.shape[1]
     flat_x = cb.x_seqs.reshape(-1, n)
     onehot = (flat_x[:, :, None] == np.arange(nx)).reshape(len(flat_x), n * nx).astype(float)
     logw = LOG2(W, out=np.zeros_like(W), where=W > 0)
     dead = (W == 0).astype(float) if (W == 0).any() else None
+    bounds = _symbol_bounds(W)
+    rngs = _trial_streams(seed, trials)
     chunk = max(1, _SCORE_CHUNK // max(len(flat_x), n * nx))
     samples = np.empty(trials)
     for start in range(0, trials, chunk):
         block = range(start, min(start + chunk, trials))
         sent = np.empty(len(block), dtype=np.int64)
         z = np.empty((len(block), n), dtype=np.int64)
-        for i, t in enumerate(block):
-            rng = _rng(seed, 3, t)
+        for i, rng in enumerate(islice(rngs, len(block))):
             m = int(rng.integers(n_m))
-            l0 = m * cb.bin_size + int(rng.integers(cb.bin_size))
-            l1 = int(rng.integers(n_sat))
+            l0, l1 = _wiretap_pick(cb, m, rng)
             sent[i] = m
-            z[i] = sample_given(W, cb.x_seqs[l0, l1], rng)
+            z[i] = _sample_bounds(bounds, cb.x_seqs[l0, l1], rng)
         ell = _message_log_likelihoods(onehot, logw, dead, z, n_m)
         top = ell.max(axis=1)
         with np.errstate(invalid="ignore"):
@@ -726,20 +882,23 @@ def decoding_error_rate(
 ) -> tuple[float, int]:
     """Monte Carlo block error rate of direct or indirect decoding.
 
-    The decode plan is built once; each trial draws its message, encoding
-    and channel output from its own stream, as a single decode would.
+    The decode plan is built once; each trial draws its message and an
+    encoding seed from its own stream, encodes as ``encode`` would with that
+    seed, and draws the channel output from its own stream again, as a
+    single decode would.  Both kinds of stream are seeded a block at a time.
     """
     _check_trials(trials)
     plan = _decode_plan(cb, chan, params, decoder)
+    bounds = _symbol_bounds(chan.matrix)
     errors = 0
-    for t in range(trials):
-        rng = _rng(seed, 3, t)
-        m = int(rng.integers(cb.n_messages))
-        enc = encode(cb, m, int(rng.integers(1 << 31)))
-        y = sample_given(chan.matrix, enc.x_seq, rng)
-        res = plan.decode(y)
-        if not res.ok or res.message != m:
-            errors += 1
+    for start in range(0, trials, _STREAM_BLOCK):
+        rngs = list(_streams(seed, 3, np.arange(start, min(trials, start + _STREAM_BLOCK))))
+        drawn = np.array([(rng.integers(cb.n_messages), rng.integers(1 << 31)) for rng in rngs])
+        for rng, enc, m in zip(rngs, _streams(drawn[:, 1], 1), drawn[:, 0].tolist()):
+            l0, l1 = _wiretap_pick(cb, m, enc)
+            res = plan.decode(_sample_bounds(bounds, cb.x_seqs[l0, l1], rng))
+            if not res.ok or res.message != m:
+                errors += 1
     return errors / trials, trials
 
 
@@ -805,17 +964,18 @@ def lemma1_experiment(
     threshold = (1 + params.delta1) * 2 ** (n * (s_eff - info + params.delta))
     lb, ub = count_bounds(t, n, params.epsilon)
     n_cells = nu * nv * nz
+    bounds_v, bounds_z = _symbol_bounds(p_v_u), _symbol_bounds(p_z_uv)
+    rngs = _trial_streams(seed, trials)
     counts = np.empty(trials, dtype=np.int64)
     chunk = min(trials, max(1, _COUNT_CHUNK // (n_list * n)))
     cells = np.empty((chunk, n_list, n), dtype=np.int64)   # every chunk's trials, in turn
     for start in range(0, trials, chunk):
         block = cells[:min(chunk, trials - start)]
-        for i in range(len(block)):
-            rng = _rng(seed, 3, start + i)
+        for i, rng in enumerate(islice(rngs, len(block))):
             u = sample_iid(p_u, n, rng)[0]
-            vs = sample_given(p_v_u, np.repeat(u[None, :], n_list, axis=0), rng)
+            vs = _sample_bounds(bounds_v, np.repeat(u[None, :], n_list, axis=0), rng)
             ell = int(rng.integers(n_list))
-            z = sample_given(p_z_uv, u * nv + vs[ell], rng)
+            z = _sample_bounds(bounds_z, u * nv + vs[ell], rng)
             block[i] = (u[None, :] * nv + vs) * nz + z[None, :]
         mask = typical_mask(joint_counts(block, n_cells), lb, ub)
         counts[start:start + len(block)] = mask.sum(axis=1)

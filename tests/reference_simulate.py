@@ -1,12 +1,15 @@
 """The simulator's per-trial loops as they were before batching, kept verbatim.
 
-It is the reference for the differential tests in ``test_simulate_batched.py``:
-each decode rebuilds the cell pmf and count windows and counts all cells of
-every codeword; Monte Carlo equivocation multiplies the per-symbol
-likelihoods of every codeword (which underflows at large n); the Marton
+It is the reference for the differential tests in ``test_simulate_batched.py``
+and ``test_simulate_streams_exact.py``: each decode rebuilds the cell pmf and
+count windows and counts all cells of every codeword; Monte Carlo
+equivocation multiplies the per-symbol likelihoods of every codeword (which
+underflows at large n); the wiretap conditionals build the full |Z|^n product
+law of every codeword of a bin, one message at a time; the Marton
 conditionals and the lemma1 counts loop over bins and trials one at a time.
-The draw helpers, encoders and codebooks come from ``wiretap3.simulate``,
-which did not change them.
+Every trial seeds its own ``SeedSequence`` stream through ``_rng``, and
+every output draw recomputes the channel's cumulative sums in
+``sample_given``.  The encoders and codebooks come from ``wiretap3.simulate``.
 """
 
 from __future__ import annotations
@@ -32,10 +35,17 @@ from wiretap3.simulate import (
     count_bounds,
     encode,
     joint_counts,
-    sample_given,
     sample_iid,
     typical_mask,
 )
+
+
+def sample_given(chan: np.ndarray, given: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One output symbol per position, rows of chan indexed by ``given``."""
+    cum = np.cumsum(chan, axis=1)
+    cum[:, -1] = 1.0 + 1e-9  # guard against float dust beyond the last boundary
+    u = rng.random(given.shape)
+    return (u[..., None] < cum[given]).argmax(axis=-1).astype(np.int64)
 
 
 def decode_direct(
@@ -176,6 +186,29 @@ def mc_equivocation(
         exact=False,
         ci_halfwidth=None if half is None else half / n,
     )
+
+
+def wiretap_conditionals(cb: WiretapCodebook, chan: ConditionalPmf, caps: Caps = DEFAULT_CAPS):
+    """p(z^n | m) for every message of a wiretap codebook, one message at a time."""
+    nz = chan.cols
+    n = cb.n
+    out_space = nz ** n
+    if out_space > caps.max_exact_outputs:
+        raise CapExceededError(
+            f"|Z|^n = {out_space} exceeds cap {caps.max_exact_outputs}; "
+            "use mc_equivocation instead"
+        )
+    W = chan.matrix
+    if W.shape[0] != cb.p_x_given_v.shape[1]:
+        raise DistributionError("channel input must be the X alphabet")
+    n_cw = cb.v_seqs.shape[0] * cb.x_seqs.shape[1]
+    if out_space * n_cw > caps.max_exact_work:
+        raise CapExceededError("exact equivocation work above cap")
+    conds = np.zeros((cb.n_messages, out_space))
+    for m in range(cb.n_messages):
+        flat = cb.x_seqs[m * cb.bin_size:(m + 1) * cb.bin_size].reshape(-1, n)
+        conds[m] = _zn_pmf_batch(W[flat]).mean(axis=0)
+    return conds, 0.0
 
 
 def marton_conditionals(cb: MartonCodebook, chan: ConditionalPmf, caps: Caps = DEFAULT_CAPS):

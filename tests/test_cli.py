@@ -1,6 +1,8 @@
 """CLI surface: exit codes, round trips, and the deterministic contract."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,54 @@ class TestExitCodes:
         cfile = tmp_path / "cfg.json"
         cfile.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("caps,message", [
+        ({"foo": 1}, "unknown caps key(s) foo"),
+        ({"max_exact_outputs": -1}, "max_exact_outputs must be an integer >= 1"),
+        ({"max_exact_work": 0}, "max_exact_work must be an integer >= 1"),
+        ({"max_codebook_entries": 1.5}, "max_codebook_entries must be an integer >= 1"),
+        ([4096], "caps must be an object"),
+    ])
+    def test_bad_caps_are_validation_errors(self, spec_file, tmp_path, caps, message):
+        cfg = {
+            "scheme": "wiretap-equivocation",
+            "spec": str(spec_file),
+            "dist": {"pattern": "wiretap", "sizes": {"V": 2, "X": 2},
+                     "tables": [[[0.5, 0.5]], [[1, 0], [0, 1]]]},
+            "channel": "z",
+            "rates": {"message": 0.25, "total": 0.5},
+            "n": [4],
+            "trials": 0,
+            "caps": caps,
+        }
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps(cfg))
+        out = subprocess.run(
+            [sys.executable, "-m", "wiretap3.cli", "simulate", "--config", str(cfile), "--seed", "1"],
+            env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert message in out.stderr
+
+    def test_known_caps_are_applied(self, spec_file, tmp_path, capsys):
+        cfg = {
+            "scheme": "wiretap-equivocation",
+            "spec": str(spec_file),
+            "dist": {"pattern": "wiretap", "sizes": {"V": 2, "X": 2},
+                     "tables": [[[0.5, 0.5]], [[1, 0], [0, 1]]]},
+            "channel": "z",
+            "rates": {"message": 0.25, "total": 0.5},
+            "n": [4],
+            "trials": 0,
+        }
+        cfile = tmp_path / "cfg.json"
+        for caps, code in (({"max_exact_outputs": 16}, 0), ({"max_exact_outputs": 15}, 2)):
+            cfile.write_text(json.dumps({**cfg, "caps": caps}))
+            assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == code
+        assert "exceeds cap 15" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scheme,trials", [("decode", 0), ("decode", -2), ("lemma1", 0),
                                                ("wiretap-equivocation", -1)])
