@@ -21,22 +21,23 @@ The theorem1/theorem2 evaluators enforce the Marton admissibility
 constraint I(V1,V2;Z|V0) <= I(V1;Z|V0) + I(V2;Z|V0) - I(V1;V2|V0) within
 1e-9 and report inadmissible points as None; the maximizer skips them.
 
-Scalar bounds are data: each is a ``BoundTerms``, the (conditional) mutual
-informations it is made of, written as in the paper, the signed sums they
-form, the minimum taken over those sums and, for theorem1, the admissibility
-slack that masks a point out.  One batched engine evaluates them on a stack
-of B source laws at once.  ``_realize`` multiplies the stacked factor tables
-(B, rows, cols) of a pattern's chain into p(aux..., X) of shape (B, sizes...),
-after one row-stochastic check of every table.  ``_BoundPlan`` compiles a
-``BoundTerms`` once against the pattern's axes and the receiver matrices:
-each distinct entropy is routed from a small marginal, and a term with a
-receiver pushes p(aux, X) through that receiver's matrix, so the joint over
-all receivers is never built.  A call then runs that fixed list of numpy
-operations; every entropy goes through ``probability.entropy_bits``.  A term
-below -MEASURE_TOL raises DistributionError; otherwise it is clamped at 0,
-as ``JointPmf`` does.  ``maximize`` compiles the plan once and hands it to
-the lockstep search as its objective, and the scalar evaluators
-(``ck_extension_rate`` and the others) run a plan on a one-point stack.
+Bounds and regions are data, written as in the paper: a scalar bound is a
+``BoundTerms`` (the signed sums of (conditional) mutual informations whose
+minimum it is, and theorem1's admissibility slack that masks a point out);
+a region is a table of ``_row``s (a minimum of signed sums, its positive
+part or the R0 clamp).  One engine evaluates them on a stack of B source
+laws.  ``_realize`` multiplies the stacked factor tables (B, rows, cols) of
+a pattern's chain into p(aux..., X) after one row-stochastic check of every
+table.  ``_BoundPlan`` compiles the terms once against the pattern's axes
+and the receiver matrices: each distinct entropy is routed from a small
+marginal, pushed through a receiver's matrix from X when a term names one
+(a term names at most one; the multilevel Z2 is p(y1|x) p(z2|y1)), so no
+joint over all receivers is built, and every entropy goes through
+``probability.entropy_bits``.  A term below -MEASURE_TOL raises
+DistributionError; otherwise it is clamped at 0, as ``JointPmf`` does.
+``maximize`` hands a plan to the lockstep search; the scalar and region
+evaluators run one on a one-point stack; the orderings checks and the
+example's second-component measures compile their own.
 """
 
 from __future__ import annotations
@@ -260,13 +261,6 @@ def _as_joint(dist, pattern: str, strict_tag: bool = True) -> JointPmf:
     return j
 
 
-def _with_receivers(dist, pattern: str, chans: BroadcastChannels) -> JointPmf:
-    """The pattern's joint law with Y1, Y2 and Z attached to X."""
-    return _as_joint(dist, pattern).attach_receivers(
-        ("X",), {"Y1": chans.to_y1, "Y2": chans.to_y2, "Z": chans.to_z}
-    )
-
-
 @dataclass(frozen=True)
 class BroadcastChannels:
     """Marginal channels from X to the two receivers and the eavesdropper."""
@@ -367,17 +361,21 @@ Term = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
 # A signed sum of terms, added left to right.
 Expr = tuple[tuple[int, Term], ...]
 
-_TERM = re.compile(r"\s*([+-]?)\s*I\(([\w,]+);([\w,]+)(?:\|([\w,]+))?\)\s*")
+_TERM = re.compile(r"\s*([+-]?)\s*(\d*)\s*I\(([\w,]+);([\w,]+)(?:\|([\w,]+))?\)\s*")
 
 
 def _expr(text: str) -> Expr:
-    """Parse a signed sum such as ``I(V0,V1;Y1|Q) - I(V0,V1;Z|Q)``."""
+    """Parse a signed sum such as ``I(V0,V1;Y1|Q) - 2 I(V0;Z|Q)``.
+
+    A term with an integer coefficient k enters the sum k times.
+    """
     matches = list(_TERM.finditer(text))
     if "".join(m.group(0) for m in matches) != text:
         raise ValueError(f"cannot parse information expression {text!r}")
     return tuple(
         (-1 if sign == "-" else 1, tuple(tuple(s.split(",")) if s else () for s in (a, b, c)))
-        for sign, a, b, c in (m.groups() for m in matches)
+        for sign, k, a, b, c in (m.groups() for m in matches)
+        for _ in range(int(k or 1))
     )
 
 
@@ -446,17 +444,17 @@ def _realize(pattern: str, sizes: Mapping[str, int], tables: Params) -> np.ndarr
 
 
 class _BoundPlan:
-    """A ``BoundTerms`` compiled against a pattern's axes and receiver matrices.
+    """A ``BoundTerms`` compiled against source axes and receiver matrices.
 
     Compiling resolves, once, every distinct entropy the terms need (keyed
-    by axis set) to its route: the pattern axes to sum away, then for an
+    by axis set) to its route: the source axes to sum away, then for an
     entropy that names a receiver, that receiver's |X| x |R| matrix, applied
-    with ``@`` or, when X itself is kept, as an outer product.  Each term
-    keeps the slots of its entropies, and each rate and the gate the signed
-    term slots they add.  A call on a stack of source laws ``joint`` (B,
-    pattern sizes) is then a flat run of numpy operations: the same
-    marginals, ``entropy_bits`` calls and sums, in the same order, as
-    forming each term alone.
+    with ``@`` or, when the input X (the last source axis) is kept, as an
+    outer product.  Each term keeps the slots of its entropies, and each
+    rate and the gate the signed term slots they add.  ``information`` on a
+    stack of source laws ``joint`` (B, source sizes) is then a flat run of
+    numpy operations: the same marginals, ``entropy_bits`` calls and sums,
+    in the same order, as forming each term alone.
     """
 
     def __init__(
@@ -468,6 +466,7 @@ class _BoundPlan:
         self.drops: list[tuple[int, ...]] = []  # axes summed away, per marginal
         self.entropies: list[tuple[int, Optional[np.ndarray], bool]] = []
         self.terms: list[tuple[Term, tuple[int, ...]]] = []
+        x = axes[-1]
 
         def marginal(keep: tuple[str, ...]) -> int:
             if keep not in drops:
@@ -482,8 +481,8 @@ class _BoundPlan:
                 if len(receivers) > 1:
                     raise AxisError(f"a term names more than one receiver: {receivers}")
                 if receivers:
-                    src = marginal(tuple(a for a in axes if a in key or a == "X"))
-                    route = (src, channels[receivers[0]], "X" in key)
+                    src = marginal(tuple(a for a in axes if a in key or a == x))
+                    route = (src, channels[receivers[0]], x in key)
                 else:
                     route = (marginal(tuple(a for a in axes if a in key)), None, False)
                 entropies[key] = len(self.entropies)
@@ -504,9 +503,9 @@ class _BoundPlan:
         self.rates = [signed(rate) for rate in bound.rates]
         self.gate = signed(bound.gate) if bound.gate else None
 
-    def __call__(self, joint: np.ndarray) -> np.ndarray:
-        """The bound at each of a stack of source laws: B floats, NaN inadmissible."""
-        batch, nx = len(joint), joint.shape[-1]  # X is the last pattern axis
+    def information(self, joint: np.ndarray) -> list[np.ndarray]:
+        """Every compiled term at each of a stack of source laws, clamped at 0."""
+        batch, nx = len(joint), joint.shape[-1]  # the input is the last source axis
         marginals = [joint.sum(axis=drop) if drop else joint for drop in self.drops]
         h = []
         for src, w, outer in self.entropies:
@@ -526,7 +525,11 @@ class _BoundPlan:
                     f"I({a};{b}|{c}) = {value.min()} is below -{MEASURE_TOL}"
                 )
             info.append(np.maximum(value, 0.0))
+        return info
 
+    def __call__(self, joint: np.ndarray) -> np.ndarray:
+        """The bound at each of a stack of source laws: B floats, NaN inadmissible."""
+        info = self.information(joint)
         value = _signed_sum(self.rates[0], info.__getitem__)
         for rate in self.rates[1:]:
             value = np.minimum(value, _signed_sum(rate, info.__getitem__))
@@ -540,6 +543,19 @@ def _channels(chans: BroadcastChannels) -> dict[str, np.ndarray]:
     return {"Y1": chans.to_y1.matrix, "Y2": chans.to_y2.matrix, "Z": chans.to_z.matrix}
 
 
+def _one_point(
+    pattern: str, dist, channels: Mapping[str, np.ndarray], strict_tag: bool = True
+) -> np.ndarray:
+    """p(pattern axes) of ``dist`` as a one-point stack (1, pattern sizes).
+
+    Axes of ``dist`` outside the pattern are marginalized away.
+    """
+    j = _as_joint(dist, pattern, strict_tag)
+    if any(w.shape[0] != j.size("X") for w in channels.values()):
+        raise DistributionError("channel input alphabet does not match X")
+    return j.marginal(PATTERNS[pattern][0]).tensor[None]
+
+
 def _at_point(
     bound: BoundTerms,
     pattern: str,
@@ -547,15 +563,9 @@ def _at_point(
     channels: Mapping[str, np.ndarray],
     strict_tag: bool = True,
 ) -> float:
-    """``bound`` at one distribution: the batched engine on a one-point stack.
-
-    Axes of ``dist`` outside the pattern are marginalized away.
-    """
-    axes = PATTERNS[pattern][0]
-    j = _as_joint(dist, pattern, strict_tag)
-    if any(w.shape[0] != j.size("X") for w in channels.values()):
-        raise DistributionError("channel input alphabet does not match X")
-    return float(_BoundPlan(bound, axes, channels)(j.marginal(axes).tensor[None])[0])
+    """``bound`` at one distribution: the batched engine on a one-point stack."""
+    joint = _one_point(pattern, dist, channels, strict_tag)
+    return float(_BoundPlan(bound, PATTERNS[pattern][0], channels)(joint)[0])
 
 
 def wiretap_rate(dist, chan_y: ConditionalPmf, chan_z: ConditionalPmf) -> float:
@@ -647,6 +657,101 @@ class RateRegionSample:
         return self.row(label).rhs
 
 
+def _row(label, lhs, relation, *rhs, positive=False, clamp=None) -> tuple:
+    """A region row as data: lhs . rates REL the minimum of the signed sums ``rhs``.
+
+    No ``rhs`` means 0; ``positive`` takes the positive part; ``clamp`` is
+    (signed sum, coeffs), the ``RegionRow`` clamp with the sum as its const.
+    """
+    return label, lhs, relation, rhs, positive, clamp
+
+
+_THEOREM2_ROWS = (
+    _row("r0", {"R0": 1}, "<", "I(U;Z)"),
+    _row("r0r1-private", {"R0": 1, "R1": 1}, "<",
+         "I(U;Z) + I(V0,V1;Y1|U) - I(V1;Z|V0)", "I(U;Z) + I(V0,V2;Y2|U) - I(V2;Z|V0)"),
+    _row("r0r1-total", {"R0": 1, "R1": 1}, "<",
+         "I(V0,V1;Y1) - I(V1;Z|V0)", "I(V0,V2;Y2) - I(V2;Z|V0)"),
+    _row("re-le-r1", {"Re": 1, "R1": -1}, "<="),
+    _row("re", {"Re": 1}, "<",
+         "I(V0,V1;Y1|U) - I(V0,V1;Z|U)", "I(V0,V2;Y2|U) - I(V0,V2;Z|U)"),
+    _row("r0re", {"R0": 1, "Re": 1}, "<",
+         "I(V0,V1;Y1) - I(V0,V1;Z|U)", "I(V0,V2;Y2) - I(V0,V2;Z|U)"),
+    _row("r02re-y1", {"R0": 1, "Re": 2}, "<",
+         "I(V0,V1;Y1) + I(V0,V2;Y2|U) - I(V1;V2|V0) - 2 I(V0;Z|U)"),
+    _row("r02re-y2", {"R0": 1, "Re": 2}, "<",
+         "I(V0,V2;Y2) + I(V0,V1;Y1|U) - I(V1;V2|V0) - 2 I(V0;Z|U)"),
+    _row("r0r12re-y1", {"R0": 1, "R1": 1, "Re": 2}, "<", "I(V0,V2;Y2|U) - I(V2;Z|V0)"
+         " + I(V0,V1;Y1) + I(V0,V2;Y2|U) - I(V1;V2|V0) - 2 I(V0;Z|U)"),
+    _row("r0r12re-y2", {"R0": 1, "R1": 1, "Re": 2}, "<", "I(V0,V1;Y1|U) - I(V1;Z|V0)"
+         " + I(V0,V2;Y2) + I(V0,V1;Y1|U) - I(V1;V2|V0) - 2 I(V0;Z|U)"),
+)
+
+_PROP1_ROWS = (
+    _row("r0", {"R0": 1}, "<=", "I(U;Z)"),
+    _row("r1", {"R1": 1}, "<=", "I(X;Y1|U)", "I(X;Y2|U)"),
+    _row("re-le-r1", {"Re": 1, "R1": -1}, "<="),
+    _row("re", {"Re": 1}, "<=", "I(X;Y1|U) - I(X;Z|U)", "I(X;Y2|U) - I(X;Z|U)", positive=True),
+)
+
+# [I(U3;Z3) - R0 - I(U3;Z2|U)]^+ of the multilevel equivocation bounds
+_MULTILEVEL_CLAMP = ("I(U3;Z3) - I(U3;Z2|U)", {"R0": -1.0})
+
+_PROP2_ROWS = (
+    _row("r0", {"R0": 1}, "<", "I(U;Z2)", "I(U3;Z3)"),
+    _row("r1", {"R1": 1}, "<", "I(V;Y1|U)"),
+    _row("r0r1", {"R0": 1, "R1": 1}, "<", "I(U3;Z3) + I(V;Y1|U3)"),
+    _row("re2-le-r1", {"Re2": 1, "R1": -1}, "<="),
+    _row("re2-u", {"Re2": 1}, "<=", "I(V;Y1|U) - I(V;Z2|U)"),
+    _row("re2-clamp", {"Re2": 1}, "<=", "I(V;Y1|U3) - I(V;Z2|U3)", clamp=_MULTILEVEL_CLAMP),
+    _row("re3-le-r1", {"Re3": 1, "R1": -1}, "<="),
+    _row("re3", {"Re3": 1}, "<=", "I(V;Y1|U3) - I(V;Z3|U3)", positive=True),
+    _row("re2re3", {"Re2": 1, "Re3": 1, "R1": -1}, "<=", "I(V;Y1|U3) - I(V;Z2|U3)"),
+)
+
+_PROP3_ROWS = (
+    _row("r0", {"R0": 1}, "<=", "I(U;Z2)", "I(U3;Z3)"),
+    _row("r1", {"R1": 1}, "<=", "I(V;Y1|U)"),
+    _row("r0r1", {"R0": 1, "R1": 1}, "<=", "I(U3;Z3) + I(V;Y1|U3)"),
+    _row("re2-u", {"Re2": 1}, "<=", "I(X;Y1|U) - I(X;Z2|U)"),
+    _row("re2-clamp", {"Re2": 1}, "<=", "I(X;Y1|U3) - I(X;Z2|U3)", clamp=_MULTILEVEL_CLAMP),
+    _row("re3", {"Re3": 1}, "<=", "I(V;Y1|U3) - I(V;Z3|U3)", positive=True),
+)
+
+
+def _region(
+    rows: Sequence[tuple], pattern: str, dist, channels: Mapping[str, np.ndarray], gate: Expr = ()
+) -> Optional[RateRegionSample]:
+    """The region of ``rows`` (see ``_row``) at one distribution.
+
+    None where ``gate`` falls below -ADMISSIBILITY_TOL.  The rate variables
+    are the rows' lhs keys, in order of first use.  Every signed sum of
+    every row is a rate of one plan, run on a one-point stack.
+    """
+    exprs = [e for *_, rhs, _, clamp in rows for e in rhs + (clamp[:1] if clamp else ())]
+    plan = _BoundPlan(BoundTerms(tuple(map(_expr, exprs)), gate), PATTERNS[pattern][0], channels)
+    info = plan.information(_one_point(pattern, dist, channels)).__getitem__
+    if gate and _signed_sum(plan.gate, info)[0] < -ADMISSIBILITY_TOL:
+        return None
+    value = {e: float(_signed_sum(rate, info)[0]) for e, rate in zip(exprs, plan.rates)}
+    out = []
+    for label, lhs, relation, rhs, positive, clamp in rows:
+        bound = min((value[e] for e in rhs), default=0.0)
+        if positive:
+            bound = max(0.0, bound)
+        if clamp is not None:
+            clamp = (value[clamp[0]], clamp[1])
+        out.append(RegionRow(label, lhs, relation, bound, clamp))
+    variables = tuple(dict.fromkeys(v for row in rows for v in row[1]))
+    return RateRegionSample(variables, tuple(out))
+
+
+def _multilevel_channels(ml: MultilevelChannel) -> dict[str, np.ndarray]:
+    """Y1, Z3 and the cascade Z2 of Y1, each as a matrix from X."""
+    y1 = ml.to_y1.matrix
+    return {"Y1": y1, "Z3": ml.to_z3.matrix, "Z2": y1 @ ml.z2_given_y1.matrix}
+
+
 def theorem2_region(dist, chans: BroadcastChannels) -> Optional[RateRegionSample]:
     """The ten-inequality inner bound with common message and equivocation.
 
@@ -654,41 +759,7 @@ def theorem2_region(dist, chans: BroadcastChannels) -> Optional[RateRegionSample
     Rows stated as a min over two information expressions are emitted
     with the min already evaluated.
     """
-    j = _with_receivers(dist, "theorem2", chans)
-    if admissibility_slack(j) < -ADMISSIBILITY_TOL:
-        return None
-    mi = j.mutual_information
-    cmi = j.conditional_mutual_information
-    zu = mi(("U",), ("Z",))
-    g1 = mi(("V0", "V1"), ("Y1",))
-    h1 = cmi(("V0", "V1"), ("Y1",), ("U",))
-    g2 = mi(("V0", "V2"), ("Y2",))
-    h2 = cmi(("V0", "V2"), ("Y2",), ("U",))
-    z1 = cmi(("V1",), ("Z",), ("V0",))
-    z2 = cmi(("V2",), ("Z",), ("V0",))
-    w1 = cmi(("V0", "V1"), ("Z",), ("U",))
-    w2 = cmi(("V0", "V2"), ("Z",), ("U",))
-    z0 = cmi(("V0",), ("Z",), ("U",))
-    c = cmi(("V1",), ("V2",), ("V0",))
-    rows = (
-        RegionRow("r0", {"R0": 1}, "<", zu),
-        RegionRow("r0r1-private", {"R0": 1, "R1": 1}, "<", zu + min(h1 - z1, h2 - z2)),
-        RegionRow("r0r1-total", {"R0": 1, "R1": 1}, "<", min(g1 - z1, g2 - z2)),
-        RegionRow("re-le-r1", {"Re": 1, "R1": -1}, "<=", 0.0),
-        RegionRow("re", {"Re": 1}, "<", min(h1 - w1, h2 - w2)),
-        RegionRow("r0re", {"R0": 1, "Re": 1}, "<", min(g1 - w1, g2 - w2)),
-        RegionRow("r02re-y1", {"R0": 1, "Re": 2}, "<", g1 + h2 - c - 2 * z0),
-        RegionRow("r02re-y2", {"R0": 1, "Re": 2}, "<", g2 + h1 - c - 2 * z0),
-        RegionRow(
-            "r0r12re-y1", {"R0": 1, "R1": 1, "Re": 2}, "<",
-            (h2 - z2) + g1 + h2 - c - 2 * z0,
-        ),
-        RegionRow(
-            "r0r12re-y2", {"R0": 1, "R1": 1, "Re": 2}, "<",
-            (h1 - z1) + g2 + h1 - c - 2 * z0,
-        ),
-    )
-    return RateRegionSample(("R0", "R1", "Re"), rows)
+    return _region(_THEOREM2_ROWS, "theorem2", dist, _channels(chans), _MARTON_SLACK)
 
 
 def prop1_region(dist, chans: BroadcastChannels) -> RateRegionSample:
@@ -697,31 +768,7 @@ def prop1_region(dist, chans: BroadcastChannels) -> RateRegionSample:
     The ordering hypothesis is the caller's responsibility (check it with
     the orderings module); this evaluator just samples the three bounds.
     """
-    j = _with_receivers(dist, "prop1", chans)
-    cmi = j.conditional_mutual_information
-    d1 = cmi(("X",), ("Y1",), ("U",)) - cmi(("X",), ("Z",), ("U",))
-    d2 = cmi(("X",), ("Y2",), ("U",)) - cmi(("X",), ("Z",), ("U",))
-    rows = (
-        RegionRow("r0", {"R0": 1}, "<=", j.mutual_information(("U",), ("Z",))),
-        RegionRow(
-            "r1", {"R1": 1}, "<=",
-            min(cmi(("X",), ("Y1",), ("U",)), cmi(("X",), ("Y2",), ("U",))),
-        ),
-        RegionRow("re-le-r1", {"Re": 1, "R1": -1}, "<=", 0.0),
-        RegionRow("re", {"Re": 1}, "<=", max(0.0, min(d1, d2))),
-    )
-    return RateRegionSample(("R0", "R1", "Re"), rows)
-
-
-def _multilevel_joint(dist, ml: MultilevelChannel) -> JointPmf:
-    j = _as_joint(dist, "multilevel")
-    if j.size("X") != ml.x_size:
-        raise DistributionError("distribution X alphabet does not match channel")
-    j = j.extend(
-        ("X",), [("Y1", ml.y1_size), ("Z3", ml.z3_size)], ml.to_y1z3
-    )
-    j = j.extend(("Y1",), [("Z2", ml.z2_size)], ml.z2_given_y1)
-    return j
+    return _region(_PROP1_ROWS, "prop1", dist, _channels(chans))
 
 
 def prop2_inner_region(dist, ml: MultilevelChannel) -> RateRegionSample:
@@ -732,62 +779,12 @@ def prop2_inner_region(dist, ml: MultilevelChannel) -> RateRegionSample:
     [I(U3;Z3) - R0 - I(U3;Z2|U)]^+ term is carried as a clamp on the
     R0-coupled equivocation row.
     """
-    j = _multilevel_joint(dist, ml)
-    mi, cmi = j.mutual_information, j.conditional_mutual_information
-    r1v = cmi(("V",), ("Y1",), ("U",))
-    s3 = cmi(("V",), ("Y1",), ("U3",))
-    d2u = r1v - cmi(("V",), ("Z2",), ("U",))
-    d2u3 = s3 - cmi(("V",), ("Z2",), ("U3",))
-    d3u3 = s3 - cmi(("V",), ("Z3",), ("U3",))
-    rows = (
-        RegionRow("r0", {"R0": 1}, "<", min(mi(("U",), ("Z2",)), mi(("U3",), ("Z3",)))),
-        RegionRow("r1", {"R1": 1}, "<", r1v),
-        RegionRow("r0r1", {"R0": 1, "R1": 1}, "<", mi(("U3",), ("Z3",)) + s3),
-        RegionRow("re2-le-r1", {"Re2": 1, "R1": -1}, "<=", 0.0),
-        RegionRow("re2-u", {"Re2": 1}, "<=", d2u),
-        RegionRow(
-            "re2-clamp", {"Re2": 1}, "<=", d2u3,
-            clamp=(
-                mi(("U3",), ("Z3",)) - cmi(("U3",), ("Z2",), ("U",)),
-                {"R0": -1.0},
-            ),
-        ),
-        RegionRow("re3-le-r1", {"Re3": 1, "R1": -1}, "<=", 0.0),
-        RegionRow("re3", {"Re3": 1}, "<=", max(0.0, d3u3)),
-        RegionRow("re2re3", {"Re2": 1, "Re3": 1, "R1": -1}, "<=", d2u3),
-    )
-    return RateRegionSample(("R0", "R1", "Re2", "Re3"), rows)
+    return _region(_PROP2_ROWS, "multilevel", dist, _multilevel_channels(ml))
 
 
 def prop3_outer_region(dist, ml: MultilevelChannel) -> RateRegionSample:
     """Outer bound for the multilevel channel (six inequalities)."""
-    j = _multilevel_joint(dist, ml)
-    mi, cmi = j.mutual_information, j.conditional_mutual_information
-    rows = (
-        RegionRow("r0", {"R0": 1}, "<=", min(mi(("U",), ("Z2",)), mi(("U3",), ("Z3",)))),
-        RegionRow("r1", {"R1": 1}, "<=", cmi(("V",), ("Y1",), ("U",))),
-        RegionRow(
-            "r0r1", {"R0": 1, "R1": 1}, "<=",
-            mi(("U3",), ("Z3",)) + cmi(("V",), ("Y1",), ("U3",)),
-        ),
-        RegionRow(
-            "re2-u", {"Re2": 1}, "<=",
-            cmi(("X",), ("Y1",), ("U",)) - cmi(("X",), ("Z2",), ("U",)),
-        ),
-        RegionRow(
-            "re2-clamp", {"Re2": 1}, "<=",
-            cmi(("X",), ("Y1",), ("U3",)) - cmi(("X",), ("Z2",), ("U3",)),
-            clamp=(
-                mi(("U3",), ("Z3",)) - cmi(("U3",), ("Z2",), ("U",)),
-                {"R0": -1.0},
-            ),
-        ),
-        RegionRow(
-            "re3", {"Re3": 1}, "<=",
-            max(0.0, cmi(("V",), ("Y1",), ("U3",)) - cmi(("V",), ("Z3",), ("U3",))),
-        ),
-    )
-    return RateRegionSample(("R0", "R1", "Re2", "Re3"), rows)
+    return _region(_PROP3_ROWS, "multilevel", dist, _multilevel_channels(ml))
 
 
 # rows of prop2 whose right-hand sides are dominated by the same-label
@@ -843,9 +840,8 @@ def reversely_degraded_bound(components: Sequence[ProductComponent]) -> RevDegra
         u = np.asarray([float(v) for v in comp.u], dtype=float)
         j = j.extend((), [(f"U{l}", u.size)], ConditionalPmf([u]))
         j = j.extend((f"U{l}",), [(f"X{l}", comp.x_given_u.cols)], comp.x_given_u)
-        j = j.attach_receivers(
-            (f"X{l}",), {f"Y1_{l}": comp.to_y1, f"Y2_{l}": comp.to_y2, f"Z{l}": comp.to_z}
-        )
+        for name, chan in ((f"Y1_{l}", comp.to_y1), (f"Y2_{l}", comp.to_y2), (f"Z{l}", comp.to_z)):
+            j = j.extend((f"X{l}",), [(name, chan.cols)], chan)
         d1.append(
             j.mutual_information((f"U{l}",), (f"Y1_{l}",))
             - j.mutual_information((f"U{l}",), (f"Z{l}",))

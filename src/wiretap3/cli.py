@@ -70,18 +70,17 @@ def cmd_info(args) -> int:
     doc = _load_spec(args.spec)
     report: dict = {"subcommand": "info", "alphabets": doc.alphabets, "pmfs": {}, "channels": {}}
     lines = []
+    source = doc.pmf(args.input) if args.input else None
     for name, (axes, p) in doc.pmfs.items():
         report["pmfs"][name] = {"axes": list(axes), "entropy_bits": p.entropy()}
         lines.append(f"pmf {name} over {axes}: H = {p.entropy():.6f} bits")
     for name, (in_axes, out_axes, chan) in doc.channels.items():
         entry = {"in": list(in_axes), "out": list(out_axes)}
-        if args.input and args.input in doc.pmfs:
-            p = doc.pmfs[args.input][1]
-            if p.alphabet_size == chan.rows:
-                j = JointPmf.product([("X", p)]).attach_receivers(("X",), {"Y": chan})
-                mi = j.mutual_information(("X",), ("Y",))
-                entry["mutual_information_bits"] = mi
-                lines.append(f"channel {name}: I(X;Y) = {mi:.6f} bits at pmf {args.input}")
+        if source is not None and source.alphabet_size == chan.rows:
+            j = JointPmf.from_pmf("X", source).extend(("X",), [("Y", chan.cols)], chan)
+            mi = j.mutual_information(("X",), ("Y",))
+            entry["mutual_information_bits"] = mi
+            lines.append(f"channel {name}: I(X;Y) = {mi:.6f} bits at pmf {args.input}")
         report["channels"][name] = entry
         lines.append(f"channel {name}: {in_axes} -> {out_axes} ({chan.rows}x{chan.cols})")
     _emit(args, report, "\n".join(lines))

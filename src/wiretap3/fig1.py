@@ -19,6 +19,10 @@ because generic evaluation reproduces them (and rejected otherwise).  Any
 residual freedom in the per-edge probabilities consistent with every
 closed form is immaterial to the results.
 
+The second component's measures I(V2;Y12|Q2) and I(V2;Z2|Q2), the hot
+path of the upper-bound search, are two terms of a ``bounds`` engine plan
+compiled once per channel, run on the chain product of the searched tables.
+
 The headline reproduction: the indirect-decoding bound achieves exactly
 5/6 at V = X1 with independent uniform inputs, while the two-receiver
 extension of the classical wiretap bound stays strictly below 5/6 on this
@@ -29,11 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .bounds import BroadcastChannels, corollary1_rate, build_factored
+from .bounds import (
+    BoundTerms, BroadcastChannels, _BoundPlan, _expr, build_factored, corollary1_rate,
+)
 from .optim import SearchBudget, search_factored
 from .probability import (
     ConditionalPmf,
@@ -42,7 +49,6 @@ from .probability import (
     Pmf,
     binary_entropy,
     cascade,
-    entropy_bits,
     erase_further,
     erasure_channel,
     product_channel,
@@ -137,9 +143,9 @@ def closed_form_rates(gamma: float) -> ClosedFormRates:
 def component1_measured(gamma: float, chan: Optional[Fig1Channel] = None) -> ClosedFormRates:
     """The same five quantities via generic evaluation on the wiring."""
     chan = chan or Fig1Channel.build()
-    j = JointPmf.product([("X1", Pmf([gamma, 1.0 - gamma]))]).attach_receivers(
-        ("X1",), {"Y21": chan.y21, "Y11": chan.y11, "Z1": chan.z1}
-    )
+    j = JointPmf.product([("X1", Pmf([gamma, 1.0 - gamma]))])
+    for name, w in (("Y21", chan.y21), ("Y11", chan.y11), ("Z1", chan.z1)):
+        j = j.extend(("X1",), [(name, w.cols)], w)
     iy21 = j.mutual_information(("X1",), ("Y21",))
     iy11 = j.mutual_information(("X1",), ("Y11",))
     iz1 = j.mutual_information(("X1",), ("Z1",))
@@ -165,26 +171,32 @@ def achievable_rate(chan: Optional[Fig1Channel] = None) -> float:
     return corollary1_rate(achievability_distribution(), chan.broadcast())
 
 
+_SECOND_COMPONENT = BoundTerms((_expr("I(V2;Y12|Q2)"), _expr("I(V2;Z2|Q2)")))
+
+
+@lru_cache(maxsize=4)
+def _second_component_plan(chan: Fig1Channel) -> _BoundPlan:
+    return _BoundPlan(
+        _SECOND_COMPONENT, ("Q2", "V2", "X2"), {"Y12": chan.y12.matrix, "Z2": chan.z2.matrix}
+    )
+
+
 def second_component_measures(tables, chan: Optional[Fig1Channel] = None):
     """(I(V2;Y12|Q2), I(V2;Z2|Q2)) for tables [p(q2), p(v2|q2), p(x2|v2)].
 
-    Hot path of the upper-bound search: raw tensor arithmetic, no
-    intermediate distribution objects.  Each table may carry leading
-    batch axes, (..., rows, cols); the two measures then come back with
-    those leading axes, one pair per point, each the same bits as the
-    point alone.
+    Hot path of the upper-bound search: the chain product of the three
+    tables, then the two terms of a plan compiled once per channel.  Each
+    table may carry leading batch axes, (..., rows, cols); the two measures
+    then come back with those leading axes, one pair per point, each the
+    same bits as the point alone.
     """
-    y_mat = (chan.y12 if chan else _FIG1.y12).matrix
-    z_mat = (chan.z2 if chan else _FIG1.z2).matrix
     pq, pvq, pxv = tables
     p_qvx = pq[..., 0, :, None, None] * pvq[..., :, :, None] * pxv[..., None, :, :]
-    p_qvy = p_qvx @ y_mat
-    p_qvz = p_qvx @ z_mat
-    hq = entropy_bits(p_qvx.sum(axis=(-2, -1)), 1)
-    hqv = entropy_bits(p_qvx.sum(axis=-1), 2)
-    iy = hqv + entropy_bits(p_qvy.sum(axis=-2), 2) - entropy_bits(p_qvy, 3) - hq
-    iz = hqv + entropy_bits(p_qvz.sum(axis=-2), 2) - entropy_bits(p_qvz, 3) - hq
-    return np.maximum(iy, 0.0), np.maximum(iz, 0.0)
+    lead = p_qvx.shape[:-3]
+    iy, iz = _second_component_plan(chan or _FIG1).information(
+        p_qvx.reshape((-1,) + p_qvx.shape[-3:])
+    )
+    return iy.reshape(lead)[()], iz.reshape(lead)[()]
 
 
 def rck_upper_bound_objective(iy, iz):
@@ -265,7 +277,7 @@ def reproduce_example(
     and reports its gap below 5/6; (iii) checks, along the search trace,
     that points leaking nothing to Z2 also gain nothing at Y12.
     """
-    chan = chan or Fig1Channel.build()
+    chan = chan or _FIG1
     achievable = achievable_rate(chan)
     trace = _IdentityTrace(chan)
     shapes = [(1, q2_card), (q2_card, v2_card), (v2_card, 2)]

@@ -44,15 +44,15 @@ stack, because it is also called on speculative points the sequential
 search never visits.  An objective that records what it sees may define
 ``logical(mask)``: right after a call in which some start moved, the search
 passes the boolean mask of that call's points that the sequential search
-evaluates (every point of any other call is one of them).  A scalar
-objective (one list of (rows, cols) tables in, a float or None out) goes
-through ``per_point``.
+evaluates (every point of any other call is one of them).  Every caller
+(the bound and region maximizers, the orderings checks and the example
+search) hands the search such a batched objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,19 +89,6 @@ class SearchResult:
 
 class NoAdmissiblePointError(RuntimeError):
     """The whole search budget was spent without one admissible point."""
-
-
-def per_point(fn: Callable[[Params], Optional[float]]) -> Objective:
-    """A batched objective that calls the scalar ``fn`` once per start."""
-
-    def objective(tables: Params) -> np.ndarray:
-        values = np.empty(len(tables[0]))
-        for b in range(values.size):
-            val = fn([t[b] for t in tables])
-            values[b] = np.nan if val is None else val
-        return values
-
-    return objective
 
 
 def refine_rows(

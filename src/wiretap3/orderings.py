@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .optim import SearchBudget, per_point, search_factored
+from .bounds import BoundTerms, _BoundPlan, _expr
+from .optim import SearchBudget, search_factored
 from .probability import ConditionalPmf, DistributionError, JointPmf
 from .rationallp import feasible_eq
 
@@ -113,12 +114,19 @@ def check_degraded(p_yx: ConditionalPmf, p_zx: ConditionalPmf) -> OrderingVerdic
     )
 
 
-def _info_gap(
-    axes: tuple[str, ...], p: np.ndarray, p_yx: ConditionalPmf, p_zx: ConditionalPmf
-) -> float:
-    """I(A;Y) - I(A;Z) for A = axes[0], given p over ``axes`` ending in X."""
-    j = JointPmf(axes, p).attach_receivers(("X",), {"Y": p_yx, "Z": p_zx})
-    return j.mutual_information(axes[:1], ("Y",)) - j.mutual_information(axes[:1], ("Z",))
+def _gap(p_yx: ConditionalPmf, p_zx: ConditionalPmf, shape: tuple[int, ...]):
+    """I(A;Y) - I(A;Z) on a stack of flat laws (B, cells), one plan per check.
+
+    ``shape`` is (|U|, |X|) for p(u,x), with A = U, or (|X|,) for p(x), with
+    A = X.
+    """
+    axes = ("U", "X")[-len(shape):]
+    plan = _BoundPlan(
+        BoundTerms((_expr(f"I({axes[0]};Y) - I({axes[0]};Z)"),)),
+        axes,
+        {"Y": p_yx.matrix, "Z": p_zx.matrix},
+    )
+    return lambda flat: plan(flat.reshape((-1,) + shape))
 
 
 def _grid_simplex(cells: int, g: int) -> list[np.ndarray]:
@@ -134,31 +142,24 @@ def _grid_simplex(cells: int, g: int) -> list[np.ndarray]:
     return []
 
 
-def _minimize_flat(objective, cells: int, budget: SearchBudget) -> tuple[float, np.ndarray]:
-    """Minimize over one flat simplex with grid seeds plus restarts."""
-    def neg(params):
-        return -objective(params[0][0])
-
-    extra = [[g.reshape(1, cells)] for g in _grid_simplex(cells, budget.grid_points)]
-    res = search_factored(per_point(neg), [(1, cells)], budget, extra_starts=extra)
-    return -res.value, res.params[0][0]
-
-
 def _minimize_gap(
     p_yx: ConditionalPmf,
     p_zx: ConditionalPmf,
-    aux_card: int,
+    shape: tuple[int, ...],
     budget: SearchBudget,
 ) -> tuple[float, np.ndarray]:
-    """Search for p(u,x) minimizing I(U;Y) - I(U;Z); returns (min, argmin)."""
-    nx = p_yx.rows
-    cells = aux_card * nx
+    """Search p over ``shape`` (see ``_gap``) for the least gap: (min, argmin).
 
-    def objective(flat: np.ndarray) -> float:
-        return _info_gap(("U", "X"), flat.reshape(aux_card, nx), p_yx, p_zx)
-
-    val, arg = _minimize_flat(objective, cells, budget)
-    return float(val), arg.reshape(aux_card, nx)
+    The flat simplex gets grid seeds when it has at most 3 cells, then
+    restarts; each objective call evaluates its whole stack of points.
+    """
+    cells = int(np.prod(shape))
+    gap = _gap(p_yx, p_zx, shape)
+    extra = [[g.reshape(1, cells)] for g in _grid_simplex(cells, budget.grid_points)]
+    res = search_factored(
+        lambda tables: -gap(tables[0][:, 0]), [(1, cells)], budget, extra_starts=extra
+    )
+    return -res.value, res.params[0][0].reshape(shape)
 
 
 def check_less_noisy(
@@ -177,7 +178,7 @@ def check_less_noisy(
         return OrderingVerdict(
             "less_noisy", True, deg.witness, None, "implied by degradedness"
         )
-    val, arg = _minimize_gap(p_yx, p_zx, aux_card, budget)
+    val, arg = _minimize_gap(p_yx, p_zx, (aux_card, p_yx.rows), budget)
     if val < -VIOLATION_TOL:
         return OrderingVerdict(
             "less_noisy", False, JointPmf(("U", "X"), arg), -val,
@@ -202,11 +203,7 @@ def check_more_capable(
         return OrderingVerdict(
             "more_capable", True, deg.witness, None, "implied by degradedness"
         )
-
-    def objective(px: np.ndarray) -> float:
-        return _info_gap(("X",), px, p_yx, p_zx)
-
-    best_val, best = _minimize_flat(objective, p_yx.rows, budget)
+    best_val, best = _minimize_gap(p_yx, p_zx, (p_yx.rows,), budget)
     if best_val < -VIOLATION_TOL:
         return OrderingVerdict(
             "more_capable", False, JointPmf(("X",), best), -best_val,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -358,19 +358,6 @@ class JointPmf:
         out = lhs + "".join(letters[n] for n in names)
         tensor = np.einsum(f"{lhs},{fac}->{out}", self.tensor, factor)
         return JointPmf(tuple(self.axes) + tuple(names), tensor)
-
-    def attach_receivers(
-        self, given: Sequence[str], channels: Mapping[str, ConditionalPmf]
-    ) -> "JointPmf":
-        """Attach one output axis per named channel, each fed by ``given``.
-
-        Outputs are conditionally independent given their inputs, which is
-        all any per-receiver information expression needs.
-        """
-        j = self
-        for name, chan in channels.items():
-            j = j.extend(given, [(name, chan.cols)], chan)
-        return j
 
     @staticmethod
     def from_pmf(axis: str, p: Pmf) -> "JointPmf":

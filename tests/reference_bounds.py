@@ -3,7 +3,7 @@
 It is the reference for the differential tests in ``test_bound_engine.py``.
 Each bound attaches Y1, Y2 and Z to the realized ``JointPmf`` and reads its
 (conditional) mutual informations through the ``JointPmf`` methods; the
-maximizer evaluates it once per start through ``optim.per_point`` on
+maximizer evaluates it once per start through ``reference_search.per_point`` on
 ``source_joint`` of the expanded tables.
 
 ``information`` and ``bound_values`` are the batched engine as it was before
@@ -27,7 +27,8 @@ from wiretap3.bounds import (
     factor_shapes,
     source_joint,
 )
-from wiretap3.optim import per_point, search_factored
+from reference_search import per_point
+from wiretap3.optim import search_factored
 from wiretap3.probability import (
     MEASURE_TOL,
     AxisError,
@@ -54,10 +55,17 @@ def _as_joint(dist, pattern: str, strict_tag: bool = True) -> JointPmf:
     return j
 
 
+def _attach(j: JointPmf, receivers) -> JointPmf:
+    """``j`` with one output axis per (name, channel) fed by X, each by ``extend``."""
+    for name, chan in receivers:
+        j = j.extend(("X",), [(name, chan.cols)], chan)
+    return j
+
+
 def _with_receivers(dist, pattern: str, chans: BroadcastChannels) -> JointPmf:
     """The pattern's joint law with Y1, Y2 and Z attached to X."""
-    return _as_joint(dist, pattern).attach_receivers(
-        ("X",), {"Y1": chans.to_y1, "Y2": chans.to_y2, "Z": chans.to_z}
+    return _attach(
+        _as_joint(dist, pattern), (("Y1", chans.to_y1), ("Y2", chans.to_y2), ("Z", chans.to_z))
     )
 
 
@@ -65,7 +73,7 @@ def wiretap_rate(dist, chan_y, chan_z) -> float:
     j = _as_joint(dist, "wiretap", strict_tag=False)
     if j.size("X") != chan_y.rows or chan_y.rows != chan_z.rows:
         raise DistributionError("channel input alphabet does not match X")
-    j = j.attach_receivers(("X",), {"Y": chan_y, "Z": chan_z})
+    j = _attach(j, (("Y", chan_y), ("Z", chan_z)))
     return j.mutual_information(("V",), ("Y",)) - j.mutual_information(("V",), ("Z",))
 
 

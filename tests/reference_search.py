@@ -4,6 +4,11 @@ It is the reference for the differential tests in ``test_optim.py``: each
 start is refined alone, one scalar objective call per candidate (a list of
 (rows, cols) tables in, a float or None out), and the starts run one after
 another.
+
+``per_point`` turns such a scalar objective into a batched one for the
+lockstep search, one call per start.  ``minimize_gap`` is the orderings
+search as it was before the bound engine ran it: ``info_gap`` on a
+``JointPmf`` per point, through ``per_point``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from wiretap3 import optim
 from wiretap3.optim import NoAdmissiblePointError, SearchBudget, SearchResult
+from wiretap3.orderings import _grid_simplex
+from wiretap3.probability import ConditionalPmf, JointPmf
 
 Params = list[np.ndarray]
 Objective = Callable[[Params], Optional[float]]  # None marks inadmissible
@@ -113,3 +121,44 @@ def search_factored(
         admissible_found=True,
         objective_points=total_evals,
     )
+
+
+def per_point(fn: Objective) -> optim.Objective:
+    """A batched objective that calls the scalar ``fn`` once per start."""
+
+    def objective(tables: Params) -> np.ndarray:
+        values = np.empty(len(tables[0]))
+        for b in range(values.size):
+            val = fn([t[b] for t in tables])
+            values[b] = np.nan if val is None else val
+        return values
+
+    return objective
+
+
+def info_gap(
+    axes: tuple[str, ...], p: np.ndarray, p_yx: ConditionalPmf, p_zx: ConditionalPmf
+) -> float:
+    """I(A;Y) - I(A;Z) for A = axes[0], given p over ``axes`` ending in X."""
+    j = JointPmf(axes, p).extend(("X",), [("Y", p_yx.cols)], p_yx)
+    j = j.extend(("X",), [("Z", p_zx.cols)], p_zx)
+    return j.mutual_information(axes[:1], ("Y",)) - j.mutual_information(axes[:1], ("Z",))
+
+
+def minimize_gap(
+    p_yx: ConditionalPmf, p_zx: ConditionalPmf, shape: tuple[int, ...], budget: SearchBudget
+) -> tuple[SearchResult, float, np.ndarray]:
+    """The old orderings search over p of ``shape``: (its result, min, argmin).
+
+    ``shape`` is (|U|, |X|) for the less-noisy gap and (|X|,) for the
+    more-capable one.
+    """
+    axes = ("U", "X")[-len(shape):]
+    cells = int(np.prod(shape))
+
+    def neg(params):
+        return -info_gap(axes, params[0][0].reshape(shape), p_yx, p_zx)
+
+    extra = [[g.reshape(1, cells)] for g in _grid_simplex(cells, budget.grid_points)]
+    res = optim.search_factored(per_point(neg), [(1, cells)], budget, extra_starts=extra)
+    return res, -res.value, res.params[0][0].reshape(shape)

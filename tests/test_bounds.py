@@ -37,6 +37,7 @@ from wiretap3.bounds import (
 from wiretap3.optim import SearchBudget
 from wiretap3.probability import (
     ConditionalPmf,
+    DistributionError,
     binary_entropy,
     bsc,
     cascade,
@@ -432,6 +433,14 @@ class TestMultilevelRegions:
         s = prop2_inner_region(d, ml)
         assert s.rhs("r0") == pytest.approx(0.0, abs=1e-12)
         assert s.rhs("r1") == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("region", [prop2_inner_region, prop3_outer_region])
+    def test_input_alphabet_mismatch_is_rejected(self, region):
+        # |X| = 3 against the channel's 2 inputs: the bound and region
+        # evaluators share one message for it
+        d = random_dist("multilevel", {"U": 2, "U3": 2, "V": 2, "X": 3}, np.random.default_rng(4))
+        with pytest.raises(DistributionError, match="channel input alphabet does not match X"):
+            region(d, multilevel_channel())
 
     def test_clamp_behaviour(self):
         ml = multilevel_channel()

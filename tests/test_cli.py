@@ -67,6 +67,13 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["info", "--spec", "/nonexistent.chan"]) == 1
 
+    def test_unknown_input_pmf_is_error(self, spec_file, capsys):
+        # as an unknown channel name is: exit 1 with the name, no silent skip
+        assert main(["info", "--spec", str(spec_file), "--input", "pxx"]) == 1
+        assert "error: 'pxx'" in capsys.readouterr().err
+        assert main(["info", "--spec", str(spec_file), "--input", "unif"]) == 0
+        assert "I(X;Y) = " in capsys.readouterr().out
+
     def test_missing_seed_is_error(self, spec_file, capsys):
         rc = main([
             "bound", "--spec", str(spec_file), "--id", "wiretap",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wiretap3 import fig1
 from wiretap3.fig1 import (
     Fig1Channel,
     achievability_distribution,
@@ -15,6 +16,7 @@ from wiretap3.fig1 import (
 )
 from wiretap3.optim import SearchBudget
 from wiretap3.orderings import check_degraded
+from wiretap3.probability import entropy_bits
 
 
 class TestClosedForms:
@@ -162,3 +164,46 @@ class TestExampleReproduction:
             SearchBudget(restarts=2, seed=17, refine_sweeps=30),
         )
         assert res.value < 5 / 6 - 1e-3
+
+
+def _hand_written_measures(tables, chan=None):
+    """``second_component_measures`` as raw tensor arithmetic, before it ran
+    on the bound engine: the reference for ``TestSecondComponentEngine``."""
+    chan = chan or Fig1Channel.build()
+    pq, pvq, pxv = tables
+    p_qvx = pq[..., 0, :, None, None] * pvq[..., :, :, None] * pxv[..., None, :, :]
+    p_qvy = p_qvx @ chan.y12.matrix
+    p_qvz = p_qvx @ chan.z2.matrix
+    hq = entropy_bits(p_qvx.sum(axis=(-2, -1)), 1)
+    hqv = entropy_bits(p_qvx.sum(axis=-1), 2)
+    iy = hqv + entropy_bits(p_qvy.sum(axis=-2), 2) - entropy_bits(p_qvy, 3) - hq
+    iz = hqv + entropy_bits(p_qvz.sum(axis=-2), 2) - entropy_bits(p_qvz, 3) - hq
+    return np.maximum(iy, 0.0), np.maximum(iz, 0.0)
+
+
+class TestSecondComponentEngine:
+    @pytest.mark.parametrize("points", [1, 12, 256])
+    def test_matches_the_hand_written_measures(self, points):
+        rng = np.random.default_rng(points)
+        stack = [
+            rng.dirichlet(np.ones(3), size=(points, 1)),
+            rng.dirichlet(np.ones(4), size=(points, 3)),
+            rng.dirichlet(np.ones(2), size=(points, 4)),
+        ]
+        stack[2][0] = 0.5  # X2 ignores V2 at the first point: it leaks nothing
+        got, want = second_component_measures(stack), _hand_written_measures(stack)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (points,)
+            assert np.abs(g - w).max() <= 1e-12
+        assert got[1][0] < 1e-9  # a silent point for the identity trace
+
+    @pytest.mark.parametrize("seed", [1, 7, 20260810])
+    def test_example_search_is_unchanged(self, monkeypatch, seed):
+        budget = SearchBudget(restarts=32, seed=seed, refine_sweeps=10)
+        got = reproduce_example(budget)
+        monkeypatch.setattr(fig1, "second_component_measures", _hand_written_measures)
+        want = reproduce_example(budget)
+        assert (got.evaluations, got.identity_points_checked, got.restarts) == (
+            want.evaluations, want.identity_points_checked, want.restarts
+        )
+        assert abs(got.rck_best - want.rck_best) <= 1e-12

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import reference_search
+from reference_search import per_point
 from wiretap3 import bounds, fig1, optim, orderings
 from wiretap3.bounds import AuxSpec, BroadcastChannels, maximize
-from wiretap3.optim import NoAdmissiblePointError, SearchBudget, per_point, search_factored
+from wiretap3.optim import NoAdmissiblePointError, SearchBudget, search_factored
 from wiretap3.probability import bsc, erasure_channel
 
 

@@ -1,12 +1,20 @@
-"""Channel ordering verdicts: worked examples and witness contracts."""
+"""Channel ordering verdicts: worked examples and witness contracts.
+
+The less-noisy and more-capable searches evaluate every start of a call in
+one batched engine call; ``reference_search.minimize_gap`` is the per-point
+``JointPmf`` search they replaced, and both must take the same path.
+"""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import reference_search
+from wiretap3 import optim, orderings
 from wiretap3.optim import SearchBudget
 from wiretap3.orderings import (
+    VIOLATION_TOL,
     check_degraded,
     check_less_noisy,
     check_more_capable,
@@ -141,3 +149,38 @@ class TestMoreCapable:
         v = check_more_capable(bsc(F(1, 10)), bsc(F(1, 5)), FAST)
         with pytest.raises(TypeError):
             bool(v)
+
+
+class TestBatchedSearch:
+    PAIRS = [
+        (erasure_channel(F(1, 2)), bsc(F(1, 5))),
+        (bsc(0.1), erasure_channel(0.3)),
+        (erasure_channel(0.9), bsc(0.4)),
+    ]
+
+    @pytest.mark.parametrize("relation", ["less_noisy", "more_capable"])
+    @pytest.mark.parametrize("y, z", PAIRS, ids=["bec-bsc", "bsc-bec", "noisy-bec-bsc"])
+    def test_matches_the_per_point_search(self, monkeypatch, relation, y, z):
+        budget = SearchBudget(restarts=64, seed=1, refine_sweeps=60)
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(optim.search_factored(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(orderings, "search_factored", recording)
+        if relation == "less_noisy":
+            verdict, shape = check_less_noisy(y, z, 2, budget), (2, y.rows)
+        else:
+            verdict, shape = check_more_capable(y, z, budget), (y.rows,)
+        want, least, argmin = reference_search.minimize_gap(y, z, shape, budget)
+        (got,) = runs
+        assert (got.evaluations, got.best_restart) == (want.evaluations, want.best_restart)
+        assert abs(-got.value - least) <= 1e-12
+        assert np.array_equal(got.params[0][0].reshape(shape), argmin)
+        if least < -VIOLATION_TOL:
+            assert verdict.holds is False
+            assert abs(verdict.margin + least) <= 1e-12
+            assert np.array_equal(verdict.witness.tensor, argmin)
+        else:
+            assert verdict.holds is None and verdict.witness is None
