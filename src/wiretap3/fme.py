@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .rationallp import feasible_eq, implied_by
+from .rationallp import implied_by
+from .rationallp import feasible_eq  # noqa: F401  bench/tracer.py rebinds fme.feasible_eq
 
 Rel = str  # "<=" or "<"
 
@@ -114,24 +115,13 @@ class LinearInequality:
 
     def canonical_key(self):
         """Scale-invariant key: positive-normalized coefficient tuples."""
-        items = sorted(self.coeffs.items()) + [
-            (("@", a), c) for a, c in sorted(self.rhs_atoms.items())
-        ]
-        lead = None
-        for _, c in sorted(self.coeffs.items()):
-            lead = c
-            break
-        if lead is None:
-            for _, c in sorted(self.rhs_atoms.items()):
-                lead = c
-                break
-        if lead is None:
-            scale = Fraction(1)
-        else:
-            scale = 1 / abs(lead)
+        coeffs = sorted(self.coeffs.items())
+        atoms = sorted(self.rhs_atoms.items())
+        lead = coeffs or atoms
+        scale = 1 / abs(lead[0][1]) if lead else Fraction(1)
         return (
-            tuple((k, c * scale) for k, c in sorted(self.coeffs.items())),
-            tuple((a, c * scale) for a, c in sorted(self.rhs_atoms.items())),
+            tuple((k, c * scale) for k, c in coeffs),
+            tuple((a, c * scale) for a, c in atoms),
             self.rhs_const * scale,
             self.relation,
         )
@@ -301,31 +291,40 @@ def eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
 
     Rows carry derivation histories; across chained eliminations, any row
     combining more ancestors than eliminated-variables-plus-one is
-    redundant (Imbert) and is dropped eagerly to contain the blowup.
+    redundant (Imbert).  The test needs only the two parents' histories, so
+    it runs before a pair's row is built, and a parent is scaled to a unit
+    coefficient on ``var`` only when it enters a surviving pair.  Derived
+    rows follow the lower-major, upper-minor pair order.
     """
     if var not in sys.variables:
         raise ValueError(f"unknown variable {var!r}")
     sys = _with_histories(sys)
     uppers, lowers, rest = [], [], []
     for ineq in sys.inequalities:
-        c = ineq.coeffs.get(var, Fraction(0))
+        c = ineq.coeffs.get(var, 0)
         if c > 0:
-            uppers.append(ineq.scaled(1 / c))
+            uppers.append((ineq, c))
         elif c < 0:
-            lowers.append(ineq.scaled(1 / -c))
+            lowers.append((ineq, -c))
         else:
             rest.append(ineq)
+    unit: dict[int, LinearInequality] = {}
+
+    def scaled(ineq: LinearInequality, c: Fraction) -> LinearInequality:
+        row = unit.get(id(ineq))
+        if row is None:
+            row = unit[id(ineq)] = ineq.scaled(1 / c)
+        return row
+
+    gone = frozenset([var])
     derived = []
-    for lo in lowers:
-        for up in uppers:
-            row = lo.plus(
-                up,
-                label=_combine_label(lo.label, up.label),
-                extra_elim=frozenset([var]),
-            )
-            if len(row.origin) > len(row.elim) + 1:
+    for lo, lc in lowers:
+        for up, uc in uppers:
+            if len(lo.origin | up.origin) > len(lo.elim | up.elim | gone) + 1:
                 continue
-            derived.append(row)
+            derived.append(scaled(lo, lc).plus(
+                scaled(up, uc), label=_combine_label(lo.label, up.label), extra_elim=gone,
+            ))
     new_vars = tuple(v for v in sys.variables if v != var)
     return normalize(InequalitySystem(new_vars, rest + derived, sys.bindings))
 
@@ -365,25 +364,29 @@ def _row_vector(
     return vec, ineq.rhs_const
 
 
+def infeasibility_certificate(
+    sys: InequalitySystem, assumptions: Sequence[LinearInequality] = ()
+) -> Optional[list[Fraction]]:
+    """Farkas multipliers proving the rows plus assumption rows infeasible.
+
+    With every row as a.x <= beta over the free variables and atoms, the
+    system has no solution iff some y >= 0 gives sum y_i a_i = 0 and
+    sum y_i beta_i < 0, that is, iff the rows imply 0 <= -1.  Returns that
+    y (rows first, then assumptions; checked by ``verify_certificate``), or
+    None when the closure of the system is feasible.
+    """
+    rows = list(sys.inequalities) + list(assumptions)
+    vars_, atoms = _joint_space([sys], assumptions)
+    vecs = [_row_vector(r, vars_, atoms) for r in rows]
+    return implied_by(vecs, ([0] * (len(vars_) + len(atoms)), Fraction(-1)))
+
+
 def system_feasible(
     sys: InequalitySystem, assumptions: Sequence[LinearInequality] = ()
 ) -> bool:
-    """Closure feasibility of the rows plus assumption rows (atoms free)."""
-    rows = list(sys.inequalities) + list(assumptions)
-    vars_, atoms = _joint_space([sys], assumptions)
-    if not rows:
-        return True
-    # a.x <= b with free x: x = u - w, add slack: a.u - a.w + s = b
-    A, b = [], []
-    for r in rows:
-        vec, rhs = _row_vector(r, vars_, atoms)
-        A.append(vec + [-v for v in vec])
-        b.append(rhs)
-    k = len(rows)
-    for i in range(k):
-        for j in range(k):
-            A[i].append(Fraction(int(i == j)))
-    return feasible_eq(A, b) is not None
+    """Closure feasibility of the rows plus assumption rows (atoms free),
+    decided by one Farkas LP (``infeasibility_certificate``)."""
+    return infeasibility_certificate(sys, assumptions) is None
 
 
 def remove_redundant(
@@ -483,26 +486,36 @@ def region_equal(
 
     Returns (equal, certificate).  The certificate lists, for each row of
     each system, the Farkas multipliers over the other system's rows
-    followed by the assumption rows; or the reason for inequality.
+    followed by the assumption rows; or the reason for inequality.  A
+    system infeasible under the assumptions adds ``a_infeasible`` or
+    ``b_infeasible``: its rows' and the assumptions' multipliers that sum
+    to ``0 <= -1``, named by row as the implication entries are.
     """
     if set(a.variables) != set(b.variables):
         raise ValueError(
             f"variable mismatch: {sorted(a.variables)} vs {sorted(b.variables)}"
         )
     vars_, atoms = _joint_space([a, b], assumptions)
-    feas_a = system_feasible(a, assumptions)
-    feas_b = system_feasible(b, assumptions)
     cert: dict = {"a_implies_b": [], "b_implies_a": []}
-    if not feas_a and not feas_b:
+
+    def names(sys: InequalitySystem) -> list[str]:
+        return [r.label or r.format() for r in (*sys.inequalities, *assumptions)]
+
+    for key, sys in (("a_infeasible", a), ("b_infeasible", b)):
+        mult = infeasibility_certificate(sys, assumptions)
+        if mult is not None:
+            cert[key] = {n: str(m) for n, m in zip(names(sys), mult) if m != 0}
+    infeasible = ("a_infeasible" in cert) + ("b_infeasible" in cert)
+    if infeasible == 2:
         cert["note"] = "both systems infeasible under assumptions"
         return True, cert
-    if feas_a != feas_b:
+    if infeasible == 1:
         cert["note"] = "exactly one system is infeasible under assumptions"
         return False, cert
 
     def direction(src: InequalitySystem, dst: InequalitySystem, key: str) -> bool:
         premise = list(src.inequalities) + list(assumptions)
-        names = [r.label or r.format() for r in premise]
+        labels = names(src)
         vecs = [_row_vector(r, vars_, atoms) for r in premise]
         ok = True
         for row in dst.inequalities:
@@ -514,7 +527,7 @@ def region_equal(
             else:
                 entry["implied"] = True
                 entry["multipliers"] = {
-                    names[i]: str(m) for i, m in enumerate(mult) if m != 0
+                    n: str(m) for n, m in zip(labels, mult) if m != 0
                 }
             cert[key].append(entry)
         return ok

@@ -4,11 +4,15 @@ A small two-phase tableau simplex, kept exact without ``Fraction``
 arithmetic in the pivots.  Each tableau row is a list of Python ints with
 one positive int denominator, gcd-reduced after every pivot (fraction-free
 pivoting in the manner of Edmonds-Bareiss and Avis's lrs, with a per-row
-rather than a global denominator).  The objective row is one more such row
-that every pivot updates, so reduced costs are never rebuilt from the
-basis.  Ratio tests cross-multiply integers (row denominators cancel) and
-reduced costs compare as numerators over one denominator.  Redundancy
-certificates and region equality are decided with zero tolerance.
+rather than a global denominator).  A pivot scales each other row by the
+pivot entry and subtracts only over the pivot row's nonzero columns, and
+skips the gcd division when the gcd is 1: most entries of these tableaus
+are zero and most updated rows are already reduced.  The objective row is
+one more such row that every pivot updates, so reduced costs are never
+rebuilt from the basis.  Ratio tests cross-multiply integers (row
+denominators cancel) and reduced costs compare as numerators over one
+denominator.  Redundancy certificates and region equality are decided with
+zero tolerance.
 
 Pivoting uses Dantzig's rule with a Bland fallback after 30 degenerate
 pivots in a row, which keeps the method finite on degenerate tableaus;
@@ -52,17 +56,29 @@ def _int_row(vals) -> tuple[list[int], int]:
 
 
 def _pivot(tab: list[list[int]], den: list[int], r: int, e: int) -> None:
-    """Make column ``e`` basic in row ``r`` (``tab[r][e] > 0``), in every row."""
-    g = gcd(*tab[r])
-    piv = tab[r] = [v // g for v in tab[r]]
+    """Make column ``e`` basic in row ``r`` (``tab[r][e] > 0``), in every row.
+
+    A row is updated in place when the pivot entry is 1; every row belongs
+    to this tableau alone.
+    """
+    piv = tab[r]
+    g = gcd(*piv)
+    if g != 1:
+        piv = tab[r] = [v // g for v in piv]
     p = den[r] = piv[e]
+    nonzero = [(j, b) for j, b in enumerate(piv) if b]
     for i, row in enumerate(tab):
         f = row[e]
         if f and i != r:
-            new = [p * a - f * b for a, b in zip(row, piv)]
-            g = gcd(den[i] * p, *new)
-            tab[i] = [v // g for v in new]
-            den[i] = den[i] * p // g
+            new = [p * a for a in row] if p != 1 else row
+            for j, b in nonzero:
+                new[j] -= f * b
+            d = den[i] * p
+            g = gcd(d, *new)
+            if g != 1:
+                new = [v // g for v in new]
+                d //= g
+            tab[i], den[i] = new, d
 
 
 def _objective(cost: list, tab: list[list[int]], den: list[int], basis: list[int]) -> None:

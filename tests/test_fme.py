@@ -1,23 +1,31 @@
 """Exact Fourier-Motzkin machinery: examples, fuzz, and the fixtures."""
 
+import hashlib
 from fractions import Fraction as F
+from importlib import resources
 
 import numpy as np
 import pytest
 
+import reference_fme as ref
 from vertex_oracle import projection_matches
-from wiretap3.fixture_runs import fixture_names, run_fixture
+from wiretap3 import fme
+from wiretap3.cli import main
+from wiretap3.fixture_runs import fixture_names, fixture_text, run_fixture
 from wiretap3.fme import (
     InequalitySystem,
     LinearInequality,
     SpecFormatError,
     eliminate,
     eliminate_all,
+    infeasibility_certificate,
     parse_system,
     region_equal,
     remove_redundant,
     substitute,
+    system_feasible,
 )
+from wiretap3.rationallp import verify_certificate
 
 BOX = F(5)
 
@@ -160,8 +168,20 @@ class TestRegionEqual:
     def test_feasible_vs_infeasible(self):
         a, _ = parse_system("vars x\nx <= 1\n-x <= 0\n")
         b, _ = parse_system("vars x\nx <= -2\n-x <= 0\n")
-        eq, _ = region_equal(a, b)
+        eq, cert = region_equal(a, b)
         assert not eq
+        assert "a_infeasible" not in cert
+        assert cert["b_infeasible"] == {"x <= -2": "1/2", "-x <= 0": "1/2"}
+
+    def test_infeasibility_certificate_names_rows_and_assumptions(self):
+        a, assume = parse_system(
+            "vars x\nup: x <= I(A)\nlo: I(B) <= x\ngap: assume I(A) <= I(B) - 1\n"
+        )
+        b, _ = parse_system("vars x\nx <= I(A)\n")
+        eq, cert = region_equal(a, b, assume)
+        assert not eq and "b_infeasible" not in cert
+        assert cert["a_infeasible"] == {"up": "1", "lo": "1", "gap": "1"}
+        assert list(cert)[:2] == ["a_implies_b", "b_implies_a"]
 
 
 def _random_system(rng):
@@ -233,3 +253,154 @@ class TestFixtures:
         cert = res.certificates["region_equal"]
         assert all(e["implied"] for e in cert["a_implies_b"])
         assert any(e.get("multipliers") for e in cert["a_implies_b"])
+
+
+FIXTURE_JSON_SHA256 = {
+    "theorem1": "35047a295bac27bd2d4f9fd58380f77adeca4c06393a535aa975997028cb1f1b",
+    "rate_split": "662be6332d4795aae9b8e77bd1bf54bcc5b201964aaeccbb9ea7e131d0f20ff6",
+    "multilevel_case1": "9063342beb4018a1c6c4aaa30339d31036fb1477324645d740d7a78365f94d14",
+    "multilevel_case2": "b679463b7d47084017a68f4e516a73a6c205804e91ad12fe5e317c5066584c4f",
+    "multilevel_case3": "181bf2e5a26613dbb29fee783eb54cc5d94d13e579d62aea74d75e7e88521bff",
+    "multilevel_case4": "7e5c1b9e59e606c701da1dcb2d7413ea106620e76f5d09ca2c19d44091bae1fc",
+}
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_json_is_byte_identical(name, capsys):
+    # `wiretap3 fme --fixture NAME --format json`: rows, labels, checks and
+    # every certificate's multipliers, pinned byte for byte
+    assert main(["fme", "--fixture", name, "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == FIXTURE_JSON_SHA256[name]
+
+
+def _fields(row):
+    """Everything a row carries, mapping order included (it reaches output)."""
+    return (
+        list(row.coeffs.items()), row.relation, list(row.rhs_atoms.items()),
+        row.rhs_const, row.label, row.origin, row.elim,
+    )
+
+
+def _assert_same_system(got, want):
+    assert got.variables == want.variables
+    assert got.bindings == want.bindings
+    assert [_fields(r) for r in got.inequalities] == [_fields(r) for r in want.inequalities]
+
+
+def _fixture_files():
+    return sorted(f.name for f in resources.files("wiretap3").joinpath("fixtures").iterdir()
+                  if f.name.endswith(".ineq"))
+
+
+def _recording(monkeypatch, name, calls):
+    real = getattr(fme, name)
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fme, name, record)
+
+
+@pytest.fixture(scope="module")
+def fixture_calls():
+    """The (system, var) of every elimination step and the (system,
+    assumptions) of every feasibility test that the six fixtures make."""
+    elims, feas = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        _recording(mp, "eliminate", elims)
+        _recording(mp, "infeasibility_certificate", feas)
+        for name in fixture_names():
+            assert run_fixture(name).ok, name
+    return elims, feas
+
+
+class TestAgainstReplacedPaths:
+    """The Farkas feasibility LP, early Imbert pruning and the one-sort
+    canonical key against the paths they replaced (``reference_fme``)."""
+
+    def test_canonical_key_on_fixture_and_random_rows(self, fixture_calls):
+        rows = [r for f in _fixture_files() for r in parse_system(fixture_text(f))[0].inequalities]
+        rows += [r for sys_, _ in fixture_calls[0] for r in sys_.inequalities]
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            rows += _random_system(rng)[0].inequalities
+        rows.append(LinearInequality({}, "<", {}, F(-3, 2)))
+        assert len(rows) > 2000
+        for r in rows:
+            assert r.canonical_key() == ref.canonical_key(r), r
+
+    def test_fixture_eliminations_match(self, fixture_calls):
+        elims = fixture_calls[0]
+        assert len(elims) >= 30
+        for sys_, var in elims:
+            _assert_same_system(eliminate(sys_, var), ref.eliminate(sys_, var))
+
+    def test_random_eliminations_match(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(60):
+            sys_, _, _, elim = _random_system(rng)
+            for var in elim:
+                got, want = eliminate(sys_, var), ref.eliminate(sys_, var)
+                _assert_same_system(got, want)
+                sys_ = got
+
+    def test_fixture_feasibility_matches(self, fixture_calls):
+        feas = fixture_calls[1]
+        assert len(feas) == 12
+        for sys_, assumptions in feas:
+            assert system_feasible(sys_, assumptions)
+            assert ref.system_feasible(sys_, assumptions)
+
+    def test_random_feasibility_matches(self):
+        rng = np.random.default_rng(3)
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            sys_, assumptions = _random_feasibility_case(rng)
+            got = system_feasible(sys_, assumptions)
+            assert got == ref.system_feasible(sys_, assumptions), (sys_.format(), assumptions)
+            verdicts[got] += 1
+            y = infeasibility_certificate(sys_, assumptions)
+            assert (y is None) == got
+            if y is not None:
+                vars_, atoms = fme._joint_space([sys_], assumptions)
+                vecs = [fme._row_vector(r, vars_, atoms)
+                        for r in (*sys_.inequalities, *assumptions)]
+                verify_certificate(vecs, ([0] * (len(vars_) + len(atoms)), F(-1)), y)
+        assert min(verdicts.values()) >= 100, verdicts
+
+    @pytest.mark.parametrize("variables, rows, feasible", [
+        ((), "", True),                               # no rows at all
+        ((), "0 <= 1", True),                         # no variables, no atoms
+        ((), "0 < 0", True),                          # closure of 0 < 0
+        ((), "1 <= 0", False),
+        (("x",), "0*x <= -1", False),                 # constant-only row
+        (("x",), "x < 0; -x < 0", True),              # strict rows relax
+        (("x",), "x <= I(A)", True),                  # atoms are free
+        ((), "I(A) <= 0; -I(A) <= -1", False),
+    ])
+    def test_edge_systems_match(self, variables, rows, feasible):
+        parsed, _ = parse_system("vars x\n" + rows.replace("; ", "\n") + "\n")
+        sys_ = InequalitySystem(variables, parsed.inequalities)
+        assert system_feasible(sys_) is feasible
+        assert ref.system_feasible(sys_) is feasible
+
+
+def _random_feasibility_case(rng):
+    """Systems of 0-3 variables and 0-2 atoms: some constant-only rows, some
+    strict rows, some atom-only assumptions; about half are infeasible."""
+    d, n_atoms = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+    names = [f"x{i}" for i in range(d)]
+    atoms = [f"I(A{i})" for i in range(n_atoms)]
+
+    def row(label, on_vars):
+        coeffs = {v: F(int(rng.integers(-2, 3))) for v in names} if on_vars else {}
+        ra = {a: F(int(rng.integers(-2, 3))) for a in atoms}
+        const = F(int(rng.integers(-4, 3)), int(rng.integers(1, 4)))
+        rel = "<" if rng.random() < 0.25 else "<="
+        return LinearInequality(coeffs, rel, ra, const, label)
+
+    rows = [row(f"r{i}", rng.random() > 0.15) for i in range(int(rng.integers(0, 7)))]
+    assumptions = [row(f"a{i}", False) for i in range(int(rng.integers(0, 3)))]
+    return InequalitySystem(names, rows), assumptions
