@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -597,7 +598,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()   # a closed stdout raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:   # the reader is gone: drop what is left, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except sim.CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP

@@ -238,7 +238,7 @@ def verify_certificate(
         if yi:
             if yi < 0:
                 raise ValueError(f"negative multiplier {yi}")
-            lhs = [s + yi * v for s, v in zip(lhs, a)]
+            lhs = [s + yi * v if v else s for s, v in zip(lhs, a)]
             bound += yi * beta
     if lhs != list(c):
         raise ValueError("multipliers do not reproduce the target coefficients")

@@ -13,7 +13,8 @@ when every joint-symbol count k(a) satisfies |k(a)/n - p(a)| <= eps p(a),
 in particular k(a) = 0 wherever p(a) = 0.  Decoding builds one plan per
 (codebook, channel, params, decoder) and screens by support first: a
 codeword with a symbol in a zero-probability cell is atypical, so only the
-others are counted, over the support cells.
+others are counted, over the support cells.  The plan decodes a chunk of
+outputs at once: one screen, then one count over every survivor.
 
 Monte Carlo scores are computed in the log domain (sums of log2 W, then a
 max-shifted log-sum-exp over codewords and messages), so they neither
@@ -27,7 +28,9 @@ per-trial streams of decoding, Monte Carlo equivocation and lemma1 (and
 each decode trial's encoding stream) are derived in one batch: numpy's
 SeedSequence hashing runs vectorized over the trials, with the same bits
 as SeedSequence(seed, spawn_key=(role, t)), and only PCG64's own seeding
-runs once per trial.
+runs once per trial.  Only the draws are taken trial by trial, from each
+trial's own stream in the order a per-trial loop takes them; output symbols,
+decoding, counts and scores run once per block of trials.
 """
 
 from __future__ import annotations
@@ -84,9 +87,10 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-# Scores (trials x codewords) per Monte Carlo chunk and counted cells per
-# lemma1 chunk.  Small temporaries keep the heap from growing: freed heap
-# memory stays resident and raises the peak of later exact computations.
+# Scores (trials x codewords) per Monte Carlo chunk; trials x codewords per
+# decode chunk and counted cells per lemma1 chunk.  Small temporaries keep the
+# heap from growing: freed heap memory stays resident and raises the peak of
+# later exact computations.
 _SCORE_CHUNK = 1 << 14
 _COUNT_CHUNK = 1 << 16
 # Streams whose SeedSequence hashing runs as one batch: numpy's per-call
@@ -211,8 +215,10 @@ def _exponent(n: int, rate: float) -> int:
     return int(np.ceil(n * rate - 1e-9))
 
 
-def sample_iid(p: np.ndarray, n: int, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-    return rng.choice(p.size, size=(size, n), p=p).astype(np.int64)
+def _iid_symbols(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``Generator.choice(p.size, p=p)`` for uniform draws u: its normalized cdf, side='right'."""
+    cdf = p.cumsum()
+    return (cdf / cdf[-1]).searchsorted(u, side="right")
 
 
 def _symbol_bounds(chan: np.ndarray) -> list[np.ndarray]:
@@ -227,16 +233,14 @@ def _symbol_bounds(chan: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(cum[:, j]) for j in range(chan.shape[1] - 1)]
 
 
-def _sample_bounds(
-    bounds: list[np.ndarray], given: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """``sample_given`` with the channel's ``_symbol_bounds`` computed once by the caller.
+def _pick_symbols(bounds: list[np.ndarray], given: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The symbols that uniform draws u pick from the channel rows ``given`` (broadcast to u).
 
-    A draw u picks the first symbol whose cumulative sum exceeds u, the last
-    symbol when none does; that is the number of inner boundaries at or below u.
+    ``bounds`` are the channel's ``_symbol_bounds``.  A draw picks the first
+    symbol whose cumulative sum exceeds it, the last symbol when none does;
+    that is the number of inner boundaries at or below the draw.
     """
-    u = rng.random(given.shape)
-    out = np.zeros(given.shape, dtype=np.int64)
+    out = np.zeros(u.shape, dtype=np.int64)
     for b in bounds:
         out += u >= b[given]
     return out
@@ -244,7 +248,7 @@ def _sample_bounds(
 
 def sample_given(chan: np.ndarray, given: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One output symbol per position, rows of chan indexed by ``given``."""
-    return _sample_bounds(_symbol_bounds(chan), given, rng)
+    return _pick_symbols(_symbol_bounds(chan), given, rng.random(given.shape))
 
 
 def count_bounds(p: np.ndarray, n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -305,13 +309,6 @@ class WiretapCodebook:
     def bin_size(self) -> int:
         return 1 << (self.k_total - self.k_msg)
 
-    def bin_range(self, m: int) -> range:
-        bs = self.bin_size
-        return range(m * bs, (m + 1) * bs)
-
-    def message_of(self, l0: int) -> int:
-        return l0 // self.bin_size
-
 
 def _wiretap_tables(dist) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(dist, FactoredDistribution):
@@ -346,7 +343,7 @@ def build_wiretap_codebook(
             f"codebook needs {entries} stored symbols > cap {caps.max_codebook_entries}"
         )
     rng = _rng(seed, 0)
-    v_seqs = sample_iid(p_v, n, rng, size=n_total)
+    v_seqs = _iid_symbols(p_v, rng.random((n_total, n)))
     x_seqs = sample_given(p_xv, np.repeat(v_seqs[:, None, :], n_sat, axis=1), rng)
     return WiretapCodebook(
         p_v=p_v, p_x_given_v=p_xv, n=n,
@@ -436,7 +433,7 @@ def build_marton_codebook(
     if entries > caps.max_codebook_entries:
         raise CapExceededError(f"codebook needs {entries} symbols > cap")
     rng = _rng(seed, 0)
-    q_seq = sample_iid(p_q[0] if p_q.ndim > 1 else p_q, n, rng)[0]
+    q_seq = _iid_symbols(p_q[0] if p_q.ndim > 1 else p_q, rng.random(n))
     v0_seqs = sample_given(p_v0_q, np.repeat(q_seq[None, :], n_tot, axis=0), rng)
     # marginals of the joint satellite factor
     p_v12 = p_v12_v0.reshape(n0, n1, n2)
@@ -464,7 +461,7 @@ def build_marton_codebook(
     bs1, bs2 = nt1 // nb1, nt2 // nb2
     pairing = np.full((n_tot, nb1, nb2, 2), -1, dtype=np.int64)
     for l0 in range(n_tot):
-        # typicality of every (t1, t2) pair at once, then slice into bins
+        # typicality of every (t1, t2) pair at once, then one row per bin
         base = (q_seq * n0 + v0_seqs[l0]) * (n1 * n2)
         cells = (
             base[None, None, :]
@@ -472,13 +469,16 @@ def build_marton_codebook(
             + v2_seqs[l0][None, :, :]
         )
         ok = typical_mask(joint_counts(cells, n_cells), lb, ub)
-        for b1 in range(nb1):
-            for b2 in range(nb2):
-                block = ok[b1 * bs1:(b1 + 1) * bs1, b2 * bs2:(b2 + 1) * bs2]
-                hits = np.argwhere(block)
-                if hits.size:
-                    pick = hits[rng.integers(len(hits))]
-                    pairing[l0, b1, b2] = (b1 * bs1 + pick[0], b2 * bs2 + pick[1])
+        ok = ok.reshape(nb1, bs1, nb2, bs2).swapaxes(1, 2).reshape(nb1 * nb2, bs1 * bs2)
+        # the typical pairs bin by bin, each bin's row-major as argwhere lists them
+        hits = np.flatnonzero(ok)
+        count = np.bincount(hits // (bs1 * bs2), minlength=nb1 * nb2)
+        bins = np.flatnonzero(count)
+        pick = [rng.integers(c) for c in count[bins].tolist()]
+        at = hits[(np.cumsum(count) - count)[bins] + np.array(pick, dtype=np.int64)] % (bs1 * bs2)
+        b1, b2 = np.divmod(bins, nb2)
+        t1, t2 = np.divmod(at, bs2)
+        pairing[l0, b1, b2] = np.stack([b1 * bs1 + t1, b2 * bs2 + t2], axis=1)
     return MartonCodebook(
         tables=tabs, sizes=(nq, n0, n1, n2), x_size=nx, n=n,
         k_msg=k_msg, k_total=k_total, k_t1=k_t1, k_t2=k_t2, k_b1=k_b1, k_b2=k_b2,
@@ -488,7 +488,7 @@ def build_marton_codebook(
 
 
 # ---------------------------------------------------------------------------
-# Encoding and transmission
+# Encoding
 # ---------------------------------------------------------------------------
 
 
@@ -534,11 +534,6 @@ def encode(cb, message: int, seed: int) -> EncodeResult:
     raise TypeError(f"unknown codebook type {type(cb).__name__}")
 
 
-def transmit(chan: ConditionalPmf, x_seq: np.ndarray, seed: int) -> np.ndarray:
-    rng = _rng(seed, 2)
-    return sample_given(chan.matrix, x_seq, rng)
-
-
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
@@ -561,6 +556,9 @@ def _channel_to(cb: WiretapCodebook, chan: ConditionalPmf) -> np.ndarray:
     return chan.matrix
 
 
+NONE_TYPICAL, AMBIGUOUS = -1, -2   # what ``decode_block`` returns for an undecodable output
+
+
 @dataclass(frozen=True, eq=False)
 class _DecodePlan:
     """What a typicality decoder needs from (codebook, channel, params).
@@ -574,6 +572,8 @@ class _DecodePlan:
     y_i = y, and only codewords allowed at every position are counted, over
     the support cells alone (``index`` numbers them; ``lb``/``ub`` are their
     windows).  The same codewords pass as under a check of every cell.
+    ``screen`` is ``allowed`` packed eight codewords a byte, lowest bit first.
+    ``decode_block`` decodes a stack of outputs, ``decode`` one.
     """
 
     lb: np.ndarray
@@ -581,20 +581,40 @@ class _DecodePlan:
     index: np.ndarray
     bases: np.ndarray
     allowed: np.ndarray
+    screen: np.ndarray
     per_cloud: int       # codewords per v-sequence: 1 direct, the satellites indirect
     bin_size: int
 
+    def decode_block(self, y: np.ndarray) -> np.ndarray:
+        """The decoded l0 of every row of y (T, n), or NONE_TYPICAL or AMBIGUOUS.
+
+        Survivors come out row by row, codewords ascending, so a row decodes
+        when its first and last typical codewords lie in one cloud.
+        """
+        n_cw, n = self.bases.shape
+        out = np.empty(len(y), dtype=np.int64)
+        step = max(1, _COUNT_CHUNK // n_cw)
+        for start in range(0, len(y), step):
+            ys = y[start:start + step]
+            screen = np.bitwise_and.reduce(self.screen[np.arange(n), ys], axis=1)
+            rows, byte = np.nonzero(screen)
+            bits = np.unpackbits(screen[rows, byte][:, None], axis=1, bitorder="little")
+            hit, bit = np.nonzero(bits)
+            rows, cand = rows[hit], byte[hit] * 8 + bit
+            counts = joint_counts(self.index[self.bases[cand] + ys[rows]], self.lb.size)
+            typical = typical_mask(counts, self.lb, self.ub)
+            rows, cloud = rows[typical], cand[typical] // self.per_cloud
+            edge = np.searchsorted(rows, np.arange(len(ys) + 1))   # row r's: edge[r]:edge[r + 1]
+            found = edge[:-1] < edge[1:]
+            lo, hi = cloud[edge[:-1][found]], cloud[edge[1:][found] - 1]
+            out[start:start + len(ys)] = NONE_TYPICAL
+            out[start:start + len(ys)][found] = np.where(lo == hi, lo, AMBIGUOUS)
+        return out
+
     def decode(self, y_seq: np.ndarray) -> DecodeResult:
-        n = self.bases.shape[1]
-        cand = np.flatnonzero(self.allowed[np.arange(n), y_seq].all(axis=0))
-        if cand.size:
-            counts = joint_counts(self.index[self.bases[cand] + y_seq], self.lb.size)
-            cand = cand[typical_mask(counts, self.lb, self.ub)]
-        if cand.size == 0:
-            return DecodeResult(None, None, "none-typical")
-        l0 = int(cand[0]) // self.per_cloud
-        if int(cand[-1]) // self.per_cloud != l0:
-            return DecodeResult(None, None, "ambiguous")
+        l0 = int(self.decode_block(y_seq[None])[0])
+        if l0 < 0:
+            return DecodeResult(None, None, "none-typical" if l0 == NONE_TYPICAL else "ambiguous")
         return DecodeResult(l0 // self.bin_size, l0, "ok")
 
 
@@ -624,7 +644,8 @@ def _decode_plan(
     allowed = np.stack([support[bases.T + y] for y in range(ny)], axis=1)
     return _DecodePlan(
         lb=lb[support], ub=ub[support], index=index,
-        bases=bases, allowed=allowed, per_cloud=per_cloud, bin_size=cb.bin_size,
+        bases=bases, allowed=allowed, screen=np.packbits(allowed, axis=-1, bitorder="little"),
+        per_cloud=per_cloud, bin_size=cb.bin_size,
     )
 
 
@@ -821,13 +842,12 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
     samples = np.empty(trials)
     for start in range(0, trials, chunk):
         block = range(start, min(start + chunk, trials))
-        sent = np.empty(len(block), dtype=np.int64)
-        z = np.empty((len(block), n), dtype=np.int64)
-        for i, rng in enumerate(islice(rngs, len(block))):
-            m = int(rng.integers(n_m))
-            l0, l1 = _wiretap_pick(cb, m, rng)
-            sent[i] = m
-            z[i] = _sample_bounds(bounds, cb.x_seqs[l0, l1], rng)
+        # each draw kind over the block's streams, so each stream sees a trial's order
+        trial = [(rng, int(rng.integers(n_m))) for rng in islice(rngs, len(block))]
+        sent = np.array([m for _, m in trial])
+        picks = np.array([_wiretap_pick(cb, m, rng) for rng, m in trial])
+        u = np.stack([rng.random(n) for rng, _ in trial])
+        z = _pick_symbols(bounds, cb.x_seqs[picks[:, 0], picks[:, 1]], u)
         ell = _message_log_likelihoods(onehot, logw, dead, z, n_m)
         top = ell.max(axis=1)
         with np.errstate(invalid="ignore"):
@@ -884,8 +904,9 @@ def decoding_error_rate(
 
     The decode plan is built once; each trial draws its message and an
     encoding seed from its own stream, encodes as ``encode`` would with that
-    seed, and draws the channel output from its own stream again, as a
-    single decode would.  Both kinds of stream are seeded a block at a time.
+    seed, and draws the uniforms of its channel output from its own stream
+    again, as a single decode would.  Both kinds of stream are seeded, and
+    the outputs decoded, a block of trials at a time.
     """
     _check_trials(trials)
     plan = _decode_plan(cb, chan, params, decoder)
@@ -894,11 +915,11 @@ def decoding_error_rate(
     for start in range(0, trials, _STREAM_BLOCK):
         rngs = list(_streams(seed, 3, np.arange(start, min(trials, start + _STREAM_BLOCK))))
         drawn = np.array([(rng.integers(cb.n_messages), rng.integers(1 << 31)) for rng in rngs])
-        for rng, enc, m in zip(rngs, _streams(drawn[:, 1], 1), drawn[:, 0].tolist()):
-            l0, l1 = _wiretap_pick(cb, m, enc)
-            res = plan.decode(_sample_bounds(bounds, cb.x_seqs[l0, l1], rng))
-            if not res.ok or res.message != m:
-                errors += 1
+        picks = np.array([_wiretap_pick(cb, m, enc)
+                          for enc, m in zip(_streams(drawn[:, 1], 1), drawn[:, 0].tolist())])
+        u = np.stack([rng.random(cb.n) for rng in rngs])
+        l0 = plan.decode_block(_pick_symbols(bounds, cb.x_seqs[picks[:, 0], picks[:, 1]], u))
+        errors += int(np.count_nonzero((l0 < 0) | (l0 // cb.bin_size != drawn[:, 0])))
     return errors / trials, trials
 
 
@@ -968,17 +989,20 @@ def lemma1_experiment(
     rngs = _trial_streams(seed, trials)
     counts = np.empty(trials, dtype=np.int64)
     chunk = min(trials, max(1, _COUNT_CHUNK // (n_list * n)))
-    cells = np.empty((chunk, n_list, n), dtype=np.int64)   # every chunk's trials, in turn
     for start in range(0, trials, chunk):
-        block = cells[:min(chunk, trials - start)]
-        for i, rng in enumerate(islice(rngs, len(block))):
-            u = sample_iid(p_u, n, rng)[0]
-            vs = _sample_bounds(bounds_v, np.repeat(u[None, :], n_list, axis=0), rng)
-            ell = int(rng.integers(n_list))
-            z = _sample_bounds(bounds_z, u * nv + vs[ell], rng)
-            block[i] = (u[None, :] * nv + vs) * nz + z[None, :]
-        mask = typical_mask(joint_counts(block, n_cells), lb, ub)
-        counts[start:start + len(block)] = mask.sum(axis=1)
+        size = min(chunk, trials - start)
+        # a trial's draws in stream order: the uniforms of U^n then of the list
+        # V^n(l), taken as one block of n_list + 1 rows, the index L, those of Z^n
+        block = list(islice(rngs, size))
+        draw_uv = np.stack([rng.random((n_list + 1, n)) for rng in block])
+        ell = np.array([rng.integers(n_list) for rng in block])
+        draw_z = np.stack([rng.random(n) for rng in block])
+        u = _iid_symbols(p_u, draw_uv[:, 0])
+        vs = _pick_symbols(bounds_v, u[:, None, :], draw_uv[:, 1:])
+        z = _pick_symbols(bounds_z, u * nv + vs[np.arange(size), ell], draw_z)
+        cells = (u[:, None, :] * nv + vs) * nz + z[:, None, :]
+        mask = typical_mask(joint_counts(cells, n_cells), lb, ub)
+        counts[start:start + size] = mask.sum(axis=1)
     return Lemma1Report(
         exceedance_frequency=int(np.count_nonzero(counts >= threshold)) / trials,
         threshold=float(threshold),

@@ -6,10 +6,13 @@ count windows and counts all cells of every codeword; Monte Carlo
 equivocation multiplies the per-symbol likelihoods of every codeword (which
 underflows at large n); the wiretap conditionals build the full |Z|^n product
 law of every codeword of a bin, one message at a time; the Marton
-conditionals and the lemma1 counts loop over bins and trials one at a time.
-Every trial seeds its own ``SeedSequence`` stream through ``_rng``, and
-every output draw recomputes the channel's cumulative sums in
-``sample_given``.  The encoders and codebooks come from ``wiretap3.simulate``.
+conditionals and the lemma1 counts loop over bins and trials one at a time;
+the Marton codebook picks each bin's pair from its own ``argwhere`` list.
+Every trial seeds its own ``SeedSequence`` stream through ``_rng``, every
+output draw recomputes the channel's cumulative sums in ``sample_given``, and
+i.i.d. draws go through ``rng.choice``.  The encoders and the wiretap
+codebooks come from ``wiretap3.simulate``.  So do the small helpers that
+only tests use: ``bin_range``, ``message_of`` and ``transmit``.
 """
 
 from __future__ import annotations
@@ -28,16 +31,34 @@ from wiretap3.simulate import (
     SimReport,
     TypicalityParams,
     WiretapCodebook,
+    MartonRates,
     _channel_to,
     _exponent,
+    _marton_tables,
     _rng,
     _zn_pmf_batch,
     count_bounds,
     encode,
     joint_counts,
-    sample_iid,
     typical_mask,
 )
+
+
+def bin_range(cb, m: int) -> range:
+    """The codeword indices l0 of message m's bin."""
+    return range(m * cb.bin_size, (m + 1) * cb.bin_size)
+
+
+def message_of(cb, l0: int) -> int:
+    return l0 // cb.bin_size
+
+
+def transmit(chan: ConditionalPmf, x_seq: np.ndarray, seed: int) -> np.ndarray:
+    return sample_given(chan.matrix, x_seq, _rng(seed, 2))
+
+
+def sample_iid(p: np.ndarray, n: int, rng: np.random.Generator, size: int = 1) -> np.ndarray:
+    return rng.choice(p.size, size=(size, n), p=p).astype(np.int64)
 
 
 def sample_given(chan: np.ndarray, given: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -69,7 +90,7 @@ def decode_direct(
     if hits.size > 1:
         return DecodeResult(None, None, "ambiguous")
     l0 = int(hits[0])
-    return DecodeResult(cb.message_of(l0), l0, "ok")
+    return DecodeResult(message_of(cb, l0), l0, "ok")
 
 
 def decode_indirect(
@@ -97,7 +118,7 @@ def decode_indirect(
     if hits.size > 1:
         return DecodeResult(None, None, "ambiguous")
     l0 = int(hits[0])
-    return DecodeResult(cb.message_of(l0), l0, "ok")
+    return DecodeResult(message_of(cb, l0), l0, "ok")
 
 
 def decoding_error_rate(
@@ -318,4 +339,77 @@ def lemma1_experiment(
         s_rate=s_eff,
         in_concentration_regime=bool(s_eff > info + params.delta),
         trials=trials,
+    )
+
+
+def build_marton_codebook(
+    dist,
+    rates: MartonRates,
+    params: TypicalityParams,
+    seed: int,
+    caps: Caps = DEFAULT_CAPS,
+) -> MartonCodebook:
+    """Layered codebook with a jointly typical pair chosen per product bin, bin by bin."""
+    tabs, (nq, n0, n1, n2), nx = _marton_tables(dist)
+    p_q, p_v0_q, p_v12_v0, _ = tabs
+    n = params.n
+    k_msg = _exponent(n, rates.message)
+    k_total = _exponent(n, rates.total)
+    k_t1, k_t2 = _exponent(n, rates.t1), _exponent(n, rates.t2)
+    k_b1, k_b2 = _exponent(n, rates.b1), _exponent(n, rates.b2)
+    if k_total < k_msg or k_t1 < k_b1 or k_t2 < k_b2:
+        raise ValueError("bin exponents cannot exceed their layer exponents")
+    n_tot, nt1, nt2 = 1 << k_total, 1 << k_t1, 1 << k_t2
+    entries = n * (1 + n_tot * (1 + nt1 + nt2))
+    if entries > caps.max_codebook_entries:
+        raise CapExceededError(f"codebook needs {entries} symbols > cap")
+    rng = _rng(seed, 0)
+    q_seq = sample_iid(p_q[0] if p_q.ndim > 1 else p_q, n, rng)[0]
+    v0_seqs = sample_given(p_v0_q, np.repeat(q_seq[None, :], n_tot, axis=0), rng)
+    # marginals of the joint satellite factor
+    p_v12 = p_v12_v0.reshape(n0, n1, n2)
+    p_v1_v0 = p_v12.sum(axis=2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_v1_v0 = np.where(p_v1_v0.sum(axis=1, keepdims=True) > 0, p_v1_v0, 1.0 / n1)
+    p_v2_v0 = p_v12.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_v2_v0 = np.where(p_v2_v0.sum(axis=1, keepdims=True) > 0, p_v2_v0, 1.0 / n2)
+    v1_seqs = sample_given(
+        p_v1_v0, np.repeat(v0_seqs[:, None, :], nt1, axis=1), rng
+    )
+    v2_seqs = sample_given(
+        p_v2_v0, np.repeat(v0_seqs[:, None, :], nt2, axis=1), rng
+    )
+    # pairing: jointly typical (v1, v2) per product bin wrt p(q,v0,v1,v2)
+    joint = (
+        (p_q[0] if p_q.ndim > 1 else p_q)[:, None, None, None]
+        * p_v0_q[:, :, None, None]
+        * p_v12.reshape(1, n0, n1, n2)
+    )
+    lb, ub = count_bounds(joint, n, params.epsilon)
+    n_cells = nq * n0 * n1 * n2
+    nb1, nb2 = 1 << k_b1, 1 << k_b2
+    bs1, bs2 = nt1 // nb1, nt2 // nb2
+    pairing = np.full((n_tot, nb1, nb2, 2), -1, dtype=np.int64)
+    for l0 in range(n_tot):
+        # typicality of every (t1, t2) pair at once, then slice into bins
+        base = (q_seq * n0 + v0_seqs[l0]) * (n1 * n2)
+        cells = (
+            base[None, None, :]
+            + (v1_seqs[l0] * n2)[:, None, :]
+            + v2_seqs[l0][None, :, :]
+        )
+        ok = typical_mask(joint_counts(cells, n_cells), lb, ub)
+        for b1 in range(nb1):
+            for b2 in range(nb2):
+                block = ok[b1 * bs1:(b1 + 1) * bs1, b2 * bs2:(b2 + 1) * bs2]
+                hits = np.argwhere(block)
+                if hits.size:
+                    pick = hits[rng.integers(len(hits))]
+                    pairing[l0, b1, b2] = (b1 * bs1 + pick[0], b2 * bs2 + pick[1])
+    return MartonCodebook(
+        tables=tabs, sizes=(nq, n0, n1, n2), x_size=nx, n=n,
+        k_msg=k_msg, k_total=k_total, k_t1=k_t1, k_t2=k_t2, k_b1=k_b1, k_b2=k_b2,
+        q_seq=q_seq, v0_seqs=v0_seqs, v1_seqs=v1_seqs, v2_seqs=v2_seqs,
+        pairing=pairing, seed=seed,
     )

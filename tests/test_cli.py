@@ -1,6 +1,7 @@
 """CLI surface: exit codes, round trips, and the deterministic contract."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -426,6 +427,24 @@ class TestFmeCommand:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["region_equal"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "human"])
+    def test_closed_stdout_exits_without_traceback(self, fmt):
+        # as ``wiretap3 fme ... | head -c 100`` does once head has exited
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "wiretap3.cli", "fme", "--fixture", "rate_split",
+                 "--format", fmt],
+                env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                     "PATH": "/usr/bin:/bin"},
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert out.stderr == ""
+        assert out.returncode == 1
 
 
 class TestSimulateCommand:

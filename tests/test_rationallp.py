@@ -209,6 +209,21 @@ def test_verify_rejects_a_bound_too_tight():
         verify_certificate(ROWS, ([2, 1], 5), [1, 0, 1])
 
 
+SPARSE_ROWS = [([1, 0, 0, 0], 2), ([0, 0, F(1, 2), 0], 3), ([0, 1, 0, 0], 1)]
+SPARSE_TARGET = ([1, 0, 2, 0], 14)
+
+
+@pytest.mark.parametrize("target, y", [
+    (SPARSE_TARGET, [1, 5, 0]),         # one coordinate off, the zeros beside it right
+    (SPARSE_TARGET, [1, 4, 1]),         # a zero coordinate of the target reached
+    (([1, 0, 2, 1], 14), [1, 4, 0]),    # a coordinate no row has
+])
+def test_verify_rejects_a_wrong_coordinate_among_zeros(target, y):
+    verify_certificate(SPARSE_ROWS, SPARSE_TARGET, [1, 4, 0])
+    with pytest.raises(ValueError, match="coefficients"):
+        verify_certificate(SPARSE_ROWS, target, y)
+
+
 def test_verify_rejects_tampered_multipliers_under_O():
     code = (
         "from wiretap3.rationallp import verify_certificate\n"

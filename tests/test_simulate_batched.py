@@ -1,7 +1,8 @@
 """The batched simulator against the per-trial loops it replaced.
 
 ``reference_simulate`` keeps the old loops verbatim.  Decoding, the Marton
-conditionals and the lemma1 counts must match them bit for bit.  Monte Carlo
+codebooks and conditionals and the lemma1 counts must match them bit for bit,
+also where a block of trials ends inside a chunk.  Monte Carlo
 scores moved to the log domain, so they must match the old product form
 within 1e-12 wherever that form does not underflow, and stay inside
 [0, H(M)] where it does.
@@ -87,6 +88,38 @@ class TestDecodePlan:
                 ref.decoding_error_rate(cb, chan, params, 40, seed, decoder)
             )
 
+    @pytest.mark.parametrize("decoder", ["direct", "indirect"])
+    @pytest.mark.parametrize("chan", [to_y1, full_support], ids=["to_y1", "full_support"])
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_blocks_end_mid_chunk(self, monkeypatch, decoder, chan, block, chunk):
+        # stream blocks of `block` trials, each decoded `chunk` trials at a time
+        chan = chan()
+        params = TypicalityParams(8, 1.0)
+        cb = build_wiretap_codebook(cloud(), WiretapRates(0.25, 0.5, 0.25), params, 7)
+        want = ref.decoding_error_rate(cb, chan, params, 40, 7, decoder)
+        assert 0 < want[0] < 1
+        n_cw = sim._decode_plan(cb, chan, params, decoder).bases.shape[0]
+        monkeypatch.setattr(sim, "_STREAM_BLOCK", block)
+        monkeypatch.setattr(sim, "_COUNT_CHUNK", chunk * n_cw)
+        assert sim.decoding_error_rate(cb, chan, params, 40, 7, decoder) == want
+
+    @pytest.mark.parametrize("decoder", ["direct", "indirect"])
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_block_equals_rows(self, monkeypatch, decoder, chunk):
+        params = TypicalityParams(8, 2.0)
+        fn = ref.decode_direct if decoder == "direct" else ref.decode_indirect
+        for chan, seed in ((to_y1(), 1), (full_support(), 23)):
+            cb = build_wiretap_codebook(cloud(), WiretapRates(0.5, 0.75, 0.25), params, seed)
+            y = np.stack([ref.transmit(chan, sim.encode(cb, t % cb.n_messages, t).x_seq, t)
+                          for t in range(50)])
+            plan = sim._decode_plan(cb, chan, params, decoder)
+            monkeypatch.setattr(sim, "_COUNT_CHUNK", chunk * plan.bases.shape[0])
+            code = {"none-typical": sim.NONE_TYPICAL, "ambiguous": sim.AMBIGUOUS}
+            want = [r.l0 if r.ok else code[r.reason] for r in (fn(cb, row, params, chan) for row in y)]
+            assert plan.decode_block(y).tolist() == want
+            assert [plan.decode(row) for row in y] == [fn(cb, row, params, chan) for row in y]
+
     def test_outcomes_exercised(self):
         # every reason occurs, so equality above is not equality of constants
         reasons = set()
@@ -101,7 +134,7 @@ class TestDecodePlan:
     def test_screen_on_zero_cells_and_full_support(self):
         params = TypicalityParams(8, 2.0)
         cb = build_wiretap_codebook(cloud(), WiretapRates(0.5, 0.75, 0.25), params, 1)
-        y = sim.transmit(to_y1(), sim.encode(cb, 0, 0).x_seq, 0)
+        y = ref.transmit(to_y1(), sim.encode(cb, 0, 0).x_seq, 0)
         for decoder in ("direct", "indirect"):
             plan = sim._decode_plan(cb, full_support(), params, decoder)
             assert plan.allowed.all()          # every codeword survives the screen
@@ -118,7 +151,7 @@ class TestDecodePlan:
         lb, ub = sim.count_bounds(p, 8, 2.0)
         plan = sim._decode_plan(cb, to_y1(), params, "indirect")
         for t in range(20):
-            y = sim.transmit(to_y1(), sim.encode(cb, t % cb.n_messages, t).x_seq, t)
+            y = ref.transmit(to_y1(), sim.encode(cb, t % cb.n_messages, t).x_seq, t)
             full = sim.typical_mask(sim.joint_counts(plan.bases + y, p.size), lb, ub)
             cand = np.flatnonzero(plan.allowed[np.arange(8), y].all(axis=0))
             counts = sim.joint_counts(plan.index[plan.bases[cand] + y], plan.lb.size)
@@ -315,6 +348,25 @@ def lemma1_dist():
     )
 
 
+class TestMartonPairing:
+    @pytest.mark.parametrize("correlated", [False, True])
+    @pytest.mark.parametrize("rates,params", [
+        (MartonRates(0.25, 0.5, 0.5, 0.5, 0.25, 0.25), TypicalityParams(8, 8.0)),
+        (MartonRates(0.25, 0.75, 0.5, 0.5, 0.25, 0.25), TypicalityParams(8, 1.0)),
+        (MartonRates(1 / 6, 0.5, 0.34, 0.34, 0.17, 0.17), TypicalityParams(6, 1.0)),
+        (MartonRates(0.25, 0.5, 0.75, 0.5, 0.25, 0.5), TypicalityParams(8, 1.0)),  # 4 x 1 bins
+    ])
+    def test_matches_per_bin_argwhere(self, correlated, rates, params):
+        paired = set()
+        for seed in range(6):
+            got = build_marton_codebook(marton_dist(correlated), rates, params, seed)
+            want = ref.build_marton_codebook(marton_dist(correlated), rates, params, seed)
+            for field in ("q_seq", "v0_seqs", "v1_seqs", "v2_seqs", "pairing"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            paired |= set((want.pairing[..., 0] >= 0).ravel().tolist())
+        assert True in paired
+
+
 class TestLemma1:
     @pytest.mark.parametrize("n,s_rate", [(4, 0.443), (8, 0.443), (10, 0.6), (12, 0.3)])
     def test_bitwise_equal(self, n, s_rate):
@@ -329,6 +381,31 @@ class TestLemma1:
         want = ref.lemma1_experiment(lemma1_dist(), 0.5, params, 101, 3)
         monkeypatch.setattr(sim, "_COUNT_CHUNK", 16 * 8 * 10)  # 10 trials a chunk, last one short
         assert sim.lemma1_experiment(lemma1_dist(), 0.5, params, 101, 3) == want
+
+    @pytest.mark.parametrize("p_u", [[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
+    def test_zero_in_p_u(self, monkeypatch, p_u):
+        from wiretap3.probability import Factor, FactoredDistribution
+
+        dist = FactoredDistribution(
+            [("U", 3), ("V", 2), ("Z", 2)],
+            [Factor(["U"], [], [p_u]),
+             Factor(["V"], ["U"], [[0.75, 0.25], [0.5, 0.5], [0.25, 0.75]]),
+             Factor(["Z"], ["V"], bsc(0.25))],
+        )
+        params = TypicalityParams(8, 2.0)
+        for seed in (2, 9):
+            want = ref.lemma1_experiment(dist, 0.5, params, 60, seed)
+            assert sim.lemma1_experiment(dist, 0.5, params, 60, seed) == want
+        monkeypatch.setattr(sim, "_COUNT_CHUNK", 16 * 8 * 7)  # 7 trials a chunk, last one short
+        assert sim.lemma1_experiment(dist, 0.5, params, 60, 9) == want
+
+    def test_iid_symbols_are_numpy_choice(self):
+        for p in ([1.0], [0.5, 0.5], [0.2, 0.0, 0.8], [0.3, 0.7, 0.0, 0.0], [0.0, 0.0, 1.0],
+                  [1 / 3] * 3, [0.1, 0.2, 0.3, 0.4]):
+            for seed in range(4):
+                got = sim._iid_symbols(np.array(p), np.random.default_rng(seed).random((5, 9)))
+                want = ref.sample_iid(np.array(p), 9, np.random.default_rng(seed), size=5)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestTrialsAtLeastOne:
