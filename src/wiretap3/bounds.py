@@ -27,13 +27,14 @@ minimum it is, and theorem1's admissibility slack that masks a point out);
 a region is a table of ``_row``s (a minimum of signed sums, its positive
 part or the R0 clamp).  One engine evaluates them on a stack of B source
 laws.  ``_realize`` multiplies the stacked factor tables (B, rows, cols) of
-a pattern's chain into p(aux..., X) after one row-stochastic check of every
-table.  ``_BoundPlan`` compiles the terms once against the pattern's axes
-and the receiver matrices: each distinct entropy is routed from a small
-marginal, pushed through a receiver's matrix from X when a term names one
-(a term names at most one; the multilevel Z2 is p(y1|x) p(z2|y1)), so no
-joint over all receivers is built, and every entropy goes through
-``probability.entropy_bits``.  A term below -MEASURE_TOL raises
+a pattern's chain into p(aux..., X) after one row-stochastic check of all
+the tables.  ``_BoundPlan`` compiles the terms against the pattern's axes
+and the receiver matrices: each distinct entropy reads a marginal, pushed
+through a receiver's matrix from X when a term names one (a term names at
+most one; the multilevel Z2 is p(y1|x) p(z2|y1)), so no joint over all
+receivers is built.  All of them are linear in the source law, so every
+term is one fused product per point (see ``_BoundPlan``), with the 0 log 0
+rule of ``probability.log2_cells``.  A term below -MEASURE_TOL raises
 DistributionError; otherwise it is clamped at 0, as ``JointPmf`` does.
 ``maximize`` hands a plan to the lockstep search; the scalar and region
 evaluators run one on a one-point stack; the orderings checks and the
@@ -59,7 +60,7 @@ from .probability import (
     Factor,
     FactoredDistribution,
     JointPmf,
-    entropy_bits,
+    log2_cells,
 )
 
 ADMISSIBILITY_TOL = 1e-9
@@ -170,44 +171,6 @@ def build_factored(pattern: str, sizes: Mapping[str, int], tables: Params) -> Fa
     return FactoredDistribution([(a, sizes[a]) for a in axes], factors, pattern)
 
 
-def random_dist(pattern: str, sizes: Mapping[str, int], rng: np.random.Generator) -> FactoredDistribution:
-    tables = [
-        rng.dirichlet(np.ones(cols), size=rows)
-        for rows, cols in factor_shapes(pattern, sizes)
-    ]
-    return build_factored(pattern, sizes, tables)
-
-
-ADMISSIBLE_FAMILIES = ("z_ignores_v2", "z_ignores_v1", "collapse_v2")
-
-
-def _admissible_tables(
-    sizes: Mapping[str, int],
-    rng: np.random.Generator,
-    family: str,
-) -> Params:
-    """Satellite and input tables that satisfy the Marton constraint.
-
-    The constraint I(V1,V2;Z|V0) <= I(V1;Z|V0) + I(V2;Z|V0) - I(V1;V2|V0)
-    rearranges to I(V1;V2|V0,Z) <= 0, i.e. V1 and V2 must be conditionally
-    independent given (V0, Z).  Generic distributions never satisfy it, so
-    admissible points are drawn from structured families on which it holds
-    identically: conditionally independent satellites with the channel
-    input ignoring one of them, or a satellite collapsed onto V0.
-    """
-    n0, n1, n2, nx = sizes["V0"], sizes["V1"], sizes["V2"], sizes["X"]
-    p1 = rng.dirichlet(np.ones(n1), size=n0)
-    if family == "collapse_v2":
-        if n2 < n0:
-            raise PatternError("collapse_v2 needs |V2| >= |V0|")
-        p2 = np.zeros((n0, n2))
-        p2[np.arange(n0), np.arange(n0)] = 1.0
-    else:
-        p2 = rng.dirichlet(np.ones(n2), size=n0)
-    q = rng.dirichlet(np.ones(nx), size=n0 * (n2 if family == "z_ignores_v1" else n1))
-    return _expand_family([p1, p2, q], sizes, family)
-
-
 def _expand_family(tables: Params, sizes: Mapping[str, int], family: str) -> Params:
     """Family tables [..., p(v1|v0), p(v2|v0), q] -> [..., p(v1,v2|v0), p(x|v0,v1,v2)].
 
@@ -225,24 +188,6 @@ def _expand_family(tables: Params, sizes: Mapping[str, int], family: str) -> Par
     else:
         px = q.reshape(lead + (n0, n1, 1, nx)).repeat(n2, axis=-2)
     return [*head, pv12, px.reshape(lead + (n0 * n1 * n2, nx))]
-
-
-def random_admissible_dist(
-    pattern: str,
-    sizes: Mapping[str, int],
-    rng: np.random.Generator,
-    family: Optional[str] = None,
-) -> FactoredDistribution:
-    """A random theorem1/theorem2-pattern dist with the constraint holding."""
-    if pattern not in ("theorem1", "theorem2"):
-        raise PatternError("admissible sampling applies to the Marton patterns")
-    if family is None:
-        family = ADMISSIBLE_FAMILIES[rng.integers(len(ADMISSIBLE_FAMILIES))]
-    head_axis = PATTERNS[pattern][0][0]
-    head = rng.dirichlet(np.ones(sizes[head_axis]), size=1)
-    pv0 = rng.dirichlet(np.ones(sizes["V0"]), size=sizes[head_axis])
-    tables = [head, pv0] + _admissible_tables(sizes, rng, family)
-    return build_factored(pattern, sizes, tables)
 
 
 def _as_joint(dist, pattern: str, strict_tag: bool = True) -> JointPmf:
@@ -411,16 +356,21 @@ def _signed_sum(expr, value: Callable):
     return total
 
 
-def _checked(table: np.ndarray) -> np.ndarray:
-    """A stack of tables that passes ConditionalPmf's row checks, clipped at 0."""
-    normalized = np.abs(table.sum(axis=-1) - 1.0) <= PMF_TOL  # False for NaN
-    if np.count_nonzero(normalized) != normalized.size:
+def _checked(tables: Params) -> Params:
+    """Stacked tables that pass ConditionalPmf's row checks, clipped at 0.
+
+    One tolerance test covers every row of every table, and one minimum
+    every entry.
+    """
+    sums = np.concatenate([t.sum(axis=-1) for t in tables], axis=-1)
+    if not np.abs(sums - 1.0).max(initial=0.0) <= PMF_TOL:  # NaN fails it too
         raise DistributionError("factor table has a row that does not sum to 1")
-    if np.count_nonzero(table < 0):
-        if np.count_nonzero(table < -PMF_TOL):
+    low = min(t.min(initial=0.0) for t in tables)
+    if low < 0:
+        if low < -PMF_TOL:
             raise DistributionError("factor table has negative entries")
-        table = np.maximum(table, 0.0)
-    return table
+        tables = [np.maximum(t, 0.0) for t in tables]
+    return tables
 
 
 def _realize(pattern: str, sizes: Mapping[str, int], tables: Params) -> np.ndarray:
@@ -433,10 +383,10 @@ def _realize(pattern: str, sizes: Mapping[str, int], tables: Params) -> np.ndarr
     _, chain = PATTERNS[pattern]
     joint = np.ones(len(tables[0]))
     covered: tuple[str, ...] = ()
-    for (targets, given), table in zip(chain, tables):
+    for (targets, given), table in zip(chain, _checked(tables)):
         shape = tuple(sizes[a] if a in given else 1 for a in covered)
         shape += tuple(sizes[a] for a in targets)
-        joint = joint.reshape(joint.shape + (1,) * len(targets)) * _checked(table).reshape(
+        joint = joint.reshape(joint.shape + (1,) * len(targets)) * table.reshape(
             (len(table),) + shape
         )
         covered += targets
@@ -446,86 +396,80 @@ def _realize(pattern: str, sizes: Mapping[str, int], tables: Params) -> np.ndarr
 class _BoundPlan:
     """A ``BoundTerms`` compiled against source axes and receiver matrices.
 
-    Compiling resolves, once, every distinct entropy the terms need (keyed
-    by axis set) to its route: the source axes to sum away, then for an
-    entropy that names a receiver, that receiver's |X| x |R| matrix, applied
-    with ``@`` or, when the input X (the last source axis) is kept, as an
-    outer product.  Each term keeps the slots of its entropies, and each
-    rate and the gate the signed term slots they add.  ``information`` on a
-    stack of source laws ``joint`` (B, source sizes) is then a flat run of
-    numpy operations: the same marginals, ``entropy_bits`` calls and sums,
-    in the same order, as forming each term alone.
+    Every distinct entropy the terms need (keyed by axis set) reads a pmf
+    that is linear in the flattened source law: a marginal, or a marginal
+    with X (the last source axis) pushed through a receiver's |X| x |R|
+    matrix, with X kept or summed away.  At the first call for a source
+    shape the plan compiles two matrices: ``M`` (N source cells x the cells
+    of every entropy's pmf; a pushed entropy holds w[x, r] at its kept
+    cell) and ``ST`` (those cells x the terms, each cell carrying its
+    entropy's +1 or -1 in every term).  ``information`` on a stack of
+    source laws ``joint`` (B, source sizes) is then P = joint @ M and
+    -(P log2 P) @ ST, one vector-matrix product per point, so each point
+    gets the same bits whatever else is in the stack.
     """
 
     def __init__(
         self, bound: BoundTerms, axes: tuple[str, ...], channels: Mapping[str, np.ndarray]
     ):
-        drops: dict[tuple[str, ...], int] = {}
-        entropies: dict[frozenset, int] = {}
+        self.axes, self.channels = axes, channels
+        self.entropies: dict[frozenset, int] = {}
         terms: dict[Term, int] = {}
-        self.drops: list[tuple[int, ...]] = []  # axes summed away, per marginal
-        self.entropies: list[tuple[int, Optional[np.ndarray], bool]] = []
-        self.terms: list[tuple[Term, tuple[int, ...]]] = []
-        x = axes[-1]
-
-        def marginal(keep: tuple[str, ...]) -> int:
-            if keep not in drops:
-                drops[keep] = len(self.drops)
-                self.drops.append(tuple(1 + i for i, a in enumerate(axes) if a not in keep))
-            return drops[keep]
-
-        def entropy(names: tuple[str, ...]) -> int:
-            key = frozenset(names)
-            if key not in entropies:
-                receivers = [a for a in names if a not in axes]
-                if len(receivers) > 1:
-                    raise AxisError(f"a term names more than one receiver: {receivers}")
-                if receivers:
-                    src = marginal(tuple(a for a in axes if a in key or a == x))
-                    route = (src, channels[receivers[0]], x in key)
-                else:
-                    route = (marginal(tuple(a for a in axes if a in key)), None, False)
-                entropies[key] = len(self.entropies)
-                self.entropies.append(route)
-            return entropies[key]
+        signs: list[tuple[int, int, int]] = []  # (entropy, term, sign)
 
         def term(t: Term) -> int:
             if t not in terms:
                 a, b, c = t
-                names = (a + c, b + c, a + b + c, c) if c else (a, b, a + b)
-                terms[t] = len(self.terms)
-                self.terms.append((t, tuple(entropy(n) for n in names)))
+                terms[t] = len(terms)
+                for names, sign in zip((a + c, b + c, a + b + c, c), (1, 1, -1, -1)):
+                    if names:
+                        receivers = [n for n in names if n not in axes]
+                        if len(receivers) > 1:
+                            raise AxisError(f"a term names more than one receiver: {receivers}")
+                        e = self.entropies.setdefault(frozenset(names), len(self.entropies))
+                        signs.append((e, terms[t], sign))
             return terms[t]
 
-        def signed(expr: Expr) -> list[tuple[int, int]]:
-            return [(sign, term(t)) for sign, t in expr]
+        self.rates = [[(sign, term(t)) for sign, t in rate] for rate in bound.rates]
+        self.gate = [(sign, term(t)) for sign, t in bound.gate] or None
+        self.terms = list(terms)
+        self.signs = np.zeros((len(self.entropies), len(terms)))
+        for e, t, sign in signs:
+            self.signs[e, t] += sign
+        self._compiled: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-        self.rates = [signed(rate) for rate in bound.rates]
-        self.gate = signed(bound.gate) if bound.gate else None
+    def _compile(self, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(M, ST) for source laws of shape ``sizes``."""
+        n = int(np.prod(sizes))
+        index = np.indices(sizes).reshape(len(sizes), n)  # each flat cell's coordinates
+        blocks = []
+        for key in self.entropies:
+            cell, cells = np.zeros(n, dtype=int), 1
+            for i, a in enumerate(self.axes):
+                if a in key:
+                    cell, cells = cell * sizes[i] + index[i], cells * sizes[i]
+            receiver = [self.channels[a] for a in key if a not in self.axes]
+            w = receiver[0] if receiver else np.ones((sizes[-1], 1))
+            block = np.zeros((n, cells, w.shape[1]))
+            block[np.arange(n), cell] = w[index[-1]]
+            blocks.append(block.reshape(n, -1))
+        widths = [b.shape[1] for b in blocks]
+        return np.concatenate(blocks, axis=1), np.repeat(self.signs, widths, axis=0)
 
-    def information(self, joint: np.ndarray) -> list[np.ndarray]:
-        """Every compiled term at each of a stack of source laws, clamped at 0."""
-        batch, nx = len(joint), joint.shape[-1]  # the input is the last source axis
-        marginals = [joint.sum(axis=drop) if drop else joint for drop in self.drops]
-        h = []
-        for src, w, outer in self.entropies:
-            p = marginals[src]
-            if w is not None:
-                p = p.reshape(batch, -1, nx)
-                p = p[..., None] * w if outer else p @ w
-            h.append(entropy_bits(p, p.ndim - 1))
-        info = []
-        for (a, b, c), slots in self.terms:
-            if c:
-                value = h[slots[0]] + h[slots[1]] - h[slots[2]] - h[slots[3]]
-            else:
-                value = h[slots[0]] + h[slots[1]] - h[slots[2]]
-            if np.count_nonzero(value < -MEASURE_TOL):
-                raise DistributionError(
-                    f"I({a};{b}|{c}) = {value.min()} is below -{MEASURE_TOL}"
-                )
-            info.append(np.maximum(value, 0.0))
-        return info
+    def information(self, joint: np.ndarray) -> np.ndarray:
+        """Every compiled term at each of a stack of source laws, clamped at 0: (terms, B)."""
+        shape = joint.shape[1:]
+        if shape not in self._compiled:
+            self._compiled[shape] = self._compile(shape)
+        m, st = self._compiled[shape]
+        p = joint.reshape(len(joint), 1, len(m)) @ m  # (B, 1, N) @ M: one product per point
+        info = (0.0 - (p * log2_cells(p)) @ st)[:, 0].T
+        low = (info < -MEASURE_TOL).any(axis=1)
+        if low.any():
+            t = int(low.argmax())
+            a, b, c = self.terms[t]
+            raise DistributionError(f"I({a};{b}|{c}) = {info[t].min()} is below -{MEASURE_TOL}")
+        return np.maximum(info, 0.0)
 
     def __call__(self, joint: np.ndarray) -> np.ndarray:
         """The bound at each of a stack of source laws: B floats, NaN inadmissible."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -594,9 +595,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built at the first ``main`` call, then reused: parse_args keeps no state
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()   # a closed stdout raises here, not in the flush at exit

@@ -21,7 +21,9 @@ closed form is immaterial to the results.
 
 The second component's measures I(V2;Y12|Q2) and I(V2;Z2|Q2), the hot
 path of the upper-bound search, are two terms of a ``bounds`` engine plan
-compiled once per channel, run on the chain product of the searched tables.
+compiled once per channel: one product of each point's chain-product law
+with the plan's matrix (24 x 90 at the default |Q2| = 3, |V2| = 4), then
+one with its term signs.
 
 The headline reproduction: the indirect-decoding bound achieves exactly
 5/6 at V = X1 with independent uniform inputs, while the two-receiver
@@ -188,7 +190,7 @@ def second_component_measures(tables, chan: Optional[Fig1Channel] = None):
     tables, then the two terms of a plan compiled once per channel.  Each
     table may carry leading batch axes, (..., rows, cols); the two measures
     then come back with those leading axes, one pair per point, each the
-    same bits as the point alone.
+    same bits as the point alone (the plan multiplies point by point).
     """
     pq, pvq, pxv = tables
     p_qvx = pq[..., 0, :, None, None] * pvq[..., :, :, None] * pxv[..., None, :, :]

@@ -381,14 +381,6 @@ def infeasibility_certificate(
     return implied_by(vecs, ([0] * (len(vars_) + len(atoms)), Fraction(-1)))
 
 
-def system_feasible(
-    sys: InequalitySystem, assumptions: Sequence[LinearInequality] = ()
-) -> bool:
-    """Closure feasibility of the rows plus assumption rows (atoms free),
-    decided by one Farkas LP (``infeasibility_certificate``)."""
-    return infeasibility_certificate(sys, assumptions) is None
-
-
 def remove_redundant(
     sys: InequalitySystem,
     assumptions: Sequence[LinearInequality] = (),

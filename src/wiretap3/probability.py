@@ -60,20 +60,27 @@ def _as_fraction_or_none(values) -> Optional[tuple]:
     return tuple(out)
 
 
+def log2_cells(p: np.ndarray) -> np.ndarray:
+    """log2 of every cell of ``p``, 0 at cells <= 0, which never reach log2.
+
+    The package's one home of the 0*log0 = 0 convention: ``entropy_bits``
+    and the bounds engine's fused plan both weight these logs by p.
+    """
+    return np.log2(p, out=np.zeros(p.shape), where=p > 0)
+
+
 def entropy_bits(p, ndim: Optional[int] = None) -> np.ndarray:
     """H in bits over the trailing ``ndim`` axes of ``p`` (all axes by default).
 
-    The package's only -sum p log2 p: every entropy and (conditional)
-    mutual information goes through here, one pmf or a stack of them.
-    Cells <= 0 contribute 0 (the 0*log0 = 0 convention) and never reach
-    log2.  The trailing cells are reduced as one flat run by one dot
-    product each, so a pmf in a stack gets the same bits as the pmf alone.
+    The -sum p log2 p of every entropy and (conditional) mutual information
+    outside the bounds engine, one pmf or a stack of them.  The trailing
+    cells are reduced as one flat run by one dot product each, so a pmf in
+    a stack gets the same bits as the pmf alone.
     """
     p = np.asarray(p, dtype=float)
     k = p.ndim if ndim is None else ndim
     flat = p.reshape(p.shape[: p.ndim - k] + (-1,))
-    logs = np.log2(flat, out=np.zeros(flat.shape), where=flat > 0)
-    return 0.0 - np.vecdot(flat, logs)  # 0.0 - x folds -0.0 into 0.0
+    return 0.0 - np.vecdot(flat, log2_cells(flat))  # 0.0 - x folds -0.0 into 0.0
 
 
 def entropy_of_vector(p: np.ndarray) -> float:

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
+from sampling import random_admissible_dist, random_dist
 from vertex_oracle import projection_matches
 from wiretap3.bounds import (
     AuxSpec,
@@ -22,8 +23,6 @@ from wiretap3.bounds import (
     maximize,
     prop2_inner_region,
     prop3_outer_region,
-    random_admissible_dist,
-    random_dist,
     theorem1_rate,
     ALIGNED_MULTILEVEL_ROWS,
 )

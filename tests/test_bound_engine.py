@@ -5,8 +5,9 @@
 engine must reach the same maxima by the same search paths, give the same
 values on stacks (NaN exactly where the old theorem1 returned None), give
 each point of a stack the bits it gets alone, and keep its table and
-measure checks under ``python -O``.  The compiled ``_BoundPlan`` must give
-the bits of the memoized engine it replaced (``reference_bounds.bound_values``).
+measure checks under ``python -O``.  The fused ``_BoundPlan`` must agree with
+the memoized engine it replaced (``reference_bounds.bound_values``) to
+rounding, and give each point the same bits in every sub-stack.
 """
 
 import os
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 import reference_bounds
-from wiretap3 import bounds, optim
+import sampling
+from wiretap3 import bounds, fig1, optim
 from wiretap3.bounds import AuxSpec, BroadcastChannels, build_factored, maximize
 from wiretap3.optim import SearchBudget
 from wiretap3.probability import DistributionError, bsc, erasure_channel
@@ -27,6 +29,7 @@ from wiretap3.specfmt import parse_spec
 from test_bounds import chans_deg
 
 TOL = 1e-12
+FUSED_TOL = 1e-13  # the fused plan against the memoized engine, term sums reordered
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -193,6 +196,38 @@ def test_each_point_gets_its_own_bits(bound_id, cards, channel, kind):
     assert np.array_equal(together, alone, equal_nan=True)
 
 
+def _fused_plans():
+    """(plan, 64 source laws): the example's second-component plan, and theorem1's."""
+    rng = np.random.default_rng(31)
+    pq, pvq, pxv = (rng.dirichlet(np.ones(c), size=(64, r)) for r, c in [(1, 3), (3, 4), (4, 2)])
+    example = pq[:, 0, :, None, None] * pvq[..., None] * pxv[:, None]
+    chans = _example_spec()
+    cards = {"V0": 2, "V1": 2, "V2": 2}
+    tables = _tables_for("theorem1", cards, chans, "mixed", seed=31)
+    theorem1 = bounds._realize("theorem1", AuxSpec("theorem1", cards).resolve(4), tables)
+    return {
+        "example": (fig1._second_component_plan(fig1._FIG1), example),
+        "theorem1": (
+            bounds._BoundPlan(bounds._THEOREM1, bounds.PATTERNS["theorem1"][0],
+                              bounds._channels(chans)),
+            theorem1,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["example", "theorem1"])
+def test_every_sub_stack_gives_each_point_its_bits(name):
+    # every prefix and suffix of the stack, empty and whole included: each is
+    # a view at another offset, so a point sits at another alignment in each
+    plan, joint = _fused_plans()[name]
+    whole = plan.information(joint)
+    values = plan(joint)
+    subs = [slice(0, k) for k in range(65)] + [slice(k, 64) for k in range(65)]
+    for s in subs:
+        assert np.array_equal(plan.information(joint[s]), whole[:, s])
+        assert np.array_equal(plan(joint[s]), values[s], equal_nan=True)
+
+
 @pytest.mark.parametrize("bound_id,cards,channel,kind", STACK_CASES)
 def test_compiled_plan_matches_the_memoized_engine(bound_id, cards, channel, kind):
     chans = CHANNELS[channel]()
@@ -202,7 +237,12 @@ def test_compiled_plan_matches_the_memoized_engine(bound_id, cards, channel, kin
     want = reference_bounds.bound_values(
         bounds._BOUND_TERMS[bound_id], bounds.PATTERNS[pattern][0], joint, bounds._channels(chans)
     )
-    assert np.array_equal(_engine_values(bound_id, cards, chans, tables), want, equal_nan=True)
+    got = _engine_values(bound_id, cards, chans, tables)
+    # the fused plan sums each term's cells in one product, not entropy by
+    # entropy, so values move by rounding only (5.8e-15 at most measured)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.abs(got[ok] - want[ok]).max(initial=0.0) <= FUSED_TOL
 
 
 def test_stacked_family_expansion_matches_per_point():
@@ -217,7 +257,7 @@ def test_stacked_family_expansion_matches_per_point():
 
 
 def _admissible_loop_form(sizes, rng, family):
-    """``_admissible_tables`` as it was, with per-row ``vstack`` loops."""
+    """``sampling.admissible_tables`` as it was, with per-row ``vstack`` loops."""
     n0, n1, n2, nx = sizes["V0"], sizes["V1"], sizes["V2"], sizes["X"]
     p1 = rng.dirichlet(np.ones(n1), size=n0)
     if family == "collapse_v2":
@@ -239,13 +279,13 @@ def _admissible_loop_form(sizes, rng, family):
     return [pv12, px]
 
 
-@pytest.mark.parametrize("family", bounds.ADMISSIBLE_FAMILIES)
+@pytest.mark.parametrize("family", sampling.ADMISSIBLE_FAMILIES)
 @pytest.mark.parametrize("seed", [0, 1, 23])
 def test_admissible_tables_are_bit_identical_to_the_loop_form(family, seed):
     for pattern in ("theorem1", "theorem2"):
         head = bounds.PATTERNS[pattern][0][0]
         sizes = {head: 2, "V0": 2, "V1": 3, "V2": 4, "X": 3}
-        got = bounds.random_admissible_dist(pattern, sizes, np.random.default_rng(seed), family)
+        got = sampling.random_admissible_dist(pattern, sizes, np.random.default_rng(seed), family)
         rng = np.random.default_rng(seed)
         want = [
             rng.dirichlet(np.ones(sizes[head]), size=1),
@@ -279,16 +319,18 @@ for tables in (negative, unnormalized):
     except DistributionError:
         print("table rejected")
 
-# mass 2 instead of 1 puts I(V;Y1) = 2 I(V;Y1) - 2 = -2 below -MEASURE_TOL
-doubled = np.full((4, 2, 2), 0.5)
-chans = {"Y1": np.eye(2), "Z": np.eye(2)}
+# mass 2 instead of 1 turns each I(V;R) into 2 I(V;R) - 2: with V = X, that
+# is 0 for the noiseless Y1 and -1 for Z, an erasure of 1/2, so the second
+# term, and only it, falls below -MEASURE_TOL
+doubled = np.array([np.eye(2)] * 4)
+chans = {"Y1": np.eye(2), "Z": np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])}
 try:
     bounds._BoundPlan(bounds._WIRETAP, ("V", "X"), chans)(doubled)
-except DistributionError:
-    print("term rejected")
+except DistributionError as e:
+    print("term rejected: " + str(e).split(" = ")[0])
 """
 
-EXPECTED = ["table rejected", "table rejected", "term rejected"]
+EXPECTED = ["table rejected", "table rejected", "term rejected: I(('V',);('Z',)|())"]
 
 
 def test_table_and_measure_checks_raise():
@@ -318,6 +360,56 @@ def test_near_zero_negative_entries_are_clipped_like_conditional_pmf():
     assert np.abs(joint[0] - want).max() <= TOL
 
 
+class _Captured(Exception):
+    pass
+
+
+def _maximize_objective(monkeypatch):
+    """The objective ``maximize`` hands its search (ck_extension), and 8 good stacked tables."""
+    seen = []
+
+    def capture(objective, shapes, budget, extra_starts=()):
+        seen.append((objective, shapes))
+        raise _Captured
+
+    monkeypatch.setattr(bounds, "search_factored", capture)
+    with pytest.raises(_Captured):
+        maximize("ck_extension", AuxSpec("ck", {"Q": 2, "V": 3}), _bsc_triple(), SearchBudget())
+    (objective, shapes), = seen
+    rng = np.random.default_rng(0)
+    return objective, [rng.dirichlet(np.ones(c), size=(8, r)) for r, c in shapes]
+
+
+def _set(tables, k, index, value):
+    tables = [t.copy() for t in tables]
+    tables[k][index] = value
+    return tables
+
+
+BAD_TABLES = {
+    # a row off by more than PMF_TOL
+    "unnormalized": (lambda ts: _set(ts, 1, (3, 0, 0), ts[1][3, 0, 0] + 1e-9), "does not sum to 1"),
+    "nan": (lambda ts: _set(ts, 2, (5, 1), [np.nan, 1.0]), "does not sum to 1"),
+    # the row sums to 1, an entry is below -PMF_TOL
+    "negative": (lambda ts: _set(ts, 2, (5, 1), [1.0 + 1e-9, -1e-9]), "negative entries"),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_TABLES)
+def test_maximize_objective_rejects_bad_tables(monkeypatch, kind):
+    objective, tables = _maximize_objective(monkeypatch)
+    assert np.isfinite(objective(tables)).all()
+    bad, message = BAD_TABLES[kind]
+    with pytest.raises(DistributionError, match=message):
+        objective(bad(tables))
+
+
+def test_maximize_objective_clips_near_zero_negatives(monkeypatch):
+    objective, tables = _maximize_objective(monkeypatch)
+    got = objective(_set(tables, 2, (5, 1), [1.0 + 1e-13, -1e-13]))
+    assert np.array_equal(got, objective(_set(tables, 2, (5, 1), [1.0 + 1e-13, 0.0])))
+
+
 def test_terms_are_clamped_at_zero_like_joint_pmf():
     # X independent of V: every I(V;R|Q) is 0, and float dust either side of 0
     # must come out as 0 or above, as JointPmf's max(value, 0.0) gives
@@ -335,6 +427,6 @@ def test_terms_are_clamped_at_zero_like_joint_pmf():
 
 
 def test_channel_alphabet_mismatch_is_rejected():
-    d = bounds.random_dist("ck", {"Q": 2, "V": 2, "X": 3}, np.random.default_rng(0))
+    d = sampling.random_dist("ck", {"Q": 2, "V": 2, "X": 3}, np.random.default_rng(0))
     with pytest.raises(DistributionError):
         bounds.ck_extension_rate(d, _bsc_triple())

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sampling import random_admissible_dist, random_dist
 from wiretap3 import bounds
 from wiretap3.bounds import (
     AuxSpec,
-    random_admissible_dist,
     BroadcastChannels,
     MultilevelChannel,
     PatternError,
@@ -27,7 +27,6 @@ from wiretap3.bounds import (
     prop1_region,
     prop2_inner_region,
     prop3_outer_region,
-    random_dist,
     reversely_degraded_bound,
     theorem1_rate,
     theorem2_region,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wiretap3 import orderings
+from wiretap3 import cli, orderings
 from wiretap3.cli import build_parser, main
 from wiretap3.specfmt import parse_spec, write_spec
 
@@ -304,6 +304,38 @@ class TestRoundTrip:
                 doc.factored[name].realization.tensor,
                 atol=0,
             )
+
+
+class TestParserReuse:
+    def test_successive_calls_match_fresh_parsers(self, spec_file, monkeypatch, capsys):
+        # main builds its parser once; options and defaults of one call must
+        # not reach the next, whatever the subcommands
+        spec = str(spec_file)
+        bound = ["bound", "--spec", spec, "--y1", "y1", "--y2", "y2", "--z", "z"]
+        calls = [
+            bound + ["--id", "wiretap", "--card", "V=3", "--seed", "3", "--restarts", "2",
+                     "--sweeps", "4", "--format", "json"],
+            bound + ["--id", "ck_extension", "--seed", "3", "--restarts", "1", "--sweeps", "3"],
+            ["info", "--spec", spec, "--input", "unif", "--format", "json"],
+            ["info", "--spec", spec],
+            bound + ["--id", "wiretap", "--dist", "d", "--format", "json"],
+            ["repro-example", "--seed", "2", "--restarts", "2", "--sweeps", "2"],
+            bound + ["--id", "wiretap", "--card", "V=2", "--seed", "4", "--restarts", "1"],
+        ]
+
+        def reports():
+            out = []
+            for argv in calls:
+                assert main(argv) == 0
+                out.append(capsys.readouterr().out)
+            return out
+
+        cached = cli._parser
+        reused = reports()
+        for argv in calls:
+            assert vars(cached().parse_args(argv)) == vars(build_parser().parse_args(argv))
+        monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser per call
+        assert reports() == reused
 
 
 class TestBoundCommand:

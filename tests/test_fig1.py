@@ -16,7 +16,7 @@ from wiretap3.fig1 import (
 )
 from wiretap3.optim import SearchBudget
 from wiretap3.orderings import check_degraded
-from wiretap3.probability import entropy_bits
+from wiretap3.probability import cascade, entropy_bits
 
 
 class TestClosedForms:
@@ -70,10 +70,11 @@ class TestWiring:
         assert v2.holds is True and v2.witness is not None
 
     def test_z2_is_half_erasure_of_y12(self):
+        # an identity of rational matrices: every channel holds Fractions
         chan = Fig1Channel.build()
-        w = chan.z2_from_y12()
-        composed = chan.y12.matrix @ w.matrix
-        assert np.allclose(composed, chan.z2.matrix, atol=1e-12)
+        composed = cascade(chan.y12, chan.z2_from_y12())
+        assert composed.exact is not None
+        assert composed.exact == chan.z2.exact
 
     @staticmethod
     def _stacked_matches_points(tables_list):

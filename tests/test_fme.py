@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reference_fme as ref
+from sampling import system_feasible
 from vertex_oracle import projection_matches
 from wiretap3 import fme
 from wiretap3.cli import main
@@ -23,7 +24,6 @@ from wiretap3.fme import (
     region_equal,
     remove_redundant,
     substitute,
-    system_feasible,
 )
 from wiretap3.rationallp import verify_certificate
 

@@ -9,6 +9,7 @@ region rows and the orderings objectives must agree with it to 1e-12.
 import numpy as np
 import pytest
 
+import sampling
 from wiretap3 import bounds, orderings
 from wiretap3.probability import JointPmf, bsc, erasure_channel
 
@@ -67,14 +68,14 @@ CHANNELS = [
 def ck_dists():
     rng = np.random.default_rng(41)
     out = [ck_from(np.array([[1.0]]), np.array([[0.5, 0.5]]), np.eye(2))]
-    out += [bounds.random_dist("ck", {"Q": 2, "V": 3, "X": 2}, rng) for _ in range(4)]
+    out += [sampling.random_dist("ck", {"Q": 2, "V": 3, "X": 2}, rng) for _ in range(4)]
     return out
 
 
 @pytest.mark.parametrize("ch", CHANNELS)
 def test_scalar_bounds(ch):
     rng = np.random.default_rng(42)
-    wiretap = [uniform_vx()] + [bounds.random_dist("wiretap", {"V": 3, "X": 2}, rng)
+    wiretap = [uniform_vx()] + [sampling.random_dist("wiretap", {"V": 3, "X": 2}, rng)
                                 for _ in range(3)]
     for d in wiretap:
         i = measures(reference_joint(d, [("Y", ("X",), ch.to_y1, None),
@@ -94,8 +95,8 @@ def test_scalar_bounds(ch):
         assert bounds.corollary1_rate(d, ch) == pytest.approx(c1, abs=TOL)
     sizes = {"Q": 2, "V0": 2, "V1": 2, "V2": 3, "X": 2}
     theorem1 = [theorem1_collapsed(ck_dists()[1])] + [
-        bounds.random_admissible_dist("theorem1", sizes, rng, family)
-        for family in bounds.ADMISSIBLE_FAMILIES
+        sampling.random_admissible_dist("theorem1", sizes, rng, family)
+        for family in sampling.ADMISSIBLE_FAMILIES
     ]
     for d in theorem1:
         i = measures(broadcast_joint(d, ch))
@@ -113,8 +114,8 @@ def test_scalar_bounds(ch):
 def test_theorem2_and_prop1_rows(ch):
     rng = np.random.default_rng(43)
     sizes = {"U": 2, "V0": 2, "V1": 2, "V2": 3, "X": 2}
-    for family in bounds.ADMISSIBLE_FAMILIES:
-        d = bounds.random_admissible_dist("theorem2", sizes, rng, family)
+    for family in sampling.ADMISSIBLE_FAMILIES:
+        d = sampling.random_admissible_dist("theorem2", sizes, rng, family)
         i = measures(broadcast_joint(d, ch))
         zu = i(("U",), ("Z",))
         g1, g2 = i(("V0", "V1"), ("Y1",)), i(("V0", "V2"), ("Y2",))
@@ -136,7 +137,7 @@ def test_theorem2_and_prop1_rows(ch):
             "r0r12re-y2": ((h1 - z1) + g2 + h1 - c - 2 * z0, None),
         })
     for _ in range(3):
-        d = bounds.random_dist("prop1", {"U": 3, "X": 2}, rng)
+        d = sampling.random_dist("prop1", {"U": 3, "X": 2}, rng)
         i = measures(broadcast_joint(d, ch))
         x1, x2, xz = (i(("X",), (y,), ("U",)) for y in ("Y1", "Y2", "Z"))
         assert_rows(bounds.prop1_region(d, ch), {
@@ -151,7 +152,7 @@ def test_multilevel_rows():
     ml = multilevel_channel()
     rng = np.random.default_rng(44)
     for _ in range(4):
-        d = bounds.random_dist("multilevel", {"U": 2, "U3": 2, "V": 3, "X": 2}, rng)
+        d = sampling.random_dist("multilevel", {"U": 2, "U3": 2, "V": 3, "X": 2}, rng)
         i = measures(reference_joint(d, [
             (None, ("X",), ml.to_y1z3, [("Y1", ml.y1_size), ("Z3", ml.z3_size)]),
             ("Z2", ("Y1",), ml.z2_given_y1, None),

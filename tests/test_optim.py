@@ -180,12 +180,13 @@ def test_example_at_256_restarts_matches_reference(monkeypatch, seed):
 
 def test_example_seed_1_at_256_restarts_and_60_sweeps():
     # values of tests/reference_search.py (and of the lockstep search before
-    # speculative rows) on this budget; the reference takes about 20 s
+    # speculative rows) on this budget; the reference takes about 20 s.  The
+    # path and tables are the reference's; rck_best is the fused plan's sum
     rep = fig1.reproduce_example(SearchBudget(restarts=256, seed=1, refine_sweeps=60))
     assert rep.evaluations == 235057
     assert rep.identity_points_checked == 2
     assert rep.identity_max_deviation == 0.0
-    assert rep.rck_best == 0.5833333333313804
+    assert rep.rck_best == 0.5833333333313799  # the reference's is 0.5833333333313804
     want = [
         [[0.0, 0.007736414612622643, 0.9922635853873774]],
         [

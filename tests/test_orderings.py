@@ -162,20 +162,35 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("y, z", PAIRS, ids=["bec-bsc", "bsc-bec", "noisy-bec-bsc"])
     def test_matches_the_per_point_search(self, monkeypatch, relation, y, z):
         budget = SearchBudget(restarts=64, seed=1, refine_sweeps=60)
-        runs = []
+        runs, refined = [], []
+        refine = optim.refine_rows
 
         def recording(*args, **kwargs):
             runs.append(optim.search_factored(*args, **kwargs))
             return runs[-1]
 
+        def recording_refine(*args, **kwargs):
+            refined.append(refine(*args, **kwargs))  # every start's value and tables
+            return refined[-1]
+
         monkeypatch.setattr(orderings, "search_factored", recording)
+        monkeypatch.setattr(optim, "refine_rows", recording_refine)
         if relation == "less_noisy":
             verdict, shape = check_less_noisy(y, z, 2, budget), (2, y.rows)
         else:
             verdict, shape = check_more_capable(y, z, budget), (y.rows,)
-        want, least, argmin = reference_search.minimize_gap(y, z, shape, budget)
-        (got,) = runs
-        assert (got.evaluations, got.best_restart) == (want.evaluations, want.best_restart)
+        want, least, _ = reference_search.minimize_gap(y, z, shape, budget)
+        (got,), ((got_values, got_tables, *_), (want_values, want_tables, *_)) = runs, refined
+        assert got.evaluations == want.evaluations
+        # every start takes the reference's path; its value may differ by rounding
+        assert all(np.array_equal(a, b) for a, b in zip(got_tables, want_tables))
+        assert np.array_equal(np.isnan(got_values), np.isnan(want_values))
+        assert np.nanmax(np.abs(got_values - want_values)) <= 1e-15
+        # starts tied within rounding dust: the first largest may be any of them
+        n_extra = len(want_values) - budget.restarts
+        k = got.best_restart + n_extra if got.best_restart >= 0 else -1 - got.best_restart
+        assert want_values[k] >= np.nanmax(want_values) - 1e-15
+        argmin = want_tables[0][k][0].reshape(shape)  # the reference's tables of that start
         assert abs(-got.value - least) <= 1e-12
         assert np.array_equal(got.params[0][0].reshape(shape), argmin)
         if least < -VIOLATION_TOL:
