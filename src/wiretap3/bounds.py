@@ -32,20 +32,23 @@ the tables.  ``_BoundPlan`` compiles the terms against the pattern's axes
 and the receiver matrices: each distinct entropy reads a marginal, pushed
 through a receiver's matrix from X when a term names one (a term names at
 most one; the multilevel Z2 is p(y1|x) p(z2|y1)), so no joint over all
-receivers is built.  All of them are linear in the source law, so every
-term is one fused product per point (see ``_BoundPlan``), with the 0 log 0
-rule of ``probability.log2_cells``.  A term below -MEASURE_TOL raises
-DistributionError; otherwise it is clamped at 0, as ``JointPmf`` does.
-``maximize`` hands a plan to the lockstep search; the scalar and region
-evaluators run one on a one-point stack; the orderings checks and the
-example's second-component measures compile their own.
+receivers is built.  All of them are linear in the source law: a small
+plan reads every entropy's cells with one product per point, a large one
+by its routes (see ``_BoundPlan``), and every term then takes one more
+product, with the 0 log 0 rule of ``probability.log2_cells``.  A term
+below -MEASURE_TOL raises DistributionError; otherwise it is clamped at 0,
+as ``JointPmf`` does.  ``maximize`` hands a plan to the lockstep search;
+the scalar and region evaluators run the same plan (``_plan`` keeps one per
+bound, pattern and receiver matrices) on a one-point stack; the orderings
+checks and the example's second-component measures compile their own.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -65,6 +68,9 @@ from .probability import (
 
 ADMISSIBILITY_TOL = 1e-9
 REEVAL_TOL = 1e-9
+# a plan's dense M and the identity it is read from hold at most this many
+# entries together (1 MiB); larger plans run their routes (see ``_BoundPlan``)
+_DENSE_CELLS = 1 << 17
 
 
 class PatternError(ValueError):
@@ -309,6 +315,7 @@ Expr = tuple[tuple[int, Term], ...]
 _TERM = re.compile(r"\s*([+-]?)\s*(\d*)\s*I\(([\w,]+);([\w,]+)(?:\|([\w,]+))?\)\s*")
 
 
+@lru_cache(maxsize=None)
 def _expr(text: str) -> Expr:
     """Parse a signed sum such as ``I(V0,V1;Y1|Q) - 2 I(V0;Z|Q)``.
 
@@ -396,17 +403,18 @@ def _realize(pattern: str, sizes: Mapping[str, int], tables: Params) -> np.ndarr
 class _BoundPlan:
     """A ``BoundTerms`` compiled against source axes and receiver matrices.
 
-    Every distinct entropy the terms need (keyed by axis set) reads a pmf
-    that is linear in the flattened source law: a marginal, or a marginal
-    with X (the last source axis) pushed through a receiver's |X| x |R|
-    matrix, with X kept or summed away.  At the first call for a source
-    shape the plan compiles two matrices: ``M`` (N source cells x the cells
-    of every entropy's pmf; a pushed entropy holds w[x, r] at its kept
-    cell) and ``ST`` (those cells x the terms, each cell carrying its
-    entropy's +1 or -1 in every term).  ``information`` on a stack of
-    source laws ``joint`` (B, source sizes) is then P = joint @ M and
-    -(P log2 P) @ ST, one vector-matrix product per point, so each point
-    gets the same bits whatever else is in the stack.
+    Every distinct entropy the terms need (keyed by axis set) reads a pmf P
+    that is linear in the source law: a marginal, pushed through a
+    receiver's |X| x |R| matrix when it names one (X, the last source axis,
+    kept as an outer product or summed by ``@``).  At the first call for a
+    source shape the plan compiles these routes and ``ST`` (P's cells x the
+    terms, each cell carrying its entropy's sign), so every term is
+    -(P log2 P) @ ST.  A small plan also compiles its routes into ``M``
+    (N source cells x K pmf cells): P is then one (1, N) @ M product per
+    point.  A plan whose M and N x N identity exceed _DENSE_CELLS entries
+    runs its routes, in memory that grows with N |R|, not N K.  Every numpy
+    call takes each point on its own, so a point gets the same bits in any
+    stack; which form runs depends only on the source shape.
     """
 
     def __init__(
@@ -436,33 +444,64 @@ class _BoundPlan:
         self.signs = np.zeros((len(self.entropies), len(terms)))
         for e, t, sign in signs:
             self.signs[e, t] += sign
-        self._compiled: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._compiled: dict[tuple[int, ...], tuple] = {}
 
-    def _compile(self, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(M, ST) for source laws of shape ``sizes``."""
-        n = int(np.prod(sizes))
-        index = np.indices(sizes).reshape(len(sizes), n)  # each flat cell's coordinates
-        blocks = []
+    def _compile(self, sizes: tuple[int, ...]) -> tuple:
+        """(M or None, routes, ST) for source laws of shape ``sizes``.
+
+        The routes are (marginals, pmfs): each marginal sums axes away from
+        the smallest earlier one that keeps its axes (the source law first),
+        and each entropy's pmf reads a marginal, pushed through its
+        receiver's matrix when it names one.
+        """
+        x, cells, pmfs = self.axes[-1], dict(zip(self.axes, sizes)), []
         for key in self.entropies:
-            cell, cells = np.zeros(n, dtype=int), 1
-            for i, a in enumerate(self.axes):
-                if a in key:
-                    cell, cells = cell * sizes[i] + index[i], cells * sizes[i]
-            receiver = [self.channels[a] for a in key if a not in self.axes]
-            w = receiver[0] if receiver else np.ones((sizes[-1], 1))
-            block = np.zeros((n, cells, w.shape[1]))
-            block[np.arange(n), cell] = w[index[-1]]
-            blocks.append(block.reshape(n, -1))
-        widths = [b.shape[1] for b in blocks]
-        return np.concatenate(blocks, axis=1), np.repeat(self.signs, widths, axis=0)
+            w = next((self.channels[a] for a in key if a not in cells), None)
+            keep = tuple(a for a in self.axes if a in key or (w is not None and a == x))
+            width = math.prod(cells[a] for a in key if a in cells)
+            pmfs.append((keep, w, x in key, width if w is None else width * w.shape[1]))
+        # largest first (a stable sort): the last earlier superset is the smallest
+        keeps = sorted(dict.fromkeys([self.axes] + [p[0] for p in pmfs]), key=len, reverse=True)
+        sets = [set(k) for k in keeps]
+        marginals = []
+        for j, keep in enumerate(keeps[1:], 1):
+            src = next(i for i in reversed(range(j)) if sets[j] < sets[i])
+            marginals.append((src, tuple(1 + i for i, a in enumerate(keeps[src]) if a not in keep)))
+        pmfs = [(keeps.index(keep), *rest) for keep, *rest in pmfs]
+        routes = (marginals, pmfs)
+        st = np.repeat(self.signs, [width for *_, width in pmfs], axis=0)
+        n, m = math.prod(sizes), None
+        if n * (n + len(st)) <= _DENSE_CELLS:
+            # row i of M is the pmfs of the i-th unit law: each entry is a 1
+            # or a matrix entry, exact either way
+            m = self._pmfs(routes, np.eye(n).reshape((n,) + sizes))[:, 0]
+        return m, routes, st
+
+    @staticmethod
+    def _pmfs(routes: tuple, joint: np.ndarray) -> np.ndarray:
+        """Every entropy's pmf, routed, at each of a stack of source laws: (B, 1, K)."""
+        batch, nx = len(joint), joint.shape[-1]
+        marginals, pmfs = routes
+        laws = [joint]
+        for src, drop in marginals:
+            laws.append(laws[src].sum(axis=drop))
+        parts = []
+        for law, w, outer, width in pmfs:
+            p = laws[law]
+            if w is not None:
+                p = p.reshape(batch, math.prod(p.shape[1:-1]), nx)
+                p = p[..., None] * w if outer else p @ w
+            parts.append(p.reshape(batch, 1, width))
+        return np.concatenate(parts, axis=2)
 
     def information(self, joint: np.ndarray) -> np.ndarray:
         """Every compiled term at each of a stack of source laws, clamped at 0: (terms, B)."""
         shape = joint.shape[1:]
         if shape not in self._compiled:
             self._compiled[shape] = self._compile(shape)
-        m, st = self._compiled[shape]
-        p = joint.reshape(len(joint), 1, len(m)) @ m  # (B, 1, N) @ M: one product per point
+        m, routes, st = self._compiled[shape]
+        # (B, 1, N) @ M: one product per point
+        p = self._pmfs(routes, joint) if m is None else joint.reshape(len(joint), 1, len(m)) @ m
         info = (0.0 - (p * log2_cells(p)) @ st)[:, 0].T
         low = (info < -MEASURE_TOL).any(axis=1)
         if low.any():
@@ -481,6 +520,20 @@ class _BoundPlan:
             gate = _signed_sum(self.gate, info.__getitem__)
             value = np.where(gate < -ADMISSIBILITY_TOL, np.nan, value)
         return value
+
+
+@lru_cache(maxsize=64)
+def _cached_plan(bound: BoundTerms, pattern: str, matrices: tuple) -> _BoundPlan:
+    channels = {r: np.frombuffer(data).reshape(shape) for r, shape, data in matrices}
+    return _BoundPlan(bound, PATTERNS[pattern][0], channels)
+
+
+def _plan(bound: BoundTerms, pattern: str, channels: Mapping[str, np.ndarray]) -> _BoundPlan:
+    """The plan of ``bound`` on ``pattern``'s axes, one per receiver matrices'
+    values: later calls reuse it and every source shape it has compiled."""
+    return _cached_plan(
+        bound, pattern, tuple((r, w.shape, w.astype(float).tobytes()) for r, w in channels.items())
+    )
 
 
 def _channels(chans: BroadcastChannels) -> dict[str, np.ndarray]:
@@ -509,7 +562,7 @@ def _at_point(
 ) -> float:
     """``bound`` at one distribution: the batched engine on a one-point stack."""
     joint = _one_point(pattern, dist, channels, strict_tag)
-    return float(_BoundPlan(bound, PATTERNS[pattern][0], channels)(joint)[0])
+    return float(_plan(bound, pattern, channels)(joint)[0])
 
 
 def wiretap_rate(dist, chan_y: ConditionalPmf, chan_z: ConditionalPmf) -> float:
@@ -673,7 +726,7 @@ def _region(
     every row is a rate of one plan, run on a one-point stack.
     """
     exprs = [e for *_, rhs, _, clamp in rows for e in rhs + (clamp[:1] if clamp else ())]
-    plan = _BoundPlan(BoundTerms(tuple(map(_expr, exprs)), gate), PATTERNS[pattern][0], channels)
+    plan = _plan(BoundTerms(tuple(map(_expr, exprs)), gate), pattern, channels)
     info = plan.information(_one_point(pattern, dist, channels)).__getitem__
     if gate and _signed_sum(plan.gate, info)[0] < -ADMISSIBILITY_TOL:
         return None
@@ -932,7 +985,7 @@ def maximize(
     if aux.pattern != pattern:
         raise PatternError(f"bound {bound_id!r} needs pattern {pattern!r}")
     sizes = aux.resolve(chans.x_size)
-    plan = _BoundPlan(_BOUND_TERMS[bound_id], PATTERNS[pattern][0], _channels(chans))
+    plan = _plan(_BOUND_TERMS[bound_id], pattern, _channels(chans))
     best = None
     search_evaluations = objective_points = 0
     for shapes, expand in _search_spaces(pattern, sizes):

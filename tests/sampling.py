@@ -3,7 +3,9 @@
 ``random_dist`` draws every factor table of a pattern from a flat
 Dirichlet; ``random_admissible_dist`` draws theorem1/theorem2 points from
 the structured families on which the Marton constraint holds identically
-(the families ``bounds.maximize`` searches for theorem1).
+(the families ``bounds.maximize`` searches for theorem1).  They expand a
+family's tables with ``bounds._expand_family`` itself, on purpose: a test
+point is then built exactly as the search builds one.
 ``system_feasible`` decides closure feasibility of an inequality system by
 the one Farkas LP the FME derivations use.
 """

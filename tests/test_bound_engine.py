@@ -197,7 +197,9 @@ def test_each_point_gets_its_own_bits(bound_id, cards, channel, kind):
 
 
 def _fused_plans():
-    """(plan, 64 source laws): the example's second-component plan, and theorem1's."""
+    """(plan, 64 source laws): the example's second-component plan, and theorem1's.
+
+    Both plans are new, so they compile under the current _DENSE_CELLS."""
     rng = np.random.default_rng(31)
     pq, pvq, pxv = (rng.dirichlet(np.ones(c), size=(64, r)) for r, c in [(1, 3), (3, 4), (4, 2)])
     example = pq[:, 0, :, None, None] * pvq[..., None] * pxv[:, None]
@@ -206,7 +208,7 @@ def _fused_plans():
     tables = _tables_for("theorem1", cards, chans, "mixed", seed=31)
     theorem1 = bounds._realize("theorem1", AuxSpec("theorem1", cards).resolve(4), tables)
     return {
-        "example": (fig1._second_component_plan(fig1._FIG1), example),
+        "example": (fig1._second_component_plan.__wrapped__(fig1._FIG1), example),
         "theorem1": (
             bounds._BoundPlan(bounds._THEOREM1, bounds.PATTERNS["theorem1"][0],
                               bounds._channels(chans)),
@@ -215,13 +217,23 @@ def _fused_plans():
     }
 
 
+def _compiled_form(plan, joint):
+    """"dense" when ``plan`` compiled an M for the shape of ``joint``, else "routed"."""
+    m, _, _ = plan._compiled[joint.shape[1:]]
+    return "routed" if m is None else "dense"
+
+
+@pytest.mark.parametrize("form", ["dense", "routed"])
 @pytest.mark.parametrize("name", ["example", "theorem1"])
-def test_every_sub_stack_gives_each_point_its_bits(name):
+def test_every_sub_stack_gives_each_point_its_bits(monkeypatch, name, form):
     # every prefix and suffix of the stack, empty and whole included: each is
     # a view at another offset, so a point sits at another alignment in each
+    if form == "routed":
+        monkeypatch.setattr(bounds, "_DENSE_CELLS", 0)
     plan, joint = _fused_plans()[name]
     whole = plan.information(joint)
     values = plan(joint)
+    assert _compiled_form(plan, joint) == form
     subs = [slice(0, k) for k in range(65)] + [slice(k, 64) for k in range(65)]
     for s in subs:
         assert np.array_equal(plan.information(joint[s]), whole[:, s])
@@ -243,6 +255,73 @@ def test_compiled_plan_matches_the_memoized_engine(bound_id, cards, channel, kin
     assert np.array_equal(np.isnan(got), np.isnan(want))
     ok = ~np.isnan(want)
     assert np.abs(got[ok] - want[ok]).max(initial=0.0) <= FUSED_TOL
+
+
+@pytest.mark.parametrize("bound_id,cards,channel,kind", STACK_CASES)
+def test_routed_plan_matches_the_memoized_engine(monkeypatch, bound_id, cards, channel, kind):
+    monkeypatch.setattr(bounds, "_DENSE_CELLS", 0)
+    chans = CHANNELS[channel]()
+    tables = _tables_for(bound_id, cards, chans, kind, seed=29)
+    pattern = bounds.bound_pattern(bound_id)
+    joint = bounds._realize(pattern, AuxSpec(pattern, cards).resolve(chans.x_size), tables)
+    want = reference_bounds.bound_values(
+        bounds._BOUND_TERMS[bound_id], bounds.PATTERNS[pattern][0], joint, bounds._channels(chans)
+    )
+    got = _engine_values(bound_id, cards, chans, tables)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.abs(got[ok] - want[ok]).max(initial=0.0) <= FUSED_TOL
+
+
+def test_plans_past_the_dense_bound_run_their_routes():
+    # theorem1 at its default cardinalities on the |X| = 4 example spec has
+    # N = 1,440 source cells and K = 4,166 pmf cells: a dense M would hold
+    # 6.0M entries; the benchmark's V0 = V1 = V2 = 2 plan (N = 64) stays dense
+    chans = _example_spec()
+    channels = bounds._channels(chans)
+    pattern_axes = bounds.PATTERNS["theorem1"][0]
+    for cards, form in (({}, "routed"), ({"V0": 2, "V1": 2, "V2": 2}, "dense")):
+        # 8 random points (NaN: inadmissible), then 8 from an admissible family
+        tables = [t[24:40] for t in _tables_for("theorem1", cards, chans, "mixed", seed=3)]
+        joint = bounds._realize("theorem1", AuxSpec("theorem1", cards).resolve(4), tables)
+        plan = bounds._BoundPlan(bounds._THEOREM1, pattern_axes, channels)
+        got = plan(joint)
+        assert _compiled_form(plan, joint) == form
+        m, _, _ = plan._compiled[joint.shape[1:]]
+        if m is not None:
+            assert m.size + m.shape[0] ** 2 <= bounds._DENSE_CELLS
+        want = reference_bounds.bound_values(bounds._THEOREM1, pattern_axes, joint, channels)
+        assert np.isnan(got).tolist() == np.isnan(want).tolist() == [True] * 8 + [False] * 8
+        assert np.abs(got[8:] - want[8:]).max() <= FUSED_TOL
+
+
+def test_routed_plans_keep_the_term_check(monkeypatch):
+    monkeypatch.setattr(bounds, "_DENSE_CELLS", 0)
+    lines = []
+    exec(CHECKS_SCRIPT, {"print": lines.append})
+    assert lines == EXPECTED
+
+
+def test_one_point_evaluators_share_one_plan_per_channel_values(monkeypatch):
+    compiles = []
+    compile_ = bounds._BoundPlan._compile
+
+    def counted(plan, sizes):
+        compiles.append(sizes)
+        return compile_(plan, sizes)
+
+    monkeypatch.setattr(bounds._BoundPlan, "_compile", counted)
+    bounds._cached_plan.cache_clear()
+    d = sampling.random_dist("ck", {"Q": 2, "V": 3, "X": 4}, np.random.default_rng(2))
+    first = bounds.ck_extension_rate(d, _example_spec())
+    # a second parse of the spec: equal matrices in new arrays reuse the plan
+    assert bounds.ck_extension_rate(d, _example_spec()) == first
+    assert len(compiles) == 1
+    other = BroadcastChannels(bsc(0.1), bsc(0.2), bsc(0.3))
+    d2 = sampling.random_dist("ck", {"Q": 2, "V": 3, "X": 2}, np.random.default_rng(2))
+    bounds.ck_extension_rate(d2, other)
+    bounds.corollary1_rate(d2, other)
+    assert len(compiles) == 3  # other channel values, then another bound
 
 
 def test_stacked_family_expansion_matches_per_point():

@@ -190,6 +190,7 @@ class TestBatchedSearch:
         n_extra = len(want_values) - budget.restarts
         k = got.best_restart + n_extra if got.best_restart >= 0 else -1 - got.best_restart
         assert want_values[k] >= np.nanmax(want_values) - 1e-15
+        assert int(np.nanargmax(got_values)) == k  # the first largest of the engine's own values
         argmin = want_tables[0][k][0].reshape(shape)  # the reference's tables of that start
         assert abs(-got.value - least) <= 1e-12
         assert np.array_equal(got.params[0][0].reshape(shape), argmin)
