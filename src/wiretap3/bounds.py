@@ -63,6 +63,8 @@ from .probability import (
     Factor,
     FactoredDistribution,
     JointPmf,
+    as_joint,
+    conditional,
     log2_cells,
 )
 
@@ -196,22 +198,6 @@ def _expand_family(tables: Params, sizes: Mapping[str, int], family: str) -> Par
     return [*head, pv12, px.reshape(lead + (n0 * n1 * n2, nx))]
 
 
-def _as_joint(dist, pattern: str, strict_tag: bool = True) -> JointPmf:
-    axes, _ = PATTERNS[pattern]
-    if isinstance(dist, FactoredDistribution):
-        if strict_tag and dist.pattern is not None and dist.pattern != pattern:
-            raise PatternError(f"expected pattern {pattern!r}, got {dist.pattern!r}")
-        j = dist.realization
-    elif isinstance(dist, JointPmf):
-        j = dist
-    else:
-        raise PatternError(f"cannot interpret {type(dist).__name__} as a distribution")
-    missing = [a for a in axes if a not in j.axes]
-    if missing:
-        raise PatternError(f"distribution is missing axes {missing} for {pattern!r}")
-    return j
-
-
 @dataclass(frozen=True)
 class BroadcastChannels:
     """Marginal channels from X to the two receivers and the eavesdropper."""
@@ -252,10 +238,6 @@ class MultilevelChannel:
         return self.to_y1z3.rows
 
     @property
-    def z2_size(self) -> int:
-        return self.z2_given_y1.cols
-
-    @property
     def to_y1(self) -> ConditionalPmf:
         m = self.to_y1z3.matrix.reshape(self.x_size, self.y1_size, self.z3_size)
         return ConditionalPmf(m.sum(axis=2))
@@ -280,18 +262,11 @@ class MultilevelChannel:
             raise DistributionError("output sizes do not factor the joint columns")
         t = joint.matrix.reshape(nx, y1_size, z2_size, z3_size)
         p_y1z3 = t.sum(axis=2)
-        p_y1 = t.sum(axis=(2, 3))
-        # extract p(z2|y1) from any x with mass on y1, then verify globally
-        z2g = np.zeros((y1_size, z2_size))
-        for y1 in range(y1_size):
-            num = t[:, y1, :, :].sum(axis=(0, 2))
-            den = num.sum()
-            if den <= 0:
-                z2g[y1] = 1.0 / z2_size
-            else:
-                z2g[y1] = num / den
+        # p(z2|y1) from the x-pooled mass on each y1, then verified globally
+        num = np.stack([t[:, y1].sum(axis=(0, 2)) for y1 in range(y1_size)])
+        z2g = conditional(num, num.sum(axis=1))
         recon = p_y1z3[:, :, None, :] * z2g[None, :, :, None]
-        if not np.allclose(recon, t, atol=tol):
+        if not np.allclose(recon, t, rtol=0, atol=tol):
             raise DistributionError(
                 "channel is not multilevel: p(y1,z2,z3|x) != p(y1,z3|x) p(z2|y1)"
             )
@@ -547,10 +522,17 @@ def _one_point(
 
     Axes of ``dist`` outside the pattern are marginalized away.
     """
-    j = _as_joint(dist, pattern, strict_tag)
+    axes, _ = PATTERNS[pattern]
+    tag = dist.pattern if isinstance(dist, FactoredDistribution) else None
+    if strict_tag and tag not in (None, pattern):
+        raise PatternError(f"expected pattern {pattern!r}, got {tag!r}")
+    j = as_joint(dist)
+    missing = [a for a in axes if a not in j.axes]
+    if missing:
+        raise PatternError(f"distribution is missing axes {missing} for {pattern!r}")
     if any(w.shape[0] != j.size("X") for w in channels.values()):
         raise DistributionError("channel input alphabet does not match X")
-    return j.marginal(PATTERNS[pattern][0]).tensor[None]
+    return j.marginal(axes).tensor[None]
 
 
 def _at_point(

@@ -20,10 +20,10 @@ residual freedom in the per-edge probabilities consistent with every
 closed form is immaterial to the results.
 
 The second component's measures I(V2;Y12|Q2) and I(V2;Z2|Q2), the hot
-path of the upper-bound search, are two terms of a ``bounds`` engine plan
-compiled once per channel: one product of each point's chain-product law
-with the plan's matrix (24 x 90 at the default |Q2| = 3, |V2| = 4), then
-one with its term signs.
+path of the upper-bound search, are two terms of one ``bounds`` engine
+plan: one product of each point's chain-product law with the plan's
+matrix (24 x 90 at the default |Q2| = 3, |V2| = 4), then one with its
+term signs.
 
 The headline reproduction: the indirect-decoding bound achieves exactly
 5/6 at V = X1 with independent uniform inputs, while the two-receiver
@@ -35,8 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional
+from functools import cache
 
 import numpy as np
 
@@ -57,8 +56,6 @@ from .probability import (
 )
 
 ACHIEVABLE = Fraction(5, 6)
-
-_FIG1: "Fig1Channel"
 
 
 def _constant_channel(n_inputs: int) -> ConditionalPmf:
@@ -102,24 +99,23 @@ class Fig1Channel:
 _FIG1 = Fig1Channel.build()
 
 
-def export_spec(chan: Optional[Fig1Channel] = None) -> str:
+def export_spec() -> str:
     """The example channel in the shared channel-spec text format."""
     from .specfmt import SpecDocument, write_spec
 
-    chan = chan or _FIG1
     doc = SpecDocument()
     doc.alphabets = {
         "X1": 2, "X2": 2, "X": 4, "Y21": 2, "Y11": 3, "Y12": 2,
         "Z1": 3, "Z2": 3, "Y1": 6, "Z": 9,
     }
     doc.channels = {
-        "y21": (("X1",), ("Y21",), chan.y21),
-        "y11": (("X1",), ("Y11",), chan.y11),
-        "z1": (("X1",), ("Z1",), chan.z1),
-        "y12": (("X2",), ("Y12",), chan.y12),
-        "z2": (("X2",), ("Z2",), chan.z2),
+        "y21": (("X1",), ("Y21",), _FIG1.y21),
+        "y11": (("X1",), ("Y11",), _FIG1.y11),
+        "z1": (("X1",), ("Z1",), _FIG1.z1),
+        "y12": (("X2",), ("Y12",), _FIG1.y12),
+        "z2": (("X2",), ("Z2",), _FIG1.z2),
     }
-    bc = chan.broadcast()
+    bc = _FIG1.broadcast()
     doc.channels["to_y1"] = (("X",), ("Y1",), bc.to_y1)
     doc.channels["to_y2"] = (("X",), ("Y21",), bc.to_y2)
     doc.channels["to_z"] = (("X",), ("Z",), bc.to_z)
@@ -142,11 +138,10 @@ def closed_form_rates(gamma: float) -> ClosedFormRates:
     return ClosedFormRates(h, h / 2, h / 6, 5 * h / 6, h / 3)
 
 
-def component1_measured(gamma: float, chan: Optional[Fig1Channel] = None) -> ClosedFormRates:
+def component1_measured(gamma: float) -> ClosedFormRates:
     """The same five quantities via generic evaluation on the wiring."""
-    chan = chan or Fig1Channel.build()
     j = JointPmf.product([("X1", Pmf([gamma, 1.0 - gamma]))])
-    for name, w in (("Y21", chan.y21), ("Y11", chan.y11), ("Z1", chan.z1)):
+    for name, w in (("Y21", _FIG1.y21), ("Y11", _FIG1.y11), ("Z1", _FIG1.z1)):
         j = j.extend(("X1",), [(name, w.cols)], w)
     iy21 = j.mutual_information(("X1",), ("Y21",))
     iy11 = j.mutual_information(("X1",), ("Y11",))
@@ -166,28 +161,26 @@ def achievability_distribution() -> FactoredDistribution:
     return build_factored("ck", {"Q": 1, "V": 2, "X": 4}, [p_q, p_v_q, p_x_v])
 
 
-
-def achievable_rate(chan: Optional[Fig1Channel] = None) -> float:
+def achievable_rate() -> float:
     """The indirect-decoding bound at the designated distribution: 5/6."""
-    chan = chan or Fig1Channel.build()
-    return corollary1_rate(achievability_distribution(), chan.broadcast())
+    return corollary1_rate(achievability_distribution(), _FIG1.broadcast())
 
 
 _SECOND_COMPONENT = BoundTerms((_expr("I(V2;Y12|Q2)"), _expr("I(V2;Z2|Q2)")))
 
 
-@lru_cache(maxsize=4)
-def _second_component_plan(chan: Fig1Channel) -> _BoundPlan:
+@cache
+def _second_component_plan() -> _BoundPlan:
     return _BoundPlan(
-        _SECOND_COMPONENT, ("Q2", "V2", "X2"), {"Y12": chan.y12.matrix, "Z2": chan.z2.matrix}
+        _SECOND_COMPONENT, ("Q2", "V2", "X2"), {"Y12": _FIG1.y12.matrix, "Z2": _FIG1.z2.matrix}
     )
 
 
-def second_component_measures(tables, chan: Optional[Fig1Channel] = None):
+def second_component_measures(tables):
     """(I(V2;Y12|Q2), I(V2;Z2|Q2)) for tables [p(q2), p(v2|q2), p(x2|v2)].
 
     Hot path of the upper-bound search: the chain product of the three
-    tables, then the two terms of a plan compiled once per channel.  Each
+    tables, then the two terms of the example's one plan.  Each
     table may carry leading batch axes, (..., rows, cols); the two measures
     then come back with those leading axes, one pair per point, each the
     same bits as the point alone (the plan multiplies point by point).
@@ -195,9 +188,7 @@ def second_component_measures(tables, chan: Optional[Fig1Channel] = None):
     pq, pvq, pxv = tables
     p_qvx = pq[..., 0, :, None, None] * pvq[..., :, :, None] * pxv[..., None, :, :]
     lead = p_qvx.shape[:-3]
-    iy, iz = _second_component_plan(chan or _FIG1).information(
-        p_qvx.reshape((-1,) + p_qvx.shape[-3:])
-    )
+    iy, iz = _second_component_plan().information(p_qvx.reshape((-1,) + p_qvx.shape[-3:]))
     return iy.reshape(lead)[()], iz.reshape(lead)[()]
 
 
@@ -238,15 +229,14 @@ class _IdentityTrace:
     speculative ones first.
     """
 
-    def __init__(self, chan: Fig1Channel):
-        self.chan = chan
+    def __init__(self):
         self.points_checked = 0
         self.max_deviation = 0.0
         self._pending = None  # (silent mask, |iy - iz|) of the last call
 
     def __call__(self, tables):
         self.settle()
-        iy, iz = second_component_measures(tables, self.chan)
+        iy, iz = second_component_measures(tables)
         silent = iz < 1e-9
         if silent.any():
             self._pending = (silent, np.abs(iy - iz))
@@ -270,7 +260,6 @@ def reproduce_example(
     budget: SearchBudget = SearchBudget(restarts=256, seed=20260810),
     q2_card: int = 3,
     v2_card: int = 4,
-    chan: Optional[Fig1Channel] = None,
 ) -> ExampleReport:
     """Run both legs of the example end to end.
 
@@ -279,9 +268,8 @@ def reproduce_example(
     and reports its gap below 5/6; (iii) checks, along the search trace,
     that points leaking nothing to Z2 also gain nothing at Y12.
     """
-    chan = chan or _FIG1
-    achievable = achievable_rate(chan)
-    trace = _IdentityTrace(chan)
+    achievable = achievable_rate()
+    trace = _IdentityTrace()
     shapes = [(1, q2_card), (q2_card, v2_card), (v2_card, 2)]
     res = search_factored(trace, shapes, budget)
     trace.settle()

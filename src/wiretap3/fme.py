@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .rationallp import implied_by
 from .rationallp import feasible_eq  # noqa: F401  bench/tracer.py rebinds fme.feasible_eq
@@ -157,13 +157,6 @@ class LinearInequality:
         return f"<{self.format()}>"
 
 
-def _order_preserving_unique(seq: Iterable[str]) -> tuple[str, ...]:
-    seen = {}
-    for s in seq:
-        seen.setdefault(s, None)
-    return tuple(seen)
-
-
 @dataclass(frozen=True, eq=False)
 class InequalitySystem:
     variables: tuple[str, ...]
@@ -183,9 +176,7 @@ class InequalitySystem:
 
     @property
     def atoms(self) -> tuple[str, ...]:
-        return _order_preserving_unique(
-            a for ineq in self.inequalities for a in ineq.rhs_atoms
-        )
+        return tuple(dict.fromkeys(a for ineq in self.inequalities for a in ineq.rhs_atoms))
 
     def with_rows(self, rows: Sequence[LinearInequality]) -> "InequalitySystem":
         return InequalitySystem(self.variables, rows, self.bindings)
@@ -353,7 +344,7 @@ def _joint_space(
     for r in extra_rows:
         atoms.extend(r.rhs_atoms)
         vars_.extend(r.coeffs)
-    return list(_order_preserving_unique(vars_)), list(_order_preserving_unique(atoms))
+    return list(dict.fromkeys(vars_)), list(dict.fromkeys(atoms))
 
 
 def _row_vector(

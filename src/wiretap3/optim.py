@@ -83,7 +83,6 @@ class SearchResult:
     restarts: int
     best_restart: int
     evaluations: int
-    admissible_found: bool
     objective_points: int  # points handed to the objective, speculative ones included
 
 
@@ -235,6 +234,5 @@ def search_factored(
         restarts=budget.restarts,
         best_restart=k - n_extra if k >= n_extra else -1 - k,
         evaluations=evals,
-        admissible_found=True,
         objective_points=points,
     )

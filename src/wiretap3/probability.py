@@ -21,7 +21,7 @@ ordering feasibility, spec-file round trips) can use them.
 
 from __future__ import annotations
 
-import string
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -64,9 +64,23 @@ def log2_cells(p: np.ndarray) -> np.ndarray:
     """log2 of every cell of ``p``, 0 at cells <= 0, which never reach log2.
 
     The package's one home of the 0*log0 = 0 convention: ``entropy_bits``
-    and the bounds engine's fused plan both weight these logs by p.
+    and the bounds engine's fused plan weight these logs by p, and the
+    simulator's Monte Carlo scores sum them.
     """
     return np.log2(p, out=np.zeros(p.shape), where=p > 0)
+
+
+def conditional(joint: np.ndarray, given: np.ndarray) -> np.ndarray:
+    """p(rest | given) = joint / given, uniform over the rest where the given has no mass.
+
+    ``given`` is the joint's marginal on its leading axes.  Callers pass the
+    one they already hold: summed here in another order, it could differ in
+    its last bit.
+    """
+    rest = joint.shape[given.ndim:]
+    den = given.reshape(given.shape + (1,) * len(rest))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, joint / den, 1.0 / math.prod(rest))
 
 
 def entropy_bits(p, ndim: Optional[int] = None) -> np.ndarray:
@@ -239,9 +253,6 @@ def product_channel(components: Sequence[ConditionalPmf]) -> ConditionalPmf:
     return out
 
 
-_LETTERS = string.ascii_letters
-
-
 @dataclass(frozen=True, eq=False)
 class JointPmf:
     """A joint pmf over named axes, stored as a dense tensor."""
@@ -340,30 +351,23 @@ class JointPmf:
         """
         given = self._check_axes(given)
         names = [t[0] for t in targets]
-        sizes = [t[1] for t in targets]
+        sizes = tuple(t[1] for t in targets)
         for name in names:
             if name in self.axes:
                 raise AxisError(f"target axis {name!r} already present")
-        rows = 1
-        for g in given:
-            rows *= self.size(g)
-        cols = int(np.prod(sizes))
+        given_sizes = tuple(self.size(g) for g in given)
+        rows, cols = math.prod(given_sizes), math.prod(sizes)
         if chan.rows != rows or chan.cols != cols:
             raise DistributionError(
                 f"channel shape {chan.rows}x{chan.cols} does not match "
                 f"given product {rows} and target product {cols}"
             )
-        given_sizes = [self.size(g) for g in given]
-        factor = chan.matrix.reshape(tuple(given_sizes) + tuple(sizes))
-        if len(self.axes) + len(names) > len(_LETTERS):
-            raise AxisError("too many axes for einsum subscripts")
-        letters = {a: _LETTERS[i] for i, a in enumerate(self.axes)}
-        for j, name in enumerate(names):
-            letters[name] = _LETTERS[len(self.axes) + j]
-        lhs = "".join(letters[a] for a in self.axes)
-        fac = "".join(letters[a] for a in given) + "".join(letters[n] for n in names)
-        out = lhs + "".join(letters[n] for n in names)
-        tensor = np.einsum(f"{lhs},{fac}->{out}", self.tensor, factor)
+        # the factor's given axes in joint order, size 1 on the joint's other axes
+        order = sorted(range(len(given)), key=lambda i: self.axes.index(given[i]))
+        factor = chan.matrix.reshape(given_sizes + sizes).transpose(
+            order + list(range(len(given), len(given) + len(sizes)))
+        ).reshape(tuple(self.size(a) if a in given else 1 for a in self.axes) + sizes)
+        tensor = self.tensor.reshape(self.tensor.shape + (1,) * len(names)) * factor
         return JointPmf(tuple(self.axes) + tuple(names), tensor)
 
     @staticmethod
@@ -462,3 +466,12 @@ class FactoredDistribution:
             # realization axes follow generation order; reorder to declaration
             joint = joint.marginal(self.axes)
         return joint
+
+
+def as_joint(dist) -> JointPmf:
+    """A FactoredDistribution's realization; a JointPmf as it is."""
+    if isinstance(dist, FactoredDistribution):
+        return dist.realization
+    if isinstance(dist, JointPmf):
+        return dist
+    raise DistributionError(f"cannot interpret {type(dist).__name__} as a distribution")

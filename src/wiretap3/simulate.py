@@ -42,9 +42,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .probability import ConditionalPmf, DistributionError, FactoredDistribution, entropy_of_vector
-
-LOG2 = np.log2
+from .probability import (
+    ConditionalPmf, DistributionError, FactoredDistribution, JointPmf, as_joint, conditional,
+    entropy_of_vector, log2_cells,
+)
 
 
 class CapExceededError(RuntimeError):
@@ -311,14 +312,9 @@ class WiretapCodebook:
 
 
 def _wiretap_tables(dist) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(dist, FactoredDistribution):
-        j = dist.realization.marginal(("V", "X")).tensor
-    else:
-        j = dist.marginal(("V", "X")).tensor
+    j = as_joint(dist).marginal(("V", "X")).tensor
     p_v = j.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_xv = np.where(p_v[:, None] > 0, j / p_v[:, None], 1.0 / j.shape[1])
-    return p_v, p_xv
+    return p_v, conditional(j, p_v)
 
 
 def build_wiretap_codebook(
@@ -435,14 +431,10 @@ def build_marton_codebook(
     rng = _rng(seed, 0)
     q_seq = _iid_symbols(p_q[0] if p_q.ndim > 1 else p_q, rng.random(n))
     v0_seqs = sample_given(p_v0_q, np.repeat(q_seq[None, :], n_tot, axis=0), rng)
-    # marginals of the joint satellite factor
+    # marginals of the joint satellite factor, whose validated rows each sum to 1
     p_v12 = p_v12_v0.reshape(n0, n1, n2)
     p_v1_v0 = p_v12.sum(axis=2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_v1_v0 = np.where(p_v1_v0.sum(axis=1, keepdims=True) > 0, p_v1_v0, 1.0 / n1)
     p_v2_v0 = p_v12.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_v2_v0 = np.where(p_v2_v0.sum(axis=1, keepdims=True) > 0, p_v2_v0, 1.0 / n2)
     v1_seqs = sample_given(
         p_v1_v0, np.repeat(v0_seqs[:, None, :], nt1, axis=1), rng
     )
@@ -676,7 +668,6 @@ def decode_indirect(
 
 @dataclass(frozen=True)
 class SimReport:
-    p_error: Optional[float]
     equivocation_rate: float
     leakage_rate: float
     message_rate: float            # H(M)/n
@@ -785,13 +776,12 @@ def exact_equivocation(
     with np.errstate(invalid="ignore", divide="ignore"):
         post = np.where(p_z[None, :] > 0, conds * p_m[:, None] / p_z[None, :], 0.0)
         joint = conds * p_m[:, None]
-        hmz = float(-(joint[joint > 0] * LOG2(post[joint > 0])).sum())
+        hmz = float(-(joint[joint > 0] * np.log2(post[joint > 0])).sum())
         # leakage: I(M;Z^n) = sum_{m,z} p(m,z) log2( p(z|m) / p(z) )
         ratio = np.where(joint > 0, conds / np.where(p_z[None, :] > 0, p_z[None, :], 1.0), 1.0)
-        leak = float((joint[joint > 0] * LOG2(ratio[joint > 0])).sum())
+        leak = float((joint[joint > 0] * np.log2(ratio[joint > 0])).sum())
     n = cb.n
     return SimReport(
-        p_error=None,
         equivocation_rate=hmz / n,
         leakage_rate=leak / n,
         message_rate=entropy_of_vector(p_m) / n,
@@ -820,7 +810,7 @@ def _message_log_likelihoods(
     top = ll.max(axis=2, keepdims=True)
     top[~np.isfinite(top)] = 0.0   # a message none of whose codewords can emit z
     with np.errstate(divide="ignore"):
-        return LOG2(np.exp2(ll - top).mean(axis=2)) + top[..., 0]
+        return np.log2(np.exp2(ll - top).mean(axis=2)) + top[..., 0]
 
 
 def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> np.ndarray:
@@ -834,7 +824,7 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
     n, n_m, nx = cb.n, cb.n_messages, W.shape[0]
     flat_x = cb.x_seqs.reshape(-1, n)
     onehot = (flat_x[:, :, None] == np.arange(nx)).reshape(len(flat_x), n * nx).astype(float)
-    logw = LOG2(W, out=np.zeros_like(W), where=W > 0)
+    logw = log2_cells(W)
     dead = (W == 0).astype(float) if (W == 0).any() else None
     bounds = _symbol_bounds(W)
     rngs = _trial_streams(seed, trials)
@@ -851,7 +841,7 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
         ell = _message_log_likelihoods(onehot, logw, dead, z, n_m)
         top = ell.max(axis=1)
         with np.errstate(invalid="ignore"):
-            score = top - ell[np.arange(len(block)), sent] + LOG2(
+            score = top - ell[np.arange(len(block)), sent] + np.log2(
                 np.exp2(ell - top[:, None]).sum(axis=1)
             )
         # a z that no codeword can emit (float dust at a row's last cell) scores 0
@@ -879,9 +869,8 @@ def mc_equivocation(
     mean = float(samples.mean())
     half = float(1.96 * samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
     n = cb.n
-    hm = float(LOG2(cb.n_messages)) / n
+    hm = float(np.log2(cb.n_messages)) / n
     return SimReport(
-        p_error=None,
         equivocation_rate=mean / n,
         leakage_rate=hm - mean / n,
         message_rate=hm,
@@ -955,24 +944,12 @@ def lemma1_experiment(
     reports how often the typical count exceeds the concentration
     threshold (1 + delta1) 2^{n(S - I(V;Z|U) + delta)}.
     """
-    from .probability import JointPmf
-
     _check_trials(trials)
-    if isinstance(dist, FactoredDistribution):
-        j = dist.realization
-    elif isinstance(dist, JointPmf):
-        j = dist
-    else:
-        raise DistributionError("need a joint distribution over (U, V, Z)")
-    t = j.marginal(("U", "V", "Z")).tensor
+    t = as_joint(dist).marginal(("U", "V", "Z")).tensor
     nu, nv, nz = t.shape
-    p_u = t.sum(axis=(1, 2))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_v_u = np.where(p_u[:, None] > 0, t.sum(axis=2) / p_u[:, None], 1.0 / nv)
-        p_uv = t.sum(axis=2)
-        p_z_uv = np.where(
-            p_uv[:, :, None] > 0, t / p_uv[:, :, None], 1.0 / nz
-        ).reshape(nu * nv, nz)
+    p_u, p_uv = t.sum(axis=(1, 2)), t.sum(axis=2)
+    p_v_u = conditional(p_uv, p_u)
+    p_z_uv = conditional(t, p_uv).reshape(nu * nv, nz)
     info = JointPmf(("U", "V", "Z"), t).conditional_mutual_information(
         ("V",), ("Z",), ("U",)
     )

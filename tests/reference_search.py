@@ -118,7 +118,6 @@ def search_factored(
         restarts=budget.restarts,
         best_restart=best_restart,
         evaluations=total_evals,
-        admissible_found=True,
         objective_points=total_evals,
     )
 

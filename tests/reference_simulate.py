@@ -18,10 +18,10 @@ only tests use: ``bin_range``, ``message_of`` and ``transmit``.
 from __future__ import annotations
 
 import numpy as np
+from numpy import log2 as LOG2
 
 from wiretap3.probability import ConditionalPmf, DistributionError, FactoredDistribution
 from wiretap3.simulate import (
-    LOG2,
     Caps,
     CapExceededError,
     DEFAULT_CAPS,
@@ -198,7 +198,6 @@ def mc_equivocation(
     n = cb.n
     hm = LOG2(n_m) / n
     return SimReport(
-        p_error=None,
         equivocation_rate=mean / n,
         leakage_rate=hm - mean / n,
         message_rate=hm,

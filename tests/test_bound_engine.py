@@ -208,7 +208,7 @@ def _fused_plans():
     tables = _tables_for("theorem1", cards, chans, "mixed", seed=31)
     theorem1 = bounds._realize("theorem1", AuxSpec("theorem1", cards).resolve(4), tables)
     return {
-        "example": (fig1._second_component_plan.__wrapped__(fig1._FIG1), example),
+        "example": (fig1._second_component_plan.__wrapped__(), example),
         "theorem1": (
             bounds._BoundPlan(bounds._THEOREM1, bounds.PATTERNS["theorem1"][0],
                               bounds._channels(chans)),

@@ -417,6 +417,17 @@ class TestMultilevelRegions:
         rebuilt = MultilevelChannel.from_joint(ConditionalPmf(joint.reshape(2, 8)), 2, 2, 2)
         assert np.allclose(rebuilt.to_y1z3.matrix, ml.to_y1z3.matrix, atol=1e-12)
 
+    def test_from_joint_tolerance_is_absolute(self):
+        # one row's first two entries moved by +-2e-6: off the factorization by
+        # 4e-7, far above tol = 1e-9, but inside a relative 1e-5 of the entries
+        ml = multilevel_channel()
+        t = ml.to_y1z3.matrix.reshape(2, 2, 2)
+        joint = np.einsum("xyt,yz->xyzt", t, ml.z2_given_y1.matrix).reshape(2, 8)
+        joint[0, 0] += 2e-6
+        joint[0, 1] -= 2e-6
+        with pytest.raises(DistributionError, match="not multilevel"):
+            MultilevelChannel.from_joint(ConditionalPmf(joint), 2, 2, 2)
+
     def test_from_joint_rejects_non_multilevel(self):
         rng = np.random.default_rng(9)
         bad = ConditionalPmf(rng.dirichlet(np.ones(8), size=2))

@@ -150,8 +150,8 @@ def test_example_trace_skips_speculative_silent_points(monkeypatch):
     seen = []
     measures = fig1.second_component_measures
 
-    def counting(tables, chan=None):
-        iy, iz = measures(tables, chan)
+    def counting(tables):
+        iy, iz = measures(tables)
         seen.append(int(np.count_nonzero(iz < 1e-9)))
         return iy, iz
 

@@ -1,6 +1,7 @@
 """Information-measure core: worked examples and structural properties."""
 
 import math
+import string
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,6 +19,7 @@ from wiretap3.probability import (
     binary_entropy,
     bsc,
     cascade,
+    conditional,
     entropy,
     erase_further,
     erasure_channel,
@@ -225,6 +227,71 @@ class TestIdentities:
         assert j.mutual_information(("A",), ("C",)) <= j.mutual_information(
             ("A",), ("B",)
         ) + 1e-10
+
+
+def _einsum_extend(j, given, targets, chan):
+    """``JointPmf.extend`` as it was: one lettered einsum of the joint and the factor."""
+    names = tuple(n for n, _ in targets)
+    letters = dict(zip(j.axes + names, string.ascii_letters))
+    factor = chan.matrix.reshape(tuple(j.size(g) for g in given) + tuple(s for _, s in targets))
+    lhs, new = "".join(letters[a] for a in j.axes), "".join(letters[n] for n in names)
+    fac = "".join(letters[g] for g in given) + new
+    return JointPmf(j.axes + names, np.einsum(f"{lhs},{fac}->{lhs}{new}", j.tensor, factor))
+
+
+class TestExtendBroadcast:
+    """``extend`` multiplies by broadcasting, with the lettered einsum's bits."""
+
+    def test_matches_einsum_bitwise(self):
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            shape = tuple(int(s) for s in rng.integers(1, 4, size=int(rng.integers(0, 5))))
+            j = random_joint(rng, shape)   # size-1 axes and the empty joint included
+            # given axes out of declaration order, and none at all
+            k = int(rng.integers(0, len(shape) + 1))
+            given = tuple(str(a) for a in rng.permutation(j.axes)[:k])
+            new = rng.integers(1, 4, size=int(rng.integers(1, 3)))
+            targets = [(f"T{i}", int(s)) for i, s in enumerate(new)]
+            rows = math.prod(j.size(g) for g in given)
+            chan = ConditionalPmf(rng.dirichlet(np.ones(math.prod(new)), size=rows))
+            got, want = j.extend(given, targets, chan), _einsum_extend(j, given, targets, chan)
+            assert got.axes == want.axes
+            assert np.array_equal(got.tensor, want.tensor)
+
+    def test_reversed_given_axes(self):
+        rng = np.random.default_rng(5)
+        j = random_joint(rng, (2, 3, 1, 2))
+        chan = ConditionalPmf(rng.dirichlet(np.ones(3), size=12))
+        args = (("A3", "A2", "A1", "A0"), [("T", 3)], chan)
+        assert np.array_equal(j.extend(*args).tensor, _einsum_extend(j, *args).tensor)
+
+    def test_more_axes_than_einsum_letters(self):
+        # 53 axes and a new one: more than the 52 letters the einsum had
+        j = JointPmf([f"A{i}" for i in range(53)], np.ones((1,) * 53))
+        out = j.extend(("A52", "A0"), [("T", 2)], ConditionalPmf([[0.25, 0.75]]))
+        assert out.axes[-1] == "T"
+        assert out.tensor.shape == (1,) * 53 + (2,)
+        assert np.array_equal(out.tensor.ravel(), [0.25, 0.75])
+
+
+class TestConditional:
+    def test_rows_without_mass_are_uniform(self):
+        joint = np.array([[0.2, 0.1, 0.1], [0.0, 0.0, 0.0], [0.3, 0.0, 0.3]])
+        got = conditional(joint, joint.sum(axis=1))
+        assert np.array_equal(got[1], np.full(3, 1 / 3))
+        assert np.array_equal(got[[0, 2]], joint[[0, 2]] / joint[[0, 2]].sum(axis=1)[:, None])
+
+    def test_uniform_over_every_trailing_axis(self):
+        t = np.zeros((2, 2, 3))
+        t[0] = [[0.1, 0.2, 0.1], [0.0, 0.1, 0.0]]
+        t[1, 0] = [0.25, 0.0, 0.25]
+        p_uv = conditional(t, t.sum(axis=2))     # p(z | u, v): v = 1 at u = 1 has no mass
+        assert np.array_equal(p_uv[1, 1], np.full(3, 1 / 3))
+        assert np.array_equal(p_uv[0, 1], [0.0, 1.0, 0.0])
+        p_u = t.sum(axis=(1, 2))
+        assert np.array_equal(conditional(t, p_u), t / p_u[:, None, None])
+        empty = np.zeros((1, 2, 3))
+        assert np.array_equal(conditional(empty, empty.sum(axis=(1, 2))), np.full((1, 2, 3), 1 / 6))
 
 
 class TestFactoredDistribution:
