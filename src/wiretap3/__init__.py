@@ -10,31 +10,34 @@ Subpackages map one-to-one onto the toolkit's concerns:
 - simulate: finite-blocklength random-binning code simulation
 - fig1: the hard-coded multilevel product example channel
 - cli: the command line entry point
+
+The names below are re-exported lazily: a submodule is imported when one
+of its names is first read, so ``import wiretap3`` loads none of them.
 """
 
-from .bounds import (  # noqa: F401
-    AuxSpec,
-    BoundResult,
-    BroadcastChannels,
-    MultilevelChannel,
-    RateRegionSample,
-    maximize,
-)
-from .optim import SearchBudget  # noqa: F401
-from .probability import (  # noqa: F401
-    AxisError,
-    ConditionalPmf,
-    DistributionError,
-    Factor,
-    FactoredDistribution,
-    JointPmf,
-    Pmf,
-    bsc,
-    cascade,
-    entropy,
-    erasure_channel,
-    erase_further,
-    product_channel,
-)
+import importlib
+
+_EXPORTS = {
+    "bounds": ("AuxSpec", "BoundResult", "BroadcastChannels", "MultilevelChannel",
+               "RateRegionSample", "maximize"),
+    "optim": ("SearchBudget",),
+    "probability": ("AxisError", "ConditionalPmf", "DistributionError", "Factor",
+                    "FactoredDistribution", "JointPmf", "Pmf", "bsc", "cascade", "entropy",
+                    "erasure_channel", "erase_further", "product_channel"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # an AttributeError for any other name lets ``from wiretap3 import fme``
+    # fall through to importing the submodule
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -17,14 +17,16 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+# each subcommand imports the modules it runs, so a call loads only those;
+# fixture_runs is light, and the parser lists its fixture names
+from . import fixture_runs
 
-from . import bounds, fig1, fixture_runs, fme, orderings, simulate as sim
-from .optim import SearchBudget
-from .probability import DistributionError, AxisError, JointPmf
-from .specfmt import ChannelSpecError, SpecDocument, parse_spec
+if TYPE_CHECKING:
+    from .optim import SearchBudget
+    from .simulate import Caps
+    from .specfmt import SpecDocument
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -36,6 +38,7 @@ class CliError(ValueError):
 
 
 def _load_spec(path: str) -> SpecDocument:
+    from .specfmt import parse_spec
     with open(path) as fh:
         return parse_spec(fh.read())
 
@@ -55,6 +58,7 @@ def _require_seed(args):
 
 
 def _budget(args) -> SearchBudget:
+    from .optim import SearchBudget
     return SearchBudget(
         grid_points=getattr(args, "grid", SearchBudget.grid_points),
         restarts=args.restarts,
@@ -69,6 +73,7 @@ def _budget(args) -> SearchBudget:
 
 
 def cmd_info(args) -> int:
+    from .probability import JointPmf
     doc = _load_spec(args.spec)
     report: dict = {"subcommand": "info", "alphabets": doc.alphabets, "pmfs": {}, "channels": {}}
     lines = []
@@ -95,6 +100,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_ordering(args) -> int:
+    from . import orderings
     doc = _load_spec(args.spec)
     y = doc.channel(args.y)
     z = doc.channel(args.z)
@@ -137,6 +143,7 @@ def _tables_to_jsonable(dist):
 
 
 def cmd_bound(args) -> int:
+    from . import bounds
     doc = _load_spec(args.spec)
     chans = doc.broadcast(args.y1, args.y2, args.z)
     if args.dist:
@@ -220,6 +227,7 @@ def _region_human(sample) -> str:
 
 
 def cmd_region(args) -> int:
+    from . import bounds
     doc = _load_spec(args.spec)
     dist = doc.factored[args.dist]
     if args.id in ("theorem2", "prop1"):
@@ -274,6 +282,7 @@ def cmd_fme(args) -> int:
         human_lines += [f"  {k}: {v}" for k, v in res.checks.items()]
         _emit(args, payload, "\n".join(human_lines))
         return EXIT_OK if res.ok else EXIT_VALIDATION
+    from . import fme
     if not args.system:
         raise CliError("fme needs --system or --fixture")
     with open(args.system) as fh:
@@ -301,16 +310,17 @@ def cmd_fme(args) -> int:
 
 
 def _dist_from_config(cfg: dict, doc: Optional[SpecDocument]):
+    import numpy as np
     from .probability import Factor, FactoredDistribution
-
     d = cfg["dist"]
     if isinstance(d, dict) and "factored" in d:
         if doc is None:
             raise CliError("config references a spec factored name but no spec file")
         return doc.factored[d["factored"]]
     if isinstance(d, dict) and "pattern" in d:
+        from .bounds import build_factored
         tables = [np.asarray(t, dtype=float) for t in d["tables"]]
-        return bounds.build_factored(d["pattern"], d["sizes"], tables)
+        return build_factored(d["pattern"], d["sizes"], tables)
     if isinstance(d, dict) and "chain" in d:
         sizes = d["sizes"]
         factors = [
@@ -327,7 +337,6 @@ def _dist_from_config(cfg: dict, doc: Optional[SpecDocument]):
 
 def _channel_from_config(cfg_value, doc: Optional[SpecDocument]):
     from .probability import ConditionalPmf
-
     if isinstance(cfg_value, str):
         if doc is None:
             raise CliError("config references a spec channel but no spec file")
@@ -335,18 +344,29 @@ def _channel_from_config(cfg_value, doc: Optional[SpecDocument]):
     return ConditionalPmf(cfg_value["matrix"])
 
 
-def _caps_from_config(cfg: dict) -> sim.Caps:
+def _caps_from_config(cfg: dict) -> Caps:
+    from .simulate import Caps
     given = cfg.get("caps", {})
     if not isinstance(given, dict):
         raise CliError("caps must be an object mapping cap names to integers")
-    known = [f.name for f in fields(sim.Caps)]
+    known = [f.name for f in fields(Caps)]
     unknown = sorted(set(given) - set(known))
     if unknown:
         raise CliError(f"unknown caps key(s) {', '.join(unknown)}; known: {', '.join(known)}")
-    return sim.Caps(**given)
+    return Caps(**given)
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import CapExceededError
+    try:
+        return _simulate(args)
+    except CapExceededError as e:   # a configured cap, not bad input: its own status
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CAP
+
+
+def _simulate(args) -> int:
+    from . import simulate as sim
     _require_seed(args)
     with open(args.config) as fh:
         cfg = json.load(fh)
@@ -431,14 +451,9 @@ def cmd_simulate(args) -> int:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-        text = buf.getvalue().rstrip()
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return EXIT_OK
-    human = "\n".join(str(r) for r in rows)
+        human = buf.getvalue().rstrip()
+    else:
+        human = "\n".join(str(r) for r in rows)
     _emit(args, payload, human)
     return EXIT_OK
 
@@ -449,6 +464,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_repro_example(args) -> int:
+    from . import fig1
     _require_seed(args)
     rep = fig1.reproduce_example(
         _budget(args),
@@ -535,7 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "of rows that a start left early.",
     )
     sp.add_argument("--spec", required=True)
-    sp.add_argument("--id", required=True, choices=bounds.bound_ids())
+    # bounds.bound_ids(), written out so that parsing loads no bounds engine
+    sp.add_argument("--id", required=True,
+                    choices=("wiretap", "ck_extension", "corollary1", "theorem1"))
     sp.add_argument("--y1", required=True)
     sp.add_argument("--y2", required=True)
     sp.add_argument("--z", required=True)
@@ -608,21 +626,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BrokenPipeError:   # the reader is gone: drop what is left, quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except sim.CapExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
-    except (
-        CliError,
-        ChannelSpecError,
-        fme.SpecFormatError,
-        DistributionError,
-        AxisError,
-        bounds.PatternError,
-        FileNotFoundError,
-        KeyError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as e:
+    # CliError, a bad JSON config and every validation error class of the
+    # program (ChannelSpecError, DistributionError, PatternError, ...) are ValueErrors
+    except (FileNotFoundError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

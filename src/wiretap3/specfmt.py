@@ -25,14 +25,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .bounds import BroadcastChannels, MultilevelChannel
-from .probability import (
-    ConditionalPmf,
-    DistributionError,
-    Factor,
-    FactoredDistribution,
-    Pmf,
-)
+from typing import TYPE_CHECKING
+
+# the bounds engine and the pmf classes are imported where they are used,
+# so that importing the format loads neither
+if TYPE_CHECKING:
+    from .bounds import BroadcastChannels, MultilevelChannel
+    from .probability import ConditionalPmf, FactoredDistribution, Pmf
 
 
 class ChannelSpecError(ValueError):
@@ -62,9 +61,12 @@ class SpecDocument:
         return self.pmfs[name][1]
 
     def broadcast(self, y1: str, y2: str, z: str) -> BroadcastChannels:
+        from .bounds import BroadcastChannels
         return BroadcastChannels(self.channel(y1), self.channel(y2), self.channel(z))
 
     def multilevel(self, y1z3: str, z2_given_y1: str) -> MultilevelChannel:
+        from .bounds import MultilevelChannel
+        from .probability import DistributionError
         in_axes, out_axes, chan = self.channels[y1z3]
         if len(out_axes) != 2:
             raise DistributionError(
@@ -92,6 +94,7 @@ def _is_exact(tok: str) -> bool:
 
 
 def parse_spec(text: str) -> SpecDocument:
+    from .probability import ConditionalPmf, DistributionError, Factor, FactoredDistribution, Pmf
     doc = SpecDocument()
     lines = text.splitlines()
     i = 0
@@ -207,7 +210,7 @@ def parse_spec(text: str) -> SpecDocument:
                 doc.factored[name] = FactoredDistribution(
                     [(a, doc.alphabets[a]) for a in axes_order], factors, pattern
                 )
-            except (DistributionError, Exception) as e:
+            except Exception as e:
                 if isinstance(e, ChannelSpecError):
                     raise
                 raise ChannelSpecError(line_no, f"factored {name}: {e}") from e

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wiretap3 import cli, orderings
+from wiretap3 import bounds, cli, fme, orderings
 from wiretap3.cli import build_parser, main
-from wiretap3.specfmt import parse_spec, write_spec
+from wiretap3.probability import AxisError, DistributionError
+from wiretap3.simulate import CapExceededError
+from wiretap3.specfmt import ChannelSpecError, parse_spec, write_spec
 
 SPEC = """
 alphabet X 2
@@ -98,6 +100,55 @@ class TestExitCodes:
         f = tmp_path / "s.ineq"
         f.write_text("vars x\nx <= 1\n")
         assert main(["fme", "--system", str(f), "--eliminate", "zz"]) == 1
+
+    @pytest.mark.parametrize("argv,raiser,error,code", [
+        *[(["info", "--spec", "s.chan"], "_load_spec", e, 1) for e in (
+            cli.CliError("bad"), ChannelSpecError(2, "bad"), fme.SpecFormatError(2, "bad"),
+            DistributionError("bad"), AxisError("bad"), bounds.PatternError("bad"),
+            json.JSONDecodeError("bad", "{", 0), FileNotFoundError("bad"), KeyError("bad"),
+            ValueError("bad"),
+        )],
+        (["simulate", "--config", "c.json", "--seed", "1"], "_simulate", ValueError("bad"), 1),
+        (["simulate", "--config", "c.json", "--seed", "1"], "_simulate",
+         CapExceededError("bad"), 2),
+        (["info", "--spec", "s.chan"], "_load_spec", BrokenPipeError(), 1),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None)
+    def test_error_classes_map_to_exit_codes(self, monkeypatch, capsys, argv, raiser, error,
+                                             code):
+        def raise_error(*args):
+            raise error
+
+        monkeypatch.setattr(cli, raiser, raise_error)
+        if isinstance(error, BrokenPipeError):   # main points a closed stdout at devnull
+            read, write = os.pipe()
+            os.close(read)
+
+            class ClosedStdout:
+                def fileno(self):
+                    return write
+
+            monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        try:
+            assert main(argv) == code
+        finally:
+            if isinstance(error, BrokenPipeError):
+                os.close(write)
+        err = capsys.readouterr().err
+        assert err == ("" if isinstance(error, BrokenPipeError) else f"error: {error}\n")
+
+    def test_bound_ids_match_the_engine(self, capsys):
+        # the parser spells the ids out so that it need not import bounds
+        parser = build_parser()
+        bound = parser._subparsers._group_actions[0].choices["bound"]
+        (action,) = [a for a in bound._actions if a.dest == "id"]
+        assert tuple(action.choices) == bounds.bound_ids()
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--spec", "s.chan", "--id", "nope", "--y1", "a", "--y2", "b",
+                  "--z", "c"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "nope" in err
+        assert all(i in err.split("choose from")[1] for i in bounds.bound_ids())
 
     def test_cap_exceeded_exit_2(self, spec_file, tmp_path, capsys):
         cfg = {

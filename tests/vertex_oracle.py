@@ -15,7 +15,7 @@ exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 from typing import Optional
 
@@ -24,6 +24,8 @@ import numpy as np
 from wiretap3.rationallp import feasible_eq
 
 Row = tuple[list[Fraction], Fraction]  # a . x <= b
+
+_CHUNK = 4096  # subsets per stacked float prescreen
 
 
 def solve_square(A: list[list], b: list) -> Optional[list[Fraction]]:
@@ -59,35 +61,41 @@ def solve_square(A: list[list], b: list) -> Optional[list[Fraction]]:
 
 
 def enumerate_vertices(rows: list[Row], dim: int) -> list[tuple[Fraction, ...]]:
-    """All vertices of {x: a_i . x <= b_i}; the system must be bounded."""
+    """All vertices of {x: a_i . x <= b_i}; the system must be bounded.
+
+    The float prescreen runs on a chunk of subsets at a time: one stacked
+    ``det``, then one stacked ``solve`` over the well-conditioned subsets
+    (each matrix goes through the same LAPACK routine as a single call).
+    Subsets are then verified exactly in their enumeration order.
+    """
     A = np.array([[float(c) for c in r[0]] for r in rows])
     b = np.array([float(r[1]) for r in rows])
     verts: dict[tuple, tuple] = {}
-    for subset in combinations(range(len(rows)), dim):
-        M = A[list(subset)]
-        rhs = b[list(subset)]
-        exact_needed = False
+    subsets = combinations(range(len(rows)), dim)
+    while chunk := list(islice(subsets, _CHUNK)):
+        idx = np.array(chunk)
+        M = A[idx]
+        exact_needed = np.abs(np.linalg.det(M)) < 1e-9
+        solved = np.flatnonzero(~exact_needed)
+        candidate = exact_needed.copy()
         try:
-            if abs(np.linalg.det(M)) < 1e-9:
-                exact_needed = True
-            else:
-                x = np.linalg.solve(M, rhs)
-                if not np.all(A @ x <= b + 1e-6):
-                    continue
-        except np.linalg.LinAlgError:
-            exact_needed = True
+            x = np.linalg.solve(M[solved], b[idx[solved]][..., None])[..., 0]
+            candidate[solved] = np.all(x @ A.T <= b + 1e-6, axis=1)
+        except np.linalg.LinAlgError:   # a singular matrix: verify the chunk exactly
+            candidate[:] = True
         # exact verification (or exact solve for ill-conditioned subsets)
-        Me = [[rows[i][0][j] for j in range(dim)] for i in subset]
-        be = [rows[i][1] for i in subset]
-        xe = solve_square(Me, be)
-        if xe is None:
-            continue
-        feas = all(
-            sum(r[0][j] * xe[j] for j in range(dim)) <= r[1] for r in rows
-        )
-        if not feas:
-            continue
-        verts[tuple(xe)] = tuple(xe)
+        for subset in idx[candidate].tolist():
+            Me = [[rows[i][0][j] for j in range(dim)] for i in subset]
+            be = [rows[i][1] for i in subset]
+            xe = solve_square(Me, be)
+            if xe is None:
+                continue
+            feas = all(
+                sum(r[0][j] * xe[j] for j in range(dim)) <= r[1] for r in rows
+            )
+            if not feas:
+                continue
+            verts[tuple(xe)] = tuple(xe)
     return list(verts.values())
 
 
