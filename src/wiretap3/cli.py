@@ -57,6 +57,20 @@ def _require_seed(args):
         raise CliError("--seed is required for randomized subcommands")
 
 
+def _assignments(flag: str, items, convert) -> dict:
+    """``NAME=VALUE`` items of one flag, each VALUE read by ``convert``."""
+    out = {}
+    for item in items:
+        name, eq, value = item.partition("=")
+        try:
+            if not (eq and name.strip()):
+                raise ValueError
+            out[name.strip()] = convert(value)
+        except ValueError:
+            raise CliError(f"{flag} {item!r}: expected NAME={convert.__name__}") from None
+    return out
+
+
 def _budget(args) -> SearchBudget:
     from .optim import SearchBudget
     return SearchBudget(
@@ -161,10 +175,7 @@ def cmd_bound(args) -> int:
         _emit(args, payload, human)
         return EXIT_OK
     _require_seed(args)
-    cards = {}
-    for kv in args.card or []:
-        k, v = kv.split("=", 1)
-        cards[k] = int(v)
+    cards = _assignments("--card", args.card or [], int)
     aux = bounds.AuxSpec(bounds.bound_pattern(args.id), cards)
     res = bounds.maximize(args.id, aux, chans, _budget(args))
     payload = {
@@ -231,6 +242,9 @@ def cmd_region(args) -> int:
     doc = _load_spec(args.spec)
     dist = doc.factored[args.dist]
     if args.id in ("theorem2", "prop1"):
+        missing = [f"--{n}" for n in ("y1", "y2", "z") if getattr(args, n) is None]
+        if missing:
+            raise CliError(f"{args.id} regions need {', '.join(missing)}")
         chans = doc.broadcast(args.y1, args.y2, args.z)
         if args.id == "theorem2":
             sample = bounds.theorem2_region(dist, chans)
@@ -251,10 +265,7 @@ def cmd_region(args) -> int:
     payload = {"subcommand": "region", "id": args.id, **_region_payload(sample)}
     human = f"region {args.id} at {args.dist}:\n" + _region_human(sample)
     if args.point:
-        point = {}
-        for kv in args.point.split(","):
-            k, v = kv.split("=", 1)
-            point[k.strip()] = float(v)
+        point = _assignments("--point", args.point.split(","), float)
         inside = sample.contains(point, tol=1e-9)
         payload["point"] = point
         payload["contains_point"] = inside
@@ -627,8 +638,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     # CliError, a bad JSON config and every validation error class of the
-    # program (ChannelSpecError, DistributionError, PatternError, ...) are ValueErrors
-    except (FileNotFoundError, KeyError, ValueError) as e:
+    # program (ChannelSpecError, DistributionError, PatternError, ...) are
+    # ValueErrors; a search that met no admissible point raises a RuntimeError
+    except (FileNotFoundError, KeyError, ValueError, RuntimeError) as e:
+        if isinstance(e, RuntimeError):
+            from .optim import NoAdmissiblePointError
+            if not isinstance(e, NoAdmissiblePointError):
+                raise
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

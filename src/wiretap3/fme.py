@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from .rationallp import implied_by
@@ -189,7 +190,7 @@ class InequalitySystem:
         for a, v in self.bindings.items():
             lines.append(f"bind {a} = {v}")
         for r in self.inequalities:
-            if r.label and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", r.label):
+            if r.label and re.fullmatch(_NAME, r.label):
                 lines.append(f"{r.label}: {r.format()}")
             else:
                 lines.append(r.format())
@@ -373,18 +374,17 @@ def infeasibility_certificate(
 
 
 def remove_redundant(
-    sys: InequalitySystem,
-    assumptions: Sequence[LinearInequality] = (),
-    bindings: Optional[Mapping[str, Fraction]] = None,
+    sys: InequalitySystem, assumptions: Sequence[LinearInequality] = ()
 ) -> InequalitySystem:
     """Drop every row implied by the remaining rows plus assumptions.
 
-    Every atom must be numerically bound or mentioned by at least one
-    assumption row; redundancy relative to a fully unconstrained constant
-    is almost never what a derivation means, so it is rejected loudly.
+    The system's own bindings are substituted first.  Every other atom must
+    be mentioned by at least one assumption row; redundancy relative to a
+    fully unconstrained constant is almost never what a derivation means,
+    so it is rejected loudly.
     """
-    if bindings:
-        sys = sys.bind(bindings)
+    if sys.bindings:
+        sys = sys.bind(sys.bindings)
     covered = set(sys.bindings)
     for a in assumptions:
         covered.update(a.rhs_atoms)
@@ -524,12 +524,19 @@ def region_equal(
 # Text format
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(I\([^()]*\)|H\([^()]*\)"
-    r"|[A-Za-z_][A-Za-z0-9_']*"
-    r"|\d+/\d+|\d+\.\d+|\d+"
-    r"|<=|>=|=|<|>|\+|-|\*)"
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"
+_NUMBER = r"\d+/\d+|\d+\.\d+|\d+"
+# one signed term: NUMBER*SYMBOL, a SYMBOL (an I(...) or H(...) atom or a
+# name) or a NUMBER; every term after a side's first must carry its sign
+_TERM = re.compile(
+    rf"\s*(?P<sign>[+-]?)\s*(?:(?:(?P<coeff>{_NUMBER})\s*\*\s*)?"
+    rf"(?:(?P<atom>[IH]\([^()]*\))|(?P<name>{_NAME}))|(?P<const>{_NUMBER}))\s*"
 )
+# a relation inside an atom's parentheses belongs to the atom
+_RELATION = re.compile(r"(<=|>=|<|>|=)(?![^()]*\))")
+_LABEL = re.compile(rf"({_NAME}):\s+(.*)")
+_BIND = re.compile(rf"bind\s+(.+?)\s*=\s*(-?(?:{_NUMBER}))\s*")
+_fraction = lru_cache(Fraction)   # literals repeat; Fractions are immutable
 
 
 class SpecFormatError(ValueError):
@@ -540,113 +547,46 @@ class SpecFormatError(ValueError):
         self.line_no = line_no
 
 
-def _tokenize(line_no: int, text: str) -> list[str]:
-    tokens = []
-    pos = 0
+def _number(line_no: int, literal: str) -> Fraction:
+    try:
+        return _fraction(literal)
+    except ZeroDivisionError:
+        raise SpecFormatError(line_no, f"zero denominator in {literal!r}") from None
+
+
+def _side(line_no: int, text: str, variables: tuple[str, ...], atoms_decl):
+    """A side's (variable coeffs, atom coeffs, constant), in first-use order."""
+    var_c, atom_c, const, pos, prev = {}, {}, 0, 0, None
     while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
+        m = _TERM.match(text, pos)
+        if m is None:
+            raise SpecFormatError(line_no, f"expected a term at {text[pos:].strip()!r}")
+        sym = m["atom"] or m["name"]
+        if prev and not m["sign"]:
+            hint = f"; write {prev['const']}*{sym}" if prev["const"] and sym else ""
+            raise SpecFormatError(line_no, f"missing '+' or '-' before {m[0].strip()!r}{hint}")
+        k = _number(line_no, m["sign"] + (m["coeff"] or m["const"] or "1"))
+        prev, pos = m, m.end()
+        if sym is None:
+            const += k
             continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise SpecFormatError(line_no, f"unexpected character {text[pos]!r}")
-        tokens.append(m.group(0))
-        pos = m.end()
-    return tokens
-
-
-def _is_atom(tok: str) -> bool:
-    return tok.startswith(("I(", "H(")) and tok.endswith(")")
-
-
-def _is_number(tok: str) -> bool:
-    return bool(re.fullmatch(r"\d+/\d+|\d+\.\d+|\d+", tok))
-
-
-def _number(tok: str) -> Fraction:
-    return Fraction(tok)
-
-
-def _parse_side(line_no: int, tokens: list[str], variables: set[str], atoms_decl):
-    """Parse a +/- sequence of terms into (var_coeffs, atom_coeffs, const)."""
-    var_c: dict[str, Fraction] = {}
-    atom_c: dict[str, Fraction] = {}
-    const = Fraction(0)
-    sign = Fraction(1)
-    expect_term = True
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "+":
-            sign = Fraction(1)
-            expect_term = True
-            i += 1
-            continue
-        if tok == "-":
-            sign = -sign if expect_term else Fraction(-1)
-            expect_term = True
-            i += 1
-            continue
-        coeff = Fraction(1)
-        if _is_number(tok):
-            coeff = _number(tok)
-            if i + 1 < len(tokens) and tokens[i + 1] == "*":
-                i += 2
-                if i >= len(tokens):
-                    raise SpecFormatError(line_no, "dangling '*'")
-                tok = tokens[i]
-                if _is_number(tok):
-                    raise SpecFormatError(line_no, "coefficient must multiply a name")
-            else:
-                const += sign * coeff
-                sign = Fraction(1)
-                expect_term = False
-                i += 1
-                continue
-        if _is_atom(tok):
-            atom_c[tok] = atom_c.get(tok, Fraction(0)) + sign * coeff
-        elif tok in variables:
-            var_c[tok] = var_c.get(tok, Fraction(0)) + sign * coeff
-        elif atoms_decl is not None and tok not in atoms_decl:
-            raise SpecFormatError(line_no, f"unknown symbol {tok!r}")
-        else:
-            atom_c[tok] = atom_c.get(tok, Fraction(0)) + sign * coeff
-        sign = Fraction(1)
-        expect_term = False
-        i += 1
+        is_var = m["name"] in variables
+        if m["name"] and not is_var and atoms_decl is not None and sym not in atoms_decl:
+            raise SpecFormatError(line_no, f"unknown symbol {sym!r}")
+        terms = var_c if is_var else atom_c
+        terms[sym] = terms[sym] + k if sym in terms else k
     return var_c, atom_c, const
 
 
-def _build_rows(
-    line_no: int,
-    lhs,
-    rel: str,
-    rhs,
-    label: str,
-) -> list[LinearInequality]:
-    lv, la, lc = lhs
-    rv, ra, rc = rhs
-
-    def make(lv, la, lc, rv, ra, rc, rel) -> LinearInequality:
-        coeffs = dict(lv)
-        for v, c in rv.items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) - c
-        atoms = dict(ra)
-        for a, c in la.items():
-            atoms[a] = atoms.get(a, Fraction(0)) - c
-        return LinearInequality(coeffs, rel, atoms, rc - lc, label)
-
-    if rel in ("<=", "<"):
-        return [make(lv, la, lc, rv, ra, rc, rel)]
-    if rel in (">=", ">"):
-        flipped = "<=" if rel == ">=" else "<"
-        return [make(rv, ra, rc, lv, la, lc, flipped)]
-    if rel == "=":
-        return [
-            make(lv, la, lc, rv, ra, rc, "<="),
-            make(rv, ra, rc, lv, la, lc, "<="),
-        ]
-    raise SpecFormatError(line_no, f"unknown relation {rel!r}")
+def _row(lhs, rhs, relation: str, label: str) -> LinearInequality:
+    """``lhs REL rhs`` as variables on the left, atoms and constant on the right."""
+    (lv, la, lc), (rv, ra, rc) = lhs, rhs
+    coeffs, atoms = dict(lv), dict(ra)
+    for v, c in rv.items():
+        coeffs[v] = coeffs.get(v, 0) - c
+    for a, c in la.items():
+        atoms[a] = atoms.get(a, 0) - c
+    return LinearInequality(coeffs, relation, atoms, rc - lc, label)
 
 
 def parse_system(text: str) -> tuple[InequalitySystem, list[LinearInequality]]:
@@ -660,11 +600,8 @@ def parse_system(text: str) -> tuple[InequalitySystem, list[LinearInequality]]:
       label: <inequality>     inequality with a label prefix
       <inequality>            e.g.  2*R1 + Re <= I(V0,V1;Y1|Q) - I(V1;Z|V0)
     """
-    variables: Optional[tuple[str, ...]] = None
-    atoms_decl = None
-    bindings: dict[str, Fraction] = {}
-    rows: list[LinearInequality] = []
-    assumptions: list[LinearInequality] = []
+    variables = atoms_decl = None
+    rows, assumptions, bindings = [], [], {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -677,32 +614,31 @@ def parse_system(text: str) -> tuple[InequalitySystem, list[LinearInequality]]:
             continue
         if variables is None:
             raise SpecFormatError(line_no, "missing 'vars' declaration")
-        label = ""
-        body = line
-        m = re.match(r"^([A-Za-z_][A-Za-z0-9_']*):\s+(.*)$", line)
-        if m:
-            label, body = m.group(1), m.group(2)
-        is_assume = False
+        m = _LABEL.fullmatch(line)
+        label, body = m.groups() if m else ("", line)
+        out = rows
         if body.startswith("assume "):
-            is_assume = True
-            body = body[len("assume "):]
+            out, body = assumptions, body[len("assume "):]
         if body.startswith("bind "):
-            mb = re.match(r"bind\s+(.+?)\s*=\s*(-?\d+(?:/\d+|\.\d+)?)\s*$", body)
+            mb = _BIND.fullmatch(body)
             if not mb:
                 raise SpecFormatError(line_no, "malformed bind line")
-            bindings[mb.group(1).strip()] = Fraction(mb.group(2))
+            bindings[mb[1]] = _number(line_no, mb[2])
             continue
-        tokens = _tokenize(line_no, body)
-        rel_idx = next(
-            (i for i, t in enumerate(tokens) if t in ("<=", ">=", "=", "<", ">")), -1
-        )
-        if rel_idx < 0:
-            raise SpecFormatError(line_no, "no relation operator")
-        varset = set(variables)
-        lhs = _parse_side(line_no, tokens[:rel_idx], varset, atoms_decl)
-        rhs = _parse_side(line_no, tokens[rel_idx + 1:], varset, atoms_decl)
-        built = _build_rows(line_no, lhs, tokens[rel_idx], rhs, label)
-        (assumptions if is_assume else rows).extend(built)
+        lhs, *rest = _RELATION.split(body)
+        if len(rest) != 2:
+            found = " ".join(rest[::2]) or "none"
+            raise SpecFormatError(line_no, f"need one relation operator, found {found}")
+        rel, rhs = rest
+        if not (lhs.strip() and rhs.strip()):
+            raise SpecFormatError(line_no, f"a side of {rel!r} is empty")
+        lhs, rhs = (_side(line_no, side, variables, atoms_decl) for side in (lhs, rhs))
+        if rel == "=":
+            out += [_row(lhs, rhs, "<=", label), _row(rhs, lhs, "<=", label)]
+        elif rel[0] == "<":
+            out.append(_row(lhs, rhs, rel, label))
+        else:
+            out.append(_row(rhs, lhs, "<" + rel[1:], label))
     if variables is None:
         raise SpecFormatError(1, "missing 'vars' declaration")
     return InequalitySystem(variables, rows, bindings), assumptions

@@ -66,6 +66,11 @@ class SearchBudget:
     seed: int = 0
     refine_sweeps: int = 60
 
+    def __post_init__(self):
+        for name, least in (("restarts", 0), ("refine_sweeps", 0), ("grid_points", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+
 
 # Points per call above which a row is split into several calls.  Larger
 # calls amortize the per-call cost no further, and every speculative point

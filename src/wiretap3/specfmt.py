@@ -86,7 +86,10 @@ _NUM_RE = re.compile(r"-?\d+(?:/\d+|\.\d+)?")
 def _parse_number(line_no: int, tok: str) -> Fraction:
     if not _NUM_RE.fullmatch(tok):
         raise ChannelSpecError(line_no, f"bad numeric literal {tok!r}")
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ChannelSpecError(line_no, f"zero denominator in {tok!r}") from None
 
 
 def _is_exact(tok: str) -> bool:

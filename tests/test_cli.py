@@ -250,6 +250,40 @@ class TestExitCodes:
             assert rc == 1
             assert card.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["bound", "--id", "ck_extension", "--restarts", "-1"], "restarts must be >= 0, got -1"),
+        (["bound", "--id", "ck_extension", "--sweeps", "-1"], "refine_sweeps must be >= 0, got -1"),
+        (["ordering", "--y", "z", "--z", "y1", "--relation", "more_capable", "--grid", "0"],
+         "grid_points must be >= 1, got 0"),
+        (["repro-example", "--restarts", "0"], "no admissible point found in 0 restarts"),
+    ])
+    def test_out_of_range_search_budgets(self, spec_file, capsys, argv, message):
+        if argv[0] == "bound":
+            argv = argv + ["--y1", "y1", "--y2", "y2", "--z", "z"]
+        if argv[0] != "repro-example":
+            argv = argv + ["--spec", str(spec_file)]
+        assert main(argv + ["--seed", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("card", ["V", "V=x", "=2"])
+    def test_malformed_card_names_the_flag(self, spec_file, capsys, card):
+        rc = main([
+            "bound", "--spec", str(spec_file), "--id", "ck_extension",
+            "--y1", "y1", "--y2", "y2", "--z", "z", "--seed", "1", "--card", card,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --card {card!r}: expected NAME=int\n"
+
+    @pytest.mark.parametrize("region_id,given,missing", [
+        ("prop1", [], "--y1, --y2, --z"),
+        ("theorem2", ["--y1", "y1", "--z", "z"], "--y2"),
+    ])
+    def test_broadcast_region_names_missing_flags(self, spec_file, capsys, region_id, given,
+                                                  missing):
+        rc = main(["region", "--spec", str(spec_file), "--id", region_id, "--dist", "d", *given])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {region_id} regions need {missing}\n"
+
 
 class TestParser:
     @pytest.mark.parametrize("argv", [
@@ -462,7 +496,8 @@ class TestRegionCommand:
         # dist 'd' is a ck-pattern; prop1 needs (U,X) — expect exit 1
         assert rc == 1
 
-    def test_prop1_with_matching_dist(self, tmp_path, capsys):
+    @pytest.fixture
+    def prop1_spec(self, tmp_path) -> Path:
         text = SPEC + """
 factored p1 prop1
 factor U | = pq2
@@ -482,14 +517,27 @@ end
         ).replace("factor X | U = pxu\n", "factor X | U = pxu2\n")
         f = tmp_path / "ml.chan"
         f.write_text(text)
+        return f
+
+    def test_prop1_with_matching_dist(self, prop1_spec, capsys):
         rc = main([
-            "region", "--spec", str(f), "--id", "prop1",
+            "region", "--spec", str(prop1_spec), "--id", "prop1",
             "--dist", "p1", "--y1", "y1", "--y2", "y2", "--z", "z",
             "--point", "R0=0.0,R1=0.01,Re=0.0", "--format", "json",
         ])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["contains_point"] is True
+
+    @pytest.mark.parametrize("point", ["R0", "R0=0.1,R1=x"])
+    def test_malformed_point_names_the_flag(self, prop1_spec, capsys, point):
+        rc = main([
+            "region", "--spec", str(prop1_spec), "--id", "prop1",
+            "--dist", "p1", "--y1", "y1", "--y2", "y2", "--z", "z", "--point", point,
+        ])
+        assert rc == 1
+        item = point.split(",")[-1]
+        assert capsys.readouterr().err == f"error: --point {item!r}: expected NAME=float\n"
 
 
 class TestFmeCommand:
@@ -510,6 +558,22 @@ class TestFmeCommand:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["region_equal"] is True
+
+    @pytest.mark.parametrize("line", [
+        "R <= 2 I(A)", "R S <= I(A) I(B)", "R <= 1 -", "R <= 1 <= 2", "R <=", "R <= 1/0",
+        "bind I(A) = 1/0",
+    ])
+    def test_misread_lines_exit_1(self, tmp_path, capsys, line):
+        f = tmp_path / "s.ineq"
+        f.write_text(f"vars R S\n{line}\n")
+        assert main(["fme", "--system", str(f)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+
+    def test_reduce_substitutes_bind_lines(self, tmp_path, capsys):
+        f = tmp_path / "s.ineq"
+        f.write_text("vars x\nbind I(A) = 2\nx <= I(A)\nx <= 3\n")
+        assert main(["fme", "--system", str(f), "--reduce", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["system"] == "vars x\nbind I(A) = 2\nx <= 2\n"
 
     @pytest.mark.parametrize("fmt", ["json", "human"])
     def test_closed_stdout_exits_without_traceback(self, fmt):

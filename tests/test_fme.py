@@ -1,11 +1,13 @@
 """Exact Fourier-Motzkin machinery: examples, fuzz, and the fixtures."""
 
 import hashlib
+import re
 from fractions import Fraction as F
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_fme as ref
 from sampling import system_feasible
@@ -52,6 +54,27 @@ bind I(V0,V1;Y1|Q) = 3/4
         with pytest.raises(SpecFormatError) as ei:
             parse_system("vars x\nx <= 1\nx ?? 2\n")
         assert "line 3" in str(ei.value)
+
+    @pytest.mark.parametrize("line,message", [
+        ("R <= 2 I(A)", "write 2*I(A)"),                 # not twice the atom plus 2
+        ("R S <= I(A) I(B)", "missing '+' or '-' before 'S'"),
+        ("R <= 1 -", "expected a term at '-'"),
+        ("R <= 1 <= 2", "need one relation operator, found <= <="),
+        ("R <=", "empty"),
+        ("R <= 1/0", "zero denominator"),
+        ("bind I(A) = 1/0", "zero denominator"),
+        ("R <= 2*", "expected a term at '*'"),
+        ("R <= - -S", "expected a term"),
+        ("R <= 2*3", "expected a term at '*3'"),
+    ])
+    def test_lines_once_misread_are_rejected(self, line, message):
+        with pytest.raises(SpecFormatError, match=re.escape(message)) as ei:
+            parse_system(f"vars R S\n# comment\n{line}\n")
+        assert ei.value.line_no == 3
+
+    def test_relation_inside_an_atom_is_part_of_it(self):
+        sys_, _ = parse_system("vars x\nx <= I(A=1) + H(B<2)\n")
+        assert list(sys_.inequalities[0].rhs_atoms) == ["I(A=1)", "H(B<2)"]
 
     def test_unknown_symbol_with_atoms_decl(self):
         with pytest.raises(SpecFormatError):
@@ -105,9 +128,15 @@ class TestRemoveRedundant:
 
     def test_bindings_path(self):
         sys_, _ = parse_system("vars x\nx <= I(A)\nx <= 3\n")
-        out = remove_redundant(sys_, bindings={"I(A)": F(2)})
+        out = remove_redundant(sys_.bind({"I(A)": F(2)}))
         assert len(out.inequalities) == 1
         assert out.inequalities[0].rhs_const == 2
+
+    def test_bind_lines_take_effect(self):
+        # a bind line both covers the atom and substitutes its value
+        sys_, _ = parse_system("vars x\nbind I(A) = 2\nx <= I(A)\nx <= 3\n")
+        out = remove_redundant(sys_)
+        assert [r.format() for r in out.inequalities] == ["x <= 2"]
 
     def test_reduction_preserves_region(self):
         sys_, _ = parse_system(
@@ -404,3 +433,80 @@ def _random_feasibility_case(rng):
     rows = [row(f"r{i}", rng.random() > 0.15) for i in range(int(rng.integers(0, 7)))]
     assumptions = [row(f"a{i}", False) for i in range(int(rng.integers(0, 3)))]
     return InequalitySystem(names, rows), assumptions
+
+
+def _parsed_fields(parsed):
+    sys_, assumptions = parsed
+    return (sys_.variables, list(sys_.bindings.items()),
+            [_fields(r) for r in sys_.inequalities], [_fields(r) for r in assumptions])
+
+
+class TestAgainstTokenParser:
+    """The anchored term grammar reads every well-formed line as the token
+    state machine it replaced (``reference_fme.parse_system``) did."""
+
+    @pytest.mark.parametrize("name", _fixture_files())
+    def test_fixture_files_match(self, name):
+        text = fixture_text(name)
+        assert _parsed_fields(parse_system(text)) == _parsed_fields(ref.parse_system(text))
+
+    @pytest.mark.parametrize("name", _fixture_files())
+    def test_fixture_format_round_trips(self, name):
+        sys_, _ = parse_system(fixture_text(name))
+        again, _ = parse_system(sys_.format())
+        assert again.variables == sys_.variables
+        assert [_fields(r) for r in again.inequalities] == [_fields(r) for r in sys_.inequalities]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_generated_systems_match(self, data):
+        text = data.draw(_systems())
+        assert _parsed_fields(parse_system(text)) == _parsed_fields(ref.parse_system(text))
+
+
+_VARIABLES = ("R0", "R1", "Re", "T1'", "x_2")
+_CONSTANTS = ("c", "gap'", "I(V0,V1;Y1|Q)", "I(V1;Z|V0)", "H(X|U)", "I(U;Z)")
+_LITERALS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.tuples(st.integers(0, 9), st.integers(0, 99)).map(lambda t: f"{t[0]}.{t[1]}"),
+)
+
+
+@st.composite
+def _systems(draw):
+    """A well-formed system: vars, an optional closed atoms namespace, and
+    rows, assumptions and binds with labels, comments and spacing variants."""
+    variables = draw(st.lists(st.sampled_from(_VARIABLES), min_size=1, max_size=4, unique=True))
+    symbols = st.sampled_from(variables + list(_CONSTANTS))
+    space = st.sampled_from(["", " ", "  "])
+
+    def term(first):
+        sign = draw(st.sampled_from(["", "-", "+"] if first else ["-", "+"]))
+        body = draw(st.one_of(
+            symbols, _LITERALS,
+            st.tuples(_LITERALS, space, symbols).map(lambda t: f"{t[0]}{t[1]}*{t[1]}{t[2]}"),
+        ))
+        return f"{sign}{draw(space)}{body}"
+
+    def side():
+        rest = draw(st.integers(0, 3))
+        return term(True) + "".join(f"{draw(space)}{term(False)}" for _ in range(rest))
+
+    lines = ["vars " + " ".join(variables)]
+    if draw(st.booleans()):
+        lines.append("atoms " + " ".join(c for c in _CONSTANTS if not c.startswith(("I(", "H("))))
+    for _ in range(draw(st.integers(1, 6))):
+        label = draw(st.sampled_from(["", "r1: ", "num2': ", "_a:  "]))
+        if draw(st.integers(0, 5)) == 0:
+            value = draw(_LITERALS)
+            sign = draw(st.sampled_from(["", "-"]))
+            line = f"bind {draw(symbols)}{draw(space)}={draw(space)}{sign}{value}"
+        else:
+            relation = draw(st.sampled_from(["<=", "<", ">=", ">", "="]))
+            line = f"{side()}{draw(space)}{relation}{draw(space)}{side()}"
+            if draw(st.booleans()):
+                line = "assume " + line
+        comment = draw(st.sampled_from(["", "  # note", "# 1 <= 2"]))
+        lines.append(f"{label}{line}{comment}")
+    return "\n".join(lines) + "\n"

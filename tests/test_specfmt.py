@@ -58,6 +58,10 @@ class TestParse:
             parse_spec("alphabet X 2\npmf p : X\n1/2 1/4 1/4\n")
         assert "expected 2 entries" in str(ei.value)
 
+    def test_zero_denominator_line_number(self):
+        with pytest.raises(ChannelSpecError, match="line 3: zero denominator in '1/0'"):
+            parse_spec("alphabet X 2\npmf p : X\n1/0 1\n")
+
     def test_undeclared_alphabet(self):
         with pytest.raises(ChannelSpecError):
             parse_spec("pmf p : X\n1\n")
