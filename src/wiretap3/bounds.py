@@ -26,18 +26,19 @@ Bounds and regions are data, written as in the paper: a scalar bound is a
 minimum it is, and theorem1's admissibility slack that masks a point out);
 a region is a table of ``_row``s (a minimum of signed sums, its positive
 part or the R0 clamp).  One engine evaluates them on a stack of B source
-laws.  ``_realize`` multiplies the stacked factor tables (B, rows, cols) of
-a pattern's chain into p(aux..., X) after one row-stochastic check of all
-the tables.  ``_BoundPlan`` compiles the terms against the pattern's axes
-and the receiver matrices: each distinct entropy reads a marginal, pushed
-through a receiver's matrix from X when a term names one (a term names at
-most one; the multilevel Z2 is p(y1|x) p(z2|y1)), so no joint over all
-receivers is built.  All of them are linear in the source law: a small
+laws.  ``_RowRealizer`` multiplies the stacked factor tables (B, rows,
+cols) of a pattern's chain into p(aux..., X) after a row-stochastic check:
+for a search's candidates from the one row each changes, and for whole
+stacks as ``_realize``.  ``_BoundPlan`` compiles the terms against the pattern's
+axes and the receiver matrices: each distinct entropy reads a marginal,
+pushed through a receiver's matrix from X when a term names one (a term
+names at most one; the multilevel Z2 is p(y1|x) p(z2|y1)), so no joint
+over all receivers is built.  All are linear in the source law: a small
 plan reads every entropy's cells with one product per point, a large one
 by its routes (see ``_BoundPlan``), and every term then takes one more
 product, with the 0 log 0 rule of ``probability.log2_cells``.  A term
 below -MEASURE_TOL raises DistributionError; otherwise it is clamped at 0,
-as ``JointPmf`` does.  ``maximize`` hands a plan to the lockstep search;
+as ``JointPmf`` does.  ``maximize`` runs a plan on realized candidates;
 the scalar and region evaluators run the same plan (``_plan`` keeps one per
 bound, pattern and receiver matrices) on a one-point stack; the orderings
 checks and the example's second-component measures compile their own.
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -179,6 +180,11 @@ def build_factored(pattern: str, sizes: Mapping[str, int], tables: Params) -> Fa
     return FactoredDistribution([(a, sizes[a]) for a in axes], factors, pattern)
 
 
+def _pair(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """p(v1, v2 | v0) = p(v1 | v0) p(v2 | v0), row by row, of tables or stacks."""
+    return (p1[..., :, None] * p2[..., None, :]).reshape(p1.shape[:-1] + (-1,))
+
+
 def _expand_family(tables: Params, sizes: Mapping[str, int], family: str) -> Params:
     """Family tables [..., p(v1|v0), p(v2|v0), q] -> [..., p(v1,v2|v0), p(x|v0,v1,v2)].
 
@@ -190,12 +196,11 @@ def _expand_family(tables: Params, sizes: Mapping[str, int], family: str) -> Par
     *head, p1, p2, q = tables
     n0, n1, n2 = sizes["V0"], sizes["V1"], sizes["V2"]
     lead, nx = q.shape[:-2], q.shape[-1]
-    pv12 = (p1[..., :, None] * p2[..., None, :]).reshape(lead + (n0, n1 * n2))
     if family == "z_ignores_v1":
         px = q.reshape(lead + (n0, 1, n2, nx)).repeat(n1, axis=-3)
     else:
         px = q.reshape(lead + (n0, n1, 1, nx)).repeat(n2, axis=-2)
-    return [*head, pv12, px.reshape(lead + (n0 * n1 * n2, nx))]
+    return [*head, _pair(p1, p2), px.reshape(lead + (n0 * n1 * n2, nx))]
 
 
 @dataclass(frozen=True)
@@ -338,41 +343,83 @@ def _signed_sum(expr, value: Callable):
     return total
 
 
-def _checked(tables: Params) -> Params:
-    """Stacked tables that pass ConditionalPmf's row checks, clipped at 0.
-
-    One tolerance test covers every row of every table, and one minimum
-    every entry.
-    """
-    sums = np.concatenate([t.sum(axis=-1) for t in tables], axis=-1)
-    if not np.abs(sums - 1.0).max(initial=0.0) <= PMF_TOL:  # NaN fails it too
+def _check_rows(sums: np.ndarray, low: float) -> bool:
+    """Raise as ConditionalPmf's row checks do on rows with these sums and
+    least entry; True when an entry in [-PMF_TOL, 0) is left to clip.  The
+    sums pass iff the largest and the smallest do; NaN fails."""
+    if not (np.maximum.reduce(sums, None, initial=1.0) - 1.0 <= PMF_TOL
+            and 1.0 - np.minimum.reduce(sums, None, initial=1.0) <= PMF_TOL):
         raise DistributionError("factor table has a row that does not sum to 1")
-    low = min(t.min(initial=0.0) for t in tables)
-    if low < 0:
-        if low < -PMF_TOL:
-            raise DistributionError("factor table has negative entries")
-        tables = [np.maximum(t, 0.0) for t in tables]
-    return tables
+    if low < -PMF_TOL:
+        raise DistributionError("factor table has negative entries")
+    return low < 0
 
 
 def _realize(pattern: str, sizes: Mapping[str, int], tables: Params) -> np.ndarray:
-    """p(aux..., X) of stacked factor tables (B, rows, cols): (B, pattern sizes).
+    """p(aux..., X) of stacked factor tables (B, rows, cols): (B, pattern sizes)."""
+    return _RowRealizer(pattern, sizes)(tables, 0, 0, np.arange(len(tables[0])), tables[0][:, 0])
 
-    Every pattern's chain generates its axes in declaration order, and each
-    factor's given axes are earlier axes in that order, so a table of
-    p(targets | given) broadcasts against the joint so far by reshaping.
+
+class _RowRealizer:
+    """p(aux..., X) of an ``optim`` objective call's points: each cell the
+    chain product, in chain order, of the point's whole tables.
+
+    The first call on a table checks (and clips) the stacks and multiplies
+    the factors before it; a call then checks the changed factor's row ``r``
+    and multiplies on.  A theorem1 ``family``'s tables 2 and 3 make factor 2,
+    table 4 factor 3, p(x|v0,v2) or p(x|v0,v1), broadcast as its expansion.
     """
-    _, chain = PATTERNS[pattern]
-    joint = np.ones(len(tables[0]))
-    covered: tuple[str, ...] = ()
-    for (targets, given), table in zip(chain, _checked(tables)):
-        shape = tuple(sizes[a] if a in given else 1 for a in covered)
-        shape += tuple(sizes[a] for a in targets)
-        joint = joint.reshape(joint.shape + (1,) * len(targets)) * table.reshape(
-            (len(table),) + shape
-        )
-        covered += targets
-    return joint
+
+    def __init__(self, pattern: str, sizes: Mapping[str, int], family: Optional[str] = None):
+        chain = PATTERNS[pattern][1]
+        self.pair = family is not None
+        if self.pair:
+            chain = chain[:3] + ((("X",), ("V0", "V2" if family == "z_ignores_v1" else "V1")),)
+        # each factor broadcasts against the joint so far: the (joint, factor,
+        # product) shapes of each, with a 1 per axis the joint or factor lacks
+        self.shapes, covered = [], ()
+        for targets, given in chain:
+            covered += targets
+            self.shapes.append([tuple(sizes[a] if a in keep else 1 for a in covered)
+                                for keep in ({*covered} - {*targets}, given + targets, covered)])
+        self.factor = [0, 1, 2, 2, 3] if self.pair else range(len(chain))  # of each table
+        self._at = (None, None)
+
+    def _start(self, tables: Params, fi: int) -> None:
+        factors = [*tables[:2], _pair(*tables[2:4]), tables[4]] if self.pair else tables
+        sums = np.concatenate([t.sum(axis=-1) for t in factors], axis=-1)
+        self._clip = _check_rows(sums, min(t.min(initial=0.0) for t in factors))
+        factors = [np.maximum(t, 0.0) for t in factors] if self._clip else factors
+        f, n = self.factor[fi], len(tables[0])
+        joint = np.ones(n)
+        for (lhs, rhs, _), t in zip(self.shapes[:f], factors):
+            joint = joint.reshape((n,) + lhs) * t.reshape((n,) + rhs)
+        # the prefix and each later factor, broadcast to its product's shape:
+        # no product then broadcasts along its innermost axes
+        parts = [(joint, *self.shapes[f][::2])]
+        parts += [(t, rhs, full) for (_, rhs, full), t in zip(self.shapes[f + 1:], factors[f + 1:])]
+        self._parts = [np.empty((n,) + full) for *_, full in parts]
+        for out, (t, shape, _) in zip(self._parts, parts):
+            out[...] = t.reshape((n,) + shape)
+        self._at = (tables, fi)
+
+    def __call__(self, tables: Params, fi: int, r: int, owner: np.ndarray, rows: np.ndarray):
+        if self._at[0] is not tables or self._at[1] != fi:
+            self._start(tables, fi)
+        f = self.factor[fi]
+        changed = tables[fi].take(owner, axis=0)
+        changed[:, r] = rows
+        if self.pair and f == 2:  # times the other satellite's table
+            other = tables[5 - fi].take(owner, axis=0)
+            changed = _pair(changed, other) if fi == 2 else _pair(other, changed)
+        new = changed[:, r]
+        if _check_rows(np.add.reduce(new, axis=-1), new.min(initial=0.0)) or self._clip:
+            changed = np.maximum(changed, 0.0)
+        n, (prefix, *later) = owner.size, self._parts
+        joint = prefix.take(owner, axis=0) * changed.reshape((n,) + self.shapes[f][1])
+        for (lhs, _, _), factor in zip(self.shapes[f + 1:], later):
+            joint = joint.reshape((n,) + lhs) * factor.take(owner, axis=0)
+        return joint
 
 
 class _BoundPlan:
@@ -921,8 +968,8 @@ def evaluate_bound(bound_id: str, dist, chans: BroadcastChannels) -> Optional[fl
 
 def _search_spaces(
     pattern: str, sizes: Mapping[str, int]
-) -> list[tuple[list[tuple[int, int]], Callable[[Params], Params]]]:
-    """(table shapes, searched tables -> pattern tables) for each search.
+) -> list[tuple[list[tuple[int, int]], Optional[str]]]:
+    """(table shapes, theorem1 family or None) for each search.
 
     Every pattern is searched over its own factor tables, except theorem1.
     Marton admissibility rearranges to I(V1;V2|V0,Z) = 0, a measure-zero
@@ -933,15 +980,14 @@ def _search_spaces(
     V2 = V0 lies inside the first family).
     """
     if pattern != "theorem1":
-        return [(factor_shapes(pattern, sizes), lambda tables: tables)]
+        return [(factor_shapes(pattern, sizes), None)]
     nq, n0, n1, n2, nx = (
         sizes["Q"], sizes["V0"], sizes["V1"], sizes["V2"], sizes["X"]
     )
     spaces = []
     for family in ("z_ignores_v2", "z_ignores_v1"):
         q_rows = n0 * n2 if family == "z_ignores_v1" else n0 * n1
-        shapes = [(1, nq), (nq, n0), (n0, n1), (n0, n2), (q_rows, nx)]
-        spaces.append((shapes, partial(_expand_family, sizes=sizes, family=family)))
+        spaces.append(([(1, nq), (nq, n0), (n0, n1), (n0, n2), (q_rows, nx)], family))
     return spaces
 
 
@@ -970,10 +1016,10 @@ def maximize(
     plan = _plan(_BOUND_TERMS[bound_id], pattern, _channels(chans))
     best = None
     search_evaluations = objective_points = 0
-    for shapes, expand in _search_spaces(pattern, sizes):
+    for shapes, family in _search_spaces(pattern, sizes):
 
-        def objective(tables: Params, expand=expand) -> np.ndarray:
-            return plan(_realize(pattern, sizes, expand(tables)))
+        def objective(*change, realize=_RowRealizer(pattern, sizes, family)) -> np.ndarray:
+            return plan(realize(*change))
 
         # deterministic all-uniform start: the auxiliaries decouple from X there,
         # pinning the reported maximum at >= 0 (these secrecy bounds clamp at 0)
@@ -982,9 +1028,10 @@ def maximize(
         search_evaluations += res.evaluations
         objective_points += res.objective_points
         if best is None or res.value > best[0].value:
-            best = (res, expand)
-    res, expand = best
-    argmax = build_factored(pattern, sizes, expand(res.params))
+            best = (res, family)
+    res, family = best
+    tables = res.params if family is None else _expand_family(res.params, sizes, family)
+    argmax = build_factored(pattern, sizes, tables)
     check = fn(argmax, chans)
     if check is None or abs(check - res.value) > REEVAL_TOL:
         raise ReevaluationError(

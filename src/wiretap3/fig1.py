@@ -21,9 +21,8 @@ closed form is immaterial to the results.
 
 The second component's measures I(V2;Y12|Q2) and I(V2;Z2|Q2), the hot
 path of the upper-bound search, are two terms of one ``bounds`` engine
-plan: one product of each point's chain-product law with the plan's
-matrix (24 x 90 at the default |Q2| = 3, |V2| = 4), then one with its
-term signs.
+plan: one product of each point's "ck" law, realized as in ``bounds``, with
+the plan's matrix (24 x 90 at |Q2| = 3, |V2| = 4), then one with its signs.
 
 The headline reproduction: the indirect-decoding bound achieves exactly
 5/6 at V = X1 with independent uniform inputs, while the two-receiver
@@ -40,7 +39,8 @@ from functools import cache
 import numpy as np
 
 from .bounds import (
-    BoundTerms, BroadcastChannels, _BoundPlan, _expr, build_factored, corollary1_rate,
+    BoundTerms, BroadcastChannels, _BoundPlan, _expr, _realize, _RowRealizer, build_factored,
+    corollary1_rate,
 )
 from .optim import SearchBudget, search_factored
 from .probability import (
@@ -179,16 +179,15 @@ def _second_component_plan() -> _BoundPlan:
 def second_component_measures(tables):
     """(I(V2;Y12|Q2), I(V2;Z2|Q2)) for tables [p(q2), p(v2|q2), p(x2|v2)].
 
-    Hot path of the upper-bound search: the chain product of the three
-    tables, then the two terms of the example's one plan.  Each
-    table may carry leading batch axes, (..., rows, cols); the two measures
-    then come back with those leading axes, one pair per point, each the
-    same bits as the point alone (the plan multiplies point by point).
+    Each table may carry leading batch axes, (..., rows, cols); the two
+    measures then come back with those leading axes, one pair per point,
+    each the same bits as the point alone (the plan multiplies point by
+    point).
     """
-    pq, pvq, pxv = tables
-    p_qvx = pq[..., 0, :, None, None] * pvq[..., :, :, None] * pxv[..., None, :, :]
-    lead = p_qvx.shape[:-3]
-    iy, iz = _second_component_plan().information(p_qvx.reshape((-1,) + p_qvx.shape[-3:]))
+    lead = tables[0].shape[:-2]
+    sizes = {"Q": tables[0].shape[-1], "V": tables[2].shape[-2], "X": tables[2].shape[-1]}
+    joint = _realize("ck", sizes, [t.reshape((-1,) + t.shape[-2:]) for t in tables])
+    iy, iz = _second_component_plan().information(joint)
     return iy.reshape(lead)[()], iz.reshape(lead)[()]
 
 
@@ -229,14 +228,15 @@ class _IdentityTrace:
     speculative ones first.
     """
 
-    def __init__(self):
+    def __init__(self, q2_card: int, v2_card: int):
         self.points_checked = 0
         self.max_deviation = 0.0
         self._pending = None  # (silent mask, |iy - iz|) of the last call
+        self._rows = _RowRealizer("ck", {"Q": q2_card, "V": v2_card, "X": 2})
 
-    def __call__(self, tables):
+    def __call__(self, *change):
         self.settle()
-        iy, iz = second_component_measures(tables)
+        iy, iz = _second_component_plan().information(self._rows(*change))
         silent = iz < 1e-9
         if silent.any():
             self._pending = (silent, np.abs(iy - iz))
@@ -269,7 +269,7 @@ def reproduce_example(
     that points leaking nothing to Z2 also gain nothing at Y12.
     """
     achievable = achievable_rate()
-    trace = _IdentityTrace()
+    trace = _IdentityTrace(q2_card, v2_card)
     shapes = [(1, q2_card), (q2_card, v2_card), (v2_card, 2)]
     res = search_factored(trace, shapes, budget)
     trace.settle()

@@ -158,6 +158,16 @@ class LinearInequality:
         return f"<{self.format()}>"
 
 
+def _bound(rows: Sequence[LinearInequality], bindings: Mapping[str, Fraction]) -> list:
+    """``rows`` with numeric values substituted for the bound atoms."""
+    out = []
+    for r in rows:
+        atoms = {a: c for a, c in r.rhs_atoms.items() if a not in bindings}
+        value = sum(c * _frac(bindings[a]) for a, c in r.rhs_atoms.items() if a in bindings)
+        out.append(LinearInequality(r.coeffs, r.relation, atoms, r.rhs_const + value, r.label))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class InequalitySystem:
     variables: tuple[str, ...]
@@ -198,21 +208,9 @@ class InequalitySystem:
 
     def bind(self, bindings: Mapping[str, Fraction]) -> "InequalitySystem":
         """Substitute numeric values for atoms."""
-        rows = []
-        for ineq in self.inequalities:
-            const = ineq.rhs_const
-            atoms = {}
-            for a, c in ineq.rhs_atoms.items():
-                if a in bindings:
-                    const += c * _frac(bindings[a])
-                else:
-                    atoms[a] = c
-            rows.append(
-                LinearInequality(ineq.coeffs, ineq.relation, atoms, const, ineq.label)
-            )
         merged = dict(self.bindings)
         merged.update({k: _frac(v) for k, v in bindings.items()})
-        return InequalitySystem(self.variables, rows, merged)
+        return InequalitySystem(self.variables, _bound(self.inequalities, bindings), merged)
 
     def satisfies(self, point: Mapping[str, float], tol: float = 0.0) -> bool:
         """Membership test at a numeric point; atoms must all be bound."""
@@ -378,13 +376,13 @@ def remove_redundant(
 ) -> InequalitySystem:
     """Drop every row implied by the remaining rows plus assumptions.
 
-    The system's own bindings are substituted first.  Every other atom must
-    be mentioned by at least one assumption row; redundancy relative to a
-    fully unconstrained constant is almost never what a derivation means,
-    so it is rejected loudly.
+    The system's bindings are substituted first, also into the assumptions.
+    Every other atom must be mentioned by at least one assumption row;
+    redundancy relative to a fully unconstrained constant is almost never
+    what a derivation means, so it is rejected loudly.
     """
     if sys.bindings:
-        sys = sys.bind(sys.bindings)
+        assumptions, sys = _bound(assumptions, sys.bindings), sys.bind(sys.bindings)
     covered = set(sys.bindings)
     for a in assumptions:
         covered.update(a.rhs_atoms)
@@ -472,12 +470,19 @@ def region_equal(
     followed by the assumption rows; or the reason for inequality.  A
     system infeasible under the assumptions adds ``a_infeasible`` or
     ``b_infeasible``: its rows' and the assumptions' multipliers that sum
-    to ``0 <= -1``, named by row as the implication entries are.
+    to ``0 <= -1``, named by row as the implication entries are.  Both
+    systems' bindings are substituted into both and the assumptions first.
     """
     if set(a.variables) != set(b.variables):
         raise ValueError(
             f"variable mismatch: {sorted(a.variables)} vs {sorted(b.variables)}"
         )
+    bindings = dict(a.bindings)
+    for atom, value in b.bindings.items():
+        if bindings.setdefault(atom, value) != value:
+            raise ValueError(f"the systems bind {atom} to {bindings[atom]} and to {value}")
+    if bindings:
+        a, b, assumptions = a.bind(bindings), b.bind(bindings), _bound(assumptions, bindings)
     vars_, atoms = _joint_space([a, b], assumptions)
     cert: dict = {"a_implies_b": [], "b_implies_a": []}
 

@@ -36,17 +36,20 @@ call raises, the rest of that row is offered one vertex per call, so
 only points the sequential search evaluates are evaluated: an error comes
 out where the sequential search raises it, or not at all.
 
-Objective contract: an objective takes stacked tables, a list of
-(B, rows, cols) arrays for the B points being evaluated, and returns B
-finite values as a float array, NaN marking an inadmissible point.  Its
-values must be pure, each point's value the same whatever else is in the
-stack, because it is also called on speculative points the sequential
-search never visits.  An objective that records what it sees may define
-``logical(mask)``: right after a call in which some start moved, the search
-passes the boolean mask of that call's points that the sequential search
-evaluates (every point of any other call is one of them).  Every caller
-(the bound and region maximizers, the orderings checks and the example
-search) hands the search such a batched objective.
+Objective contract: a candidate is one changed row.  An objective is
+called as ``objective(tables, fi, r, owner, rows)``: point k is start
+``owner[k]``'s tables in the search's stacks (B, rows, cols), with row
+``r`` of table ``fi`` replaced by ``rows[k]``; the first call offers each
+start its own row 0 of table 0.  While consecutive calls name the same
+stacks and ``fi``, only table ``fi`` changes, so an objective may keep
+what it built from the others (``bounds`` does).  It returns one value per
+point, NaN marking an inadmissible point.  The values must be pure, each
+the same whatever else is in the call, because speculative points the
+sequential search never visits are evaluated too.  An objective that
+records what it sees may define ``logical(mask)``: right after a call in
+which some start moved, the search passes the boolean mask of that call's
+points that the sequential search evaluates (every point of any other
+call is one of them).
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class SearchBudget:
 _CALL_POINTS = 256
 
 Params = list[np.ndarray]
-Objective = Callable[[Params], np.ndarray]  # stacked tables -> values, NaN inadmissible
+Objective = Callable[[Params, int, int, np.ndarray, np.ndarray], np.ndarray]  # see above
 
 
 @dataclass
@@ -109,13 +112,14 @@ def refine_rows(
     """
     tables = [t.copy() for t in tables]
     n = len(tables[0])
-    best = objective(tables)
+    best = objective(tables, 0, 0, np.arange(n), tables[0][:, 0])
     best[np.isnan(best)] = -np.inf  # inadmissible so far: any value is a gain
     evals = points = n
     step = np.full(n, 0.25)
     live = np.ones(n, dtype=bool)  # starts not yet stopped early
     improved = np.zeros(n, dtype=bool)
     logical = getattr(objective, "logical", None)
+    eyes = [np.eye(t.shape[2]) for t in tables]
 
     def row_round(fi: int, r: int, starts: np.ndarray, first: np.ndarray, window: int):
         """Offer ``window`` vertices of row ``r`` to ``starts``, from ``first`` on, in one call.
@@ -130,23 +134,25 @@ def refine_rows(
         nonlocal evals, points
         p, cols, width = starts.size, tables[fi].shape[2], 2 * window
         row = tables[fi][starts, r]
-        vertex = first[:, None] + np.arange(window)
-        offered = vertex < cols
-        vertex = np.minimum(vertex, cols - 1)
         s = step.take(starts)[:, None, None]
-        move = s * np.eye(cols).take(vertex, axis=0)  # s * each offered vertex
+        slots = np.empty((p, window, 2), dtype=bool)  # slot 2j "toward" vertex j, 2j + 1 "away"
+        if window == cols and not np.count_nonzero(first):  # the whole row: no gather
+            slots[..., 0], move, ok = True, s * eyes[fi], row > 0  # s * each vertex; "away" exists
+        else:
+            vertex = first[:, None] + np.arange(window)
+            slots[..., 0], vertex = vertex < cols, np.minimum(vertex, cols - 1)
+            move = s * eyes[fi].take(vertex, axis=0)
+            ok = row.take(vertex + cols * np.arange(p)[:, None]) > 0
+        cand = np.empty((p, window, 2, cols))
+        cand[:, :, 0] = (1 - s) * row[:, None, :] + move
         away = np.maximum(row[:, None, :] - move, 0.0)
         tot = np.add.reduce(away, axis=2)
-        ok = (row.take(vertex + cols * np.arange(p)[:, None]) > 0) & (tot > 0)  # "away" exists
-        np.divide(away, tot[..., None], out=away, where=ok[..., None])
-        # slot 2j is "toward" the j-th vertex, 2j + 1 "away": the sequential order
-        toward = (1 - s) * row[:, None, :] + move
-        cand = np.concatenate([toward[:, :, None], away[:, :, None]], axis=2).reshape(-1, cols)
-        flat = np.flatnonzero(np.concatenate([offered[..., None], (offered & ok)[..., None]], 2))
-        trial = [t.take(starts.take(flat // width), axis=0) for t in tables]
-        trial[fi][:, r] = cand.take(flat, axis=0)
+        ok &= tot > 0
+        np.divide(away, np.where(ok, tot, 1.0)[..., None], out=cand[:, :, 1])
+        np.logical_and(slots[..., 0], ok, out=slots[..., 1])
+        cand, flat = cand.reshape(-1, cols), slots.ravel().nonzero()[0]
         try:
-            values = objective(trial)
+            values = objective(tables, fi, r, starts.take(flat // width), cand.take(flat, axis=0))
         except Exception:
             # a speculative point may raise where the sequential search never
             # looks; the caller then offers the rest of the row one vertex per

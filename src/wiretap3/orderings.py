@@ -151,13 +151,13 @@ def _minimize_gap(
     """Search p over ``shape`` (see ``_gap``) for the least gap: (min, argmin).
 
     The flat simplex gets grid seeds when it has at most 3 cells, then
-    restarts; each objective call evaluates its whole stack of points.
+    restarts; the one table has one row, so a candidate row is a point.
     """
     cells = int(np.prod(shape))
     gap = _gap(p_yx, p_zx, shape)
     extra = [[g.reshape(1, cells)] for g in _grid_simplex(cells, budget.grid_points)]
     res = search_factored(
-        lambda tables: -gap(tables[0][:, 0]), [(1, cells)], budget, extra_starts=extra
+        lambda tables, fi, r, owner, rows: -gap(rows), [(1, cells)], budget, extra_starts=extra
     )
     return -res.value, res.params[0][0].reshape(shape)
 

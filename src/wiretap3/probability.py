@@ -61,13 +61,14 @@ def _as_fraction_or_none(values) -> Optional[tuple]:
 
 
 def log2_cells(p: np.ndarray) -> np.ndarray:
-    """log2 of every cell of ``p``, 0 at cells <= 0, which never reach log2.
+    """log2 of every cell of ``p``, 0 at cells <= 0 (and NaN): they take log2(1).
 
     The package's one home of the 0*log0 = 0 convention: ``entropy_bits``
     and the bounds engine's fused plan weight these logs by p, and the
-    simulator's Monte Carlo scores sum them.
+    simulator's Monte Carlo scores sum them.  A masked log2 is slower.
     """
-    return np.log2(p, out=np.zeros(p.shape), where=p > 0)
+    cells = np.where(p > 0, p, 1.0)
+    return np.log2(cells, out=cells)
 
 
 def conditional(joint: np.ndarray, given: np.ndarray) -> np.ndarray:

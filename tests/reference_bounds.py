@@ -9,6 +9,11 @@ maximizer evaluates it once per start through ``reference_search.per_point`` on
 ``information`` and ``bound_values`` are the batched engine as it was before
 ``bounds._BoundPlan`` compiled it: the same entropies, found per call through
 memo dicts keyed by axis set.  The plan must give the same bits.
+
+``realize`` is the engine's whole-table realization as it was before the
+search realized candidates row by row (``bounds._RowRealizer``): one check
+of every row of every table, then the chain product.  The row realizer must
+give its bits and raise its errors.
 """
 
 from __future__ import annotations
@@ -31,12 +36,41 @@ from reference_search import per_point
 from wiretap3.optim import search_factored
 from wiretap3.probability import (
     MEASURE_TOL,
+    PMF_TOL,
     AxisError,
     DistributionError,
     FactoredDistribution,
     JointPmf,
     entropy_bits,
 )
+
+
+def _checked(tables):
+    """Stacked tables that pass ConditionalPmf's row checks, clipped at 0."""
+    sums = np.concatenate([t.sum(axis=-1) for t in tables], axis=-1)
+    if not np.abs(sums - 1.0).max(initial=0.0) <= PMF_TOL:  # NaN fails it too
+        raise DistributionError("factor table has a row that does not sum to 1")
+    low = min(t.min(initial=0.0) for t in tables)
+    if low < 0:
+        if low < -PMF_TOL:
+            raise DistributionError("factor table has negative entries")
+        tables = [np.maximum(t, 0.0) for t in tables]
+    return tables
+
+
+def realize(pattern: str, sizes, tables) -> np.ndarray:
+    """p(aux..., X) of stacked factor tables (B, rows, cols): (B, pattern sizes)."""
+    _, chain = PATTERNS[pattern]
+    joint = np.ones(len(tables[0]))
+    covered: tuple[str, ...] = ()
+    for (targets, given), table in zip(chain, _checked(tables)):
+        shape = tuple(sizes[a] if a in given else 1 for a in covered)
+        shape += tuple(sizes[a] for a in targets)
+        joint = joint.reshape(joint.shape + (1,) * len(targets)) * table.reshape(
+            (len(table),) + shape
+        )
+        covered += targets
+    return joint
 
 
 def _as_joint(dist, pattern: str, strict_tag: bool = True) -> JointPmf:

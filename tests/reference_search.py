@@ -5,8 +5,9 @@ start is refined alone, one scalar objective call per candidate (a list of
 (rows, cols) tables in, a float or None out), and the starts run one after
 another.
 
-``per_point`` turns such a scalar objective into a batched one for the
-lockstep search, one call per start.  ``minimize_gap`` is the orderings
+``per_point`` turns such a scalar objective into an objective for the
+lockstep search, one call per point of a call; ``full_stacks`` rebuilds
+the whole tables of a call's points, each a start with one row changed.  ``minimize_gap`` is the orderings
 search as it was before the bound engine ran it: ``info_gap`` on a
 ``JointPmf`` per point, through ``per_point``.
 """
@@ -122,10 +123,18 @@ def search_factored(
     )
 
 
-def per_point(fn: Objective) -> optim.Objective:
-    """A batched objective that calls the scalar ``fn`` once per start."""
+def full_stacks(tables: Params, fi: int, r: int, owner: np.ndarray, rows: np.ndarray) -> Params:
+    """The whole tables of each point of an objective call, stacked."""
+    trial = [t.take(owner, axis=0) for t in tables]
+    trial[fi][:, r] = rows
+    return trial
 
-    def objective(tables: Params) -> np.ndarray:
+
+def per_point(fn: Objective) -> optim.Objective:
+    """A search objective that calls the scalar ``fn`` once per point."""
+
+    def objective(*change) -> np.ndarray:
+        tables = full_stacks(*change)
         values = np.empty(len(tables[0]))
         for b in range(values.size):
             val = fn([t[b] for t in tables])

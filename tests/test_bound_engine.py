@@ -161,12 +161,13 @@ def _tables_for(bound_id, cards, chans, kind, seed):
     pattern = bounds.bound_pattern(bound_id)
     sizes = AuxSpec(pattern, cards).resolve(chans.x_size)
     if kind == "random":
-        shapes, expand = bounds.factor_shapes(pattern, sizes), lambda tables: tables
+        shapes, family = bounds.factor_shapes(pattern, sizes), None
     else:
-        shapes, expand = bounds._search_spaces("theorem1", sizes)[
+        shapes, family = bounds._search_spaces("theorem1", sizes)[
             ("z_ignores_v2", "z_ignores_v1").index(kind)
         ]
-    return expand([rng.dirichlet(np.ones(cols), size=(64, rows)) for rows, cols in shapes])
+    tables = [rng.dirichlet(np.ones(cols), size=(64, rows)) for rows, cols in shapes]
+    return tables if family is None else bounds._expand_family(tables, sizes, family)
 
 
 @pytest.mark.parametrize("bound_id,cards,channel,kind", STACK_CASES)
@@ -327,11 +328,12 @@ def test_one_point_evaluators_share_one_plan_per_channel_values(monkeypatch):
 def test_stacked_family_expansion_matches_per_point():
     sizes = {"Q": 2, "V0": 2, "V1": 3, "V2": 2, "X": 3}
     rng = np.random.default_rng(4)
-    for shapes, expand in bounds._search_spaces("theorem1", sizes):
+    for shapes, family in bounds._search_spaces("theorem1", sizes):
         stack = [rng.dirichlet(np.ones(cols), size=(8, rows)) for rows, cols in shapes]
-        together = expand(stack)
+        together = bounds._expand_family(stack, sizes, family)
         for b in range(8):
-            for t, s in zip(together, expand([t[b] for t in stack])):
+            alone = bounds._expand_family([t[b] for t in stack], sizes, family)
+            for t, s in zip(together, alone):
                 assert np.array_equal(t[b], s)
 
 
@@ -456,7 +458,9 @@ def _maximize_objective(monkeypatch):
         maximize("ck_extension", AuxSpec("ck", {"Q": 2, "V": 3}), _bsc_triple(), SearchBudget())
     (objective, shapes), = seen
     rng = np.random.default_rng(0)
-    return objective, [rng.dirichlet(np.ones(c), size=(8, r)) for r, c in shapes]
+    tables = [rng.dirichlet(np.ones(c), size=(8, r)) for r, c in shapes]
+    # the search's first call: every start offered its own first row
+    return lambda ts: objective(ts, 0, 0, np.arange(8), ts[0][:, 0]), tables
 
 
 def _set(tables, k, index, value):

@@ -170,9 +170,14 @@ class TestExampleReproduction:
 def _hand_written_measures(tables, chan=None):
     """``second_component_measures`` as raw tensor arithmetic, before it ran
     on the bound engine: the reference for ``TestSecondComponentEngine``."""
-    chan = chan or Fig1Channel.build()
     pq, pvq, pxv = tables
     p_qvx = pq[..., 0, :, None, None] * pvq[..., :, :, None] * pxv[..., None, :, :]
+    return _hand_written_from_joint(p_qvx, chan)
+
+
+def _hand_written_from_joint(p_qvx, chan=None):
+    """The two measures of p(q2, v2, x2) (with leading batch axes), by hand."""
+    chan = chan or Fig1Channel.build()
     p_qvy = p_qvx @ chan.y12.matrix
     p_qvz = p_qvx @ chan.z2.matrix
     hq = entropy_bits(p_qvx.sum(axis=(-2, -1)), 1)
@@ -202,7 +207,8 @@ class TestSecondComponentEngine:
     def test_example_search_is_unchanged(self, monkeypatch, seed):
         budget = SearchBudget(restarts=32, seed=seed, refine_sweeps=10)
         got = reproduce_example(budget)
-        monkeypatch.setattr(fig1, "second_component_measures", _hand_written_measures)
+        # the search's measures of each call, from each point's source law
+        monkeypatch.setattr(fig1._second_component_plan(), "information", _hand_written_from_joint)
         want = reproduce_example(budget)
         assert (got.evaluations, got.identity_points_checked, got.restarts) == (
             want.evaluations, want.identity_points_checked, want.restarts

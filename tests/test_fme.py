@@ -138,6 +138,14 @@ class TestRemoveRedundant:
         out = remove_redundant(sys_)
         assert [r.format() for r in out.inequalities] == ["x <= 2"]
 
+    def test_bind_lines_reach_assumption_rows(self):
+        # I(B) <= I(A) = 2 bounds x <= I(B) below 3, so x <= 3 is redundant
+        sys_, assume = parse_system(
+            "vars x\nbind I(A) = 2\nx <= I(B)\nx <= 3\nassume I(B) <= I(A)\n"
+        )
+        out = remove_redundant(sys_, assume)
+        assert [r.format() for r in out.inequalities] == ["x <= I(B)"]
+
     def test_reduction_preserves_region(self):
         sys_, _ = parse_system(
             "vars x y\nx + y <= 4\nx <= 2\ny <= 2\nx + y <= 5\n-x <= 0\n-y <= 0\n"
@@ -201,6 +209,27 @@ class TestRegionEqual:
         assert not eq
         assert "a_infeasible" not in cert
         assert cert["b_infeasible"] == {"x <= -2": "1/2", "-x <= 0": "1/2"}
+
+    def test_bind_lines_take_effect(self):
+        a, _ = parse_system("vars x\nbind I(A) = 2\nx <= I(A)\n")
+        b, _ = parse_system("vars x\nx <= 2\n")
+        assert region_equal(a, b)[0] and region_equal(b, a)[0]
+
+    def test_bind_lines_reach_the_assumptions(self):
+        # I(A) <= I(B) <= I(A) with I(A) = 2 pins I(B) at 2
+        a, _ = parse_system("vars x\nbind I(A) = 2\nx <= I(B)\n")
+        b, assume = parse_system("vars x\nx <= 2\nassume I(B) <= I(A)\nassume I(A) <= I(B)\n")
+        eq, cert = region_equal(a, b, assume)
+        assert eq
+        assert cert["a_implies_b"][0]["multipliers"] == {"x <= I(B)": "1", "0 <= -I(B) + 2": "1"}
+
+    def test_conflicting_bind_lines_raise(self):
+        a, _ = parse_system("vars x\nbind I(A) = 2\nx <= I(A)\n")
+        b, _ = parse_system("vars x\nbind I(A) = 3\nx <= 2\n")
+        with pytest.raises(ValueError, match="bind I\\(A\\) to 2 and to 3"):
+            region_equal(a, b)
+        c, _ = parse_system("vars x\nbind I(A) = 4/2\nx <= 2\n")
+        assert region_equal(a, c)[0]
 
     def test_infeasibility_certificate_names_rows_and_assumptions(self):
         a, assume = parse_system(

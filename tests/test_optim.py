@@ -19,10 +19,11 @@ from wiretap3.probability import bsc, erasure_channel
 
 
 def _scalar(objective):
-    """A batched objective as the scalar objective the reference expects."""
+    """A search objective as the scalar objective the reference expects: one
+    call whose one point is a one-start stack offered its own first row."""
 
     def fn(params):
-        val = objective([p[None] for p in params])[0]
+        val = objective([p[None] for p in params], 0, 0, np.zeros(1, dtype=int), params[0][:1])[0]
         return None if np.isnan(val) else float(val)
 
     return fn
@@ -92,8 +93,8 @@ def _example_stack(restarts, seed):
     return starts
 
 
-def _example_objective(tables):
-    iy, iz = fig1.second_component_measures(tables)
+def _example_objective(*change):
+    iy, iz = fig1.second_component_measures(reference_search.full_stacks(*change))
     return fig1.rck_upper_bound_objective(iy, iz)
 
 
@@ -145,17 +146,20 @@ def test_example_trace_counts_zero_leakage_points(monkeypatch):
 
 def test_example_trace_skips_speculative_silent_points(monkeypatch):
     # seed 46, 32 restarts, 10 sweeps: speculative candidates that the
-    # sequential search never visits leak nothing to Z2; they must not count
+    # sequential search never visits leak nothing to Z2; they must not count.
+    # Silent points are counted where the example's objective gets its
+    # measures of each call: the second-component plan.
     budget = SearchBudget(restarts=32, seed=46, refine_sweeps=10)
     seen = []
-    measures = fig1.second_component_measures
+    plan = fig1._second_component_plan()
+    measures = plan.information
 
-    def counting(tables):
-        iy, iz = measures(tables)
+    def counting(joint):
+        iy, iz = measures(joint)
         seen.append(int(np.count_nonzero(iz < 1e-9)))
         return iy, iz
 
-    monkeypatch.setattr(fig1, "second_component_measures", counting)
+    monkeypatch.setattr(plan, "information", counting)
     (got, got_runs), (want, want_runs) = _both(
         monkeypatch, fig1, lambda: fig1.reproduce_example(budget)
     )
@@ -204,8 +208,9 @@ def test_example_seed_1_at_256_restarts_and_60_sweeps():
 # -- synthetic objectives ----------------------------------------------------
 
 
-def _stacked_inadmissible(tables):
-    """``_partly_inadmissible`` on a stack, elementwise: NaN where p(0) < 0.3."""
+def _stacked_inadmissible(*change):
+    """``_partly_inadmissible`` on a call's points, elementwise: NaN where p(0) < 0.3."""
+    tables = reference_search.full_stacks(*change)
     a, b = tables[0][:, 0], tables[1]
     value = np.sin(5 * a[:, 1]) + a[:, 0] * b[:, 0, 1] - (b[:, 1, 0] - 0.4) ** 2
     return np.where(a[:, 0] < 0.3, np.nan, value)
@@ -236,8 +241,8 @@ def test_refine_rows_matches_reference_at_every_call_width(starts):
 def _first_row_objective(raise_when, raised):
     """Maximize p(0) of a 1x3 table; raise ValueError on points ``raise_when`` marks."""
 
-    def objective(tables):
-        row = tables[0][:, 0]
+    def objective(*change):
+        row = reference_search.full_stacks(*change)[0][:, 0]
         if np.count_nonzero(raise_when(row)):
             raised.append(len(row))
             raise ValueError("point outside the objective's domain")

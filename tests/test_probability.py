@@ -23,6 +23,7 @@ from wiretap3.probability import (
     entropy,
     erase_further,
     erasure_channel,
+    log2_cells,
     product_channel,
 )
 
@@ -70,6 +71,25 @@ class TestEntropy:
         lhs = entropy([a * p, 1 - p, (1 - a) * p])
         rhs = binary_entropy(p) + p * binary_entropy(a)
         assert abs(lhs - rhs) < 1e-10
+
+
+def test_log2_cells_matches_the_masked_log2_bit_for_bit():
+    # the unmasked form must give the masked form's bits on every edge value
+    tiny = np.finfo(float).tiny
+    edges = np.array([
+        0.0, -0.0, 5e-324, -5e-324, tiny / 3, tiny, 1e-300, 0.5, 1.0 - 2**-53, 1.0, 2.0,
+        np.nan, -np.nan, np.inf, -np.inf, -1.0, -1e-300, np.finfo(float).max,
+    ])
+    rng = np.random.default_rng(0)
+    corpus = np.concatenate([
+        edges, rng.random(4096), rng.random(1024) * tiny, rng.standard_normal(1024),
+        np.exp2(rng.uniform(-1074, 1023, 4096)),
+    ])
+    for p in (corpus, corpus[: corpus.size // 8 * 8].reshape(-1, 1, 8)[:, :, ::-1]):
+        want = np.log2(p, out=np.zeros(p.shape), where=p > 0)
+        got = log2_cells(p)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMutualInformation:
