@@ -16,6 +16,7 @@ from typing import Mapping
 
 from .fme import (
     InequalitySystem,
+    Premises,
     _joint_space,
     _row_vector,
     eliminate_all,
@@ -126,7 +127,7 @@ def run_rate_split() -> FixtureResult:
     numbered_certs = {}
     ok_numbered = True
     vars_, atoms = _joint_space([presplit, numbered], assumptions)
-    premise = [_row_vector(r, vars_, atoms) for r in (*presplit.inequalities, *assumptions)]
+    premise = Premises(_row_vector(r, vars_, atoms) for r in (*presplit.inequalities, *assumptions))
     for row in numbered.inequalities:
         cert = implied_by(premise, _row_vector(row, vars_, atoms))
         numbered_certs[row.label or row.format()] = (

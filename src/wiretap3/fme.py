@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from .rationallp import implied_by
+from .rationallp import Premises, implied_by
 from .rationallp import feasible_eq  # noqa: F401  bench/tracer.py rebinds fme.feasible_eq
 
 Rel = str  # "<=" or "<"
@@ -349,9 +349,11 @@ def _joint_space(
 def _row_vector(
     ineq: LinearInequality, vars_: Sequence[str], atoms: Sequence[str]
 ) -> tuple[list[Fraction], Fraction]:
-    vec = [ineq.coeffs.get(v, 0) for v in vars_]
-    vec += [-ineq.rhs_atoms.get(a, 0) for a in atoms]
-    return vec, ineq.rhs_const
+    """``ineq`` as ``(a, beta)`` over ``vars_`` then ``atoms``; integral entries are ints."""
+    vals = [ineq.coeffs.get(v, 0) for v in vars_]
+    vals += [-ineq.rhs_atoms.get(a, 0) for a in atoms]
+    *vec, beta = [q.numerator if q.denominator == 1 else q for q in (*vals, ineq.rhs_const)]
+    return vec, beta
 
 
 def infeasibility_certificate(
@@ -392,14 +394,14 @@ def remove_redundant(
     sys = normalize(sys)
     vars_, atoms = _joint_space([sys], assumptions)
     rows = list(sys.inequalities)
-    vecs = [_row_vector(r, vars_, atoms) for r in rows]
-    assumed = [_row_vector(r, vars_, atoms) for r in assumptions]
+    vecs = Premises(_row_vector(r, vars_, atoms) for r in (*rows, *assumptions))
+    assumed = list(range(len(rows), len(vecs)))
     kept: list[LinearInequality] = []
     # one pass, testing each row against all other rows (already-dropped rows
     # are excluded; rows not yet visited are included)
     active = list(range(len(rows)))
     for i, r in enumerate(rows):
-        premise = [vecs[j] for j in active if j != i] + assumed
+        premise = vecs.take([j for j in active if j != i] + assumed)
         if implied_by(premise, vecs[i]) is None:
             kept.append(r)
         else:
@@ -502,9 +504,8 @@ def region_equal(
         return False, cert
 
     def direction(src: InequalitySystem, dst: InequalitySystem, key: str) -> bool:
-        premise = list(src.inequalities) + list(assumptions)
         labels = names(src)
-        vecs = [_row_vector(r, vars_, atoms) for r in premise]
+        vecs = Premises(_row_vector(r, vars_, atoms) for r in (*src.inequalities, *assumptions))
         ok = True
         for row in dst.inequalities:
             mult = implied_by(vecs, _row_vector(row, vars_, atoms))

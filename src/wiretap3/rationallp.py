@@ -17,6 +17,11 @@ zero tolerance.
 Pivoting uses Dantzig's rule with a Bland fallback after 30 degenerate
 pivots in a row, which keeps the method finite on degenerate tableaus;
 ratio-test ties go to the lowest basis index.
+
+Entries are ints or ``Fraction``s (floats convert exactly).  ``Premises``
+converts a premise set to ``IntRows`` once for every ``implied_by`` LP on
+it or on a subset of its rows.  Pivots depend only on the rational
+tableau, and each LP still calls ``simplex_min_eq`` by its module name.
 """
 
 from __future__ import annotations
@@ -49,10 +54,30 @@ def _exact(vals) -> list:
     return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
 
 
-def _int_row(vals) -> tuple[list[int], int]:
-    """Integers ``r`` and a positive ``d`` with ``vals == r / d``."""
-    d = lcm(*(q.denominator for q in vals))
-    return [q.numerator * (d // q.denominator) for q in vals], d
+class IntRows(list):
+    """A matrix as ``(nums, den)`` pairs, row i being ``nums / den`` (ints, den > 0)."""
+
+    @classmethod
+    def of(cls, A) -> "IntRows":
+        out = cls()
+        for row in map(_exact, A):
+            d = lcm(*(q.denominator for q in row))
+            out.append(([q.numerator * (d // q.denominator) for q in row], d))
+        return out
+
+
+class Premises(list):
+    """Rows ``(a, beta)`` for a.x <= beta and, as ``IntRows``, the matrix of
+    their ``implied_by`` LPs, whose column i is row i's ``a``."""
+
+    def __init__(self, rows=(), matrix: Optional[IntRows] = None):
+        super().__init__(rows)
+        self.matrix = IntRows.of(zip(*(a for a, _ in self))) if matrix is None else matrix
+
+    def take(self, idx: Sequence[int]) -> "Premises":
+        """The rows at ``idx``, in order; each matrix row keeps its (valid) ``den``."""
+        cols = IntRows(([r[j] for j in idx], d) for r, d in self.matrix)
+        return Premises([self[i] for i in idx], cols)
 
 
 def _pivot(tab: list[list[int]], den: list[int], r: int, e: int) -> None:
@@ -94,24 +119,29 @@ def _objective(cost: list, tab: list[list[int]], den: list[int], basis: list[int
     den.append(d // g)
 
 
-def simplex_min_eq(A: Mat, b: Vec, c: Vec) -> SimplexResult:
+def simplex_min_eq(A: Mat | IntRows, b: Vec, c: Vec) -> SimplexResult:
     """Minimize c.x subject to A x = b, x >= 0, exactly.
 
+    ``A`` is a matrix of ints, ``Fraction``s or floats, or its ``IntRows``;
+    the tableau, and so every pivot, depends only on the rational values.
     Returns OPTIMAL with an optimal basic solution, INFEASIBLE, or
     UNBOUNDED (objective unbounded below over the feasible set) with the
     ray along the entering column.
     """
     m = len(A)
     n = len(c)
-    c = _exact(c)
+    b, c = _exact(b), _exact(c)
     tab, den = [], []
-    for i in range(m):
-        if len(A[i]) != n:
+    for i, (r, d) in enumerate(A if isinstance(A, IntRows) else IntRows.of(A)):
+        if len(r) != n:
             raise ValueError("ragged constraint matrix")
-        r, d = _int_row(_exact(list(A[i]) + [b[i]]))
-        if r[n] < 0:
-            r = [-v for v in r]
-        tab.append(r[:n] + [d if j == i else 0 for j in range(m)] + r[n:])
+        q = b[i]
+        if (s := lcm(d, q.denominator) // d) != 1:
+            r, d = [v * s for v in r], d * s
+        t = q.numerator * (d // q.denominator)
+        if t < 0:
+            r, t = [-v for v in r], -t
+        tab.append(r + [d if j == i else 0 for j in range(m)] + [t])
         den.append(d)
     # Phase 1: artificial variable per row; tab[m] is the objective row.
     basis = [n + i for i in range(m)]
@@ -193,21 +223,28 @@ def implied_by(
     """Farkas certificate that ``rows`` imply the target inequality.
 
     Each row is (a, beta) standing for a.x <= beta over a common free
-    variable space.  Returns multipliers y >= 0 with sum y_i a_i = c and
-    sum y_i beta_i <= delta for target (c, delta), or None when no such
-    certificate exists.  For a feasible system this is exactly logical
-    implication; infeasible rows imply anything, and their certificate
-    follows the LP's unbounded ray far enough to reach delta.  Every
-    certificate passes ``verify_certificate`` before it is returned.
+    variable space, with int or ``Fraction`` entries and as long as c
+    (ValueError otherwise).  Returns multipliers y >= 0 with
+    sum y_i a_i = c and sum y_i beta_i <= delta for target (c, delta), or
+    None when no such certificate exists.  For a feasible system this is
+    exactly logical implication; infeasible rows imply anything, and their
+    certificate follows the LP's unbounded ray far enough to reach delta.
+    Every certificate passes ``verify_certificate`` before it is returned.
+    Rows given as ``Premises`` are not converted again; every call still
+    solves its one LP through the module's ``simplex_min_eq``.
     """
     c, delta = target
     k = len(rows)
     if k == 0:
         return [] if all(v == 0 for v in c) and delta >= 0 else None
+    if any(len(a) != len(c) for a, _ in rows):
+        raise ValueError(f"premise rows of lengths {sorted({len(a) for a, _ in rows})}, "
+                         f"target of length {len(c)}")
+    if not isinstance(rows, Premises):
+        rows = Premises(rows)
     # variables: y_1..y_k >= 0; constraints: sum_i y_i a_i = c (dim equalities)
-    A = [list(col) for col in zip(*(a for a, _ in rows))]
     cost = [beta for _, beta in rows]
-    res = simplex_min_eq(A, list(c), cost)
+    res = simplex_min_eq(rows.matrix, list(c), cost)
     if res.status == UNBOUNDED:
         value = sum(q * v for q, v in zip(cost, res.x))
         slope = sum(q * r for q, r in zip(cost, res.ray))
@@ -228,13 +265,16 @@ def verify_certificate(
 ) -> None:
     """Check y >= 0, sum y_i a_i = c and sum y_i beta_i <= delta exactly.
 
-    Raises ValueError (also under ``python -O``) when y certifies nothing.
+    Raises ValueError (also under ``python -O``) when y certifies nothing
+    or a row is not as long as ``c``.
     """
     c, delta = target
     if len(y) != len(rows):
         raise ValueError(f"{len(y)} multipliers for {len(rows)} rows")
     lhs, bound = [0] * len(c), 0
     for yi, (a, beta) in zip(y, rows):
+        if len(a) != len(c):
+            raise ValueError(f"a premise row of length {len(a)}, target of length {len(c)}")
         if yi:
             if yi < 0:
                 raise ValueError(f"negative multiplier {yi}")

@@ -1,5 +1,7 @@
 """Exact LP layer: the fraction-free simplex against the Fraction tableau it
-replaced (``reference_simplex``), unbounded rays and Farkas certificates.
+replaced (``reference_simplex``), premises converted once against the
+per-call conversion (``reference_implied``), unbounded rays and Farkas
+certificates.
 
 Arithmetic is exact on both sides, so status, x and value must be equal,
 with no tolerance.  The reference returns no point for UNBOUNDED; there the
@@ -15,12 +17,15 @@ from pathlib import Path
 
 import pytest
 
+import reference_implied
 import reference_simplex as ref
 from wiretap3 import fixture_runs, fme, rationallp
 from wiretap3.rationallp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    IntRows,
+    Premises,
     implied_by,
     simplex_min_eq,
     verify_certificate,
@@ -142,20 +147,129 @@ def test_fixture_lps_match_reference(monkeypatch):
     recorded = []
 
     def reference(A, b, c):
+        assert isinstance(A, IntRows)   # every fixture LP comes converted
+        A = [[F(v, d) for v in r] for r, d in A]
         res = ref.simplex_min_eq(A, b, c)
-        recorded.append(([list(r) for r in A], list(b), list(c), res))
+        recorded.append((A, list(b), list(c), res))
         return res
 
     monkeypatch.setattr(rationallp, "simplex_min_eq", reference)
     for name in fixture_runs.fixture_names():
         assert fixture_runs.run_fixture(name).ok, name
     monkeypatch.undo()
-    assert len(recorded) > 400
+    assert len(recorded) == 412
     for A, b, c, want in recorded:
         got = simplex_min_eq(A, b, c)
         assert (got.status, got.value) == (want.status, want.value)
         if want.status == OPTIMAL:
             assert got.x == want.x
+
+
+def _same_lp(rows, target):
+    """Solve the implication LP of ``rows`` (a list or ``Premises``) both ways."""
+    y = implied_by(rows, target)
+    assert y == reference_implied.implied_by(list(rows), target)
+    if not rows:   # no LP: the zero-width matrix would lose the target's rows
+        return "no LP", y is not None
+    c, _ = target
+    cost = [beta for _, beta in rows]
+    matrix = (rows if isinstance(rows, Premises) else Premises(rows)).matrix
+    A = [list(col) for col in zip(*(a for a, _ in rows))]
+    got = simplex_min_eq(matrix, list(c), cost)
+    want = reference_implied.simplex_min_eq(A, list(c), cost)
+    assert (got.status, got.x, got.value, got.ray) == (want.status, want.x, want.value, want.ray)
+    return got.status, y is not None
+
+
+def test_fixture_implications_match_per_call_conversion(monkeypatch):
+    # every (premise, target) pair of the six fixtures: region_equal's
+    # directions, remove_redundant's subsets, rate_split's numbered rows and
+    # the infeasibility LPs
+    pairs = []
+
+    def recording(rows, target):
+        pairs.append((rows, target))
+        return implied_by(rows, target)
+
+    monkeypatch.setattr(fme, "implied_by", recording)
+    monkeypatch.setattr(fixture_runs, "implied_by", recording)
+    for name in fixture_runs.fixture_names():
+        assert fixture_runs.run_fixture(name).ok, name
+    monkeypatch.undo()
+    assert len(pairs) == 412
+    assert sum(isinstance(rows, Premises) for rows, _ in pairs) == 400   # all but infeasibility
+    outcomes = {_same_lp(rows, target) for rows, target in pairs}
+    assert {(OPTIMAL, True), (OPTIMAL, False), (INFEASIBLE, False)} <= outcomes
+
+
+def _premise_entry(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-3, 3)
+    if kind == 2:
+        return F(rng.randint(-2, 2))
+    return F(rng.randint(-7, 7), rng.choice([2, 3, 4, 6]))
+
+
+def _random_premises(rng, k, dim):
+    rows = [([_premise_entry(rng) for _ in range(dim)], _premise_entry(rng)) for _ in range(k)]
+    if k and rng.random() < 0.2:
+        rows[rng.randrange(k)] = ([0] * dim, F(rng.randint(-3, 3), 2))   # a zero row
+    if k and rng.random() < 0.2:   # a row and its negation, pushed apart: infeasible
+        a, beta = rows[rng.randrange(k)]
+        rows.append(([-v for v in a], -beta - F(1, rng.randint(1, 3))))
+    return rows
+
+
+def _random_target(rng, rows, dim):
+    if rows and rng.random() < 0.6:   # a nonnegative combination, often implied
+        y = [F(rng.randint(0, 3), rng.randint(1, 2)) * (rng.random() < 0.5) for _ in rows]
+        c = [sum((yi * a[j] for yi, (a, _) in zip(y, rows)), F(0)) for j in range(dim)]
+        delta = sum((yi * beta for yi, (_, beta) in zip(y, rows)), F(0))
+        return c, delta + rng.choice([F(-1), F(-1, 2), 0, F(1, 3), 2])
+    return [_premise_entry(rng) for _ in range(dim)], F(rng.randint(-8, 8), rng.randint(1, 3))
+
+
+def test_random_implications_match_per_call_conversion():
+    rng = random.Random(1717)
+    outcomes = set()
+    for _ in range(300):
+        dim, k = rng.randint(1, 5), rng.randint(0, 7)
+        rows = _random_premises(rng, k, dim)
+        target = _random_target(rng, rows, dim)
+        outcomes.add(_same_lp(rows, target))
+        # order-preserving subsets with gaps share the full set's conversion
+        full = Premises(rows)
+        for _ in range(3):
+            idx = sorted(rng.sample(range(len(rows)), rng.randint(0, len(rows))))
+            sub = full.take(idx)
+            assert list(sub) == [rows[i] for i in idx]
+            assert [[F(v, d) for v in r] for r, d in sub.matrix] == [
+                [F(rows[i][0][j]) for i in idx] for j in range(dim * bool(rows))]
+            outcomes.add(_same_lp(sub, target))
+    # "no LP": an empty premise, given or taken as a subset
+    assert {(OPTIMAL, True), (OPTIMAL, False), (UNBOUNDED, True), (INFEASIBLE, False),
+            ("no LP", True), ("no LP", False)} <= outcomes
+
+
+RAGGED = [([1, 1], 0), ([1], 0)]   # x1 + x2 <= 0 does not imply x1 <= 0
+
+
+def test_implied_by_rejects_ragged_rows():
+    for rows in (RAGGED, Premises(RAGGED)):
+        with pytest.raises(ValueError, match=r"lengths \[1, 2\], target of length 1"):
+            implied_by(rows, ([1], 0))
+    with pytest.raises(ValueError, match=r"lengths \[2\], target of length 3"):
+        implied_by(Premises(RAGGED[:1]), ([1, 1, 0], 0))
+
+
+def test_verify_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="length 2, target of length 1"):
+        verify_certificate(RAGGED[:1], ([1], 0), [1])
+    with pytest.raises(ValueError, match="length 1, target of length 2"):
+        verify_certificate([([1, 0], 0), ([1], 0)], ([1, 0], 0), [1, 0])   # even unused
 
 
 def test_infeasible_premise_gets_a_real_certificate():
@@ -239,3 +353,22 @@ def test_verify_rejects_tampered_multipliers_under_O():
         check=True,
     )
     assert out.stdout.split() == ["rejected", "False"]
+
+
+def test_ragged_rows_rejected_under_O():
+    code = (
+        "from wiretap3.rationallp import implied_by, verify_certificate\n"
+        f"rows = {RAGGED!r}\n"
+        "for call in (lambda: implied_by(rows, ([1], 0)),\n"
+        "             lambda: verify_certificate(rows[:1], ([1], 0), [1])):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        print('rejected', __debug__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert out.stdout.split() == ["rejected", "False"] * 2

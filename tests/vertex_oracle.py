@@ -9,14 +9,16 @@ LP, none of it through the elimination code under test.
 Float prescreening keeps the subset enumeration fast; every accepted
 vertex is re-verified in exact rational arithmetic, and ill-conditioned
 subsets fall back to the exact solver, so the final vertex sets are
-exact.
+exact.  Most ill-conditioned subsets are singular; those are recognized a
+chunk at a time by exact int64 elimination before any exact solve.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, islice
-from math import lcm
+from math import hypot, lcm
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -26,6 +28,7 @@ from wiretap3.rationallp import feasible_eq
 Row = tuple[list[Fraction], Fraction]  # a . x <= b
 
 _CHUNK = 4096  # subsets per stacked float prescreen
+_HADAMARD_MAX = 2.0 ** 30  # below this, int64 Bareiss products stay below 2**61
 
 
 def solve_square(A: list[list], b: list) -> Optional[list[Fraction]]:
@@ -60,16 +63,66 @@ def solve_square(A: list[list], b: list) -> Optional[list[Fraction]]:
     return [Fraction(M[i][n], M[i][i]) for i in range(n)]
 
 
+def _int_scaled(rows: list[Row], dim: int):
+    """Each row a.x <= b in integers, and its coefficients as int64.
+
+    Returns ``(int_rows, A, norms)``: ``int_rows[i] = (a_i, bd, bn)`` with int
+    ``a_i`` such that a.x <= b iff (a_i . X) * bd <= bn * D for x = X / D;
+    ``A[i]`` is ``a_i`` and ``norms[i]`` its norm, at least 1, where every
+    entry is below ``_HADAMARD_MAX`` (elsewhere the norm is inf).
+    """
+    int_rows = []
+    A = np.zeros((len(rows), dim), np.int64)
+    norms = np.full(len(rows), np.inf)
+    for i, (a, b) in enumerate(rows):
+        den = lcm(*(v.denominator for v in a))
+        ints = [v.numerator * (den // v.denominator) for v in a]
+        int_rows.append((ints, b.denominator, b.numerator * den))
+        if all(abs(v) < _HADAMARD_MAX for v in ints):
+            A[i] = ints
+            norms[i] = max(hypot(*ints), 1.0)
+    return int_rows, A, norms
+
+
+def singular_stack(M: np.ndarray) -> np.ndarray:
+    """Exact singularity of each matrix in an int64 stack ``(B, n, n)``.
+
+    Fraction-free (Bareiss) elimination with the same pivots as
+    ``solve_square``: every entry it forms is a minor, so every product
+    stays below 2**61 when each matrix's Hadamard bound (the product of its
+    row norms, each at least 1) is below ``_HADAMARD_MAX``.  The caller
+    checks that bound.  A matrix is singular iff a column has no pivot.
+    """
+    M = M.copy()
+    at = np.arange(M.shape[0])
+    singular = np.zeros(M.shape[0], bool)
+    prev = np.ones(M.shape[0], np.int64)
+    for k in range(M.shape[1]):
+        nonzero = M[:, k:, k] != 0
+        singular |= ~nonzero.any(axis=1)
+        piv = k + nonzero.argmax(axis=1)
+        M[at, k], M[at, piv] = M[at, piv], M[at, k]
+        p = M[:, k, k]
+        below = M[:, k + 1:]
+        M[:, k + 1:] = (p[:, None, None] * below
+                        - below[:, :, k:k + 1] * M[:, k:k + 1]) // prev[:, None, None]
+        prev = np.where(p != 0, p, 1)
+    return singular
+
+
 def enumerate_vertices(rows: list[Row], dim: int) -> list[tuple[Fraction, ...]]:
     """All vertices of {x: a_i . x <= b_i}; the system must be bounded.
 
     The float prescreen runs on a chunk of subsets at a time: one stacked
     ``det``, then one stacked ``solve`` over the well-conditioned subsets
     (each matrix goes through the same LAPACK routine as a single call).
-    Subsets are then verified exactly in their enumeration order.
+    Candidates within the Hadamard bound that are exactly singular, which
+    ``solve_square`` would reject, are dropped by one ``singular_stack``;
+    the rest are then verified exactly in their enumeration order.
     """
     A = np.array([[float(c) for c in r[0]] for r in rows])
     b = np.array([float(r[1]) for r in rows])
+    int_rows, A_int, norms = _int_scaled(rows, dim)
     verts: dict[tuple, tuple] = {}
     subsets = combinations(range(len(rows)), dim)
     while chunk := list(islice(subsets, _CHUNK)):
@@ -84,16 +137,19 @@ def enumerate_vertices(rows: list[Row], dim: int) -> list[tuple[Fraction, ...]]:
         except np.linalg.LinAlgError:   # a singular matrix: verify the chunk exactly
             candidate[:] = True
         # exact verification (or exact solve for ill-conditioned subsets)
-        for subset in idx[candidate].tolist():
+        cand = idx[candidate]
+        bounded = np.flatnonzero(np.prod(norms[cand], axis=1) < _HADAMARD_MAX)
+        keep = np.ones(len(cand), bool)
+        keep[bounded] = ~singular_stack(A_int[cand[bounded]])
+        for subset in cand[keep].tolist():
             Me = [[rows[i][0][j] for j in range(dim)] for i in subset]
             be = [rows[i][1] for i in subset]
             xe = solve_square(Me, be)
             if xe is None:
                 continue
-            feas = all(
-                sum(r[0][j] * xe[j] for j in range(dim)) <= r[1] for r in rows
-            )
-            if not feas:
+            D = lcm(*(v.denominator for v in xe))
+            X = [v.numerator * (D // v.denominator) for v in xe]
+            if any(sum(map(mul, a, X)) * bd > bn * D for a, bd, bn in int_rows):
                 continue
             verts[tuple(xe)] = tuple(xe)
     return list(verts.values())
