@@ -8,6 +8,7 @@ Subpackages map one-to-one onto the toolkit's concerns:
 - bounds: rate expressions, rate regions, and their maximization
 - fme: exact rational Fourier-Motzkin elimination on inequality systems
 - simulate: finite-blocklength random-binning code simulation
+- streams: numpy's seeded random streams, a block of streams at a time
 - fig1: the hard-coded multilevel product example channel
 - cli: the command line entry point
 

@@ -364,9 +364,10 @@ class _RowRealizer:
     """p(aux..., X) of an ``optim`` objective call's points: each cell the
     chain product, in chain order, of the point's whole tables.
 
-    The first call on a table checks (and clips) the stacks and multiplies
-    the factors before it; a call then checks the changed factor's row ``r``
-    and multiplies on.  A theorem1 ``family``'s tables 2 and 3 make factor 2,
+    A stack object is checked once, at the first call on it; the first call
+    on a table clips the stacks if a check found cause and multiplies the
+    factors before it; a call then checks the changed factor's row ``r`` and
+    multiplies on.  A theorem1 ``family``'s tables 2 and 3 make factor 2,
     table 4 factor 3, p(x|v0,v2) or p(x|v0,v1), broadcast as its expansion.
     """
 
@@ -387,8 +388,9 @@ class _RowRealizer:
 
     def _start(self, tables: Params, fi: int) -> None:
         factors = [*tables[:2], _pair(*tables[2:4]), tables[4]] if self.pair else tables
-        sums = np.concatenate([t.sum(axis=-1) for t in factors], axis=-1)
-        self._clip = _check_rows(sums, min(t.min(initial=0.0) for t in factors))
+        if self._at[0] is not tables:   # only checked rows enter a stack, so _clip sticks
+            sums = np.concatenate([t.sum(axis=-1) for t in factors], axis=-1)
+            self._clip = _check_rows(sums, min(t.min(initial=0.0) for t in factors))
         factors = [np.maximum(t, 0.0) for t in factors] if self._clip else factors
         f, n = self.factor[fi], len(tables[0])
         joint = np.ones(n)
@@ -413,7 +415,8 @@ class _RowRealizer:
             other = tables[5 - fi].take(owner, axis=0)
             changed = _pair(changed, other) if fi == 2 else _pair(other, changed)
         new = changed[:, r]
-        if _check_rows(np.add.reduce(new, axis=-1), new.min(initial=0.0)) or self._clip:
+        self._clip |= _check_rows(np.add.reduce(new, axis=-1), new.min(initial=0.0))
+        if self._clip:
             changed = np.maximum(changed, 0.0)
         n, (prefix, *later) = owner.size, self._parts
         joint = prefix.take(owner, axis=0) * changed.reshape((n,) + self.shapes[f][1])

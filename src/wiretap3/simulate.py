@@ -25,19 +25,15 @@ streams derive from numpy SeedSequence(seed, spawn_key=...) with fixed
 role keys (0=codebook, 1=encoding, 2=channel, 3=experiment trials), so
 identical (config, seed) pairs reproduce results bit for bit.  The
 per-trial streams of decoding, Monte Carlo equivocation and lemma1 (and
-each decode trial's encoding stream) are derived in one batch: numpy's
-SeedSequence hashing runs vectorized over the trials, with the same bits
-as SeedSequence(seed, spawn_key=(role, t)), and only PCG64's own seeding
-runs once per trial.  Only the draws are taken trial by trial, from each
-trial's own stream in the order a per-trial loop takes them; output symbols,
+each decode trial's encoding stream) are seeded and advanced a block at a
+time in vectorized PCG64 arithmetic (``streams``), bit for bit the draws of
+each trial's own Generator in a per-trial loop's order; output symbols,
 decoding, counts and scores run once per block of trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache
-from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -46,6 +42,7 @@ from .probability import (
     ConditionalPmf, DistributionError, FactoredDistribution, JointPmf, as_joint, conditional,
     entropy_of_vector, log2_cells,
 )
+from .streams import Streams
 
 
 class CapExceededError(RuntimeError):
@@ -94,114 +91,21 @@ DEFAULT_CAPS = Caps()
 # later exact computations.
 _SCORE_CHUNK = 1 << 14
 _COUNT_CHUNK = 1 << 16
-# Streams whose SeedSequence hashing runs as one batch: numpy's per-call
-# cost is spread over the block, and the state rows take 32 bytes a stream.
+# Trial streams are seeded and advanced a block at a time in vectorized PCG64
+# arithmetic (``streams.Streams``): numpy's per-call cost is spread over the
+# block, and a stream's state takes 48 bytes.
 _STREAM_BLOCK = 1 << 10
-
-# numpy SeedSequence's hashing constants (a pool of four 32-bit words)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _uint32_words(x: int) -> list[int]:
-    """A non-negative int as 32-bit words, least significant first, as numpy splits it."""
-    if x < 0:
-        raise ValueError("expected non-negative integer")
-    words = [x & _MASK32]
-    while x > _MASK32:
-        x >>= 32
-        words.append(x & _MASK32)
-    return words
-
-
-def _seed_states(seed, key: tuple) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` for a batch.
-
-    ``seed`` and each entry of the non-empty ``key`` are an int or a 1-D
-    array of ints in [0, 2^32), one per stream; the result has one row per
-    stream.  This is numpy's entropy assembly (the seed's words padded to the
-    pool size, then the key's), pool mixing and output hashing, in uint32
-    arithmetic.
-    """
-    words = []
-    for i, part in enumerate((seed, *key)):
-        if isinstance(part, np.ndarray):
-            if part.size and not (part.min() >= 0 and part.max() <= _MASK32):
-                raise ValueError("batched seed words must lie in [0, 2^32)")
-            words.append(part.astype(np.uint32))
-        else:
-            words += _uint32_words(int(part))
-        if i == 0:   # a spawn key follows, so the seed is padded to the pool size
-            words += [0] * (4 - len(words))
-    rows = max((w.size for w in words if isinstance(w, np.ndarray)), default=1)
-    words = [np.broadcast_to(np.uint32(w), (rows,)) for w in words]
-    hc = [_INIT_A]
-
-    def hashmix(v):
-        v = v ^ np.uint32(hc[0])
-        hc[0] = hc[0] * _MULT_A & _MASK32
-        v = v * np.uint32(hc[0])
-        return v ^ (v >> 16)
-
-    def mix(x, y):
-        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return r ^ (r >> 16)
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    state = np.empty((rows, 8), dtype=np.uint32)
-    hb = _INIT_B
-    for i in range(8):
-        v = pool[i % 4] ^ np.uint32(hb)
-        hb = hb * _MULT_B & _MASK32
-        v = v * np.uint32(hb)
-        state[:, i] = v ^ (v >> 16)
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
-
-
-@cache
-def _fixed_seed_sequence() -> type:
-    """An ISeedSequence handing PCG64 a precomputed state row (imported lazily)."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class FixedState(ISeedSequence):
-        __slots__ = ("state",)
-
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state   # PCG64 asks for (4, np.uint64), the row's shape
-
-    return FixedState
-
-
-def _streams(seed, *key) -> Iterator[np.random.Generator]:
-    """``_rng(seed, *key)`` for every stream of a batch (see ``_seed_states``).
-
-    The states are hashed at the call; each generator is built when it is taken.
-    """
-    fixed = _fixed_seed_sequence()
-    pcg, gen = np.random.PCG64, np.random.Generator
-    return (gen(pcg(fixed(row))) for row in _seed_states(seed, key))
-
-
-def _trial_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
-    """``_rng(seed, 3, t)`` for t = 0, 1, ..., trials - 1, hashed a block at a time."""
-    for start in range(0, trials, _STREAM_BLOCK):
-        yield from _streams(seed, 3, np.arange(start, min(trials, start + _STREAM_BLOCK)))
+def _trial_blocks(seed: int, trials: int, chunk: int = 1) -> Iterator[tuple[int, Streams]]:
+    """(first, ``_rng(seed, 3, t)`` for t = first, ...) per block of whole chunks of trials."""
+    per = chunk * max(1, _STREAM_BLOCK // chunk)
+    for first in range(0, trials, per):
+        yield first, Streams(seed, 3, np.arange(first, min(trials, first + per)))
 
 
 def _check_trials(trials: int) -> None:
@@ -495,10 +399,11 @@ class EncodeResult:
         return self.x_seq is None
 
 
-def _wiretap_pick(cb: WiretapCodebook, message: int, rng: np.random.Generator) -> tuple[int, int]:
-    """A uniform member l0 of the message's bin, then a uniform satellite l1."""
-    l0 = message * cb.bin_size + int(rng.integers(cb.bin_size))
-    return l0, int(rng.integers(1 << cb.k_sat))
+def _wiretap_pick(cb: WiretapCodebook, message, rng):
+    """A uniform member l0 of the message's bin, then a uniform satellite l1: ints from a
+    Generator, arrays from ``Streams`` (``message`` then holds one message a stream)."""
+    l0 = message * cb.bin_size + rng.integers(cb.bin_size)
+    return l0, rng.integers(1 << cb.k_sat)
 
 
 def encode(cb, message: int, seed: int) -> EncodeResult:
@@ -506,7 +411,7 @@ def encode(cb, message: int, seed: int) -> EncodeResult:
     if isinstance(cb, WiretapCodebook):
         if not 0 <= message < cb.n_messages:
             raise ValueError(f"message {message} out of range")
-        l0, l1 = _wiretap_pick(cb, message, _rng(seed, 1))
+        l0, l1 = map(int, _wiretap_pick(cb, message, _rng(seed, 1)))
         return EncodeResult(cb.x_seqs[l0, l1].copy(), l0, (l1,))
     if isinstance(cb, MartonCodebook):
         if not 0 <= message < cb.n_messages:
@@ -827,25 +732,22 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
     logw = log2_cells(W)
     dead = (W == 0).astype(float) if (W == 0).any() else None
     bounds = _symbol_bounds(W)
-    rngs = _trial_streams(seed, trials)
     chunk = max(1, _SCORE_CHUNK // max(len(flat_x), n * nx))
     samples = np.empty(trials)
-    for start in range(0, trials, chunk):
-        block = range(start, min(start + chunk, trials))
-        # each draw kind over the block's streams, so each stream sees a trial's order
-        trial = [(rng, int(rng.integers(n_m))) for rng in islice(rngs, len(block))]
-        sent = np.array([m for _, m in trial])
-        picks = np.array([_wiretap_pick(cb, m, rng) for rng, m in trial])
-        u = np.stack([rng.random(n) for rng, _ in trial])
-        z = _pick_symbols(bounds, cb.x_seqs[picks[:, 0], picks[:, 1]], u)
-        ell = _message_log_likelihoods(onehot, logw, dead, z, n_m)
-        top = ell.max(axis=1)
-        with np.errstate(invalid="ignore"):
-            score = top - ell[np.arange(len(block)), sent] + np.log2(
-                np.exp2(ell - top[:, None]).sum(axis=1)
-            )
-        # a z that no codeword can emit (float dust at a row's last cell) scores 0
-        samples[start:block.stop] = np.where(np.isfinite(top), score, 0.0)
+    for first, block in _trial_blocks(seed, trials, chunk):
+        # each draw kind over the block's streams, in a trial's order
+        sent = block.integers(n_m)
+        l0, l1 = _wiretap_pick(cb, sent, block)
+        for rows, u in block.random_chunks(n, chunk):
+            z = _pick_symbols(bounds, cb.x_seqs[l0[rows], l1[rows]], u)
+            ell = _message_log_likelihoods(onehot, logw, dead, z, n_m)
+            top = ell.max(axis=1)
+            with np.errstate(invalid="ignore"):
+                score = top - ell[np.arange(len(u)), sent[rows]] + np.log2(
+                    np.exp2(ell - top[:, None]).sum(axis=1)
+                )
+            # a z that no codeword can emit (float dust at a row's last cell) scores 0
+            samples[first:][rows] = np.where(np.isfinite(top), score, 0.0)
     return samples
 
 
@@ -901,14 +803,11 @@ def decoding_error_rate(
     plan = _decode_plan(cb, chan, params, decoder)
     bounds = _symbol_bounds(chan.matrix)
     errors = 0
-    for start in range(0, trials, _STREAM_BLOCK):
-        rngs = list(_streams(seed, 3, np.arange(start, min(trials, start + _STREAM_BLOCK))))
-        drawn = np.array([(rng.integers(cb.n_messages), rng.integers(1 << 31)) for rng in rngs])
-        picks = np.array([_wiretap_pick(cb, m, enc)
-                          for enc, m in zip(_streams(drawn[:, 1], 1), drawn[:, 0].tolist())])
-        u = np.stack([rng.random(cb.n) for rng in rngs])
-        l0 = plan.decode_block(_pick_symbols(bounds, cb.x_seqs[picks[:, 0], picks[:, 1]], u))
-        errors += int(np.count_nonzero((l0 < 0) | (l0 // cb.bin_size != drawn[:, 0])))
+    for _, trial in _trial_blocks(seed, trials):
+        sent = trial.integers(cb.n_messages)
+        l0, l1 = _wiretap_pick(cb, sent, Streams(trial.integers(1 << 31), 1))
+        l0 = plan.decode_block(_pick_symbols(bounds, cb.x_seqs[l0, l1], trial.random(cb.n)))
+        errors += int(np.count_nonzero((l0 < 0) | (l0 // cb.bin_size != sent)))
     return errors / trials, trials
 
 
@@ -963,23 +862,20 @@ def lemma1_experiment(
     lb, ub = count_bounds(t, n, params.epsilon)
     n_cells = nu * nv * nz
     bounds_v, bounds_z = _symbol_bounds(p_v_u), _symbol_bounds(p_z_uv)
-    rngs = _trial_streams(seed, trials)
     counts = np.empty(trials, dtype=np.int64)
     chunk = min(trials, max(1, _COUNT_CHUNK // (n_list * n)))
-    for start in range(0, trials, chunk):
-        size = min(chunk, trials - start)
+    for first, block in _trial_blocks(seed, trials, chunk):
         # a trial's draws in stream order: the uniforms of U^n then of the list
         # V^n(l), taken as one block of n_list + 1 rows, the index L, those of Z^n
-        block = list(islice(rngs, size))
-        draw_uv = np.stack([rng.random((n_list + 1, n)) for rng in block])
-        ell = np.array([rng.integers(n_list) for rng in block])
-        draw_z = np.stack([rng.random(n) for rng in block])
-        u = _iid_symbols(p_u, draw_uv[:, 0])
-        vs = _pick_symbols(bounds_v, u[:, None, :], draw_uv[:, 1:])
-        z = _pick_symbols(bounds_z, u * nv + vs[np.arange(size), ell], draw_z)
-        cells = (u[:, None, :] * nv + vs) * nz + z[:, None, :]
-        mask = typical_mask(joint_counts(cells, n_cells), lb, ub)
-        counts[start:start + size] = mask.sum(axis=1)
+        draws_uv = block.random_chunks((n_list + 1, n), chunk)
+        ell, draw_z = block.integers(n_list), block.random(n)
+        for rows, draw_uv in draws_uv:
+            u = _iid_symbols(p_u, draw_uv[:, 0])
+            vs = _pick_symbols(bounds_v, u[:, None, :], draw_uv[:, 1:])
+            z = _pick_symbols(bounds_z, u * nv + vs[np.arange(len(u)), ell[rows]], draw_z[rows])
+            cells = (u[:, None, :] * nv + vs) * nz + z[:, None, :]
+            mask = typical_mask(joint_counts(cells, n_cells), lb, ub)
+            counts[first:][rows] = mask.sum(axis=1)
     return Lemma1Report(
         exceedance_frequency=int(np.count_nonzero(counts >= threshold)) / trials,
         threshold=float(threshold),

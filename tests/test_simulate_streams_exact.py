@@ -1,10 +1,12 @@
 """Batched trial streams and split-half exact equivocation against what they replace.
 
-``simulate._seed_states`` recomputes numpy's ``SeedSequence`` hashing for a
-whole batch of streams at once; every state row and every draw of the
-resulting generators must equal numpy's own, bit for bit.  The wiretap
-conditionals are summed as one matmul of head and tail product laws; they
-must match the per-message loop kept in ``reference_simulate`` within 1e-12.
+``streams.seed_states`` recomputes numpy's ``SeedSequence`` hashing for a
+whole batch of streams at once, and ``streams.Streams`` draws as numpy's
+PCG64 ``Generator`` does, for every stream of a block at once: every state
+row and every draw must equal numpy's own generators', bit for bit.  The
+wiretap conditionals are summed as one matmul of head and tail product
+laws; they must match the per-message loop kept in ``reference_simulate``
+within 1e-12.
 """
 
 import random
@@ -18,6 +20,7 @@ import pytest
 import reference_simulate as ref
 from test_simulate_batched import cloud, identity, lemma1_dist, satellites
 from wiretap3 import simulate as sim
+from wiretap3 import streams
 from wiretap3.probability import ConditionalPmf, DistributionError, bsc
 from wiretap3.simulate import TypicalityParams, WiretapRates, build_wiretap_codebook
 
@@ -38,7 +41,7 @@ class TestSeedStates:
     @pytest.mark.parametrize("key", [(3,), (1,), (0,)])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_trial_index_batch(self, seed, key):
-        got = sim._seed_states(seed, key + (TS,))
+        got = streams.seed_states(seed, key + (TS,))
         want = np.array([numpy_state(seed, key + (int(t),)) for t in TS])
         assert got.dtype == np.uint64 and np.array_equal(got, want)
 
@@ -46,30 +49,127 @@ class TestSeedStates:
         # the per-trial encoding streams: seeds vary, the key is the role alone
         seeds = np.array([0, 1, 2**31 - 1, 2**32 - 1] + [_draw.randrange(2**31) for _ in range(60)])
         for key in ((1,), (3, 7)):
-            got = sim._seed_states(seeds, key)
+            got = streams.seed_states(seeds, key)
             assert np.array_equal(got, [numpy_state(int(s), key) for s in seeds])
 
     def test_generators_draw_alike(self):
         for seed in (0, 2**64 + 5, 123456789):
-            got = sim._streams(seed, 3, TS)
-            for g, t in zip(got, TS):
-                want = sim._rng(seed, 3, int(t))
-                assert g.bit_generator.state == want.bit_generator.state
-                assert int(g.integers(1 << 31)) == int(want.integers(1 << 31))
-                assert np.array_equal(g.random(5), want.random(5))
+            got = streams.Streams(seed, 3, TS)
+            want = [sim._rng(seed, 3, int(t)) for t in TS]
+            assert pcg_states(got) == [g.bit_generator.state["state"] for g in want]
+            assert got.integers(1 << 31).tolist() == [int(g.integers(1 << 31)) for g in want]
+            assert np.array_equal(got.random(5), [g.random(5) for g in want])
 
     def test_trial_streams_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(sim, "_STREAM_BLOCK", 7)   # three full blocks and a short one
-        got = [g.integers(1 << 62, size=3) for g in sim._trial_streams(41, 24)]
-        want = [sim._rng(41, 3, t).integers(1 << 62, size=3) for t in range(24)]
-        assert np.array_equal(got, want)
+        monkeypatch.setattr(sim, "_STREAM_BLOCK", 7)   # blocks of 7 trials or whole chunks
+        want = [int(sim._rng(41, 3, t).integers(1 << 31)) for t in range(24)]
+        for chunk in (1, 3, 5, 10, 30):
+            firsts, got = [], []
+            for first, block in sim._trial_blocks(41, 24, chunk):
+                firsts.append(first)
+                got += block.integers(1 << 31).tolist()
+            per = chunk * max(1, 7 // chunk)
+            assert firsts == list(range(0, 24, per)) and got == want, chunk
 
     def test_out_of_range_words_raise(self):
         with pytest.raises(ValueError, match="non-negative"):
-            sim._seed_states(-1, (3, np.arange(4)))
+            streams.seed_states(-1, (3, np.arange(4)))
         for bad in (np.array([-1, 0]), np.array([0, 2**32])):
             with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
-                sim._seed_states(5, (3, bad))
+                streams.seed_states(5, (3, bad))
+
+
+def pcg_states(block):
+    """Each stream's PCG64 state as ``bit_generator.state["state"]`` reads it."""
+    hi, lo, inc_hi, inc_lo = (r.tolist() for r in block.w[:4])
+    return [{"state": h << 64 | lo_, "inc": ih << 64 | il}
+            for h, lo_, ih, il in zip(hi, lo, inc_hi, inc_lo)]
+
+
+def trial_pair(seed=2009, count=200, key=3):
+    """A block of trial streams and the ``_rng`` generators it stands for."""
+    return streams.Streams(seed, key, np.arange(count)), [
+        sim._rng(seed, key, t) for t in range(count)]
+
+
+def draw(block, gens, kind, arg):
+    """One draw of every stream both ways: (block's, generators' stacked)."""
+    if kind == "integers":
+        return block.integers(arg), np.array([g.integers(arg) for g in gens])
+    return block.random(arg), np.array([g.random(arg) for g in gens])
+
+
+SHORT, LONG = streams.SHORT_RUN, streams.SHORT_RUN + 1
+
+
+class TestBlockDraws:
+    """Every draw kind of ``Streams`` against ``_rng(seed, key..., t)``, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 1 << 20, (1 << 20) + 3, 1 << 31,
+                                   3 << 30, (1 << 32) - 5, 1 << 32])
+    def test_integers(self, n):
+        # 3 << 30 rejects a quarter of its first draws; 1 draws nothing
+        block, gens = trial_pair()
+        for _ in range(5):
+            got, want = draw(block, gens, "integers", n)
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+        assert pcg_states(block) == [g.bit_generator.state["state"] for g in gens]
+
+    @pytest.mark.parametrize("shape", [1, 7, SHORT, LONG, (5, 12), (65, 12), 1200])
+    def test_random_both_sides_of_the_cut(self, shape):
+        block, gens = trial_pair()
+        for _ in range(2):
+            got, want = draw(block, gens, "random", shape)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert pcg_states(block) == [g.bit_generator.state["state"] for g in gens]
+
+    def test_uint32_carry_through_every_kind(self):
+        # integers(3) leaves half of a 64-bit draw buffered; random draws around it
+        block, gens = trial_pair()
+        steps = [("integers", 3), ("random", 7), ("integers", 5), ("random", (3, 400)),
+                 ("integers", 7), ("integers", 3 << 30), ("random", SHORT), ("integers", 1),
+                 ("integers", 1 << 31), ("random", LONG), ("integers", 2)]
+        for kind, arg in steps:
+            got, want = draw(block, gens, kind, arg)
+            assert got.tobytes() == want.tobytes(), (kind, arg)
+        assert pcg_states(block) == [g.bit_generator.state["state"] for g in gens]
+        assert block.w[4].tolist() == [g.bit_generator.state["has_uint32"] for g in gens]
+
+    @pytest.mark.parametrize("shape", [6, (LONG,)])
+    @pytest.mark.parametrize("chunk", [1, 7, 200, 500])
+    def test_random_chunks_split_a_block(self, shape, chunk):
+        # the states advance at the call, so a later draw may come before the pieces
+        block, gens = trial_pair()
+        pieces = block.random_chunks(shape, chunk)
+        after = block.integers(5)
+        want = np.array([g.random(shape) for g in gens])
+        rows = []
+        for piece_rows, piece in pieces:
+            assert piece.tobytes() == want[piece_rows].tobytes()
+            rows.append(piece_rows)
+        assert rows == [slice(a, a + chunk) for a in range(0, 200, chunk)]
+        assert after.tolist() == [int(g.integers(5)) for g in gens]
+
+    def test_encoder_streams_from_drawn_seeds(self):
+        cb = build_wiretap_codebook(satellites(), WiretapRates(0.25, 0.75, 0.25),
+                                    TypicalityParams(8, 0.5), 4)
+        assert cb.bin_size > 1 and cb.x_seqs.shape[1] > 1
+        block, gens = trial_pair()
+        sent, seeds = block.integers(cb.n_messages), block.integers(1 << 31)
+        want = [(int(g.integers(cb.n_messages)), int(g.integers(1 << 31))) for g in gens]
+        assert list(zip(sent.tolist(), seeds.tolist())) == want
+        enc, encs = streams.Streams(seeds, 1), [sim._rng(int(s), 1) for s in seeds]
+        assert pcg_states(enc) == [e.bit_generator.state["state"] for e in encs]
+        got = np.stack(sim._wiretap_pick(cb, sent, enc), axis=1)
+        want = [sim._wiretap_pick(cb, int(m), e) for m, e in zip(sent, encs)]
+        assert got.tolist() == [[int(v) for v in pick] for pick in want]
+        assert np.array_equal(enc.random(5), [e.random(5) for e in encs])
+
+    def test_integers_out_of_range_raise(self):
+        block, _ = trial_pair(count=3)
+        for n in (0, -1, (1 << 32) + 1):
+            with pytest.raises(ValueError, match="1 <= n <= 2\\^32"):
+                block.integers(n)
 
 
 class TestNegativeSeed:
@@ -133,8 +233,8 @@ import sys
 import wiretap3.cli
 print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
 import numpy as np
-from wiretap3 import simulate
-list(simulate._streams(1, 3, np.arange(2)))
+from wiretap3 import streams
+streams.Streams(1, 3, np.arange(2)).random(streams.SHORT_RUN + 1)
 print("numpy.random.bit_generator" in sys.modules)
 """
 
@@ -148,7 +248,7 @@ def test_cli_import_leaves_numpy_random_unloaded():
         pytest.fail(out.stderr)
     lines = out.stdout.split()
     if lines != ["[]", "True"]:
-        pytest.fail(f"numpy.random modules after import, then after seeding: {out.stdout!r}")
+        pytest.fail(f"numpy.random modules after import, then after a long draw: {out.stdout!r}")
 
 
 CHANNELS = {

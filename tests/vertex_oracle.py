@@ -110,12 +110,20 @@ def singular_stack(M: np.ndarray) -> np.ndarray:
     return singular
 
 
+def _slack(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """How far float solutions ``x`` (S, dim) may exceed each row and still go to the
+    exact check: relative to the row's scale at x, so rounding in a row scaled by
+    10**12 does not drop a true vertex."""
+    return 1e-6 * (np.abs(x) @ np.abs(A).T + np.abs(b) + 1)
+
+
 def enumerate_vertices(rows: list[Row], dim: int) -> list[tuple[Fraction, ...]]:
     """All vertices of {x: a_i . x <= b_i}; the system must be bounded.
 
     The float prescreen runs on a chunk of subsets at a time: one stacked
     ``det``, then one stacked ``solve`` over the well-conditioned subsets
-    (each matrix goes through the same LAPACK routine as a single call).
+    (each matrix goes through the same LAPACK routine as a single call),
+    whose solutions pass if they satisfy every row within ``_slack``.
     Candidates within the Hadamard bound that are exactly singular, which
     ``solve_square`` would reject, are dropped by one ``singular_stack``;
     the rest are then verified exactly in their enumeration order.
@@ -133,7 +141,7 @@ def enumerate_vertices(rows: list[Row], dim: int) -> list[tuple[Fraction, ...]]:
         candidate = exact_needed.copy()
         try:
             x = np.linalg.solve(M[solved], b[idx[solved]][..., None])[..., 0]
-            candidate[solved] = np.all(x @ A.T <= b + 1e-6, axis=1)
+            candidate[solved] = np.all(x @ A.T <= b + _slack(A, b, x), axis=1)
         except np.linalg.LinAlgError:   # a singular matrix: verify the chunk exactly
             candidate[:] = True
         # exact verification (or exact solve for ill-conditioned subsets)
