@@ -27,11 +27,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from .rationallp import Premises, implied_by
 from .rationallp import feasible_eq  # noqa: F401  bench/tracer.py rebinds fme.feasible_eq
+from .specfmt import NUMBER, content_lines, fraction
+from .specfmt import ChannelSpecError as SpecFormatError
 
 Rel = str  # "<=" or "<"
 
@@ -128,31 +129,14 @@ class LinearInequality:
         )
 
     def format(self) -> str:
-        def side(terms: Mapping[str, Fraction], const: Optional[Fraction]) -> str:
-            parts = []
-            for name, c in terms.items():
-                if c == 1:
-                    term = name
-                elif c == -1:
-                    term = f"-{name}"
-                else:
-                    term = f"{c}*{name}"
-                parts.append(term)
-            if const is not None and (const != 0 or not parts):
+        def side(terms: Mapping[str, Fraction], const: Fraction = 0) -> str:
+            parts = [n if c == 1 else f"-{n}" if c == -1 else f"{c}*{n}" for n, c in terms.items()]
+            if const or not parts:
                 parts.append(str(const))
-            out = ""
-            for p in parts:
-                if not out:
-                    out = p
-                elif p.startswith("-"):
-                    out += " - " + p[1:]
-                else:
-                    out += " + " + p
-            return out or "0"
+            rest = [f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in parts[1:]]
+            return parts[0] + "".join(rest)
 
-        lhs = side(self.coeffs, None if self.coeffs else Fraction(0))
-        rhs = side(self.rhs_atoms, self.rhs_const)
-        return f"{lhs} {self.relation} {rhs}"
+        return f"{side(self.coeffs)} {self.relation} {side(self.rhs_atoms, self.rhs_const)}"
 
     def __repr__(self):
         return f"<{self.format()}>"
@@ -531,33 +515,16 @@ def region_equal(
 # ---------------------------------------------------------------------------
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_']*"
-_NUMBER = r"\d+/\d+|\d+\.\d+|\d+"
 # one signed term: NUMBER*SYMBOL, a SYMBOL (an I(...) or H(...) atom or a
 # name) or a NUMBER; every term after a side's first must carry its sign
 _TERM = re.compile(
-    rf"\s*(?P<sign>[+-]?)\s*(?:(?:(?P<coeff>{_NUMBER})\s*\*\s*)?"
-    rf"(?:(?P<atom>[IH]\([^()]*\))|(?P<name>{_NAME}))|(?P<const>{_NUMBER}))\s*"
+    rf"\s*(?P<sign>[+-]?)\s*(?:(?:(?P<coeff>{NUMBER})\s*\*\s*)?"
+    rf"(?:(?P<atom>[IH]\([^()]*\))|(?P<name>{_NAME}))|(?P<const>{NUMBER}))\s*"
 )
 # a relation inside an atom's parentheses belongs to the atom
 _RELATION = re.compile(r"(<=|>=|<|>|=)(?![^()]*\))")
 _LABEL = re.compile(rf"({_NAME}):\s+(.*)")
-_BIND = re.compile(rf"bind\s+(.+?)\s*=\s*(-?(?:{_NUMBER}))\s*")
-_fraction = lru_cache(Fraction)   # literals repeat; Fractions are immutable
-
-
-class SpecFormatError(ValueError):
-    """Malformed text input, with a 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-def _number(line_no: int, literal: str) -> Fraction:
-    try:
-        return _fraction(literal)
-    except ZeroDivisionError:
-        raise SpecFormatError(line_no, f"zero denominator in {literal!r}") from None
+_BIND = re.compile(rf"bind\s+(.+?)\s*=\s*(-?(?:{NUMBER}))\s*")
 
 
 def _side(line_no: int, text: str, variables: tuple[str, ...], atoms_decl):
@@ -571,7 +538,7 @@ def _side(line_no: int, text: str, variables: tuple[str, ...], atoms_decl):
         if prev and not m["sign"]:
             hint = f"; write {prev['const']}*{sym}" if prev["const"] and sym else ""
             raise SpecFormatError(line_no, f"missing '+' or '-' before {m[0].strip()!r}{hint}")
-        k = _number(line_no, m["sign"] + (m["coeff"] or m["const"] or "1"))
+        k = fraction(line_no, m["sign"] + (m["coeff"] or m["const"] or "1"))
         prev, pos = m, m.end()
         if sym is None:
             const += k
@@ -599,8 +566,9 @@ def parse_system(text: str) -> tuple[InequalitySystem, list[LinearInequality]]:
     """Parse the inequality-system text format.
 
     Returns (system, assumptions).  Lines:
-      vars NAME...            declare region variables (required first)
-      atoms NAME...           optionally close the constant namespace
+      vars NAME...            declare region variables (once, required first)
+      atoms NAME...           optionally close the constant namespace (once,
+                              before the first row, assumption or bind)
       bind ATOM = rational    numeric binding for a constant
       assume <inequality>     assumption row (kept separate from the system)
       label: <inequality>     inequality with a label prefix
@@ -608,14 +576,17 @@ def parse_system(text: str) -> tuple[InequalitySystem, list[LinearInequality]]:
     """
     variables = atoms_decl = None
     rows, assumptions, bindings = [], [], {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in content_lines(text):
         if line.startswith("vars "):
+            if variables is not None:
+                raise SpecFormatError(line_no, "duplicate 'vars' declaration")
             variables = tuple(line.split()[1:])
             continue
         if line.startswith("atoms "):
+            if atoms_decl is not None:
+                raise SpecFormatError(line_no, "duplicate 'atoms' declaration")
+            if rows or assumptions or bindings:
+                raise SpecFormatError(line_no, "'atoms' must come before the first row")
             atoms_decl = set(line.split()[1:])
             continue
         if variables is None:
@@ -629,7 +600,7 @@ def parse_system(text: str) -> tuple[InequalitySystem, list[LinearInequality]]:
             mb = _BIND.fullmatch(body)
             if not mb:
                 raise SpecFormatError(line_no, "malformed bind line")
-            bindings[mb[1]] = _number(line_no, mb[2])
+            bindings[mb[1]] = fraction(line_no, mb[2])
             continue
         lhs, *rest = _RELATION.split(body)
         if len(rest) != 2:

@@ -1,4 +1,4 @@
-"""The shared channel-spec text format.
+"""The shared channel-spec text format, and the lexical layer of both text formats.
 
 A structured document declaring named alphabets, pmfs, row-stochastic
 channels and factored distributions.  Grammar (one declaration per line,
@@ -14,10 +14,15 @@ channels and factored distributions.  Grammar (one declaration per line,
     ...
     end
 
-Entries are decimal or rational ("p/q") literals; rows are row-major in
-the declared axis order.  Rational entries stay exact all the way into
-the probability objects.  Non-stochastic rows and undeclared names are
-rejected with 1-based line numbers.
+Entries are decimal or rational ("p/q") literals, optionally negative;
+rows are row-major in the declared axis order.  A matrix with no decimal
+literal stays exact all the way into the probability objects.
+Non-stochastic rows, undeclared names and a second declaration of a name
+are rejected with 1-based line numbers.
+
+The line reader (``content_lines``), the unsigned literal grammar
+(``NUMBER``, read by ``fraction``) and the error class are shared with the
+inequality-system format of ``fme``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator
 
 # the bounds engine and the pmf classes are imported where they are used,
 # so that importing the format loads neither
@@ -35,9 +42,32 @@ if TYPE_CHECKING:
 
 
 class ChannelSpecError(ValueError):
+    """Malformed text input, with a 1-based line number."""
+
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+NUMBER = r"\d+/\d+|\d+\.\d+|\d+"   # 3, 3/4 or 0.75
+_ENTRY = re.compile(rf"-?(?:{NUMBER})")
+_fraction = lru_cache(Fraction)   # literals repeat; Fractions are immutable
+
+
+def fraction(line_no: int, literal: str) -> Fraction:
+    """A signed ``NUMBER`` literal as a Fraction."""
+    try:
+        return _fraction(literal)
+    except ZeroDivisionError:
+        raise ChannelSpecError(line_no, f"zero denominator in {literal!r}") from None
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line_no, text)`` of every line with text before its '#' comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
 
 
 @dataclass
@@ -80,27 +110,29 @@ class SpecDocument:
         )
 
 
-_NUM_RE = re.compile(r"-?\d+(?:/\d+|\.\d+)?")
+# each declaration's header, and the usage message of a malformed one
+_DECLARATIONS = {
+    "alphabet": (re.compile(r"alphabet\s+(\S+)\s+(0*[1-9]\d*)"), "usage: alphabet NAME SIZE"),
+    "pmf": (re.compile(r"pmf\s+(\S+)\s*:\s*(.+)"), "usage: pmf NAME : AXES"),
+    "channel": (re.compile(r"channel\s+(\S+)\s*:\s*(.+?)\s*->\s*(.+)"),
+                "usage: channel NAME : IN -> OUT"),
+    "factored": (re.compile(r"factored\s+(\S+)(?:\s+(\S+))?"), "usage: factored NAME [PATTERN]"),
+}
+_FACTOR = re.compile(r"factor\s+(.+?)\s*\|\s*(.*?)\s*=\s*(\S+)")
 
 
-def _parse_number(line_no: int, tok: str) -> Fraction:
-    if not _NUM_RE.fullmatch(tok):
-        raise ChannelSpecError(line_no, f"bad numeric literal {tok!r}")
-    try:
-        return Fraction(tok)
-    except ZeroDivisionError:
-        raise ChannelSpecError(line_no, f"zero denominator in {tok!r}") from None
-
-
-def _is_exact(tok: str) -> bool:
-    return "." not in tok
+def _pmf_table(p: Pmf) -> ConditionalPmf:
+    """``p`` as a one-row table, exact when ``p`` is."""
+    from .probability import ConditionalPmf
+    return ConditionalPmf([p.probs if p.exact is None else p.exact])
 
 
 def parse_spec(text: str) -> SpecDocument:
     from .probability import ConditionalPmf, DistributionError, Factor, FactoredDistribution, Pmf
     doc = SpecDocument()
-    lines = text.splitlines()
-    i = 0
+    lines = content_lines(text)
+    declared = {"alphabet": doc.alphabets, "pmf": doc.pmfs, "channel": doc.channels,
+                "factored": doc.factored}
 
     def prod(axes, line_no):
         out = 1
@@ -111,125 +143,84 @@ def parse_spec(text: str) -> SpecDocument:
         return out
 
     def read_matrix(start: int, rows: int, cols: int, what: str):
-        nonlocal i
-        matrix = []
-        exact = True
-        while len(matrix) < rows:
-            if i >= len(lines):
-                raise ChannelSpecError(
-                    start, f"{what}: expected {rows} rows, got {len(matrix)}"
-                )
-            line_no = i + 1
-            raw = lines[i].split("#", 1)[0].strip()
-            i += 1
-            if not raw:
-                continue
-            toks = raw.split()
+        matrix, exact = [], True
+        for line_no, line in islice(lines, rows):
+            toks = line.split()
             if len(toks) != cols:
                 raise ChannelSpecError(
                     line_no, f"{what}: expected {cols} entries, got {len(toks)}"
                 )
-            exact = exact and all(_is_exact(t) for t in toks)
-            matrix.append([_parse_number(line_no, t) for t in toks])
-        if exact:
-            return matrix
-        return [[float(v) for v in row] for row in matrix]
+            for t in toks:
+                if not _ENTRY.fullmatch(t):
+                    raise ChannelSpecError(line_no, f"bad numeric literal {t!r}")
+            exact = exact and "." not in line
+            matrix.append([fraction(line_no, t) for t in toks])
+        if len(matrix) < rows:
+            raise ChannelSpecError(start, f"{what}: expected {rows} rows, got {len(matrix)}")
+        return matrix if exact else [[float(v) for v in row] for row in matrix]
 
-    while i < len(lines):
-        line_no = i + 1
-        raw = lines[i].split("#", 1)[0].strip()
-        i += 1
-        if not raw:
-            continue
-        toks = raw.split()
-        kind = toks[0]
+    for line_no, line in lines:
+        kind = line.split()[0]
+        if kind not in _DECLARATIONS:
+            raise ChannelSpecError(line_no, f"unknown declaration {kind!r}")
+        pattern, usage = _DECLARATIONS[kind]
+        m = pattern.fullmatch(line)
+        if not m:
+            raise ChannelSpecError(line_no, usage)
+        name = m[1]
+        if name in declared[kind]:
+            raise ChannelSpecError(line_no, f"{kind} {name!r} is already declared")
         if kind == "alphabet":
-            if len(toks) != 3 or not toks[2].isdigit() or int(toks[2]) < 1:
-                raise ChannelSpecError(line_no, "usage: alphabet NAME SIZE")
-            doc.alphabets[toks[1]] = int(toks[2])
+            doc.alphabets[name] = int(m[2])
         elif kind == "pmf":
-            m = re.fullmatch(r"pmf\s+(\S+)\s*:\s*(.+)", raw)
-            if not m:
-                raise ChannelSpecError(line_no, "usage: pmf NAME : AXES")
-            name, axes = m.group(1), tuple(m.group(2).split())
-            cols = prod(axes, line_no)
+            axes = tuple(m[2].split())
+            row = read_matrix(line_no, 1, prod(axes, line_no), f"pmf {name}")[0]
             try:
-                row = read_matrix(line_no, 1, cols, f"pmf {name}")[0]
                 doc.pmfs[name] = (axes, Pmf(row))
             except DistributionError as e:
                 raise ChannelSpecError(line_no, f"pmf {name}: {e}") from e
         elif kind == "channel":
-            m = re.fullmatch(r"channel\s+(\S+)\s*:\s*(.+?)\s*->\s*(.+)", raw)
-            if not m:
-                raise ChannelSpecError(line_no, "usage: channel NAME : IN -> OUT")
-            name = m.group(1)
-            in_axes = tuple(m.group(2).split())
-            out_axes = tuple(m.group(3).split())
-            rows = prod(in_axes, line_no)
-            cols = prod(out_axes, line_no)
+            in_axes, out_axes = tuple(m[2].split()), tuple(m[3].split())
+            rows, cols = prod(in_axes, line_no), prod(out_axes, line_no)
+            mat = read_matrix(line_no, rows, cols, f"channel {name}")
             try:
-                mat = read_matrix(line_no, rows, cols, f"channel {name}")
                 doc.channels[name] = (in_axes, out_axes, ConditionalPmf(mat))
             except DistributionError as e:
                 raise ChannelSpecError(line_no, f"channel {name}: {e}") from e
-        elif kind == "factored":
-            if len(toks) not in (2, 3):
-                raise ChannelSpecError(line_no, "usage: factored NAME [PATTERN]")
-            name = toks[1]
-            pattern = toks[2] if len(toks) == 3 else None
-            factors = []
-            axes_order: list[str] = []
-            closed = False
-            while i < len(lines):
-                fl_no = i + 1
-                fraw = lines[i].split("#", 1)[0].strip()
-                i += 1
-                if not fraw:
-                    continue
-                if fraw == "end":
-                    closed = True
+        else:
+            factors, axes_order = [], []
+            for fl_no, fline in lines:
+                if fline == "end":
                     break
-                fm = re.fullmatch(r"factor\s+(.+?)\s*\|\s*(.*?)\s*=\s*(\S+)", fraw)
+                fm = _FACTOR.fullmatch(fline)
                 if not fm:
-                    raise ChannelSpecError(
-                        fl_no, "usage: factor TARGETS | GIVENS = TABLE"
-                    )
-                targets = tuple(fm.group(1).split())
-                givens = tuple(fm.group(2).split())
-                table = fm.group(3)
+                    raise ChannelSpecError(fl_no, "usage: factor TARGETS | GIVENS = TABLE")
+                targets, givens, table = tuple(fm[1].split()), tuple(fm[2].split()), fm[3]
                 if table in doc.channels:
                     tab = doc.channels[table][2]
                 elif table in doc.pmfs:
-                    tab = ConditionalPmf([doc.pmfs[table][1].probs])
+                    tab = _pmf_table(doc.pmfs[table][1])
                 else:
                     raise ChannelSpecError(fl_no, f"unknown table {table!r}")
                 for t in targets:
                     prod((t,), fl_no)
                     axes_order.append(t)
                 factors.append(Factor(targets, givens, tab))
-            if not closed:
+            else:
                 raise ChannelSpecError(line_no, f"factored {name}: missing 'end'")
+            axis_sizes = [(a, doc.alphabets[a]) for a in axes_order]
             try:
-                doc.factored[name] = FactoredDistribution(
-                    [(a, doc.alphabets[a]) for a in axes_order], factors, pattern
-                )
-            except Exception as e:
-                if isinstance(e, ChannelSpecError):
-                    raise
+                doc.factored[name] = FactoredDistribution(axis_sizes, factors, m[2])
+            except ValueError as e:
                 raise ChannelSpecError(line_no, f"factored {name}: {e}") from e
-        else:
-            raise ChannelSpecError(line_no, f"unknown declaration {kind!r}")
     return doc
 
 
 def _format_table(chan: ConditionalPmf) -> list[str]:
-    rows = []
-    for r in range(chan.rows):
-        if chan.exact is not None:
-            rows.append(" ".join(str(v) for v in chan.exact[r]))
-        else:
-            rows.append(" ".join(repr(float(v)) for v in chan.matrix[r]))
-    return rows
+    """Rows of exact literals when the table is exact, else of float reprs."""
+    if chan.exact is not None:
+        return [" ".join(map(str, row)) for row in chan.exact]
+    return [" ".join(repr(float(v)) for v in row) for row in chan.matrix]
 
 
 def write_spec(doc: SpecDocument) -> str:
@@ -238,26 +229,17 @@ def write_spec(doc: SpecDocument) -> str:
         out.append(f"alphabet {name} {size}")
     for name, (axes, p) in doc.pmfs.items():
         out.append(f"pmf {name} : {' '.join(axes)}")
-        if p.exact is not None:
-            out.append(" ".join(str(v) for v in p.exact))
-        else:
-            out.append(" ".join(repr(float(v)) for v in p.probs))
+        out.extend(_format_table(_pmf_table(p)))
     for name, (in_axes, out_axes, chan) in doc.channels.items():
         out.append(f"channel {name} : {' '.join(in_axes)} -> {' '.join(out_axes)}")
         out.extend(_format_table(chan))
     for name, fd in doc.factored.items():
         for k, f in enumerate(fd.factors):
-            tname = f"{name}_f{k}"
-            if f.given:
-                out.append(
-                    f"channel {tname} : {' '.join(f.given)} -> {' '.join(f.targets)}"
-                )
-                out.extend(_format_table(f.table))
-            else:
-                out.append(f"pmf {tname} : {' '.join(f.targets)}")
-                out.extend(_format_table(f.table))
-        head = f"factored {name}" + (f" {fd.pattern}" if fd.pattern else "")
-        out.append(head)
+            head = (f"channel {name}_f{k} : {' '.join(f.given)} ->" if f.given
+                    else f"pmf {name}_f{k} :")
+            out.append(f"{head} {' '.join(f.targets)}")
+            out.extend(_format_table(f.table))
+        out.append(f"factored {name}" + (f" {fd.pattern}" if fd.pattern else ""))
         for k, f in enumerate(fd.factors):
             out.append(
                 f"factor {' '.join(f.targets)} | {' '.join(f.given)} = {name}_f{k}"

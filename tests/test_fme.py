@@ -72,6 +72,22 @@ bind I(V0,V1;Y1|Q) = 3/4
             parse_system(f"vars R S\n# comment\n{line}\n")
         assert ei.value.line_no == 3
 
+    @pytest.mark.parametrize("text,message", [
+        ("vars R\nR <= S\nvars R S\nS <= 1\n", "duplicate 'vars' declaration"),
+        ("vars R\natoms a\natoms b\nR <= a\n", "duplicate 'atoms' declaration"),
+        ("vars R\nR <= Q\natoms I(A)\nR <= I(A)\n", "'atoms' must come before the first row"),
+        ("vars R\nbind c = 1\natoms c\n", "'atoms' must come before the first row"),
+        ("vars R\nassume c >= 0\natoms c\n", "'atoms' must come before the first row"),
+    ])
+    def test_declarations_come_once_and_before_rows(self, text, message):
+        with pytest.raises(SpecFormatError, match=re.escape(f"line 3: {message}")) as ei:
+            parse_system(text)
+        assert ei.value.line_no == 3
+
+    def test_atoms_may_precede_vars(self):
+        sys_, _ = parse_system("atoms c\nvars R\nR <= c\n")
+        assert sys_.inequalities[0].rhs_atoms == {"c": 1}
+
     def test_relation_inside_an_atom_is_part_of_it(self):
         sys_, _ = parse_system("vars x\nx <= I(A=1) + H(B<2)\n")
         assert list(sys_.inequalities[0].rhs_atoms) == ["I(A=1)", "H(B<2)"]

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from wiretap3 import fme
 from wiretap3.specfmt import ChannelSpecError, parse_spec, write_spec
 
 DOC = """
@@ -75,6 +76,80 @@ class TestParse:
             parse_spec("alphabet X 2\nfactored d\nfactor X | = nope\nend\n")
 
 
+class TestDeclarations:
+    DECLARED = """alphabet X 2
+pmf p : X
+1/2 1/2
+channel W : X -> X
+1 0
+0 1
+factored d
+factor X | = p
+end
+"""
+
+    @pytest.mark.parametrize("kind, name, again", [
+        ("alphabet", "X", "alphabet X 3"),
+        ("pmf", "p", "pmf p : X\n1/4 3/4"),
+        ("channel", "W", "channel W : X -> X\n0 1\n1 0"),
+        ("factored", "d", "factored d\nfactor X | = p\nend"),
+    ])
+    def test_redeclared_name_is_rejected(self, kind, name, again):
+        message = f"line 10: {kind} '{name}' is already declared"
+        with pytest.raises(ChannelSpecError, match=message):
+            parse_spec(self.DECLARED + again + "\n")
+
+
+# blank, comment-only and blank-with-spaces lines ahead of every case below
+PREFIX = "\n# a comment\n   \n  # an indented comment\n"
+
+
+@pytest.mark.parametrize("parse, body, line_no, message", [
+    (parse_spec, "alphabet X", 1, "usage: alphabet NAME SIZE"),
+    (parse_spec, "alphabet X 0", 1, "usage: alphabet NAME SIZE"),
+    (parse_spec, "pmf p X", 1, "usage: pmf NAME : AXES"),
+    (parse_spec, "channel W : X", 1, "usage: channel NAME : IN -> OUT"),
+    (parse_spec, "factored", 1, "usage: factored NAME [PATTERN]"),
+    (parse_spec, "alphabet X 2\nfactored d\n# c\nfactor X = p\nend", 4,
+     "usage: factor TARGETS | GIVENS = TABLE"),
+    (parse_spec, "alphabet X 2\nfactored d\n\nfactor X | = nope\nend", 4, "unknown table 'nope'"),
+    (parse_spec, "pmf p : Y\n1", 1, "undeclared alphabet 'Y'"),
+    (parse_spec, "alphabet X 2\npmf p : X\n# c\n\n1/2 1/4 1/4", 5,
+     "pmf p: expected 2 entries, got 3"),
+    (parse_spec, "alphabet X 2\nchannel W : X -> X\n1 0\n# one row", 2,
+     "channel W: expected 2 rows, got 1"),
+    (parse_spec, "alphabet X 2\npmf p : X\n# c\n1/2 half", 4, "bad numeric literal 'half'"),
+    (parse_spec, "alphabet X 2\npmf p : X\n\n1/0 1", 4, "zero denominator in '1/0'"),
+    (parse_spec, "alphabet X 2\npmf p : X\n# c\n1/2 1/4", 2,
+     "pmf p: exact pmf entries do not sum to 1"),
+    (parse_spec, "alphabet X 2\nchannel W : X -> X\n1 0\n# c\n0.5 0.25", 2,
+     "channel W: row 1 sums to 0.75, not 1"),
+    (parse_spec, "alphabet X 2\npmf p : X\n1/2 1/2\n\nfactored d\nfactor X | = p", 5,
+     "factored d: missing 'end'"),
+    (parse_spec, "alphabet X 2\nalphabet Y 2\npmf p : X\n1/2 1/2\n# c\nfactored d\n"
+     "factor Y | X = p\nend", 6, "factored d: factor conditions on 'X' before it is generated"),
+    (parse_spec, "alphabet X 2\n# c\ncolour X red", 3, "unknown declaration 'colour'"),
+    (fme.parse_system, "x <= 1", 1, "missing 'vars' declaration"),
+    (fme.parse_system, "vars x\n# c\nbind I(A) =", 3, "malformed bind line"),
+    (fme.parse_system, "vars x\nx 1", 2, "need one relation operator, found none"),
+    (fme.parse_system, "vars x\n\nx <=", 3, "a side of '<=' is empty"),
+    (fme.parse_system, "vars x\nx <= 1 -", 2, "expected a term at '-'"),
+    (fme.parse_system, "vars x\nx <= 2 I(A)", 2, "missing '+' or '-' before 'I(A)'; write 2*I(A)"),
+    (fme.parse_system, "vars x\natoms c\n# c\nx <= typo", 4, "unknown symbol 'typo'"),
+    (fme.parse_system, "vars x\nx <= 1/0", 2, "zero denominator in '1/0'"),
+    (fme.parse_system, "vars x\n# c\nbind I(A) = 3/0", 3, "zero denominator in '3/0'"),
+])
+def test_line_numbers_count_comment_and_blank_lines(parse, body, line_no, message):
+    with pytest.raises(ChannelSpecError) as ei:
+        parse(PREFIX + body + "\n")
+    assert ei.value.line_no == 4 + line_no
+    assert str(ei.value) == f"line {4 + line_no}: {message}"
+
+
+def test_both_formats_raise_one_error_class():
+    assert fme.SpecFormatError is ChannelSpecError
+
+
 class TestRoundTrip:
     def test_exact_round_trip(self):
         doc = parse_spec(DOC.replace("factor V | Q = pv", "factor X | Q = pv"))
@@ -96,3 +171,15 @@ class TestRoundTrip:
         doc = parse_spec("alphabet X 2\npmf p : X\n0.1 0.9\n")
         again = parse_spec(write_spec(doc))
         assert np.array_equal(again.pmf("p").probs, doc.pmf("p").probs)
+
+    def test_exact_pmf_factors_stay_exact(self):
+        doc = parse_spec(
+            "alphabet U 2\nalphabet X 2\npmf pu : U\n1/3 2/3\nchannel px : U -> X\n1/4 3/4\n1 0\n"
+            "factored d\nfactor U | = pu\nfactor X | U = px\nend\n"
+        )
+        text = write_spec(doc)
+        assert "1/3 2/3" in text.splitlines()
+        again = parse_spec(text).factored["d"]
+        for k, f in enumerate(doc.factored["d"].factors):
+            assert f.table.exact is not None
+            assert again.factors[k].table.exact == f.table.exact
