@@ -88,7 +88,9 @@ DEFAULT_CAPS = Caps()
 # Scores (trials x codewords) per Monte Carlo chunk; trials x codewords per
 # decode chunk and counted cells per lemma1 chunk.  Small temporaries keep the
 # heap from growing: freed heap memory stays resident and raises the peak of
-# later exact computations.
+# later exact computations.  The Monte Carlo chunk also fixes bits: BLAS
+# picks a matmul's kernel and blocking by its shape, so another chunk size can
+# sum a score's logs in another order and change seeded scores.
 _SCORE_CHUNK = 1 << 14
 _COUNT_CHUNK = 1 << 16
 # Trial streams are seeded and advanced a block at a time in vectorized PCG64
@@ -147,7 +149,7 @@ def _pick_symbols(bounds: list[np.ndarray], given: np.ndarray, u: np.ndarray) ->
     """
     out = np.zeros(u.shape, dtype=np.int64)
     for b in bounds:
-        out += u >= b[given]
+        out += u >= b.take(given)
     return out
 
 
@@ -321,6 +323,7 @@ def build_marton_codebook(
     """
     tabs, (nq, n0, n1, n2), nx = _marton_tables(dist)
     p_q, p_v0_q, p_v12_v0, _ = tabs
+    p_q = p_q[0] if p_q.ndim > 1 else p_q
     n = params.n
     k_msg = _exponent(n, rates.message)
     k_total = _exponent(n, rates.total)
@@ -333,24 +336,16 @@ def build_marton_codebook(
     if entries > caps.max_codebook_entries:
         raise CapExceededError(f"codebook needs {entries} symbols > cap")
     rng = _rng(seed, 0)
-    q_seq = _iid_symbols(p_q[0] if p_q.ndim > 1 else p_q, rng.random(n))
+    q_seq = _iid_symbols(p_q, rng.random(n))
     v0_seqs = sample_given(p_v0_q, np.repeat(q_seq[None, :], n_tot, axis=0), rng)
     # marginals of the joint satellite factor, whose validated rows each sum to 1
     p_v12 = p_v12_v0.reshape(n0, n1, n2)
     p_v1_v0 = p_v12.sum(axis=2)
     p_v2_v0 = p_v12.sum(axis=1)
-    v1_seqs = sample_given(
-        p_v1_v0, np.repeat(v0_seqs[:, None, :], nt1, axis=1), rng
-    )
-    v2_seqs = sample_given(
-        p_v2_v0, np.repeat(v0_seqs[:, None, :], nt2, axis=1), rng
-    )
+    v1_seqs = sample_given(p_v1_v0, np.repeat(v0_seqs[:, None, :], nt1, axis=1), rng)
+    v2_seqs = sample_given(p_v2_v0, np.repeat(v0_seqs[:, None, :], nt2, axis=1), rng)
     # pairing: jointly typical (v1, v2) per product bin wrt p(q,v0,v1,v2)
-    joint = (
-        (p_q[0] if p_q.ndim > 1 else p_q)[:, None, None, None]
-        * p_v0_q[:, :, None, None]
-        * p_v12.reshape(1, n0, n1, n2)
-    )
+    joint = p_q[:, None, None, None] * p_v0_q[:, :, None, None] * p_v12.reshape(1, n0, n1, n2)
     lb, ub = count_bounds(joint, n, params.epsilon)
     n_cells = nq * n0 * n1 * n2
     nb1, nb2 = 1 << k_b1, 1 << k_b2
@@ -370,8 +365,7 @@ def build_marton_codebook(
         hits = np.flatnonzero(ok)
         count = np.bincount(hits // (bs1 * bs2), minlength=nb1 * nb2)
         bins = np.flatnonzero(count)
-        pick = [rng.integers(c) for c in count[bins].tolist()]
-        at = hits[(np.cumsum(count) - count)[bins] + np.array(pick, dtype=np.int64)] % (bs1 * bs2)
+        at = hits[(np.cumsum(count) - count)[bins] + rng.integers(count[bins])] % (bs1 * bs2)
         b1, b2 = np.divmod(bins, nb2)
         t1, t2 = np.divmod(at, bs2)
         pairing[l0, b1, b2] = np.stack([b1 * bs1 + t1, b2 * bs2 + t2], axis=1)
@@ -585,13 +579,19 @@ class SimReport:
 def _zn_pmf_batch(rows: np.ndarray) -> np.ndarray:
     """Product distributions for a batch: (B, n, |Z|) -> (B, |Z|^n), z_1 most significant.
 
-    With n = 0 every row is the empty product, a single 1.
+    One multiply per position and output symbol, into the symbol's slot of
+    the (B, K, |Z|) result: the outer product's bits without its inner loop
+    of length |Z|.  With n = 0 every row is the empty product, a single 1.
     """
-    if rows.shape[1] == 0:
-        return np.ones((rows.shape[0], 1))
+    b, n, nz = rows.shape
+    if n == 0:
+        return np.ones((b, 1))
     v = rows[:, 0]
-    for i in range(1, rows.shape[1]):
-        v = (v[:, :, None] * rows[:, i][:, None, :]).reshape(rows.shape[0], -1)
+    for i in range(1, n):
+        out = np.empty((b, v.shape[1], nz))
+        for j in range(nz):
+            np.multiply(v, rows[:, i, j][:, None], out=out[:, :, j])
+        v = out.reshape(b, -1)
     return v
 
 
@@ -620,12 +620,12 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
         n_cw = cb.v_seqs.shape[0] * cb.x_seqs.shape[1]
         if out_space * n_cw > caps.max_exact_work:
             raise CapExceededError("exact equivocation work above cap")
-        n_m, h = cb.n_messages, n // 2
-        x = cb.x_seqs.reshape(n_m, -1, n)   # every message's bin codewords, in order
-        head = _zn_pmf_batch(W[x[..., :h].reshape(n_cw, h)]).reshape(n_m, x.shape[1], -1)
-        tail = _zn_pmf_batch(W[x[..., h:].reshape(n_cw, n - h)]).reshape(n_m, x.shape[1], -1)
+        n_m, h, per = cb.n_messages, n // 2, n_cw // cb.n_messages
+        x = cb.x_seqs.reshape(n_cw, n)   # message by message, every bin codeword in order
+        head = _zn_pmf_batch(W.take(x[:, :h], axis=0)).reshape(n_m, per, -1)
+        tail = _zn_pmf_batch(W.take(x[:, h:], axis=0)).reshape(n_m, per, -1)
         conds = (head.transpose(0, 2, 1) @ tail).reshape(n_m, out_space)
-        conds /= x.shape[1]
+        conds /= per
         return conds, 0.0
     if isinstance(cb, MartonCodebook):
         nq, n0, n1, n2 = cb.sizes
@@ -649,13 +649,11 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
             total += per_msg
             failures += per_msg - int(np.count_nonzero(paired))
             if not paired.any():
-                raise DistributionError(
-                    f"message {m} has no successfully paired bins"
-                )
+                raise DistributionError(f"message {m} has no successfully paired bins")
             l0, t1, t2 = l0[paired], t1[paired], t2[paired]
             rows = (cb.v0_seqs[l0] * n1 + cb.v1_seqs[l0, t1]) * n2 + cb.v2_seqs[l0, t2]
             # rows add one after another, as a running sum over the pairs would
-            conds[m] = _zn_pmf_batch(Wc[rows]).sum(axis=0) / len(rows)
+            conds[m] = _zn_pmf_batch(Wc.take(rows, axis=0)).sum(axis=0) / len(rows)
         return conds, failures / total
     raise TypeError(f"unknown codebook type {type(cb).__name__}")
 
@@ -702,15 +700,19 @@ def _message_log_likelihoods(
     """log2 p(z^n | m) for a chunk of outputs z (T, n): (T, messages).
 
     ``onehot[c, i*|X| + x]`` marks x = x_i of codeword c, so one matmul sums
-    log2 W[x_i, z_i] over the positions of every codeword.  ``logw`` holds 0
-    where W is 0 and ``dead`` (None when W has no zero) counts those
-    positions instead; a codeword with any of them has likelihood exactly
-    -inf.  Each message mixes its codewords by a max-shifted log-mean-exp.
+    log2 W[x_i, z_i] over the positions of every codeword.  ``logw[z, x]``, a
+    contiguous (|Z|, |X|) table gathered by ``take``, holds log2 W[x, z], 0
+    where W is 0, and ``dead`` (None when W has no zero) marks those cells
+    instead; a codeword with any of them has likelihood exactly -inf.  The
+    matmul keeps the view ``onehot.T``: BLAS picks its kernel by operand
+    layout, and a contiguous copy sums in another order at small shapes
+    (n = 1200: (6, 2400) @ (2400, 32)).  Each message mixes its codewords by
+    a max-shifted log-mean-exp.
     """
     t = len(z)
-    ll = logw.T[z].reshape(t, -1) @ onehot.T
+    ll = logw.take(z, axis=0).reshape(t, -1) @ onehot.T
     if dead is not None:
-        ll[dead.T[z].reshape(t, -1) @ onehot.T > 0] = -np.inf
+        ll[dead.take(z, axis=0).reshape(t, -1) @ onehot.T > 0] = -np.inf
     ll = ll.reshape(t, n_m, -1)
     top = ll.max(axis=2, keepdims=True)
     top[~np.isfinite(top)] = 0.0   # a message none of whose codewords can emit z
@@ -729,8 +731,9 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
     n, n_m, nx = cb.n, cb.n_messages, W.shape[0]
     flat_x = cb.x_seqs.reshape(-1, n)
     onehot = (flat_x[:, :, None] == np.arange(nx)).reshape(len(flat_x), n * nx).astype(float)
-    logw = log2_cells(W)
-    dead = (W == 0).astype(float) if (W == 0).any() else None
+    w_zx = np.ascontiguousarray(W.T)
+    logw = log2_cells(w_zx)
+    dead = (w_zx == 0).astype(float) if (W == 0).any() else None
     bounds = _symbol_bounds(W)
     chunk = max(1, _SCORE_CHUNK // max(len(flat_x), n * nx))
     samples = np.empty(trials)
@@ -738,8 +741,9 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
         # each draw kind over the block's streams, in a trial's order
         sent = block.integers(n_m)
         l0, l1 = _wiretap_pick(cb, sent, block)
+        cw = l0 * cb.x_seqs.shape[1] + l1
         for rows, u in block.random_chunks(n, chunk):
-            z = _pick_symbols(bounds, cb.x_seqs[l0[rows], l1[rows]], u)
+            z = _pick_symbols(bounds, flat_x.take(cw[rows], axis=0), u)
             ell = _message_log_likelihoods(onehot, logw, dead, z, n_m)
             top = ell.max(axis=1)
             with np.errstate(invalid="ignore"):

@@ -233,16 +233,21 @@ def write_spec(doc: SpecDocument) -> str:
     for name, (in_axes, out_axes, chan) in doc.channels.items():
         out.append(f"channel {name} : {' '.join(in_axes)} -> {' '.join(out_axes)}")
         out.extend(_format_table(chan))
+    # each factor's table gets a name no pmf, channel or earlier table has
+    used = {*doc.pmfs, *doc.channels}
     for name, fd in doc.factored.items():
+        tables = []
         for k, f in enumerate(fd.factors):
-            head = (f"channel {name}_f{k} : {' '.join(f.given)} ->" if f.given
-                    else f"pmf {name}_f{k} :")
+            table = f"{name}_f{k}"
+            while table in used:
+                table += "_"
+            used.add(table)
+            tables.append(table)
+            head = f"channel {table} : {' '.join(f.given)} ->" if f.given else f"pmf {table} :"
             out.append(f"{head} {' '.join(f.targets)}")
             out.extend(_format_table(f.table))
         out.append(f"factored {name}" + (f" {fd.pattern}" if fd.pattern else ""))
-        for k, f in enumerate(fd.factors):
-            out.append(
-                f"factor {' '.join(f.targets)} | {' '.join(f.given)} = {name}_f{k}"
-            )
+        for f, table in zip(fd.factors, tables):
+            out.append(" ".join(("factor", *f.targets, "|", *f.given, "=", table)))
         out.append("end")
     return "\n".join(out) + "\n"

@@ -8,6 +8,10 @@ underflows at large n); the wiretap conditionals build the full |Z|^n product
 law of every codeword of a bin, one message at a time; the Marton
 conditionals and the lemma1 counts loop over bins and trials one at a time;
 the Marton codebook picks each bin's pair from its own ``argwhere`` list.
+The product laws of ``zn_pmf_batch`` come from one broadcast outer product
+per position, and ``message_log_likelihoods`` scores Monte Carlo outputs by
+fancy-indexing the transposed log table (the log-domain scoring as it was
+before its gathers became ``take``).
 Every trial seeds its own ``SeedSequence`` stream through ``_rng``, every
 output draw recomputes the channel's cumulative sums in ``sample_given``, and
 i.i.d. draws go through ``rng.choice``.  The encoders and the wiretap
@@ -20,7 +24,9 @@ from __future__ import annotations
 import numpy as np
 from numpy import log2 as LOG2
 
-from wiretap3.probability import ConditionalPmf, DistributionError, FactoredDistribution
+from wiretap3.probability import (
+    ConditionalPmf, DistributionError, FactoredDistribution, log2_cells,
+)
 from wiretap3.simulate import (
     Caps,
     CapExceededError,
@@ -36,7 +42,6 @@ from wiretap3.simulate import (
     _exponent,
     _marton_tables,
     _rng,
-    _zn_pmf_batch,
     count_bounds,
     encode,
     joint_counts,
@@ -161,6 +166,40 @@ def decode_trials(cb, chan, params, trials, seed, decoder="indirect") -> list[De
     return out
 
 
+def zn_pmf_batch(rows: np.ndarray) -> np.ndarray:
+    """Product distributions for a batch: (B, n, |Z|) -> (B, |Z|^n), z_1 most significant.
+
+    With n = 0 every row is the empty product, a single 1.
+    """
+    if rows.shape[1] == 0:
+        return np.ones((rows.shape[0], 1))
+    v = rows[:, 0]
+    for i in range(1, rows.shape[1]):
+        v = (v[:, :, None] * rows[:, i][:, None, :]).reshape(rows.shape[0], -1)
+    return v
+
+
+def score_tables(cb: WiretapCodebook, W: np.ndarray):
+    """(onehot, logw, dead) for ``message_log_likelihoods``: (codewords, n|X|) and (|X|, |Z|)."""
+    n, nx = cb.n, W.shape[0]
+    flat_x = cb.x_seqs.reshape(-1, n)
+    onehot = (flat_x[:, :, None] == np.arange(nx)).reshape(len(flat_x), n * nx).astype(float)
+    return onehot, log2_cells(W), (W == 0).astype(float) if (W == 0).any() else None
+
+
+def message_log_likelihoods(onehot, logw, dead, z: np.ndarray, n_m: int) -> np.ndarray:
+    """log2 p(z^n | m) for outputs z (T, n): (T, messages), from ``score_tables``."""
+    t = len(z)
+    ll = logw.T[z].reshape(t, -1) @ onehot.T
+    if dead is not None:
+        ll[dead.T[z].reshape(t, -1) @ onehot.T > 0] = -np.inf
+    ll = ll.reshape(t, n_m, -1)
+    top = ll.max(axis=2, keepdims=True)
+    top[~np.isfinite(top)] = 0.0   # a message none of whose codewords can emit z
+    with np.errstate(divide="ignore"):
+        return np.log2(np.exp2(ll - top).mean(axis=2)) + top[..., 0]
+
+
 def mc_samples(cb, chan: ConditionalPmf, trials: int, seed: int) -> np.ndarray:
     """The per-trial scores -log2 p(m|z^n) of ``mc_equivocation``, product form."""
     W = chan.matrix
@@ -227,7 +266,7 @@ def wiretap_conditionals(cb: WiretapCodebook, chan: ConditionalPmf, caps: Caps =
     conds = np.zeros((cb.n_messages, out_space))
     for m in range(cb.n_messages):
         flat = cb.x_seqs[m * cb.bin_size:(m + 1) * cb.bin_size].reshape(-1, n)
-        conds[m] = _zn_pmf_batch(W[flat]).mean(axis=0)
+        conds[m] = zn_pmf_batch(W[flat]).mean(axis=0)
     return conds, 0.0
 
 
@@ -265,7 +304,7 @@ def marton_conditionals(cb: MartonCodebook, chan: ConditionalPmf, caps: Caps = D
                     rows = (
                         cb.v0_seqs[l0] * n1 + cb.v1_seqs[l0, t1]
                     ) * n2 + cb.v2_seqs[l0, t2]
-                    acc += _zn_pmf_batch(Wc[rows][None])[0]
+                    acc += zn_pmf_batch(Wc[rows][None])[0]
                     cnt += 1
         if cnt == 0:
             raise DistributionError(

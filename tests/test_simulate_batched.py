@@ -240,6 +240,49 @@ class TestMonteCarloScores:
             sim.mc_equivocation(cb, ConditionalPmf(rows), 10, 1)
 
 
+class TestKernels:
+    """The product-law and scoring kernels against the loops they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+    @pytest.mark.parametrize("W", [
+        [[0.8, 0.2], [0.35, 0.65]],
+        [[1.0, 0.0], [0.3, 0.7]],                 # Z channel: zero entries
+        [[0.7, 0.2, 0.1], [0.15, 0.25, 0.6]],
+        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],       # binary erasure: zero entries
+    ], ids=["bsc", "z", "full3", "erasure"])
+    def test_zn_pmf_batch(self, n, W):
+        x = np.random.default_rng(n).integers(2, size=(11, n))
+        rows = np.asarray(W).take(x, axis=0)
+        got = sim._zn_pmf_batch(rows)
+        assert got.shape == (11, len(W[0]) ** n)
+        assert np.array_equal(got, ref.zn_pmf_batch(rows))
+
+    @pytest.mark.parametrize("W", [
+        [[0.8, 0.2], [0.25, 0.75]],               # asymmetric, so W and W.T differ
+        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],       # zeros: the dead-position path
+    ], ids=["binary", "erasure"])
+    @pytest.mark.parametrize("n,rates", [
+        (12, WiretapRates(0.25, 0.5)),
+        (16, WiretapRates(0.25, 0.5)),
+        (1200, WiretapRates(0.002, 0.004)),       # few codewords, n|X| = 2400
+    ])
+    def test_message_log_likelihoods(self, W, n, rates):
+        W = np.asarray(W)
+        cb = build_wiretap_codebook(identity(), rates, TypicalityParams(n, 0.5), 3)
+        onehot, logw, dead = ref.score_tables(cb, W)
+        # the tables as _mc_samples builds them: contiguous (|Z|, |X|)
+        w_zx = np.ascontiguousarray(W.T)
+        new_logw = sim.log2_cells(w_zx)
+        new_dead = None if dead is None else (w_zx == 0).astype(float)
+        chunk = max(1, sim._SCORE_CHUNK // max(len(onehot), onehot.shape[1]))
+        z = np.random.default_rng(n).integers(W.shape[1], size=(3 * chunk + 1, n))
+        for start in range(0, len(z), chunk):
+            zs = z[start:start + chunk]
+            want = ref.message_log_likelihoods(onehot, logw, dead, zs, cb.n_messages)
+            got = sim._message_log_likelihoods(onehot, new_logw, new_dead, zs, cb.n_messages)
+            assert np.array_equal(got, want)
+
+
 UNDERFLOW = """
 import numpy as np
 from wiretap3.bounds import build_factored

@@ -172,6 +172,25 @@ class TestRoundTrip:
         again = parse_spec(write_spec(doc))
         assert np.array_equal(again.pmf("p").probs, doc.pmf("p").probs)
 
+    def test_factor_tables_get_fresh_names(self):
+        # the document's own channel d_f0 and pmf d_f0_ hold the names d's
+        # first factor table would get; a factor line looks up channels first,
+        # so a reused name would make it read the 2x2 channel d_f0
+        doc = parse_spec(
+            "alphabet A 2\nalphabet B 2\nchannel d_f0 : A -> B\n1/2 1/2\n1/4 3/4\n"
+            "pmf d_f0_ : A\n1 0\npmf pa : A\n1/3 2/3\nchannel pb : A -> B\n1 0\n0 1\n"
+            "factored d\nfactor A | = pa\nfactor B | A = pb\nend\n"
+        )
+        text = write_spec(doc)
+        assert "factor A | = d_f0__" in text.splitlines()
+        assert "factor B | A = d_f1" in text.splitlines()
+        again = parse_spec(text)
+        assert again.pmfs.keys() == {"d_f0_", "pa", "d_f0__"}
+        assert again.channels.keys() == {"d_f0", "pb", "d_f1"}
+        assert np.array_equal(again.factored["d"].realization.tensor,
+                              doc.factored["d"].realization.tensor)
+        assert again.channel("d_f0").exact == doc.channel("d_f0").exact
+
     def test_exact_pmf_factors_stay_exact(self):
         doc = parse_spec(
             "alphabet U 2\nalphabet X 2\npmf pu : U\n1/3 2/3\nchannel px : U -> X\n1/4 3/4\n1 0\n"
