@@ -27,6 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .rationallp import Premises, implied_by
@@ -37,19 +39,65 @@ from .specfmt import ChannelSpecError as SpecFormatError
 Rel = str  # "<=" or "<"
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
+def _rational(q) -> Fraction:
+    if isinstance(q, float):
         raise TypeError("inequality coefficients must be exact rationals")
-    return Fraction(x)
+    return Fraction(q)
 
 
-def _clean(d: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    return {k: f for k, v in d.items() if (f := Fraction(v)) != 0}
+def _int_row(values) -> tuple[list[int], int]:
+    """Exact rationals as numerators over their least common denominator."""
+    qs = [q if isinstance(q, (int, Fraction)) else _rational(q) for q in values]
+    den = lcm(*[q.denominator for q in qs])
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def _make(var_nums, relation, atom_nums, const_num, den, label="",
+         origin=frozenset(), elim=frozenset(), row=None) -> "LinearInequality":
+    """The row of these integer fields over their gcd, filled into ``row`` or new."""
+    g = gcd(den, const_num, *var_nums.values(), *atom_nums.values())
+    if g != 1:
+        var_nums = {k: n // g for k, n in var_nums.items()}
+        atom_nums = {k: n // g for k, n in atom_nums.items()}
+        const_num, den = const_num // g, den // g
+    row = object.__new__(LinearInequality) if row is None else row
+    # the one place fields are set: rows are frozen
+    row.__dict__.update(var_nums=var_nums, relation=relation, atom_nums=atom_nums,
+                        const_num=const_num, den=den, label=label, origin=origin, elim=elim)
+    return row
+
+
+def _sum(a: Mapping[str, int], s: int, b: Mapping[str, int], t: int) -> dict[str, int]:
+    """``s * a + t * b`` for numerator maps, a's keys first, zeros dropped."""
+    out = {k: n * s for k, n in a.items()}
+    for k, n in b.items():
+        out[k] = out.get(k, 0) + n * t
+    return {k: n for k, n in out.items() if n}
+
+
+def _combine(a: "LinearInequality", s: int, b: "LinearInequality", t: int, d: int,
+             label: str, origin: frozenset, elim: frozenset) -> "LinearInequality":
+    """The row ``(s * a + t * b) / d`` from the two rows' numerators."""
+    return _make(
+        _sum(a.var_nums, s, b.var_nums, t), "<" if "<" in (a.relation, b.relation) else "<=",
+        _sum(a.atom_nums, s, b.atom_nums, t), a.const_num * s + b.const_num * t, d,
+        label, origin, elim,
+    )
+
+
+def _view(nums: Mapping[str, int], den: int) -> Mapping[str, Fraction]:
+    return MappingProxyType({k: Fraction(n, den) for k, n in nums.items()})
 
 
 @dataclass(frozen=True, eq=False)
 class LinearInequality:
     """coeffs . vars  REL  rhs_atoms . atoms + rhs_const
+
+    Held as one integer row: ``var_nums``, ``atom_nums`` and ``const_num``
+    are the numerators of the coefficients, the atom coefficients and the
+    constant over one ``den`` > 0, with no common factor and no zero entry.
+    ``coeffs``, ``rhs_atoms`` and ``rhs_const`` are read-only ``Fraction``
+    views of it, in the same order.  A float in any of them is a TypeError.
 
     ``origin`` and ``elim`` support Imbert's acceleration during chained
     eliminations: origin is the set of ancestral input rows, elim the set
@@ -57,10 +105,11 @@ class LinearInequality:
     with |origin| > |elim| + 1 is redundant and is pruned eagerly.
     """
 
-    coeffs: Mapping[str, Fraction]
+    var_nums: Mapping[str, int]
     relation: Rel
-    rhs_atoms: Mapping[str, Fraction]
-    rhs_const: Fraction
+    atom_nums: Mapping[str, int]
+    const_num: int
+    den: int
     label: str = ""
     origin: frozenset = frozenset()
     elim: frozenset = frozenset()
@@ -69,64 +118,52 @@ class LinearInequality:
                  origin=frozenset(), elim=frozenset()):
         if relation not in ("<=", "<"):
             raise ValueError(f"relation must be <= or <, got {relation!r}")
-        object.__setattr__(self, "coeffs", _clean(coeffs))
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "rhs_atoms", _clean(rhs_atoms or {}))
-        object.__setattr__(self, "rhs_const", _frac(rhs_const))
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "origin", frozenset(origin))
-        object.__setattr__(self, "elim", frozenset(elim))
+        rhs_atoms = rhs_atoms or {}
+        nums, den = _int_row([*coeffs.values(), *rhs_atoms.values(), rhs_const])
+        _make({v: n for v, n in zip(coeffs, nums) if n}, relation,
+              {a: n for a, n in zip(rhs_atoms, nums[len(coeffs):]) if n}, nums[-1], den,
+              label, frozenset(origin), frozenset(elim), row=self)
+
+    coeffs = property(lambda self: _view(self.var_nums, self.den))
+    rhs_atoms = property(lambda self: _view(self.atom_nums, self.den))
+    rhs_const = property(lambda self: Fraction(self.const_num, self.den))
 
     @property
     def is_constant_row(self) -> bool:
-        return not self.coeffs
+        return not self.var_nums
 
     @property
     def is_trivially_true(self) -> bool:
-        if self.coeffs or self.rhs_atoms:
+        if self.var_nums or self.atom_nums:
             return False
-        return self.rhs_const > 0 or (self.rhs_const == 0 and self.relation == "<=")
+        return self.const_num > 0 or (self.const_num == 0 and self.relation == "<=")
 
     def scaled(self, k: Fraction) -> "LinearInequality":
-        k = _frac(k)
-        if k <= 0:
+        (p,), q = _int_row([k])
+        if p <= 0:
             raise ValueError("inequalities scale by positive rationals only")
-        return LinearInequality(
-            {v: k * c for v, c in self.coeffs.items()},
-            self.relation,
-            {a: k * c for a, c in self.rhs_atoms.items()},
-            k * self.rhs_const,
-            self.label,
-            self.origin,
-            self.elim,
-        )
+        # p * self + 0 * self, over den * q
+        return _combine(self, p, self, 0, self.den * q, self.label, self.origin, self.elim)
 
     def plus(self, other: "LinearInequality", label: str = "",
              extra_elim: frozenset = frozenset()) -> "LinearInequality":
-        coeffs = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
-        atoms = dict(self.rhs_atoms)
-        for a, c in other.rhs_atoms.items():
-            atoms[a] = atoms.get(a, Fraction(0)) + c
-        rel = "<" if "<" in (self.relation, other.relation) else "<="
-        return LinearInequality(
-            coeffs, rel, atoms, self.rhs_const + other.rhs_const, label,
-            self.origin | other.origin, self.elim | other.elim | extra_elim,
-        )
+        d = lcm(self.den, other.den)
+        return _combine(self, d // self.den, other, d // other.den, d, label,
+                        self.origin | other.origin, self.elim | other.elim | extra_elim)
 
     def canonical_key(self):
-        """Scale-invariant key: positive-normalized coefficient tuples."""
-        coeffs = sorted(self.coeffs.items())
-        atoms = sorted(self.rhs_atoms.items())
-        lead = coeffs or atoms
-        scale = 1 / abs(lead[0][1]) if lead else Fraction(1)
-        return (
-            tuple((k, c * scale) for k, c in coeffs),
-            tuple((a, c * scale) for a, c in atoms),
-            self.rhs_const * scale,
-            self.relation,
-        )
+        """Scale-invariant key ``(lhs, rhs, relation)``: the primitive integer row.
+
+        ``lhs`` is the variable and the atom numerators over their gcd g, each
+        sorted by name; ``rhs`` the constant in that scale, const_num / g, as
+        a reduced pair (g is ``den`` when the row has no such term).
+        """
+        vs, at = self.var_nums, self.atom_nums
+        g = gcd(*vs.values(), *at.values()) or self.den
+        h = gcd(self.const_num, g)
+        lhs = (tuple(sorted((v, n // g) for v, n in vs.items())),
+               tuple(sorted((a, n // g) for a, n in at.items())))
+        return lhs, (self.const_num // h, g // h), self.relation
 
     def format(self) -> str:
         def side(terms: Mapping[str, Fraction], const: Fraction = 0) -> str:
@@ -147,7 +184,7 @@ def _bound(rows: Sequence[LinearInequality], bindings: Mapping[str, Fraction]) -
     out = []
     for r in rows:
         atoms = {a: c for a, c in r.rhs_atoms.items() if a not in bindings}
-        value = sum(c * _frac(bindings[a]) for a, c in r.rhs_atoms.items() if a in bindings)
+        value = sum(c * bindings[a] for a, c in r.rhs_atoms.items() if a in bindings)
         out.append(LinearInequality(r.coeffs, r.relation, atoms, r.rhs_const + value, r.label))
     return out
 
@@ -162,7 +199,7 @@ class InequalitySystem:
         variables = tuple(variables)
         inequalities = tuple(inequalities)
         for ineq in inequalities:
-            for v in ineq.coeffs:
+            for v in ineq.var_nums:
                 if v not in variables:
                     raise ValueError(f"undeclared variable {v!r} in {ineq.format()}")
         object.__setattr__(self, "variables", variables)
@@ -171,7 +208,7 @@ class InequalitySystem:
 
     @property
     def atoms(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(a for ineq in self.inequalities for a in ineq.rhs_atoms))
+        return tuple(dict.fromkeys(a for ineq in self.inequalities for a in ineq.atom_nums))
 
     def with_rows(self, rows: Sequence[LinearInequality]) -> "InequalitySystem":
         return InequalitySystem(self.variables, rows, self.bindings)
@@ -193,13 +230,14 @@ class InequalitySystem:
     def bind(self, bindings: Mapping[str, Fraction]) -> "InequalitySystem":
         """Substitute numeric values for atoms."""
         merged = dict(self.bindings)
-        merged.update({k: _frac(v) for k, v in bindings.items()})
+        nums, den = _int_row(bindings.values())
+        merged.update({k: Fraction(n, den) for k, n in zip(bindings, nums)})
         return InequalitySystem(self.variables, _bound(self.inequalities, bindings), merged)
 
     def satisfies(self, point: Mapping[str, float], tol: float = 0.0) -> bool:
         """Membership test at a numeric point; atoms must all be bound."""
         for ineq in self.inequalities:
-            if ineq.rhs_atoms:
+            if ineq.atom_nums:
                 raise ValueError(
                     f"unbound atoms {sorted(ineq.rhs_atoms)} in membership test"
                 )
@@ -216,48 +254,33 @@ class InequalitySystem:
 
 def normalize(sys: InequalitySystem) -> InequalitySystem:
     """Drop trivially-true rows and duplicates (keeping the tighter copy)."""
-    best: dict = {}
-    order: list = []
+    best: dict = {}   # in first-seen order of the left-hand sides
     for ineq in sys.inequalities:
         if ineq.is_trivially_true:
             continue
-        key0 = ineq.canonical_key()
-        lhs_key = key0[:2]
-        rhs_scaled = key0[2]  # rows with equal lhs_key share the same scale
-        rel = ineq.relation
+        lhs_key, rhs, rel = ineq.canonical_key()
         if lhs_key in best:
             old_rhs, old_rel, old = best[lhs_key]
-            if rhs_scaled < old_rhs:
+            # rows with equal lhs_key share one scale: compare rhs by cross-multiplying
+            diff = rhs[0] * old_rhs[1] - old_rhs[0] * rhs[1]
+            if diff < 0:
                 pass
-            elif rhs_scaled == old_rhs and rel == "<" and old_rel == "<=":
+            elif diff == 0 and rel == "<" and old_rel == "<=":
                 pass
-            elif (
-                rhs_scaled == old_rhs
-                and rel == old_rel
-                and len(ineq.origin) < len(old.origin)
-            ):
+            elif diff == 0 and rel == old_rel and len(ineq.origin) < len(old.origin):
                 pass  # identical row, tighter history for Imbert pruning
             else:
                 continue
-        else:
-            order.append(lhs_key)
-        best[lhs_key] = (rhs_scaled, rel, ineq)
-    return sys.with_rows([best[k][2] for k in order])
+        best[lhs_key] = (rhs, rel, ineq)
+    return sys.with_rows([ineq for _, _, ineq in best.values()])
 
 
 def _with_histories(sys: InequalitySystem) -> InequalitySystem:
-    rows = []
-    for i, r in enumerate(sys.inequalities):
-        if r.origin:
-            rows.append(r)
-        else:
-            rows.append(
-                LinearInequality(
-                    r.coeffs, r.relation, r.rhs_atoms, r.rhs_const, r.label,
-                    frozenset([i]), frozenset(),
-                )
-            )
-    return sys.with_rows(rows)
+    return sys.with_rows([
+        r if r.origin else _make(r.var_nums, r.relation, r.atom_nums, r.const_num, r.den,
+                                 r.label, frozenset([i]))
+        for i, r in enumerate(sys.inequalities)
+    ])
 
 
 def eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
@@ -266,39 +289,33 @@ def eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
     Rows carry derivation histories; across chained eliminations, any row
     combining more ancestors than eliminated-variables-plus-one is
     redundant (Imbert).  The test needs only the two parents' histories, so
-    it runs before a pair's row is built, and a parent is scaled to a unit
-    coefficient on ``var`` only when it enters a surviving pair.  Derived
-    rows follow the lower-major, upper-minor pair order.
+    it runs before a pair's row is built.  A pair whose ``var`` numerators
+    are -lc and uc gives lo / lc + up / uc, the sum of the parents scaled to
+    unit coefficients, built in one integer combination over lcm(lc, uc).
+    Derived rows follow the lower-major, upper-minor pair order.
     """
     if var not in sys.variables:
         raise ValueError(f"unknown variable {var!r}")
     sys = _with_histories(sys)
     uppers, lowers, rest = [], [], []
     for ineq in sys.inequalities:
-        c = ineq.coeffs.get(var, 0)
+        c = ineq.var_nums.get(var, 0)
         if c > 0:
             uppers.append((ineq, c))
         elif c < 0:
             lowers.append((ineq, -c))
         else:
             rest.append(ineq)
-    unit: dict[int, LinearInequality] = {}
-
-    def scaled(ineq: LinearInequality, c: Fraction) -> LinearInequality:
-        row = unit.get(id(ineq))
-        if row is None:
-            row = unit[id(ineq)] = ineq.scaled(1 / c)
-        return row
-
     gone = frozenset([var])
     derived = []
     for lo, lc in lowers:
         for up, uc in uppers:
-            if len(lo.origin | up.origin) > len(lo.elim | up.elim | gone) + 1:
+            origin, elim = lo.origin | up.origin, lo.elim | up.elim | gone
+            if len(origin) > len(elim) + 1:
                 continue
-            derived.append(scaled(lo, lc).plus(
-                scaled(up, uc), label=_combine_label(lo.label, up.label), extra_elim=gone,
-            ))
+            d = lcm(lc, uc)
+            derived.append(_combine(lo, d // lc, up, d // uc, d,
+                                    _combine_label(lo.label, up.label), origin, elim))
     new_vars = tuple(v for v in sys.variables if v != var)
     return normalize(InequalitySystem(new_vars, rest + derived, sys.bindings))
 
@@ -310,7 +327,6 @@ def _combine_label(a: str, b: str) -> str:
 
 
 def eliminate_all(sys: InequalitySystem, variables: Sequence[str]) -> InequalitySystem:
-    sys = _with_histories(sys)
     for v in variables:
         sys = eliminate(sys, v)
     return sys
@@ -325,19 +341,34 @@ def _joint_space(
         vars_.extend(s.variables)
         atoms.extend(s.atoms)
     for r in extra_rows:
-        atoms.extend(r.rhs_atoms)
-        vars_.extend(r.coeffs)
+        atoms.extend(r.atom_nums)
+        vars_.extend(r.var_nums)
     return list(dict.fromkeys(vars_)), list(dict.fromkeys(atoms))
 
 
 def _row_vector(
     ineq: LinearInequality, vars_: Sequence[str], atoms: Sequence[str]
-) -> tuple[list[Fraction], Fraction]:
-    """``ineq`` as ``(a, beta)`` over ``vars_`` then ``atoms``; integral entries are ints."""
-    vals = [ineq.coeffs.get(v, 0) for v in vars_]
-    vals += [-ineq.rhs_atoms.get(a, 0) for a in atoms]
-    *vec, beta = [q.numerator if q.denominator == 1 else q for q in (*vals, ineq.rhs_const)]
-    return vec, beta
+) -> tuple[list[int], int]:
+    """``ineq`` as the integer row ``(nums, den)`` of a.x <= beta over
+    ``vars_`` then ``atoms``: a's numerators, then beta's."""
+    vs, at = ineq.var_nums, ineq.atom_nums
+    nums = [vs.get(v, 0) for v in vars_] + [-at.get(a, 0) for a in atoms]
+    return nums + [ineq.const_num], ineq.den
+
+
+def _target(ineq: LinearInequality, vars_: Sequence[str], atoms: Sequence[str]):
+    """``ineq`` as the rational target ``(c, delta)`` of ``implied_by``."""
+    nums, den = _row_vector(ineq, vars_, atoms)
+    if den != 1:
+        nums = [Fraction(n, den) for n in nums]
+    return nums[:-1], nums[-1]
+
+
+def _implications(premises: Sequence[LinearInequality], targets: Sequence[LinearInequality],
+                  vars_: Sequence[str], atoms: Sequence[str]) -> list[Optional[list[Fraction]]]:
+    """``implied_by``'s multipliers for each target over one premise set, or None."""
+    vecs = Premises(_row_vector(r, vars_, atoms) for r in premises)
+    return [implied_by(vecs, _target(r, vars_, atoms)) for r in targets]
 
 
 def infeasibility_certificate(
@@ -351,10 +382,9 @@ def infeasibility_certificate(
     y (rows first, then assumptions; checked by ``verify_certificate``), or
     None when the closure of the system is feasible.
     """
-    rows = list(sys.inequalities) + list(assumptions)
     vars_, atoms = _joint_space([sys], assumptions)
-    vecs = [_row_vector(r, vars_, atoms) for r in rows]
-    return implied_by(vecs, ([0] * (len(vars_) + len(atoms)), Fraction(-1)))
+    vecs = Premises(_row_vector(r, vars_, atoms) for r in (*sys.inequalities, *assumptions))
+    return implied_by(vecs, ([0] * (len(vars_) + len(atoms)), -1))
 
 
 def remove_redundant(
@@ -369,9 +399,7 @@ def remove_redundant(
     """
     if sys.bindings:
         assumptions, sys = _bound(assumptions, sys.bindings), sys.bind(sys.bindings)
-    covered = set(sys.bindings)
-    for a in assumptions:
-        covered.update(a.rhs_atoms)
+    covered = set(sys.bindings).union(*(a.atom_nums for a in assumptions))
     missing = [a for a in sys.atoms if a not in covered]
     if missing:
         raise ValueError(f"unbound constants with no covering assumptions: {missing}")
@@ -386,7 +414,7 @@ def remove_redundant(
     active = list(range(len(rows)))
     for i, r in enumerate(rows):
         premise = vecs.take([j for j in active if j != i] + assumed)
-        if implied_by(premise, vecs[i]) is None:
+        if implied_by(premise, _target(r, vars_, atoms)) is None:
             kept.append(r)
         else:
             active.remove(i)
@@ -416,31 +444,23 @@ def substitute(
     rows = []
     for ineq in sys.inequalities:
         coeffs: dict[str, Fraction] = {}
-        const_shift = Fraction(0)
+        const_shift = 0
         for v, c in ineq.coeffs.items():
             if v in mapping:
                 expr, k = mapping[v]
                 for nv, nc in expr.items():
-                    coeffs[nv] = coeffs.get(nv, Fraction(0)) + c * _frac(nc)
-                const_shift += c * _frac(k)
+                    coeffs[nv] = coeffs.get(nv, 0) + c * nc
+                const_shift += c * k
             else:
-                coeffs[v] = coeffs.get(v, Fraction(0)) + c
-        rows.append(
-            LinearInequality(
-                coeffs,
-                ineq.relation,
-                ineq.rhs_atoms,
-                ineq.rhs_const - const_shift,
-                ineq.label,
-            )
-        )
+                coeffs[v] = coeffs.get(v, 0) + c
+        rows.append(LinearInequality(coeffs, ineq.relation, ineq.rhs_atoms,
+                                     ineq.rhs_const - const_shift, ineq.label))
     return InequalitySystem(tuple(new_order), rows, sys.bindings)
 
 
 def rename_variables(sys: InequalitySystem, names: Mapping[str, str]) -> InequalitySystem:
-    mapping = {old: ({new: Fraction(1)}, Fraction(0)) for old, new in names.items()}
-    out = substitute(sys, mapping)
-    order = tuple(names.get(v, v) for v in sys.variables)
+    out = substitute(sys, {old: ({new: 1}, 0) for old, new in names.items()})
+    order = [names.get(v, v) for v in sys.variables]
     return InequalitySystem(order, out.inequalities, out.bindings)
 
 
@@ -489,21 +509,13 @@ def region_equal(
 
     def direction(src: InequalitySystem, dst: InequalitySystem, key: str) -> bool:
         labels = names(src)
-        vecs = Premises(_row_vector(r, vars_, atoms) for r in (*src.inequalities, *assumptions))
-        ok = True
-        for row in dst.inequalities:
-            mult = implied_by(vecs, _row_vector(row, vars_, atoms))
-            entry = {"row": row.format()}
-            if mult is None:
-                entry["implied"] = False
-                ok = False
-            else:
-                entry["implied"] = True
-                entry["multipliers"] = {
-                    n: str(m) for n, m in zip(labels, mult) if m != 0
-                }
+        mults = _implications((*src.inequalities, *assumptions), dst.inequalities, vars_, atoms)
+        for row, mult in zip(dst.inequalities, mults):
+            entry = {"row": row.format(), "implied": mult is not None}
+            if mult is not None:
+                entry["multipliers"] = {n: str(m) for n, m in zip(labels, mult) if m != 0}
             cert[key].append(entry)
-        return ok
+        return None not in mults
 
     ok_ab = direction(a, b, "a_implies_b")
     ok_ba = direction(b, a, "b_implies_a")

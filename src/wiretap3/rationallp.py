@@ -18,10 +18,12 @@ Pivoting uses Dantzig's rule with a Bland fallback after 30 degenerate
 pivots in a row, which keeps the method finite on degenerate tableaus;
 ratio-test ties go to the lowest basis index.
 
-Entries are ints or ``Fraction``s (floats convert exactly).  ``Premises``
-converts a premise set to ``IntRows`` once for every ``implied_by`` LP on
-it or on a subset of its rows.  Pivots depend only on the rational
-tableau, and each LP still calls ``simplex_min_eq`` by its module name.
+Entries are ints or ``Fraction``s (floats convert exactly); costs enter
+the objective row as ints.  ``Premises`` takes a premise set as integer
+rows, as ``fme`` keeps them, and builds once the matrix and costs of every
+``implied_by`` LP on it or on a subset of its rows.  Pivots depend only on
+the rational tableau, each LP still calls ``simplex_min_eq`` by its module
+name, and certificates are checked in integers.
 """
 
 from __future__ import annotations
@@ -67,17 +69,29 @@ class IntRows(list):
 
 
 class Premises(list):
-    """Rows ``(a, beta)`` for a.x <= beta and, as ``IntRows``, the matrix of
-    their ``implied_by`` LPs, whose column i is row i's ``a``."""
+    """Rows a.x <= beta as integer rows ``(nums, den)``: a's numerators, then
+    beta's, over ``den`` > 0.  ``matrix`` is the ``IntRows`` of their
+    ``implied_by`` LPs (column i is row i's a; each row is ``IntRows.of`` of
+    the rational column), ``cost`` the betas as ints over ``scale``."""
 
-    def __init__(self, rows=(), matrix: Optional[IntRows] = None):
+    def __init__(self, rows=(), matrix=None, cost=None, scale=1):
         super().__init__(rows)
-        self.matrix = IntRows.of(zip(*(a for a, _ in self))) if matrix is None else matrix
+        if matrix is None:
+            dens = [d for _, d in self]
+            scale, matrix = lcm(*dens), IntRows()
+            for col in zip(*(nums[:-1] for nums, _ in self)):
+                if scale == 1:
+                    matrix.append((list(col), 1))
+                else:
+                    d = lcm(*(q // gcd(v, q) for v, q in zip(col, dens)))
+                    matrix.append(([v * d // q for v, q in zip(col, dens)], d))
+            cost = [nums[-1] * (scale // d) for nums, d in self]
+        self.matrix, self.cost, self.scale = matrix, cost, scale
 
     def take(self, idx: Sequence[int]) -> "Premises":
         """The rows at ``idx``, in order; each matrix row keeps its (valid) ``den``."""
         cols = IntRows(([r[j] for j in idx], d) for r, d in self.matrix)
-        return Premises([self[i] for i in idx], cols)
+        return Premises([self[i] for i in idx], cols, [self.cost[i] for i in idx], self.scale)
 
 
 def _pivot(tab: list[list[int]], den: list[int], r: int, e: int) -> None:
@@ -106,13 +120,13 @@ def _pivot(tab: list[list[int]], den: list[int], r: int, e: int) -> None:
             tab[i], den[i] = new, d
 
 
-def _objective(cost: list, tab: list[list[int]], den: list[int], basis: list[int]) -> None:
+def _objective(cost: list[int], tab: list[list[int]], den: list[int], basis: list[int]) -> None:
     """Append the row ``cost - sum_i cost[basis_i] * row_i`` to ``tab``."""
     terms = [(cost[bi], i) for i, bi in enumerate(basis) if cost[bi]]
-    d = lcm(*(q.denominator for q in cost), *(q.denominator * den[i] for q, i in terms))
-    obj = [q.numerator * (d // q.denominator) for q in cost] + [0]
+    d = lcm(*(den[i] for _, i in terms))
+    obj = [q * d for q in cost] + [0]
     for q, i in terms:
-        f = q.numerator * (d // (q.denominator * den[i]))
+        f = q * (d // den[i])
         obj = [o - f * a for o, a in zip(obj, tab[i])]
     g = gcd(d, *obj)
     tab.append([v // g for v in obj])
@@ -130,7 +144,8 @@ def simplex_min_eq(A: Mat | IntRows, b: Vec, c: Vec) -> SimplexResult:
     """
     m = len(A)
     n = len(c)
-    b, c = _exact(b), _exact(c)
+    b = _exact(b)
+    (cost, scale), = IntRows.of([c])
     tab, den = [], []
     for i, (r, d) in enumerate(A if isinstance(A, IntRows) else IntRows.of(A)):
         if len(r) != n:
@@ -195,7 +210,7 @@ def simplex_min_eq(A: Mat | IntRows, b: Vec, c: Vec) -> SimplexResult:
     den = [den[i] for i in keep]
     basis = [basis[i] for i in keep]
     m = len(tab)
-    _objective(c, tab, den, basis)
+    _objective(cost, tab, den, basis)
     entering = run()
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
@@ -206,7 +221,7 @@ def simplex_min_eq(A: Mat | IntRows, b: Vec, c: Vec) -> SimplexResult:
         for i, bi in enumerate(basis):
             ray[bi] = Fraction(-tab[i][entering], den[i])
         return SimplexResult(UNBOUNDED, x, None, ray)
-    return SimplexResult(OPTIMAL, x, Fraction(-tab[m][n], den[m]))
+    return SimplexResult(OPTIMAL, x, Fraction(-tab[m][n], den[m] * scale))
 
 
 def feasible_eq(A: Mat, b: Vec) -> Optional[Vec]:
@@ -230,27 +245,27 @@ def implied_by(
     exactly logical implication; infeasible rows imply anything, and their
     certificate follows the LP's unbounded ray far enough to reach delta.
     Every certificate passes ``verify_certificate`` before it is returned.
-    Rows given as ``Premises`` are not converted again; every call still
+    Rows given as ``Premises`` are not converted; every call still
     solves its one LP through the module's ``simplex_min_eq``.
     """
     c, delta = target
-    k = len(rows)
-    if k == 0:
+    if not rows:
         return [] if all(v == 0 for v in c) and delta >= 0 else None
-    if any(len(a) != len(c) for a, _ in rows):
-        raise ValueError(f"premise rows of lengths {sorted({len(a) for a, _ in rows})}, "
-                         f"target of length {len(c)}")
     if not isinstance(rows, Premises):
-        rows = Premises(rows)
-    # variables: y_1..y_k >= 0; constraints: sum_i y_i a_i = c (dim equalities)
-    cost = [beta for _, beta in rows]
+        rows = Premises(IntRows.of([*a, beta] for a, beta in rows))
+    if any(len(nums) != len(c) + 1 for nums, _ in rows):
+        raise ValueError(f"premise rows of lengths {sorted({len(n) - 1 for n, _ in rows})}, "
+                         f"target of length {len(c)}")
+    # variables: y_1..y_k >= 0; constraints: sum_i y_i a_i = c (dim equalities);
+    # the costs are the betas times rows.scale, and so is the LP's value
+    cost, bound = rows.cost, delta * rows.scale
     res = simplex_min_eq(rows.matrix, list(c), cost)
     if res.status == UNBOUNDED:
         value = sum(q * v for q, v in zip(cost, res.x))
         slope = sum(q * r for q, r in zip(cost, res.ray))
-        t = max(Fraction(0), (value - delta) / -slope)
+        t = max(Fraction(0), (value - bound) / -slope)
         y = [v + t * r for v, r in zip(res.x, res.ray)]
-    elif res.status != OPTIMAL or res.value > delta:
+    elif res.status != OPTIMAL or res.value > bound:
         return None
     else:
         y = res.x
@@ -265,22 +280,30 @@ def verify_certificate(
 ) -> None:
     """Check y >= 0, sum y_i a_i = c and sum y_i beta_i <= delta exactly.
 
-    Raises ValueError (also under ``python -O``) when y certifies nothing
-    or a row is not as long as ``c``.
+    The sums run in integers over one denominator.  Raises ValueError (also
+    under ``python -O``) when y certifies nothing or a row is not as long
+    as ``c``.
     """
     c, delta = target
     if len(y) != len(rows):
         raise ValueError(f"{len(y)} multipliers for {len(rows)} rows")
-    lhs, bound = [0] * len(c), 0
-    for yi, (a, beta) in zip(y, rows):
-        if len(a) != len(c):
-            raise ValueError(f"a premise row of length {len(a)}, target of length {len(c)}")
+    if not isinstance(rows, Premises):
+        rows = IntRows.of([*a, beta] for a, beta in rows)
+    (want, td), = IntRows.of([[*c, delta]])
+    used = []   # (y_i's numerator, y_i's denominator times den_i, nums_i)
+    for yi, (nums, den) in zip(_exact(y), rows):
+        if len(nums) != len(want):
+            raise ValueError(f"a premise row of length {len(nums) - 1}, target of length {len(c)}")
+        if yi < 0:
+            raise ValueError(f"negative multiplier {yi}")
         if yi:
-            if yi < 0:
-                raise ValueError(f"negative multiplier {yi}")
-            lhs = [s + yi * v if v else s for s, v in zip(lhs, a)]
-            bound += yi * beta
-    if lhs != list(c):
+            used.append((yi.numerator, yi.denominator * den, nums))
+    m = lcm(*(q for _, q, _ in used))   # sum_i y_i * (a_i, beta_i) is lhs / m
+    lhs = [0] * len(want)
+    for p, q, nums in used:
+        w = p * (m // q)
+        lhs = [s + w * v if v else s for s, v in zip(lhs, nums)]
+    if [s * td for s in lhs[:-1]] != [v * m for v in want[:-1]]:
         raise ValueError("multipliers do not reproduce the target coefficients")
-    if bound > delta:
-        raise ValueError(f"multipliers bound the target by {bound} > {delta}")
+    if lhs[-1] * td > want[-1] * m:
+        raise ValueError(f"multipliers bound the target by {Fraction(lhs[-1], m)} > {delta}")

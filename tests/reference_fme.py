@@ -4,10 +4,13 @@ pruning, kept verbatim.
 They are the references for the differential tests in ``test_fme.py``:
 
 - ``system_feasible`` splits every free variable as u - w and adds one
-  slack column per row, then asks ``feasible_eq`` for any solution;
+  slack column per row, then asks ``feasible_eq`` for any solution; its
+  rows are read from the ``Fraction`` views, not the integer rows;
 - ``eliminate`` builds every lower x upper combined row from unit-scaled
   parents and only then drops it by Imbert's history test;
-- ``canonical_key`` is the row key that sorted each mapping per use;
+- ``canonical_key`` is the ``Fraction`` row key (lead coefficient scaled
+  to +-1) that sorted each mapping per use, before the primitive integer
+  key; the two must partition rows alike;
 - ``parse_system`` is the token state machine that read the text format
   before the anchored term grammar; on well-formed input both must give
   the same rows, mapping order included.
@@ -25,7 +28,6 @@ from wiretap3.fme import (
     SpecFormatError,
     _combine_label,
     _joint_space,
-    _row_vector,
     _with_histories,
     normalize,
 )
@@ -102,9 +104,10 @@ def system_feasible(
     # a.x <= b with free x: x = u - w, add slack: a.u - a.w + s = b
     A, b = [], []
     for r in rows:
-        vec, rhs = _row_vector(r, vars_, atoms)
+        vec = [r.coeffs.get(v, Fraction(0)) for v in vars_]
+        vec += [-r.rhs_atoms.get(a, Fraction(0)) for a in atoms]
         A.append(vec + [-v for v in vec])
-        b.append(rhs)
+        b.append(r.rhs_const)
     k = len(rows)
     for i in range(k):
         for j in range(k):

@@ -3,14 +3,14 @@
 It is the reference for the differential tests in ``test_rationallp.py``:
 ``simplex_min_eq`` converts every row of a Fraction matrix to an integer
 row on each call, and ``implied_by`` transposes its premise rows into that
-matrix on each call.  Pivoting (``_pivot``, ``_objective``) and the
-certificate check are the program's own.
+matrix on each call, and ``_objective`` prices ``Fraction`` costs.  Pivoting
+(``_pivot``) and the certificate check are the program's own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from wiretap3.rationallp import (
@@ -20,7 +20,6 @@ from wiretap3.rationallp import (
     Mat,
     SimplexResult,
     Vec,
-    _objective,
     _pivot,
     verify_certificate,
 )
@@ -34,6 +33,19 @@ def _int_row(vals) -> tuple[list[int], int]:
     """Integers ``r`` and a positive ``d`` with ``vals == r / d``."""
     d = lcm(*(q.denominator for q in vals))
     return [q.numerator * (d // q.denominator) for q in vals], d
+
+
+def _objective(cost: list, tab: list[list[int]], den: list[int], basis: list[int]) -> None:
+    """Append the row ``cost - sum_i cost[basis_i] * row_i`` to ``tab``."""
+    terms = [(cost[bi], i) for i, bi in enumerate(basis) if cost[bi]]
+    d = lcm(*(q.denominator for q in cost), *(q.denominator * den[i] for q, i in terms))
+    obj = [q.numerator * (d // q.denominator) for q in cost] + [0]
+    for q, i in terms:
+        f = q.numerator * (d // (q.denominator * den[i]))
+        obj = [o - f * a for o, a in zip(obj, tab[i])]
+    g = gcd(d, *obj)
+    tab.append([v // g for v in obj])
+    den.append(d // g)
 
 
 def simplex_min_eq(A: Mat, b: Vec, c: Vec) -> SimplexResult:

@@ -27,7 +27,7 @@ from wiretap3.fme import (
     remove_redundant,
     substitute,
 )
-from wiretap3.rationallp import verify_certificate
+from wiretap3.rationallp import IntRows, Premises, verify_certificate
 
 BOX = F(5)
 
@@ -198,6 +198,69 @@ class TestSubstitute:
         out = eliminate_all(out, ["Rb"])
         # Ra <= I(A) and Ra >= 0 must survive
         assert any(r.coeffs == {"Ra": F(1)} for r in out.inequalities)
+
+
+_NAMES = ("x", "y", "R0")
+_ATOMS = ("I(A)", "I(B;C|D)")
+_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _row_parts(draw):
+    coeffs = draw(st.dictionaries(st.sampled_from(_NAMES), _RATIONALS, max_size=3))
+    atoms = draw(st.dictionaries(st.sampled_from(_ATOMS), _RATIONALS, max_size=2))
+    return coeffs, draw(st.sampled_from(["<=", "<"])), atoms, draw(_RATIONALS)
+
+
+class TestIntegerRows:
+    def test_row_is_reduced_integers_and_views_are_exact(self):
+        row = LinearInequality({"y": F(1, 2), "x": F(-2, 3), "z": 0}, "<=", {"I(A)": F(5, 6)}, 1)
+        assert (row.var_nums, row.atom_nums, row.const_num, row.den) == (
+            {"y": 3, "x": -4}, {"I(A)": 5}, 6, 6)
+        assert list(row.coeffs.items()) == [("y", F(1, 2)), ("x", F(-2, 3))]
+        assert row.rhs_atoms == {"I(A)": F(5, 6)} and row.rhs_const == 1
+        with pytest.raises(TypeError):
+            row.coeffs["x"] = F(1)
+        half = LinearInequality({"x": F(2, 4)}, "<", {}, F(3, 6))
+        assert (half.var_nums, half.const_num, half.den) == ({"x": 1}, 1, 2)
+        assert row.plus(half).format() == "1/2*y - 1/6*x < 5/6*I(A) + 3/2"
+
+    @pytest.mark.parametrize("build", [
+        lambda: LinearInequality({"x": 0.1}, "<="),
+        lambda: LinearInequality({"x": np.float64(0.5)}, "<="),
+        lambda: LinearInequality({"x": 1}, "<=", {"I(A)": 0.5}),
+        lambda: LinearInequality({"x": 1}, "<=", {}, 0.25),
+        lambda: LinearInequality({"x": 1}, "<=").scaled(0.5),
+        lambda: parse_system("vars x\nx <= I(A)\n")[0].bind({"I(A)": 0.5}),
+    ], ids=["coeffs", "numpy-coeffs", "rhs_atoms", "rhs_const", "scaled", "bind"])
+    def test_floats_are_rejected(self, build):
+        with pytest.raises(TypeError, match="inequality coefficients must be exact rationals"):
+            build()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_row_parts(), st.fractions(min_value=F(1, 12), max_value=50, max_denominator=12))
+    def test_canonical_key_is_scale_invariant(self, parts, k):
+        coeffs, rel, atoms, const = parts
+        row = LinearInequality(coeffs, rel, atoms, const)
+        scaled = row.scaled(k)
+        assert scaled.coeffs == {v: c * k for v, c in coeffs.items() if c}
+        assert scaled.rhs_const == const * k
+        if not (row.var_nums or row.atom_nums):
+            # no left-hand side to scale by: the key keeps the constant, as
+            # the Fraction key did
+            assert row.canonical_key()[1] == (const.numerator, const.denominator)
+            return
+        assert scaled.canonical_key() == row.canonical_key()
+        # the same row times k, built on its own and in the other mapping order
+        again = LinearInequality(
+            {v: c * k for v, c in reversed(coeffs.items())}, rel,
+            {a: c * k for a, c in reversed(atoms.items())}, const * k,
+        )
+        assert again.canonical_key() == row.canonical_key()
+        if row.var_nums or row.atom_nums:   # the opposite half-space is another row
+            flipped = LinearInequality({v: -c for v, c in coeffs.items()}, rel,
+                                       {a: -c for a, c in atoms.items()}, const)
+            assert flipped.canonical_key() != row.canonical_key()
 
 
 class TestRegionEqual:
@@ -395,15 +458,68 @@ class TestAgainstReplacedPaths:
     canonical key against the paths they replaced (``reference_fme``)."""
 
     def test_canonical_key_on_fixture_and_random_rows(self, fixture_calls):
+        # the primitive integer key is not the Fraction key, but it must
+        # group rows the same way, by the whole key and by the left-hand
+        # side (normalize's classes), and order right-hand sides within a
+        # class the same way
         rows = [r for f in _fixture_files() for r in parse_system(fixture_text(f))[0].inequalities]
         rows += [r for sys_, _ in fixture_calls[0] for r in sys_.inequalities]
         rng = np.random.default_rng(7)
         for _ in range(200):
             rows += _random_system(rng)[0].inequalities
         rows.append(LinearInequality({}, "<", {}, F(-3, 2)))
+        rows.append(LinearInequality({}, "<=", {}, 0))
+        rows.append(LinearInequality({"x": F(-2, 3)}, "<=", {"I(A)": 4}, F(5, 7)))
         assert len(rows) > 2000
-        for r in rows:
-            assert r.canonical_key() == ref.canonical_key(r), r
+        got = [r.canonical_key() for r in rows]
+        want = [ref.canonical_key(r) for r in rows]
+
+        def partition(keys):
+            classes: dict = {}
+            for i, k in enumerate(keys):
+                classes.setdefault(k, set()).add(i)
+            return {frozenset(c) for c in classes.values()}
+
+        assert partition(got) == partition(want)
+        lhs = partition([k[0] for k in got])
+        assert lhs == partition([k[:2] for k in want])
+        for members in lhs:
+            pairs = sorted({(F(*got[i][1]), want[i][2]) for i in members})
+            assert [w for _, w in pairs] == sorted(w for _, w in pairs)
+            assert len({g for g, _ in pairs}) == len({w for _, w in pairs}) == len(pairs)
+
+    def test_premise_matrices_match_fraction_conversion(self, monkeypatch):
+        # every premise set the six fixtures and the random systems build
+        # from integer rows has the matrix IntRows.of gives for the same
+        # rows as Fractions, pair for pair, and the betas as its costs: the
+        # LPs, and so every pivot and multiplier, are those of the Fraction rows
+        built = []
+
+        class Recording(Premises):
+            def __init__(self, rows=(), *args):
+                super().__init__(rows, *args)
+                if not args:
+                    built.append(self)
+
+        monkeypatch.setattr(fme, "Premises", Recording)
+        for name in fixture_names():
+            assert run_fixture(name).ok, name
+        n_fixture = len(built)
+        rng = np.random.default_rng(3)
+        for _ in range(400):
+            infeasibility_certificate(*_random_feasibility_case(rng))
+        rng = np.random.default_rng(20261018)
+        for _ in range(60):
+            sys_, bindings, _, elim = _random_system(rng)
+            eliminated = eliminate_all(sys_, elim).bind(bindings)
+            region_equal(eliminated, remove_redundant(eliminated))
+        assert n_fixture == 30 and len(built) == 690
+        assert sum(p.scale > 1 for p in built[:n_fixture]) >= 1
+        assert sum(p.scale > 1 for p in built) > 100
+        for p in built:
+            rational = [[F(v, d) for v in nums] for nums, d in p]
+            assert p.matrix == IntRows.of(zip(*(r[:-1] for r in rational)))
+            assert [F(c, p.scale) for c in p.cost] == [r[-1] for r in rational]
 
     def test_fixture_eliminations_match(self, fixture_calls):
         elims = fixture_calls[0]
@@ -439,8 +555,8 @@ class TestAgainstReplacedPaths:
             assert (y is None) == got
             if y is not None:
                 vars_, atoms = fme._joint_space([sys_], assumptions)
-                vecs = [fme._row_vector(r, vars_, atoms)
-                        for r in (*sys_.inequalities, *assumptions)]
+                vecs = Premises(fme._row_vector(r, vars_, atoms)
+                                for r in (*sys_.inequalities, *assumptions))
                 verify_certificate(vecs, ([0] * (len(vars_) + len(atoms)), F(-1)), y)
         assert min(verdicts.values()) >= 100, verdicts
 
