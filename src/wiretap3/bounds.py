@@ -895,14 +895,10 @@ def reversely_degraded_bound(components: Sequence[ProductComponent]) -> RevDegra
     uc = tuple(f"U{l}" for l in C)
     r1 = j.mutual_information(ua, y1_axes) - j.mutual_information(ua, z_axes)
     r2 = j.mutual_information(ub, y2_axes) - j.mutual_information(ub, z_axes)
-    a_only = tuple(f"U{l}" for l in A if l not in C)
-    b_only = tuple(f"U{l}" for l in B if l not in C)
-    slack = (
-        j.conditional_mutual_information(a_only, z_axes, uc)
-        + j.conditional_mutual_information(b_only, z_axes, uc)
-        - j.conditional_mutual_information(a_only, b_only, uc)
-        - j.conditional_mutual_information(a_only + b_only, z_axes, uc)
-    ) if a_only and b_only else 0.0
+    axes = {"V0": uc, "V1": tuple(f"U{l}" for l in A if l not in C),
+            "V2": tuple(f"U{l}" for l in B if l not in C), "Z": z_axes}
+    slack = _signed_sum(_MARTON_SLACK, lambda t: j.conditional_mutual_information(
+        *(sum((axes[a] for a in s), ()) for s in t))) if axes["V1"] and axes["V2"] else 0.0
     return RevDegradedResult(
         value=value,
         diffs_y1=tuple(d1),

@@ -376,6 +376,14 @@ def cmd_simulate(args) -> int:
         return EXIT_CAP
 
 
+_EQUIVOCATION = "leakage_rate equivocation_rate message_rate"
+
+
+def _fields(report, names: str) -> dict:
+    """``report``'s fields ``names`` (space-separated), in order."""
+    return {k: getattr(report, k) for k in names.split()}
+
+
 def _simulate(args) -> int:
     from . import simulate as sim
     _require_seed(args)
@@ -414,14 +422,8 @@ def _simulate(args) -> int:
                 if trials == 0
                 else sim.mc_equivocation(cb, chan, trials, args.seed)
             )
-            rows.append({
-                "n": n, "k_msg": cb.k_msg, "k_total": cb.k_total,
-                "leakage_rate": rep.leakage_rate,
-                "equivocation_rate": rep.equivocation_rate,
-                "message_rate": rep.message_rate,
-                "exact": rep.exact,
-                "ci_halfwidth": rep.ci_halfwidth,
-            })
+            rows.append({"n": n, **_fields(cb, "k_msg k_total"),
+                         **_fields(rep, f"{_EQUIVOCATION} exact ci_halfwidth")})
         elif scheme == "marton-equivocation":
             r = cfg["rates"]
             cb = sim.build_marton_codebook(
@@ -430,14 +432,8 @@ def _simulate(args) -> int:
                 params, args.seed, caps,
             )
             rep = sim.exact_equivocation(cb, chan, caps)
-            rows.append({
-                "n": n,
-                "leakage_rate": rep.leakage_rate,
-                "equivocation_rate": rep.equivocation_rate,
-                "message_rate": rep.message_rate,
-                "encoding_failure_rate": rep.encoding_failure_rate,
-                "exact": True,
-            })
+            rows.append({"n": n, **_fields(rep, f"{_EQUIVOCATION} encoding_failure_rate"),
+                         "exact": True})
         elif scheme == "decode":
             pe, trials = sim.decoding_error_rate(
                 cb, chan, params, cfg.get("trials", 1000), args.seed,
@@ -448,14 +444,8 @@ def _simulate(args) -> int:
             rep = sim.lemma1_experiment(
                 dist, cfg["s_rate"], params, cfg.get("trials", 1000), args.seed, caps
             )
-            rows.append({
-                "n": n,
-                "exceedance_frequency": rep.exceedance_frequency,
-                "threshold": rep.threshold,
-                "mean_count": rep.mean_count,
-                "info_rate": rep.info_rate,
-                "in_concentration_regime": rep.in_concentration_regime,
-            })
+            rows.append({"n": n, **_fields(rep, "exceedance_frequency threshold mean_count "
+                                                "info_rate in_concentration_regime")})
     payload = {"subcommand": "simulate", "scheme": scheme, "seed": args.seed, "rows": rows}
     if args.format == "csv":
         buf = io.StringIO()

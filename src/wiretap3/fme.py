@@ -350,25 +350,18 @@ def _row_vector(
     ineq: LinearInequality, vars_: Sequence[str], atoms: Sequence[str]
 ) -> tuple[list[int], int]:
     """``ineq`` as the integer row ``(nums, den)`` of a.x <= beta over
-    ``vars_`` then ``atoms``: a's numerators, then beta's."""
+    ``vars_`` then ``atoms``: a's numerators, then beta's; a premise row
+    of ``Premises`` and a target of ``implied_by`` alike."""
     vs, at = ineq.var_nums, ineq.atom_nums
     nums = [vs.get(v, 0) for v in vars_] + [-at.get(a, 0) for a in atoms]
     return nums + [ineq.const_num], ineq.den
-
-
-def _target(ineq: LinearInequality, vars_: Sequence[str], atoms: Sequence[str]):
-    """``ineq`` as the rational target ``(c, delta)`` of ``implied_by``."""
-    nums, den = _row_vector(ineq, vars_, atoms)
-    if den != 1:
-        nums = [Fraction(n, den) for n in nums]
-    return nums[:-1], nums[-1]
 
 
 def _implications(premises: Sequence[LinearInequality], targets: Sequence[LinearInequality],
                   vars_: Sequence[str], atoms: Sequence[str]) -> list[Optional[list[Fraction]]]:
     """``implied_by``'s multipliers for each target over one premise set, or None."""
     vecs = Premises(_row_vector(r, vars_, atoms) for r in premises)
-    return [implied_by(vecs, _target(r, vars_, atoms)) for r in targets]
+    return [implied_by(vecs, _row_vector(r, vars_, atoms)) for r in targets]
 
 
 def infeasibility_certificate(
@@ -384,7 +377,7 @@ def infeasibility_certificate(
     """
     vars_, atoms = _joint_space([sys], assumptions)
     vecs = Premises(_row_vector(r, vars_, atoms) for r in (*sys.inequalities, *assumptions))
-    return implied_by(vecs, ([0] * (len(vars_) + len(atoms)), -1))
+    return implied_by(vecs, ([0] * (len(vars_) + len(atoms)) + [-1], 1))
 
 
 def remove_redundant(
@@ -414,7 +407,7 @@ def remove_redundant(
     active = list(range(len(rows)))
     for i, r in enumerate(rows):
         premise = vecs.take([j for j in active if j != i] + assumed)
-        if implied_by(premise, _target(r, vars_, atoms)) is None:
+        if implied_by(premise, _row_vector(r, vars_, atoms)) is None:
             kept.append(r)
         else:
             active.remove(i)

@@ -20,9 +20,10 @@ ratio-test ties go to the lowest basis index.
 
 Entries are ints or ``Fraction``s (floats convert exactly); costs enter
 the objective row as ints.  ``Premises`` takes a premise set as integer
-rows, as ``fme`` keeps them, and builds once the matrix and costs of every
-``implied_by`` LP on it or on a subset of its rows.  Pivots depend only on
-the rational tableau, each LP still calls ``simplex_min_eq`` by its module
+rows ``(nums, den)``, as ``fme`` keeps them, and builds once the matrix and
+costs of every ``implied_by`` LP on it or on a subset of its rows; the
+target of each LP is one more such row.  Pivots depend only on the
+rational tableau, each LP still calls ``simplex_min_eq`` by its module
 name, and certificates are checked in integers.
 """
 
@@ -34,6 +35,7 @@ from typing import Optional, Sequence
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
+Row = tuple[Sequence[int], int]   # (nums, den): a row's numerators over one int den > 0
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -231,35 +233,33 @@ def feasible_eq(A: Mat, b: Vec) -> Optional[Vec]:
     return res.x if res.status == OPTIMAL else None
 
 
-def implied_by(
-    rows: Sequence[tuple[Sequence[Fraction], Fraction]],
-    target: tuple[Sequence[Fraction], Fraction],
-) -> Optional[Vec]:
+def implied_by(rows: Premises, target: Row) -> Optional[Vec]:
     """Farkas certificate that ``rows`` imply the target inequality.
 
-    Each row is (a, beta) standing for a.x <= beta over a common free
-    variable space, with int or ``Fraction`` entries and as long as c
-    (ValueError otherwise).  Returns multipliers y >= 0 with
-    sum y_i a_i = c and sum y_i beta_i <= delta for target (c, delta), or
-    None when no such certificate exists.  For a feasible system this is
-    exactly logical implication; infeasible rows imply anything, and their
-    certificate follows the LP's unbounded ray far enough to reach delta.
-    Every certificate passes ``verify_certificate`` before it is returned.
-    Rows given as ``Premises`` are not converted; every call still
-    solves its one LP through the module's ``simplex_min_eq``.
+    Each row stands for a.x <= beta over a common free variable space; the
+    target c.x <= delta is one more row ``(nums, den)`` in that layout, over
+    ``den`` > 0 and as long as the rows (ValueError otherwise, as for a
+    rational pair ``(c, delta)``).  Returns multipliers y >= 0 with
+    sum y_i a_i = c and sum y_i beta_i <= delta, or None when no such
+    certificate exists.  For a feasible system this is exactly logical
+    implication; infeasible rows imply anything, and their certificate
+    follows the LP's unbounded ray far enough to reach delta.  Every
+    certificate passes ``verify_certificate`` before it is returned.  The
+    one LP, solved through the module's ``simplex_min_eq``, takes the
+    target's numerators: that moves no pivot and scales y by ``den``.
     """
-    c, delta = target
+    nums, den = target
+    if den <= 0:
+        raise ValueError(f"target denominator {den} is not positive")
+    if any(len(r) != len(nums) for r, _ in rows):
+        raise ValueError(f"premise rows of lengths {sorted({len(r) - 1 for r, _ in rows})}, "
+                         f"target of length {len(nums) - 1}")
     if not rows:
-        return [] if all(v == 0 for v in c) and delta >= 0 else None
-    if not isinstance(rows, Premises):
-        rows = Premises(IntRows.of([*a, beta] for a, beta in rows))
-    if any(len(nums) != len(c) + 1 for nums, _ in rows):
-        raise ValueError(f"premise rows of lengths {sorted({len(n) - 1 for n, _ in rows})}, "
-                         f"target of length {len(c)}")
-    # variables: y_1..y_k >= 0; constraints: sum_i y_i a_i = c (dim equalities);
-    # the costs are the betas times rows.scale, and so is the LP's value
-    cost, bound = rows.cost, delta * rows.scale
-    res = simplex_min_eq(rows.matrix, list(c), cost)
+        return [] if not any(nums[:-1]) and nums[-1] >= 0 else None
+    # variables: y_1..y_k >= 0; constraints: sum_i y_i a_i = den c (dim equalities);
+    # the costs are the betas times rows.scale: value and bound are den * scale times theirs
+    cost, bound = rows.cost, nums[-1] * rows.scale
+    res = simplex_min_eq(rows.matrix, nums[:-1], cost)
     if res.status == UNBOUNDED:
         value = sum(q * v for q, v in zip(cost, res.x))
         slope = sum(q * r for q, r in zip(cost, res.ray))
@@ -269,31 +269,31 @@ def implied_by(
         return None
     else:
         y = res.x
+    if den != 1:
+        y = [v / den for v in y]
     verify_certificate(rows, target, y)
     return y
 
 
-def verify_certificate(
-    rows: Sequence[tuple[Sequence[Fraction], Fraction]],
-    target: tuple[Sequence[Fraction], Fraction],
-    y: Sequence[Fraction],
-) -> None:
+def verify_certificate(rows: Sequence[Row], target: Row, y: Sequence[Fraction]) -> None:
     """Check y >= 0, sum y_i a_i = c and sum y_i beta_i <= delta exactly.
 
-    The sums run in integers over one denominator.  Raises ValueError (also
-    under ``python -O``) when y certifies nothing or a row is not as long
-    as ``c``.
+    ``rows`` (a ``Premises`` or any list of integer rows) and ``target``
+    are as ``implied_by`` takes them; the sums run in integers over one
+    denominator.  Raises ValueError (also under ``python -O``) when y
+    certifies nothing, a row is not as long as the target or its ``den``
+    is not positive.
     """
-    c, delta = target
+    want, td = target
+    if td <= 0:
+        raise ValueError(f"target denominator {td} is not positive")
     if len(y) != len(rows):
         raise ValueError(f"{len(y)} multipliers for {len(rows)} rows")
-    if not isinstance(rows, Premises):
-        rows = IntRows.of([*a, beta] for a, beta in rows)
-    (want, td), = IntRows.of([[*c, delta]])
     used = []   # (y_i's numerator, y_i's denominator times den_i, nums_i)
     for yi, (nums, den) in zip(_exact(y), rows):
         if len(nums) != len(want):
-            raise ValueError(f"a premise row of length {len(nums) - 1}, target of length {len(c)}")
+            raise ValueError(f"a premise row of length {len(nums) - 1}, "
+                             f"target of length {len(want) - 1}")
         if yi < 0:
             raise ValueError(f"negative multiplier {yi}")
         if yi:
@@ -306,4 +306,5 @@ def verify_certificate(
     if [s * td for s in lhs[:-1]] != [v * m for v in want[:-1]]:
         raise ValueError("multipliers do not reproduce the target coefficients")
     if lhs[-1] * td > want[-1] * m:
-        raise ValueError(f"multipliers bound the target by {Fraction(lhs[-1], m)} > {delta}")
+        raise ValueError(f"multipliers bound the target by {Fraction(lhs[-1], m)} "
+                         f"> {Fraction(want[-1], td)}")

@@ -615,8 +615,7 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
         )
     W = chan.matrix
     if isinstance(cb, WiretapCodebook):
-        if W.shape[0] != cb.p_x_given_v.shape[1]:
-            raise DistributionError("channel input must be the X alphabet")
+        _channel_to(cb, chan)
         n_cw = cb.v_seqs.shape[0] * cb.x_seqs.shape[1]
         if out_space * n_cw > caps.max_exact_work:
             raise CapExceededError("exact equivocation work above cap")

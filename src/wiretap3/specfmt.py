@@ -216,38 +216,41 @@ def parse_spec(text: str) -> SpecDocument:
     return doc
 
 
-def _format_table(chan: ConditionalPmf) -> list[str]:
+def _format_table(chan: ConditionalPmf) -> tuple[str, ...]:
     """Rows of exact literals when the table is exact, else of float reprs."""
     if chan.exact is not None:
-        return [" ".join(map(str, row)) for row in chan.exact]
-    return [" ".join(repr(float(v)) for v in row) for row in chan.matrix]
+        return tuple(" ".join(map(str, row)) for row in chan.exact)
+    return tuple(" ".join(repr(float(v)) for v in row) for row in chan.matrix)
 
 
 def write_spec(doc: SpecDocument) -> str:
-    out = []
-    for name, size in doc.alphabets.items():
-        out.append(f"alphabet {name} {size}")
-    for name, (axes, p) in doc.pmfs.items():
-        out.append(f"pmf {name} : {' '.join(axes)}")
-        out.extend(_format_table(_pmf_table(p)))
-    for name, (in_axes, out_axes, chan) in doc.channels.items():
-        out.append(f"channel {name} : {' '.join(in_axes)} -> {' '.join(out_axes)}")
-        out.extend(_format_table(chan))
-    # each factor's table gets a name no pmf, channel or earlier table has
-    used = {*doc.pmfs, *doc.channels}
+    pmfs = {n: (axes, _format_table(_pmf_table(p))) for n, (axes, p) in doc.pmfs.items()}
+    channels = {n: (ins, outs, _format_table(c)) for n, (ins, outs, c) in doc.channels.items()}
+    # a factor names a declared table it reads back as, looked up as a factor
+    # line does (channels first); any other table is declared once, after the
+    # document's own, under a name no pmf or channel has, so a second write
+    # of the text changes nothing
+    names = {rows: n for n, (_, rows) in pmfs.items() if n not in channels}
+    names.update((rows, n) for n, (_, _, rows) in channels.items())
+    factored = []
     for name, fd in doc.factored.items():
-        tables = []
+        factored.append(f"factored {name}" + (f" {fd.pattern}" if fd.pattern else ""))
         for k, f in enumerate(fd.factors):
-            table = f"{name}_f{k}"
-            while table in used:
-                table += "_"
-            used.add(table)
-            tables.append(table)
-            head = f"channel {table} : {' '.join(f.given)} ->" if f.given else f"pmf {table} :"
-            out.append(f"{head} {' '.join(f.targets)}")
-            out.extend(_format_table(f.table))
-        out.append(f"factored {name}" + (f" {fd.pattern}" if fd.pattern else ""))
-        for f, table in zip(fd.factors, tables):
-            out.append(" ".join(("factor", *f.targets, "|", *f.given, "=", table)))
-        out.append("end")
-    return "\n".join(out) + "\n"
+            rows = _format_table(f.table)
+            if rows not in names:
+                table = f"{name}_f{k}"
+                while table in pmfs or table in channels:
+                    table += "_"
+                names[rows] = table
+                if f.given:
+                    channels[table] = (f.given, f.targets, rows)
+                else:
+                    pmfs[table] = (f.targets, rows)
+            factored.append(" ".join(("factor", *f.targets, "|", *f.given, "=", names[rows])))
+        factored.append("end")
+    out = [f"alphabet {name} {size}" for name, size in doc.alphabets.items()]
+    for name, (axes, rows) in pmfs.items():
+        out += [f"pmf {name} : {' '.join(axes)}", *rows]
+    for name, (in_axes, out_axes, rows) in channels.items():
+        out += [f"channel {name} : {' '.join(in_axes)} -> {' '.join(out_axes)}", *rows]
+    return "\n".join(out + factored) + "\n"

@@ -557,7 +557,7 @@ class TestAgainstReplacedPaths:
                 vars_, atoms = fme._joint_space([sys_], assumptions)
                 vecs = Premises(fme._row_vector(r, vars_, atoms)
                                 for r in (*sys_.inequalities, *assumptions))
-                verify_certificate(vecs, ([0] * (len(vars_) + len(atoms)), F(-1)), y)
+                verify_certificate(vecs, ([0] * (len(vars_) + len(atoms)) + [-1], 1), y)
         assert min(verdicts.values()) >= 100, verdicts
 
     @pytest.mark.parametrize("variables, rows, feasible", [

@@ -1,6 +1,7 @@
 """Exact LP layer: the fraction-free simplex against the Fraction tableau it
-replaced (``reference_simplex``), premises converted once against the
-per-call conversion (``reference_implied``), unbounded rays and Farkas
+replaced (``reference_simplex``), premises converted once and integer
+targets against the per-call conversion of rational rows and rational
+``(c, delta)`` pairs (``reference_implied``), unbounded rays and Farkas
 certificates.
 
 Arithmetic is exact on both sides, so status, x and value must be equal,
@@ -165,30 +166,48 @@ def test_fixture_lps_match_reference(monkeypatch):
             assert got.x == want.x
 
 
+def _rows(rows):
+    """Rational rows ``(a, beta)`` as integer rows ``(nums, den)``."""
+    return IntRows.of([*a, beta] for a, beta in rows)
+
+
 def _premises(rows):
     """Rational rows ``(a, beta)`` as ``Premises``."""
-    return Premises(IntRows.of([*a, beta] for a, beta in rows))
+    return Premises(_rows(rows))
+
+
+def _target(c, delta):
+    """The rational target c.x <= delta as the integer row ``implied_by`` takes."""
+    return _rows([(c, delta)])[0]
 
 
 def _rational(rows):
-    """The rational rows ``(a, beta)`` that ``rows`` (a list or ``Premises``) stand for."""
-    if not isinstance(rows, Premises):
-        return list(rows)
+    """The rational rows ``(a, beta)`` that integer rows ``(nums, den)`` stand for."""
     return [([F(v, d) for v in nums[:-1]], F(nums[-1], d)) for nums, d in rows]
 
 
+@pytest.fixture(autouse=True)
+def _reference_checks_integer_rows(monkeypatch):
+    # reference_implied checks its certificates with the program's
+    # verify_certificate, which takes integer rows and an integer target
+    monkeypatch.setattr(reference_implied, "verify_certificate", lambda rows, target, y:
+                        verify_certificate(_rows(rows), _target(*target), y))
+
+
 def _same_lp(rows, target):
-    """Solve the implication LP of ``rows`` (a list or ``Premises``) both ways."""
-    y = implied_by(rows, target)
-    rational = _rational(rows)
-    assert y == reference_implied.implied_by(rational, target)
+    """Solve the implication LP of ``rows`` (rational rows or ``Premises``) and
+    the integer ``target`` both ways: the reference takes the rational rows
+    and the rational pair ``(c, delta)`` they stand for."""
+    premises = rows if isinstance(rows, Premises) else _premises(rows)
+    y = implied_by(premises, target)
+    rational = _rational(premises)
+    (c, delta), = _rational([target])
+    assert y == reference_implied.implied_by(rational, (c, delta))
     if not rows:   # no LP: the zero-width matrix would lose the target's rows
         return "no LP", y is not None
-    c, _ = target
     cost = [beta for _, beta in rational]
-    matrix = (rows if isinstance(rows, Premises) else _premises(rows)).matrix
     A = [list(col) for col in zip(*(a for a, _ in rational))]
-    got = simplex_min_eq(matrix, list(c), cost)
+    got = simplex_min_eq(premises.matrix, list(c), cost)
     want = reference_implied.simplex_min_eq(A, list(c), cost)
     assert (got.status, got.x, got.value, got.ray) == (want.status, want.x, want.value, want.ray)
     return got.status, y is not None
@@ -204,12 +223,15 @@ def test_fixture_implications_match_per_call_conversion(monkeypatch):
         pairs.append((rows, target))
         return implied_by(rows, target)
 
-    monkeypatch.setattr(fme, "implied_by", recording)
-    for name in fixture_runs.fixture_names():
-        assert fixture_runs.run_fixture(name).ok, name
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(fme, "implied_by", recording)
+        for name in fixture_runs.fixture_names():
+            assert fixture_runs.run_fixture(name).ok, name
     assert len(pairs) == 412
     assert all(isinstance(rows, Premises) for rows, _ in pairs)
+    # every target is an integer row over a positive int denominator, no Fraction in it
+    assert all(den > 0 and all(type(v) is int for v in (*nums, den)) for _, (nums, den) in pairs)
+    assert any(den > 1 for _, (_, den) in pairs)
     outcomes = {_same_lp(rows, target) for rows, target in pairs}
     assert {(OPTIMAL, True), (OPTIMAL, False), (INFEASIBLE, False)} <= outcomes
 
@@ -250,7 +272,7 @@ def test_random_implications_match_per_call_conversion():
     for _ in range(300):
         dim, k = rng.randint(1, 5), rng.randint(0, 7)
         rows = _random_premises(rng, k, dim)
-        target = _random_target(rng, rows, dim)
+        target = _target(*_random_target(rng, rows, dim))
         outcomes.add(_same_lp(rows, target))
         # order-preserving subsets with gaps share the full set's conversion
         full = _premises(rows)
@@ -266,31 +288,51 @@ def test_random_implications_match_per_call_conversion():
             ("no LP", True), ("no LP", False)} <= outcomes
 
 
+def test_random_integer_targets_match_rational_pairs():
+    # a target over a denominator above 1 is solved on its numerators, which
+    # scales x, the value, the bound and an unbounded ray's reach by den
+    rng = random.Random(2022)
+    outcomes, scaled = set(), 0
+    for _ in range(400):
+        dim, k = rng.randint(1, 4), rng.randint(0, 6)
+        rows = _random_premises(rng, k, dim)
+        c, delta = _random_target(rng, rows, dim)
+        q = F(1, rng.choice([2, 3, 6]))   # the same inequality, scaled by q
+        target = _target([q * v for v in c], q * delta)
+        outcome = _same_lp(rows, target)
+        if target[1] > 1:
+            scaled += 1
+            outcomes.add(outcome)
+    assert scaled >= 300
+    assert {(OPTIMAL, True), (OPTIMAL, False), (UNBOUNDED, True), (INFEASIBLE, False),
+            ("no LP", True), ("no LP", False)} <= outcomes
+
+
 RAGGED = [([1, 1], 0), ([1], 0)]   # x1 + x2 <= 0 does not imply x1 <= 0
 
 
 def test_implied_by_rejects_ragged_rows():
-    for rows in (RAGGED, _premises(RAGGED)):
-        with pytest.raises(ValueError, match=r"lengths \[1, 2\], target of length 1"):
-            implied_by(rows, ([1], 0))
+    with pytest.raises(ValueError, match=r"lengths \[1, 2\], target of length 1"):
+        implied_by(_premises(RAGGED), _target([1], 0))
     with pytest.raises(ValueError, match=r"lengths \[2\], target of length 3"):
-        implied_by(_premises(RAGGED[:1]), ([1, 1, 0], 0))
+        implied_by(_premises(RAGGED[:1]), _target([1, 1, 0], 0))
 
 
 def test_verify_rejects_ragged_rows():
     with pytest.raises(ValueError, match="length 2, target of length 1"):
-        verify_certificate(RAGGED[:1], ([1], 0), [1])
+        verify_certificate(_rows(RAGGED[:1]), _target([1], 0), [1])
     with pytest.raises(ValueError, match="length 1, target of length 2"):
-        verify_certificate([([1, 0], 0), ([1], 0)], ([1, 0], 0), [1, 0])   # even unused
+        verify_certificate(_rows([([1, 0], 0), ([1], 0)]), _target([1, 0], 0), [1, 0])   # even unused
 
 
 def test_infeasible_premise_gets_a_real_certificate():
     # x <= 0 and x >= 1 imply x <= -5; the ray of the unbounded LP reaches it
-    rows = [([1], 0), ([-1], -1)]
-    y = implied_by(rows, ([1], -5))
+    rows = _premises([([1], 0), ([-1], -1)])
+    y = implied_by(rows, _target([1], -5))
     assert y == [6, 5]
-    verify_certificate(rows, ([1], -5), y)
-    assert implied_by(rows, ([1], 0)) == [1, 0]
+    verify_certificate(rows, _target([1], -5), y)
+    assert implied_by(rows, _target([1], 0)) == [1, 0]
+    assert implied_by(rows, _target([F(1, 2)], F(-5, 2))) == [3, F(5, 2)]   # x/2 <= -5/2
 
 
 def test_certificates_of_a_fixture_are_all_verified(monkeypatch):
@@ -313,8 +355,8 @@ def test_certificates_of_a_fixture_are_all_verified(monkeypatch):
     assert issued and verified == issued
 
 
-ROWS = [([1, 0], 2), ([0, 1], 3), ([1, 1], 4)]
-TARGET = ([2, 1], 7)
+ROWS = _rows([([1, 0], 2), ([0, 1], 3), ([1, 1], 4)])
+TARGET = _target([2, 1], 7)
 
 
 @pytest.mark.parametrize("y, match", [
@@ -323,25 +365,39 @@ TARGET = ([2, 1], 7)
     ([1, 0], "rows"),
 ])
 def test_verify_rejects_tampered_multipliers(y, match):
-    assert implied_by(ROWS, TARGET) == [1, 0, 1]
+    assert implied_by(Premises(ROWS), TARGET) == [1, 0, 1]
     with pytest.raises(ValueError, match=match):
         verify_certificate(ROWS, TARGET, y)
 
 
 def test_verify_rejects_a_bound_too_tight():
-    verify_certificate(ROWS, ([2, 1], 6), [1, 0, 1])
+    verify_certificate(ROWS, _target([2, 1], 6), [1, 0, 1])
     with pytest.raises(ValueError, match="bound"):
-        verify_certificate(ROWS, ([2, 1], 5), [1, 0, 1])
+        verify_certificate(ROWS, _target([2, 1], 5), [1, 0, 1])
 
 
-SPARSE_ROWS = [([1, 0, 0, 0], 2), ([0, 0, F(1, 2), 0], 3), ([0, 1, 0, 0], 1)]
-SPARSE_TARGET = ([1, 0, 2, 0], 14)
+@pytest.mark.parametrize("target, match", [
+    (([2, 1], 7), "target of length 1"),            # a rational (c, delta) pair
+    (([2, 1], F(7, 2)), "target of length 1"),
+    (([2, 1], 0), "denominator 0 is not positive"),
+    (([2, 1, 7], 0), "denominator 0 is not positive"),
+    (([-2, -1, -7], -1), "denominator -1 is not positive"),
+], ids=["pair", "pair-fraction-delta", "pair-zero-delta", "zero-den", "negative-den"])
+def test_stale_pairs_and_nonpositive_denominators_are_rejected(target, match):
+    for call in (lambda: implied_by(Premises(ROWS), target),
+                 lambda: verify_certificate(ROWS, target, [1, 0, 1])):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+SPARSE_ROWS = _rows([([1, 0, 0, 0], 2), ([0, 0, F(1, 2), 0], 3), ([0, 1, 0, 0], 1)])
+SPARSE_TARGET = _target([1, 0, 2, 0], 14)
 
 
 @pytest.mark.parametrize("target, y", [
-    (SPARSE_TARGET, [1, 5, 0]),         # one coordinate off, the zeros beside it right
-    (SPARSE_TARGET, [1, 4, 1]),         # a zero coordinate of the target reached
-    (([1, 0, 2, 1], 14), [1, 4, 0]),    # a coordinate no row has
+    (SPARSE_TARGET, [1, 5, 0]),                 # one coordinate off, the zeros beside it right
+    (SPARSE_TARGET, [1, 4, 1]),                 # a zero coordinate of the target reached
+    (_target([1, 0, 2, 1], 14), [1, 4, 0]),     # a coordinate no row has
 ])
 def test_verify_rejects_a_wrong_coordinate_among_zeros(target, y):
     verify_certificate(SPARSE_ROWS, SPARSE_TARGET, [1, 4, 0])
@@ -368,10 +424,10 @@ def test_verify_rejects_tampered_multipliers_under_O():
 
 def test_ragged_rows_rejected_under_O():
     code = (
-        "from wiretap3.rationallp import implied_by, verify_certificate\n"
-        f"rows = {RAGGED!r}\n"
-        "for call in (lambda: implied_by(rows, ([1], 0)),\n"
-        "             lambda: verify_certificate(rows[:1], ([1], 0), [1])):\n"
+        "from wiretap3.rationallp import Premises, implied_by, verify_certificate\n"
+        f"rows = {_rows(RAGGED)!r}\n"
+        "for call in (lambda: implied_by(Premises(rows), ([1, 0], 1)),\n"
+        "             lambda: verify_certificate(rows[:1], ([1, 0], 1), [1])):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError:\n"

@@ -101,6 +101,19 @@ end
 
 
 # blank, comment-only and blank-with-spaces lines ahead of every case below
+# pmf pa and channel pb are the tables of d and e; channel d_f0 and pmf
+# d_f0_ hold the names a fresh table of d would get first
+COLLIDING = (
+    "alphabet A 2\nalphabet B 2\nchannel d_f0 : A -> B\n1/2 1/2\n1/4 3/4\n"
+    "pmf d_f0_ : A\n1 0\npmf pa : A\n1/3 2/3\nchannel pb : A -> B\n1 0\n0 1\n"
+    "factored d\nfactor A | = pa\nfactor B | A = pb\nend\n"
+    "factored e\nfactor A | = pa\nfactor B | A = pb\nend\n"
+)
+# pmf pa holds d's table, but a factor line "= pa" reads channel pa
+SHADOWED = (
+    "alphabet A 2\nalphabet Q 1\npmf pa : A\n1/3 2/3\npmf pq : A\n1/3 2/3\n"
+    "channel pa : Q -> A\n1 0\nfactored d\nfactor A | = pq\nend\n"
+)
 PREFIX = "\n# a comment\n   \n  # an indented comment\n"
 
 
@@ -173,23 +186,48 @@ class TestRoundTrip:
         assert np.array_equal(again.pmf("p").probs, doc.pmf("p").probs)
 
     def test_factor_tables_get_fresh_names(self):
-        # the document's own channel d_f0 and pmf d_f0_ hold the names d's
-        # first factor table would get; a factor line looks up channels first,
-        # so a reused name would make it read the 2x2 channel d_f0
-        doc = parse_spec(
-            "alphabet A 2\nalphabet B 2\nchannel d_f0 : A -> B\n1/2 1/2\n1/4 3/4\n"
-            "pmf d_f0_ : A\n1 0\npmf pa : A\n1/3 2/3\nchannel pb : A -> B\n1 0\n0 1\n"
-            "factored d\nfactor A | = pa\nfactor B | A = pb\nend\n"
-        )
+        # d's tables are not declared; the document's own channel d_f0 and
+        # pmf d_f0_ hold the names d's first factor table would get, and a
+        # factor line looks up channels first, so a reused name would make
+        # it read the 2x2 channel d_f0.  e's equal tables are declared once.
+        doc = parse_spec(COLLIDING)
+        del doc.pmfs["pa"], doc.channels["pb"]
         text = write_spec(doc)
-        assert "factor A | = d_f0__" in text.splitlines()
-        assert "factor B | A = d_f1" in text.splitlines()
+        lines = text.splitlines()
+        assert lines.count("factor A | = d_f0__") == lines.count("factor B | A = d_f1") == 2
         again = parse_spec(text)
-        assert again.pmfs.keys() == {"d_f0_", "pa", "d_f0__"}
-        assert again.channels.keys() == {"d_f0", "pb", "d_f1"}
-        assert np.array_equal(again.factored["d"].realization.tensor,
-                              doc.factored["d"].realization.tensor)
+        assert list(again.pmfs) == ["d_f0_", "d_f0__"]
+        assert list(again.channels) == ["d_f0", "d_f1"]
+        for name in "de":
+            assert np.array_equal(again.factored[name].realization.tensor,
+                                  doc.factored[name].realization.tensor)
         assert again.channel("d_f0").exact == doc.channel("d_f0").exact
+        assert write_spec(again) == text
+
+    @pytest.mark.parametrize("text", [
+        DOC.replace("factor V | Q = pv", "factor X | Q = pv"), COLLIDING, SHADOWED,
+    ], ids=["doc", "colliding", "shadowed"])
+    def test_write_is_a_fixed_point(self, text):
+        # a declared table keeps its name, so a round trip adds no table
+        once = write_spec(parse_spec(text))
+        assert write_spec(parse_spec(once)) == once
+        doc = parse_spec(text)
+        for name, fd in doc.factored.items():
+            again = parse_spec(once).factored[name]
+            assert np.array_equal(again.realization.tensor, fd.realization.tensor)
+
+    def test_declared_factor_tables_keep_their_names(self):
+        lines = write_spec(parse_spec(COLLIDING)).splitlines()
+        assert {"factor A | = pa", "factor B | A = pb"} <= set(lines)
+        assert sum(line.startswith(("pmf ", "channel ")) for line in lines) == 4
+        # channel pa shadows pmf pa in a factor line, so a table equal to
+        # pmf pa is written under another name that reads it back
+        doc = parse_spec(SHADOWED)
+        assert "factor A | = pq" in write_spec(doc).splitlines()
+        del doc.pmfs["pq"]
+        text = write_spec(doc)
+        assert "factor A | = d_f0" in text.splitlines()
+        assert parse_spec(text).factored["d"].factors[0].table.exact == ((F(1, 3), F(2, 3)),)
 
     def test_exact_pmf_factors_stay_exact(self):
         doc = parse_spec(
