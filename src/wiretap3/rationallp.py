@@ -1,17 +1,18 @@
 """Exact rational linear programming, sized for desk-scale systems.
 
 A small two-phase tableau simplex, kept exact without ``Fraction``
-arithmetic in the pivots.  Each tableau row is a list of Python ints with
-one positive int denominator, gcd-reduced after every pivot (fraction-free
-pivoting in the manner of Edmonds-Bareiss and Avis's lrs, with a per-row
-rather than a global denominator).  A pivot scales each other row by the
-pivot entry and subtracts only over the pivot row's nonzero columns, and
-skips the gcd division when the gcd is 1: most entries of these tableaus
-are zero and most updated rows are already reduced.  The objective row is
-one more such row that every pivot updates, so reduced costs are never
-rebuilt from the basis.  Ratio tests cross-multiply integers (row
-denominators cancel) and reduced costs compare as numerators over one
-denominator.  Redundancy certificates and region equality are decided with
+arithmetic in the pivots.  Each tableau row is a list of Python ints over
+one positive int denominator (fraction-free pivoting in the manner of
+Edmonds-Bareiss and Avis's lrs, with a per-row rather than a global
+denominator).  A pivot subtracts the pivot row only over its nonzero
+columns.  When the reduced pivot entry is 1, as in most pivots here, the
+other rows keep their denominators and are not reduced; otherwise they
+are scaled by it and gcd-reduced.  A row so left is the reduced row times
+a positive int, which moves no pivot: the Dantzig argmin on the objective
+row, ratio tests (cross-multiplied within each row) and sign and zero
+tests read the same at any positive scale, and results leave as reduced
+``Fraction``s.  The objective row is one more such row that every pivot
+updates.  Redundancy certificates and region equality are decided with
 zero tolerance.
 
 Pivoting uses Dantzig's rule with a Bland fallback after 30 degenerate
@@ -74,10 +75,12 @@ class Premises(list):
     """Rows a.x <= beta as integer rows ``(nums, den)``: a's numerators, then
     beta's, over ``den`` > 0.  ``matrix`` is the ``IntRows`` of their
     ``implied_by`` LPs (column i is row i's a; each row is ``IntRows.of`` of
-    the rational column), ``cost`` the betas as ints over ``scale``."""
+    the rational column), ``cost`` the betas as ints over ``scale``, and
+    ``lengths`` the sorted distinct row lengths, which ``take`` keeps."""
 
-    def __init__(self, rows=(), matrix=None, cost=None, scale=1):
+    def __init__(self, rows=(), matrix=None, cost=None, scale=1, lengths=None):
         super().__init__(rows)
+        self.lengths = sorted({len(nums) for nums, _ in self}) if lengths is None else lengths
         if matrix is None:
             dens = [d for _, d in self]
             scale, matrix = lcm(*dens), IntRows()
@@ -93,13 +96,16 @@ class Premises(list):
     def take(self, idx: Sequence[int]) -> "Premises":
         """The rows at ``idx``, in order; each matrix row keeps its (valid) ``den``."""
         cols = IntRows(([r[j] for j in idx], d) for r, d in self.matrix)
-        return Premises([self[i] for i in idx], cols, [self.cost[i] for i in idx], self.scale)
+        return Premises([self[i] for i in idx], cols, [self.cost[i] for i in idx], self.scale,
+                        self.lengths)
 
 
 def _pivot(tab: list[list[int]], den: list[int], r: int, e: int) -> None:
     """Make column ``e`` basic in row ``r`` (``tab[r][e] > 0``), in every row.
 
-    A row is updated in place when the pivot entry is 1; every row belongs
+    The pivot row is divided by the gcd of its entries, so its entry ``p``
+    does not depend on the row's scale.  For ``p == 1`` each other row is
+    updated in place over its ``den`` and left unreduced; every row belongs
     to this tableau alone.
     """
     piv = tab[r]
@@ -111,15 +117,16 @@ def _pivot(tab: list[list[int]], den: list[int], r: int, e: int) -> None:
     for i, row in enumerate(tab):
         f = row[e]
         if f and i != r:
-            new = [p * a for a in row] if p != 1 else row
+            if p != 1:
+                row = [p * a for a in row]
             for j, b in nonzero:
-                new[j] -= f * b
-            d = den[i] * p
-            g = gcd(d, *new)
-            if g != 1:
-                new = [v // g for v in new]
-                d //= g
-            tab[i], den[i] = new, d
+                row[j] -= f * b
+            if p != 1:
+                d = den[i] * p
+                g = gcd(d, *row)
+                if g != 1:
+                    row, d = [v // g for v in row], d // g
+                tab[i], den[i] = row, d
 
 
 def _objective(cost: list[int], tab: list[list[int]], den: list[int], basis: list[int]) -> None:
@@ -129,7 +136,9 @@ def _objective(cost: list[int], tab: list[list[int]], den: list[int], basis: lis
     obj = [q * d for q in cost] + [0]
     for q, i in terms:
         f = q * (d // den[i])
-        obj = [o - f * a for o, a in zip(obj, tab[i])]
+        for j, a in enumerate(tab[i]):
+            if a:
+                obj[j] -= f * a
     g = gcd(d, *obj)
     tab.append([v // g for v in obj])
     den.append(d // g)
@@ -147,7 +156,7 @@ def simplex_min_eq(A: Mat | IntRows, b: Vec, c: Vec) -> SimplexResult:
     m = len(A)
     n = len(c)
     b = _exact(b)
-    (cost, scale), = IntRows.of([c])
+    cost, scale = (c, 1) if all(type(q) is int for q in c) else IntRows.of([c])[0]
     tab, den = [], []
     for i, (r, d) in enumerate(A if isinstance(A, IntRows) else IntRows.of(A)):
         if len(r) != n:
@@ -158,7 +167,8 @@ def simplex_min_eq(A: Mat | IntRows, b: Vec, c: Vec) -> SimplexResult:
         t = q.numerator * (d // q.denominator)
         if t < 0:
             r, t = [-v for v in r], -t
-        tab.append(r + [d if j == i else 0 for j in range(m)] + [t])
+        tab.append(r + [0] * m + [t])
+        tab[i][n + i] = d
         den.append(d)
     # Phase 1: artificial variable per row; tab[m] is the objective row.
     basis = [n + i for i in range(m)]
@@ -170,9 +180,8 @@ def simplex_min_eq(A: Mat | IntRows, b: Vec, c: Vec) -> SimplexResult:
         stall = 0
         while True:
             if stall < 30:
-                entering = min(range(T), key=obj.__getitem__, default=-1)
-                if entering >= 0 and obj[entering] >= 0:
-                    entering = -1
+                low = min(obj[:T], default=0)
+                entering = obj.index(low) if low < 0 else -1
             else:  # Bland's rule
                 entering = next((j for j in range(T) if obj[j] < 0), -1)
             if entering < 0:
@@ -246,13 +255,15 @@ def implied_by(rows: Premises, target: Row) -> Optional[Vec]:
     follows the LP's unbounded ray far enough to reach delta.  Every
     certificate passes ``verify_certificate`` before it is returned.  The
     one LP, solved through the module's ``simplex_min_eq``, takes the
-    target's numerators: that moves no pivot and scales y by ``den``.
+    target's numerators: that moves no pivot and scales y by ``den``.  A
+    directly built ``Premises([])`` has no row length to check the target's
+    against (``take`` keeps its parent's, also for no rows).
     """
     nums, den = target
     if den <= 0:
         raise ValueError(f"target denominator {den} is not positive")
-    if any(len(r) != len(nums) for r, _ in rows):
-        raise ValueError(f"premise rows of lengths {sorted({len(r) - 1 for r, _ in rows})}, "
+    if rows.lengths not in ([], [len(nums)]):
+        raise ValueError(f"premise rows of lengths {[k - 1 for k in rows.lengths]}, "
                          f"target of length {len(nums) - 1}")
     if not rows:
         return [] if not any(nums[:-1]) and nums[-1] >= 0 else None
@@ -294,10 +305,10 @@ def verify_certificate(rows: Sequence[Row], target: Row, y: Sequence[Fraction]) 
         if len(nums) != len(want):
             raise ValueError(f"a premise row of length {len(nums) - 1}, "
                              f"target of length {len(want) - 1}")
-        if yi < 0:
+        if (p := yi.numerator) < 0:
             raise ValueError(f"negative multiplier {yi}")
-        if yi:
-            used.append((yi.numerator, yi.denominator * den, nums))
+        if p:
+            used.append((p, yi.denominator * den, nums))
     m = lcm(*(q for _, q, _ in used))   # sum_i y_i * (a_i, beta_i) is lhs / m
     lhs = [0] * len(want)
     for p, q, nums in used:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import reference_fme as ref
 from sampling import system_feasible
 from vertex_oracle import projection_matches
-from wiretap3 import fme
+from wiretap3 import fme, rationallp
 from wiretap3.cli import main
 from wiretap3.fixture_runs import fixture_names, fixture_text, run_fixture
 from wiretap3.fme import (
@@ -402,13 +402,51 @@ FIXTURE_JSON_SHA256 = {
 }
 
 
+FIXTURE_HUMAN_SHA256 = {
+    "theorem1": "2cdccf2b5e1e9a4eb4f19a89272354e805ccfd3a17d0acc172d21acf3d81e0ef",
+    "rate_split": "94d9b5f8a625b48a1a8dec554903b5c096d1539ee3fb7edccd343eebf15a6932",
+    "multilevel_case1": "a5a711283afb23f40e5a50c19181e088ce7e41a48b872ae86873ce63b0368c08",
+    "multilevel_case2": "9913d24e2eb4cf2e7d35484567f34646b921001a921ad10ba9c545b9b1d79ff5",
+    "multilevel_case3": "5ea932683a2867279fc5377c881cbdfcd0c13a03dabbe48157846cfab6d894ed",
+    "multilevel_case4": "0d2431da778e6bcea9495f38dbe9eca4e64cfd778d652fdc833b0becf76c534d",
+}
+
+# sha256 of the repr of the (row, column) list of every pivot the six
+# fixtures make, in fixture order: 4,700 pivots over 412 LPs
+FIXTURE_PIVOTS_SHA256 = "7c62e1963f8c186b8afb13346c62a51a37101ea665edfaaad43a25a51af0b77b"
+
+
+def _fixture_output_sha256(name, fmt, capsys):
+    assert main(["fme", "--fixture", name, "--format", fmt]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", fixture_names())
 def test_fixture_json_is_byte_identical(name, capsys):
     # `wiretap3 fme --fixture NAME --format json`: rows, labels, checks and
     # every certificate's multipliers, pinned byte for byte
-    assert main(["fme", "--fixture", name, "--format", "json"]) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == FIXTURE_JSON_SHA256[name]
+    assert _fixture_output_sha256(name, "json", capsys) == FIXTURE_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_human_output_is_byte_identical(name, capsys):
+    assert _fixture_output_sha256(name, "human", capsys) == FIXTURE_HUMAN_SHA256[name]
+
+
+def test_fixture_pivot_sequence_is_pinned(monkeypatch):
+    # the same pivots, not only the same printed multipliers
+    pivots = []
+    real = rationallp._pivot
+
+    def record(tab, den, r, e):
+        pivots.append((r, e))
+        real(tab, den, r, e)
+
+    monkeypatch.setattr(rationallp, "_pivot", record)
+    for name in fixture_names():
+        assert run_fixture(name).ok, name
+    assert len(pivots) == 4700
+    assert hashlib.sha256(repr(pivots).encode()).hexdigest() == FIXTURE_PIVOTS_SHA256
 
 
 def _fields(row):

@@ -13,7 +13,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -48,13 +50,16 @@ def _check_ray(A, b, c, res):
 
 
 def _same(A, b, c) -> str:
-    want = ref.simplex_min_eq(A, b, c)
+    """Compare one LP with the reference; an ``IntRows`` ``A`` goes to the
+    reference and the ray check as its rational values."""
+    rational = [[F(v, d) for v in r] for r, d in A] if isinstance(A, IntRows) else A
+    want = ref.simplex_min_eq(rational, b, c)
     got = simplex_min_eq(A, b, c)
     assert (got.status, got.value) == (want.status, want.value)
     if want.status == OPTIMAL:
         assert got.x == want.x
     if got.status == UNBOUNDED:
-        _check_ray(A, b, c, got)
+        _check_ray(rational, b, c, got)
     return got.status
 
 
@@ -101,6 +106,60 @@ def test_degenerate_lps_match_reference():
         c = [rng.randint(-3, 3) for _ in range(n)]
         seen.add(_same(A, [0] * m, c))
     assert seen == {OPTIMAL, UNBOUNDED}
+
+
+def _pivot_stats(monkeypatch) -> Counter:
+    """Count, over every later ``_pivot`` call: pivots, unit pivots (the
+    pivot row ends over den 1), updated rows left with a factor in common
+    with their den, pivots on a column the Dantzig scan would not pick
+    (Bland's rule after 30 stalls), and the most bits of any tableau entry
+    or den."""
+    stats = Counter()
+    real = rationallp._pivot
+
+    def record(tab, den, r, e):
+        obj = tab[-1]   # the objective row, whose argmin Dantzig takes
+        stats["bland"] += obj[e] < 0 and obj[e] != min(obj[:-1])
+        updated = [i for i, row in enumerate(tab) if row[e] and i != r]
+        real(tab, den, r, e)
+        stats["pivots"] += 1
+        stats["unit"] += den[r] == 1
+        stats["unreduced"] += sum(gcd(den[i], *tab[i]) > 1 for i in updated)
+        bits = max(max(abs(v).bit_length() for row in tab for v in row), max(den).bit_length())
+        stats["bits"] = max(stats["bits"], bits)
+
+    monkeypatch.setattr(rationallp, "_pivot", record)
+    return stats
+
+
+def test_unit_pivots_and_unreduced_rows_match_reference(monkeypatch):
+    # Each equation of a system with entries in {-1, 0, 1} is divided by a
+    # den in 2..6 (numerators over den as ``IntRows``, b over the same den):
+    # most pivots are unit pivots, which leave the rows they update over
+    # their den, often sharing a factor with it.
+    stats = _pivot_stats(monkeypatch)
+    rng = random.Random(23)
+
+    def lp(m, n, b):
+        A = [[rng.choice([-1, 0, 0, 1]) for _ in range(n)] for _ in range(m)]
+        dens = [rng.randint(2, 6) for _ in range(m)]
+        return IntRows(zip(A, dens)), [F(bi, d) for bi, d in zip(b(A), dens)]
+
+    seen = set()
+    for _ in range(300):
+        m, n = rng.randint(2, 8), rng.randint(3, 14)
+        x0 = [rng.choice([0, 0, 1, 2]) for _ in range(n)]
+        A, b = lp(m, n, lambda A: [_dot(row, x0) + rng.choice([0, 0, 0, 1]) for row in A])
+        seen.add(_same(A, b, [rng.choice([-1, 0, 1]) for _ in range(n)]))
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert 2 * stats["unit"] > stats["pivots"] and stats["unreduced"] > 0
+    # b = 0 makes every pivot degenerate; these LPs run into Bland's rule
+    for _ in range(12):
+        m = rng.randint(11, 14)
+        n = rng.randint(2 * m, 3 * m)
+        A, b = lp(m, n, lambda A: [0] * m)
+        seen.add(_same(A, b, [rng.randint(-3, 3) for _ in range(n)]))
+    assert stats["bland"] > 0
 
 
 def test_dependent_rows_match_reference():
@@ -164,6 +223,16 @@ def test_fixture_lps_match_reference(monkeypatch):
         assert (got.status, got.value) == (want.status, want.value)
         if want.status == OPTIMAL:
             assert got.x == want.x
+
+
+def test_fixture_tableaus_stay_small(monkeypatch):
+    # unit pivots leave rows unreduced; over the 412 fixture LPs no tableau
+    # entry or den may pass 16 bits (5 when unit pivots stopped reducing)
+    stats = _pivot_stats(monkeypatch)
+    for name in fixture_runs.fixture_names():
+        assert fixture_runs.run_fixture(name).ok, name
+    assert stats["pivots"] == 4700
+    assert stats["bits"] <= 16
 
 
 def _rows(rows):
@@ -316,6 +385,15 @@ def test_implied_by_rejects_ragged_rows():
         implied_by(_premises(RAGGED), _target([1], 0))
     with pytest.raises(ValueError, match=r"lengths \[2\], target of length 3"):
         implied_by(_premises(RAGGED[:1]), _target([1, 1, 0], 0))
+
+
+def test_taken_empty_premises_keep_the_width():
+    # an empty subset still knows its parent's row length; remove_redundant
+    # on a one-row system tests that row against such a subset
+    vecs = _premises(RAGGED[:1])
+    assert implied_by(vecs.take([]), _target([0, 0], 0)) == []
+    with pytest.raises(ValueError, match=r"lengths \[2\], target of length 1"):
+        implied_by(vecs.take([]), _target([1], 2))
 
 
 def test_verify_rejects_ragged_rows():
