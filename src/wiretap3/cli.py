@@ -4,6 +4,9 @@ Subcommands: info, ordering, bound, region, fme, simulate, repro-example.
 Every randomized subcommand requires an explicit --seed; results are
 deterministic given identical inputs and seed.  Exit codes: 0 success,
 1 validation error, 2 configured cap exceeded.
+
+``main`` alone maps errors to exit codes: a subcommand raises every error
+and returns 0, or 1 for a fixture whose checks fail.
 """
 
 from __future__ import annotations
@@ -50,6 +53,11 @@ def _emit(args, payload: dict, human: str):
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
+
+
+def _fields(report, names: str) -> dict:
+    """``report``'s fields ``names`` (space-separated), in order."""
+    return {k: getattr(report, k) for k in names.split()}
 
 
 def _require_seed(args):
@@ -123,11 +131,9 @@ def cmd_ordering(args) -> int:
     elif args.relation == "less_noisy":
         _require_seed(args)
         verdict = orderings.check_less_noisy(y, z, args.aux_card, _budget(args))
-    elif args.relation == "more_capable":
+    else:
         _require_seed(args)
         verdict = orderings.check_more_capable(y, z, _budget(args))
-    else:
-        raise CliError(f"unknown relation {args.relation!r}")
     holds = {True: "true", False: "false", None: "undetermined"}[verdict.holds]
     payload = {
         "subcommand": "ordering",
@@ -152,10 +158,6 @@ def cmd_ordering(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tables_to_jsonable(dist):
-    return [f.table.matrix.tolist() for f in dist.factors]
-
-
 def cmd_bound(args) -> int:
     from . import bounds
     doc = _load_spec(args.spec)
@@ -163,12 +165,8 @@ def cmd_bound(args) -> int:
     if args.dist:
         dist = doc.factored[args.dist]
         value = bounds.evaluate_bound(args.id, dist, chans)
-        payload = {
-            "subcommand": "bound",
-            "id": args.id,
-            "mode": "evaluate",
-            "value": value if value is not None else "inadmissible",
-        }
+        payload = {"subcommand": "bound", "id": args.id, "mode": "evaluate",
+                   "value": value if value is not None else "inadmissible"}
         human = f"{args.id} at {args.dist}: " + (
             f"{value:.6f} bits" if value is not None else "inadmissible"
         )
@@ -182,13 +180,9 @@ def cmd_bound(args) -> int:
         "subcommand": "bound",
         "id": args.id,
         "mode": "maximize",
-        "value": res.value,
-        "restarts": res.restarts,
-        "best_restart": res.best_restart,
-        "evaluations": res.evaluations,
-        "search_evaluations": res.search_evaluations,
-        "objective_points": res.objective_points,
-        "argmax_tables": _tables_to_jsonable(res.argmax),
+        **_fields(res, "value restarts best_restart evaluations search_evaluations "
+                       "objective_points"),
+        "argmax_tables": [f.table.matrix.tolist() for f in res.argmax.factors],
         "note": "search lower bound on the true maximum",
     }
     human = (
@@ -207,12 +201,7 @@ def cmd_bound(args) -> int:
 def _region_payload(sample) -> dict:
     rows = []
     for row in sample.rows:
-        entry = {
-            "label": row.label,
-            "lhs": dict(row.lhs),
-            "relation": row.relation,
-            "rhs": row.rhs,
-        }
+        entry = {**_fields(row, "label"), "lhs": dict(row.lhs), **_fields(row, "relation rhs")}
         if row.clamp is not None:
             entry["clamp_const"] = row.clamp[0]
             entry["clamp_coeffs"] = dict(row.clamp[1])
@@ -254,14 +243,12 @@ def cmd_region(args) -> int:
                 return EXIT_OK
         else:
             sample = bounds.prop1_region(dist, chans)
-    elif args.id in ("prop2-inner", "prop3-outer"):
-        if not args.y1z3 or not args.z2:
-            raise CliError("multilevel regions need --y1z3 and --z2")
+    elif not (args.y1z3 and args.z2):
+        raise CliError("multilevel regions need --y1z3 and --z2")
+    else:
         ml = doc.multilevel(args.y1z3, args.z2)
         fn = bounds.prop2_inner_region if args.id == "prop2-inner" else bounds.prop3_outer_region
         sample = fn(dist, ml)
-    else:
-        raise CliError(f"unknown region id {args.id!r}")
     payload = {"subcommand": "region", "id": args.id, **_region_payload(sample)}
     human = f"region {args.id} at {args.dist}:\n" + _region_human(sample)
     if args.point:
@@ -367,24 +354,10 @@ def _caps_from_config(cfg: dict) -> Caps:
     return Caps(**given)
 
 
-def cmd_simulate(args) -> int:
-    from .simulate import CapExceededError
-    try:
-        return _simulate(args)
-    except CapExceededError as e:   # a configured cap, not bad input: its own status
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
-
-
 _EQUIVOCATION = "leakage_rate equivocation_rate message_rate"
 
 
-def _fields(report, names: str) -> dict:
-    """``report``'s fields ``names`` (space-separated), in order."""
-    return {k: getattr(report, k) for k in names.split()}
-
-
-def _simulate(args) -> int:
+def cmd_simulate(args) -> int:
     from . import simulate as sim
     _require_seed(args)
     with open(args.config) as fh:
@@ -400,14 +373,14 @@ def _simulate(args) -> int:
     if scheme not in ("wiretap-equivocation", "marton-equivocation", "decode", "lemma1"):
         raise CliError(f"unknown scheme {scheme!r}")
     n_list = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
-    eps = cfg.get("epsilon", 0.5)
+    if not n_list:
+        raise CliError("config n must be a blocklength or a non-empty list of them")
     dist = _dist_from_config(cfg, doc)
     chan = None if scheme == "lemma1" else _channel_from_config(cfg["channel"], doc)
     rows = []
     for n in n_list:
-        params = sim.TypicalityParams(
-            n=n, epsilon=eps, delta=cfg.get("delta", 0.05), delta1=cfg.get("delta1", 0.1)
-        )
+        params = sim.TypicalityParams(n, cfg.get("epsilon", 0.5), cfg.get("delta", 0.05),
+                                      cfg.get("delta1", 0.1))
         if scheme in ("wiretap-equivocation", "decode"):
             r = cfg["rates"]
             cb = sim.build_wiretap_codebook(
@@ -417,11 +390,8 @@ def _simulate(args) -> int:
             )
         if scheme == "wiretap-equivocation":
             trials = cfg.get("trials", 0)
-            rep = (
-                sim.exact_equivocation(cb, chan, caps)
-                if trials == 0
-                else sim.mc_equivocation(cb, chan, trials, args.seed)
-            )
+            rep = (sim.exact_equivocation(cb, chan, caps) if trials == 0
+                   else sim.mc_equivocation(cb, chan, trials, args.seed))
             rows.append({"n": n, **_fields(cb, "k_msg k_total"),
                          **_fields(rep, f"{_EQUIVOCATION} exact ci_halfwidth")})
         elif scheme == "marton-equivocation":
@@ -474,15 +444,8 @@ def cmd_repro_example(args) -> int:
     )
     payload = {
         "subcommand": "repro-example",
-        "achievable": rep.achievable,
-        "rck_best": rep.rck_best,
-        "rck_gap": rep.rck_gap,
-        "gap_is_strict": rep.gap_is_strict,
-        "identity_max_deviation": rep.identity_max_deviation,
-        "identity_points_checked": rep.identity_points_checked,
-        "restarts": rep.restarts,
-        "evaluations": rep.evaluations,
-        "objective_points": rep.objective_points,
+        **_fields(rep, "achievable rck_best rck_gap gap_is_strict identity_max_deviation "
+                       "identity_points_checked restarts evaluations objective_points"),
     }
     human = (
         f"achievable = {rep.achievable:.12f} (exactly 5/6 within float error)\n"
@@ -506,11 +469,12 @@ def cmd_repro_example(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="wiretap3", description=__doc__)
+    # --help shows the docstring's first two paragraphs
+    p = argparse.ArgumentParser(prog="wiretap3", description=__doc__.rsplit("\n\n", 1)[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("human", "json"), default="human")
+    def common(sp, *formats):
+        sp.add_argument("--format", choices=("human", "json", *formats), default="human")
         sp.add_argument("-o", "--output", default=None)
 
     def searched(sp):
@@ -590,8 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run a coding experiment from a config file")
     sp.add_argument("--config", required=True)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    sp.add_argument("-o", "--output", default=None)
+    common(sp, "csv")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser(
@@ -629,14 +592,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     # CliError, a bad JSON config and every validation error class of the
     # program (ChannelSpecError, DistributionError, PatternError, ...) are
-    # ValueErrors; a search that met no admissible point raises a RuntimeError
+    # ValueErrors; a search that met no admissible point and a simulation
+    # over a configured cap raise RuntimeErrors, the latter its own status
     except (FileNotFoundError, KeyError, ValueError, RuntimeError) as e:
+        code = EXIT_VALIDATION
         if isinstance(e, RuntimeError):
             from .optim import NoAdmissiblePointError
-            if not isinstance(e, NoAdmissiblePointError):
+            from .simulate import CapExceededError
+            if isinstance(e, CapExceededError):
+                code = EXIT_CAP
+            elif not isinstance(e, NoAdmissiblePointError):
                 raise
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return code
 
 
 if __name__ == "__main__":

@@ -268,6 +268,9 @@ def reproduce_example(
     and reports its gap below 5/6; (iii) checks, along the search trace,
     that points leaking nothing to Z2 also gain nothing at Y12.
     """
+    for name, card in (("Q2", q2_card), ("V2", v2_card)):
+        if card < 1:
+            raise ValueError(f"cardinality of {name} must be >= 1, got {card}")
     achievable = achievable_rate()
     trace = _IdentityTrace(q2_card, v2_card)
     shapes = [(1, q2_card), (q2_card, v2_card), (v2_card, 2)]

@@ -46,30 +46,29 @@ class FixtureResult:
     ok: bool
     checks: Mapping[str, bool]
     certificates: Mapping[str, object] = field(default_factory=dict)
-    systems: Mapping[str, InequalitySystem] = field(default_factory=dict)
 
 
 def _load(name: str):
     return parse_system(fixture_text(name))
 
 
-def run_theorem1() -> FixtureResult:
-    raw, assumptions = _load("theorem1_raw.ineq")
-    eliminated = eliminate_all(raw, THEOREM1_ORDER)
-    expected_elim, _ = _load("theorem1_eliminated.ineq")
+def _eliminate_and_reduce(prefix: str, order) -> tuple:
+    """Eliminate ``order`` from ``prefix``_raw, then reduce; check the eliminated rows."""
+    raw, assumptions = _load(f"{prefix}_raw.ineq")
+    eliminated = eliminate_all(raw, order)
+    expected, _ = _load(f"{prefix}_eliminated.ineq")
     reduced = remove_redundant(eliminated, assumptions)
+    match = eliminated.canonical_rows() == expected.canonical_rows()
+    return eliminated, reduced, assumptions, {"eliminated_rows_match": match}
+
+
+def run_theorem1() -> FixtureResult:
+    _, reduced, assumptions, checks = _eliminate_and_reduce("theorem1", THEOREM1_ORDER)
     final, _ = _load("theorem1_final.ineq")
     eq, cert = region_equal(reduced, final, assumptions)
-    checks = {
-        "eliminated_rows_match": eliminated.canonical_rows() == expected_elim.canonical_rows(),
-        "redundant_rows_removed": reduced.canonical_rows() == final.canonical_rows(),
-        "region_equal_final": eq,
-    }
-    return FixtureResult(
-        "theorem1", all(checks.values()), checks,
-        {"region_equal": cert},
-        {"eliminated": eliminated, "reduced": reduced, "final": final},
-    )
+    checks["redundant_rows_removed"] = reduced.canonical_rows() == final.canonical_rows()
+    checks["region_equal_final"] = eq
+    return FixtureResult("theorem1", all(checks.values()), checks, {"region_equal": cert})
 
 
 def _split_rate(presplit: InequalitySystem) -> InequalitySystem:
@@ -139,29 +138,19 @@ def run_rate_split() -> FixtureResult:
     return FixtureResult(
         "rate_split", all(checks.values()), checks,
         {"region_equal": cert, "numbered": numbered_certs},
-        {"stage1": stage1, "stage2": stage2, "final": final},
     )
 
 
 def run_multilevel_case(case: str) -> FixtureResult:
     if case not in _F_CASES:
         raise KeyError(f"unknown case {case!r}")
-    raw, assumptions = _load(f"multilevel_{case}_raw.ineq")
-    eliminated = eliminate_all(raw, MULTILEVEL_CASE_ORDER)
-    expected_elim, _ = _load(f"multilevel_{case}_eliminated.ineq")
-    reduced = remove_redundant(eliminated, assumptions)
-    expected_red, _ = _load(f"multilevel_{case}_reduced.ineq")
+    name = f"multilevel_{case}"
+    eliminated, reduced, assumptions, checks = _eliminate_and_reduce(name, MULTILEVEL_CASE_ORDER)
+    expected_red, _ = _load(f"{name}_reduced.ineq")
     eq, cert = region_equal(eliminated, reduced, assumptions)
-    checks = {
-        "eliminated_rows_match": eliminated.canonical_rows() == expected_elim.canonical_rows(),
-        "reduced_rows_match": reduced.canonical_rows() == expected_red.canonical_rows(),
-        "reduction_preserves_region": eq,
-    }
-    return FixtureResult(
-        f"multilevel_{case}", all(checks.values()), checks,
-        {"region_equal": cert},
-        {"eliminated": eliminated, "reduced": reduced},
-    )
+    checks["reduced_rows_match"] = reduced.canonical_rows() == expected_red.canonical_rows()
+    checks["reduction_preserves_region"] = eq
+    return FixtureResult(name, all(checks.values()), checks, {"region_equal": cert})
 
 
 def run_fixture(name: str) -> FixtureResult:

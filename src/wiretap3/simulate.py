@@ -34,6 +34,7 @@ decoding, counts and scores run once per block of trials.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import Iterator, Optional
 
 import numpy as np
@@ -47,6 +48,12 @@ from .streams import Streams
 
 class CapExceededError(RuntimeError):
     """A requested exact computation exceeds the configured caps."""
+
+
+def _require(name: str, value, kind: type, noun: str) -> None:
+    """A ValueError unless ``value`` is a ``kind`` (``Integral`` or ``Real``) and no bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +71,11 @@ class TypicalityParams:
     delta1: float = 0.1
 
     def __post_init__(self):
+        _require("blocklength n", self.n, Integral, "an integer")
         if self.n < 1:
             raise ValueError("blocklength n must be >= 1")
+        for name in ("epsilon", "delta", "delta1"):
+            _require(name, getattr(self, name), Real, "a real number")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
@@ -111,12 +121,14 @@ def _trial_blocks(seed: int, trials: int, chunk: int = 1) -> Iterator[tuple[int,
 
 
 def _check_trials(trials: int) -> None:
+    _require("trials", trials, Integral, "an integer")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
 
 def _exponent(n: int, rate: float) -> int:
     """Codeword-count exponent ceil(n * rate), robust to float dust."""
+    _require("rates", rate, Real, "real numbers")
     if rate < 0:
         raise ValueError("rates must be non-negative")
     return int(np.ceil(n * rate - 1e-9))

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, round trips, and the deterministic contract."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wiretap3 import bounds, cli, fme, orderings
+from wiretap3 import bounds, cli, fixture_runs, fme, orderings
 from wiretap3.cli import build_parser, main
 from wiretap3.probability import AxisError, DistributionError
 from wiretap3.simulate import CapExceededError
@@ -108,8 +109,10 @@ class TestExitCodes:
             json.JSONDecodeError("bad", "{", 0), FileNotFoundError("bad"), KeyError("bad"),
             ValueError("bad"),
         )],
-        (["simulate", "--config", "c.json", "--seed", "1"], "_simulate", ValueError("bad"), 1),
-        (["simulate", "--config", "c.json", "--seed", "1"], "_simulate",
+        # the first name that cmd_simulate looks up
+        (["simulate", "--config", "c.json", "--seed", "1"], "_require_seed", ValueError("bad"),
+         1),
+        (["simulate", "--config", "c.json", "--seed", "1"], "_require_seed",
          CapExceededError("bad"), 2),
         (["info", "--spec", "s.chan"], "_load_spec", BrokenPipeError(), 1),
     ], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None)
@@ -303,6 +306,16 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "--spec", "s", "--id", "nope", "--dist", "d"],
+        ["ordering", "--spec", "s", "--y", "a", "--z", "b", "--relation", "nope"],
+    ])
+    def test_unknown_choices_are_rejected_before_any_handler(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_search_options_kept_where_read(self):
         p = build_parser()
@@ -594,7 +607,37 @@ class TestFmeCommand:
         assert out.returncode == 1
 
 
+REPO_EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+LEAKAGE_TREND = json.loads((REPO_EXAMPLES / "leakage_trend.json").read_text())
+CONCENTRATION = json.loads((REPO_EXAMPLES / "concentration.json").read_text())
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize("config,fmt,message", [
+        ({**LEAKAGE_TREND, "n": []}, "csv", "config n must be a blocklength or a non-empty list"),
+        ({**LEAKAGE_TREND, "n": []}, "human", "config n must be a blocklength or a non-empty list"),
+        ({**LEAKAGE_TREND, "n": 4.5}, "human", "blocklength n must be an integer, got 4.5"),
+        ({**LEAKAGE_TREND, "n": "4"}, "human", "blocklength n must be an integer, got '4'"),
+        ({**LEAKAGE_TREND, "n": True}, "human", "blocklength n must be an integer, got True"),
+        ({**LEAKAGE_TREND, "n": [2, "4"]}, "json", "blocklength n must be an integer, got '4'"),
+        ({**LEAKAGE_TREND, "trials": 2.5}, "human", "trials must be an integer, got 2.5"),
+        ({**LEAKAGE_TREND, "epsilon": "0.5"}, "human", "epsilon must be a real number, got '0.5'"),
+        ({**CONCENTRATION, "delta": "0.05"}, "human", "delta must be a real number, got '0.05'"),
+        ({**CONCENTRATION, "delta1": None}, "human", "delta1 must be a real number, got None"),
+        ({**LEAKAGE_TREND, "rates": {"message": "0.2", "total": 1.4}}, "human",
+         "rates must be real numbers, got '0.2'"),
+        ({**CONCENTRATION, "s_rate": "0.4"}, "human", "rates must be real numbers, got '0.4'"),
+    ])
+    def test_mistyped_config_is_validation_error(self, tmp_path, capsys, config, fmt, message):
+        # an uncaught TypeError or IndexError would escape main with a traceback
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfile), "--seed", "1", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_csv_rows(self, spec_file, tmp_path, capsys):
         cfg = {
             "scheme": "wiretap-equivocation",
@@ -633,6 +676,13 @@ class TestReproExample:
             main(["repro-example", "-h"])
         assert "'objective_points' counts the points" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize("flag,name", [("--q2-card", "Q2"), ("--v2-card", "V2")])
+    @pytest.mark.parametrize("card", [0, -1])
+    def test_cardinality_below_one_is_validation_error(self, capsys, flag, name, card):
+        # as bound --card V=0 is, before any search runs
+        assert main(["repro-example", "--seed", "1", "--restarts", "1", flag, str(card)]) == 1
+        assert capsys.readouterr().err == f"error: cardinality of {name} must be >= 1, got {card}\n"
+
     def test_channel_export_round_trips(self, tmp_path, capsys):
         target = tmp_path / "fig1.chan"
         rc = main([
@@ -643,9 +693,6 @@ class TestReproExample:
         doc = parse_spec(target.read_text())
         assert doc.channel("z1").exact is not None
         assert doc.alphabets["Z"] == 9
-
-
-REPO_EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 class TestShippedExamples:
@@ -676,3 +723,243 @@ class TestShippedExamples:
         assert rc == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert rows[0]["p_error"] > rows[-1]["p_error"]
+
+
+# SPEC plus the auxiliaries, channels and factored distributions of the four
+# region ids: a theorem2 point that violates Marton's constraint (X is the XOR
+# of V1 and V2), an admissible one, a prop1 point and a multilevel point
+REGION_SPEC = SPEC + """
+alphabet U 2
+alphabet U3 2
+alphabet V0 1
+alphabet V1 2
+alphabet V2 2
+
+channel y1z3 : X -> Y Z
+27/50 9/25 3/50 1/25
+1/25 3/50 9/25 27/50
+channel z2 : Y -> Z
+4/5 1/5
+1/5 4/5
+pmf pu : U
+1/2 1/2
+channel pv0u : U -> V0
+1
+1
+channel pv12 : V0 -> V1 V2
+1/4 1/4 1/4 1/4
+channel xor : V0 V1 V2 -> X
+1 0
+0 1
+0 1
+1 0
+channel first : V0 V1 V2 -> X
+1 0
+1 0
+0 1
+0 1
+channel pxu : U -> X
+9/10 1/10
+1/5 4/5
+channel pu3u : U -> U3
+3/4 1/4
+1/4 3/4
+channel pvu3 : U3 -> V
+4/5 1/5
+1/5 4/5
+
+factored bad theorem2
+factor U | = pu
+factor V0 | U = pv0u
+factor V1 V2 | V0 = pv12
+factor X | V0 V1 V2 = xor
+end
+factored good theorem2
+factor U | = pu
+factor V0 | U = pv0u
+factor V1 V2 | V0 = pv12
+factor X | V0 V1 V2 = first
+end
+factored p1 prop1
+factor U | = pu
+factor X | U = pxu
+end
+factored ml multilevel
+factor U | = pu
+factor U3 | U = pu3u
+factor V | U3 = pvu3
+factor X | V = pxv
+end
+"""
+
+MARTON_CONFIG = {
+    "scheme": "marton-equivocation",
+    "dist": {"pattern": "theorem1", "sizes": {"Q": 1, "V0": 2, "V1": 2, "V2": 2, "X": 2},
+             "tables": [[[1.0]], [[0.45, 0.55]],
+                        [[0.42, 0.18, 0.28, 0.12], [0.12, 0.28, 0.18, 0.42]],
+                        [[0.85, 0.15], [0.85, 0.15], [0.2, 0.8], [0.2, 0.8],
+                         [0.7, 0.3], [0.7, 0.3], [0.35, 0.65], [0.35, 0.65]]]},
+    "channel": {"matrix": [[0.8, 0.2], [0.2, 0.8]]},
+    "rates": {"message": 0.25, "total": 0.5, "t1": 0.5, "t2": 0.5, "b1": 0.25, "b2": 0.25},
+    "n": [4], "epsilon": 8.0,
+}
+
+ML_SPEC = str(REPO_EXAMPLES / "multilevel_product.chan")
+SEARCH = ("--seed", "1", "--restarts", "2", "--sweeps", "3")
+BROADCAST = ("--y1", "y1", "--y2", "y2", "--z", "z")
+
+# one call per report; "{regions}" and "{marton}" name files written per test
+REPORTS = {
+    "info": ("info", "--spec", "{regions}", "--input", "unif"),
+    "ordering_degraded": ("ordering", "--spec", ML_SPEC, "--y", "y11", "--z", "z1",
+                          "--relation", "degraded"),
+    "ordering_degraded_reversed": ("ordering", "--spec", ML_SPEC, "--y", "z1", "--z", "y11",
+                                   "--relation", "degraded"),
+    "ordering_less_noisy": ("ordering", "--spec", "{regions}", "--y", "y1", "--z", "z",
+                            "--relation", "less_noisy", *SEARCH),
+    "ordering_more_capable": ("ordering", "--spec", "{regions}", "--y", "z", "--z", "y1",
+                              "--relation", "more_capable", *SEARCH),
+    "bound_evaluate": ("bound", "--spec", "{regions}", "--id", "ck_extension", *BROADCAST,
+                       "--dist", "d"),
+    "bound_maximize": ("bound", "--spec", ML_SPEC, "--id", "ck_extension", "--y1", "to_y1",
+                       "--y2", "to_y2", "--z", "to_z", "--card", "V=3", *SEARCH),
+    "region_theorem2_inadmissible": ("region", "--spec", "{regions}", "--id", "theorem2",
+                                     "--dist", "bad", *BROADCAST),
+    "region_theorem2": ("region", "--spec", "{regions}", "--id", "theorem2", "--dist", "good",
+                        *BROADCAST),
+    "region_prop1": ("region", "--spec", "{regions}", "--id", "prop1", "--dist", "p1",
+                     *BROADCAST, "--point", "R0=0.01,R1=0.1,Re=0.05"),
+    "region_prop2_inner": ("region", "--spec", "{regions}", "--id", "prop2-inner",
+                           "--dist", "ml", "--y1z3", "y1z3", "--z2", "z2"),
+    "region_prop3_outer": ("region", "--spec", "{regions}", "--id", "prop3-outer",
+                           "--dist", "ml", "--y1z3", "y1z3", "--z2", "z2"),
+    "fme_fixture": ("fme", "--fixture", "multilevel_case2"),
+    "fme_system_compare": ("fme", "--system", "raw.ineq", "--eliminate",
+                           "S0,RT1,RT2,T1,T2,RT", "--reduce", "--compare", "final.ineq"),
+    "simulate_wiretap": ("simulate", "--config", str(REPO_EXAMPLES / "leakage_trend.json"),
+                         "--seed", "3"),
+    "simulate_marton": ("simulate", "--config", "{marton}", "--seed", "3"),
+    "simulate_decode": ("simulate", "--config", str(REPO_EXAMPLES / "indirect_decode.json"),
+                        "--seed", "3"),
+    "simulate_lemma1": ("simulate", "--config", str(REPO_EXAMPLES / "concentration.json"),
+                        "--seed", "3"),
+    "repro_example": ("repro-example", *SEARCH),
+}
+
+ROW_KEYS = ["label", "lhs", "relation", "rhs"]
+SIMULATE_KEYS = ["subcommand", "scheme", "seed", "rows"]
+
+# the keys of each report in order, then each distinct key list of its rows
+REPORT_KEYS = {
+    "info": [["subcommand", "alphabets", "pmfs", "channels"]],
+    "ordering_degraded": [["subcommand", "relation", "holds", "resolution", "witness"]],
+    "ordering_degraded_reversed": [["subcommand", "relation", "holds", "resolution"]],
+    "ordering_less_noisy": [["subcommand", "relation", "holds", "resolution", "witness"]],
+    "ordering_more_capable": [["subcommand", "relation", "holds", "resolution",
+                               "violation_margin_bits", "witness"]],
+    "bound_evaluate": [["subcommand", "id", "mode", "value"]],
+    "bound_maximize": [["subcommand", "id", "mode", "value", "restarts", "best_restart",
+                        "evaluations", "search_evaluations", "objective_points",
+                        "argmax_tables", "note"]],
+    "region_theorem2_inadmissible": [["subcommand", "id", "result"]],
+    "region_theorem2": [["subcommand", "id", "variables", "rows"], ROW_KEYS],
+    "region_prop1": [["subcommand", "id", "variables", "rows", "point", "contains_point"],
+                     ROW_KEYS],
+    "region_prop2_inner": [["subcommand", "id", "variables", "rows"], ROW_KEYS,
+                           [*ROW_KEYS, "clamp_const", "clamp_coeffs"]],
+    "region_prop3_outer": [["subcommand", "id", "variables", "rows"], ROW_KEYS,
+                           [*ROW_KEYS, "clamp_const", "clamp_coeffs"]],
+    "fme_fixture": [["subcommand", "fixture", "ok", "checks", "certificates"]],
+    "fme_system_compare": [["subcommand", "system", "region_equal", "certificate"]],
+    "simulate_wiretap": [SIMULATE_KEYS, ["n", "k_msg", "k_total", "leakage_rate",
+                                         "equivocation_rate", "message_rate", "exact",
+                                         "ci_halfwidth"]],
+    "simulate_marton": [SIMULATE_KEYS, ["n", "leakage_rate", "equivocation_rate",
+                                        "message_rate", "encoding_failure_rate", "exact"]],
+    "simulate_decode": [SIMULATE_KEYS, ["n", "p_error", "trials"]],
+    "simulate_lemma1": [SIMULATE_KEYS, ["n", "exceedance_frequency", "threshold", "mean_count",
+                                        "info_rate", "in_concentration_regime"]],
+    "repro_example": [["subcommand", "achievable", "rck_best", "rck_gap", "gap_is_strict",
+                       "identity_max_deviation", "identity_points_checked", "restarts",
+                       "evaluations", "objective_points"]],
+}
+
+# exact-arithmetic reports, pinned byte for byte in both formats
+REPORT_SHA256 = {
+    ("ordering_degraded", "human"):
+        "9dc73477802bf0ec0a34d7d063cff606e9a6a687609e59232eb64c2d1b619b9c",
+    ("ordering_degraded", "json"):
+        "39b0934cc00f6ef4fa07a1884c77e39682e414ba62f6473bb7154b1a3d290eea",
+    ("ordering_degraded_reversed", "human"):
+        "58e52c162b34f0b5090d6c674735ddde4771cf7d85ac8e88e9deee9e0b6b46bd",
+    ("ordering_degraded_reversed", "json"):
+        "2057e4f57489dd1e41c31433ce0d273afa216ee0fb733612a47304847c46e849",
+    ("fme_system_compare", "human"):
+        "e82402664ec46f734497aab32bda44aea8ace11508d99dee7eaa293c1be952d3",
+    ("fme_system_compare", "json"):
+        "eba24cec6dbc9f1990dd9b81406b627179d71d016796a7fbe70286882a2fac6c",
+}
+
+# top-level help and each subcommand's, at 80 columns
+HELP_SHA256 = {
+    "": "b4b523fb485587037cfd51a7050aaefc5600ac15c6628e2f1696583752cfc460",
+    "info": "401cd6a41ff58082ebb42e13cab355388a50a50953af56b48fb5cc0a0b1eb4c9",
+    "ordering": "048d69806303ee00be8f93649554f34fed1964dc95a329522be818a862fda1a1",
+    "bound": "a31dc25047cf5b412b6cbc7e5d2840e7e2ee07baa63de5b26595111f19a68c98",
+    "region": "9597649944310864612bb1b293497e677874a8309bce5a56f6c9afec295f5ae3",
+    "fme": "58c600f7b60dcfe2ae552af93ec59d6eaeacbae7baa44c1f946584777b9de151",
+    "simulate": "bff7aa8a9fc98926cbd001f57d48eedb08f4c6663c4ae1b3f2a11231335dbd3c",
+    "repro-example": "e27ee71e56cf2ef7032ac34fc490ff0966b51866515349e24e3f598363bec58d",
+}
+
+
+class TestReportPins:
+    """What a refactor of the CLI must keep: help text, report keys, exact reports.
+
+    Search and simulation reports sum through BLAS matrix products, so only
+    their key lists are pinned here; the simulator's bytes are pinned in
+    ``test_simulate_outputs``.
+    """
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "regions.chan").write_text(REGION_SPEC)
+        (tmp_path / "marton.json").write_text(json.dumps(MARTON_CONFIG))
+        (tmp_path / "raw.ineq").write_text(fixture_runs.fixture_text("theorem1_raw.ineq"))
+        (tmp_path / "final.ineq").write_text(fixture_runs.fixture_text("theorem1_final.ineq"))
+        monkeypatch.chdir(tmp_path)
+
+        def run(name: str, fmt: str) -> str:
+            argv = [a.format(regions="regions.chan", marton="marton.json")
+                    for a in REPORTS[name]]
+            assert main(argv + ["--format", fmt]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            return captured.out
+
+        return run
+
+    @pytest.mark.parametrize("name", REPORTS)
+    def test_report_keys(self, run, name):
+        report = json.loads(run(name, "json"))
+        keys = [list(report)]
+        for row in report.get("rows", []):
+            if list(row) not in keys:
+                keys.append(list(row))
+        assert keys == REPORT_KEYS[name]
+
+    @pytest.mark.parametrize("name,fmt", REPORT_SHA256)
+    def test_exact_reports_are_byte_identical(self, run, name, fmt):
+        out = run(name, fmt).encode()
+        assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[name, fmt]
+
+    # argparse lays help out differently in other Python minor versions
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned on Python 3.11")
+    @pytest.mark.parametrize("sub", HELP_SHA256)
+    def test_help_is_byte_identical(self, sub, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"] if sub else ["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == HELP_SHA256[sub]

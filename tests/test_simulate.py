@@ -1,5 +1,7 @@
 """Finite-blocklength simulator: codebooks, decoding, exact equivocation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,21 @@ class TestCodebookArithmetic:
             build_wiretap_codebook(
                 vx_identity(), WiretapRates(1.0, 0.5, 0.0), TypicalityParams(4, 0.5), 0
             )
+
+    def test_numeric_inputs_are_typed(self):
+        # numpy scalars are numbers; a bool is not
+        params = TypicalityParams(np.int64(4), np.float64(0.5), delta=0, delta1=Fraction(1, 10))
+        cb = build_wiretap_codebook(vx_identity(), WiretapRates(0.5, np.float32(1), 0), params, 0)
+        assert cb.v_seqs.shape == (16, 4)
+        for bad, message in (
+            (lambda: TypicalityParams(True, 0.5), "blocklength n must be an integer, got True"),
+            (lambda: TypicalityParams(4, 0.5, delta=True), "delta must be a real number"),
+            (lambda: build_wiretap_codebook(vx_identity(), WiretapRates(0.5, 1.0, None), params,
+                                            0), "rates must be real numbers, got None"),
+            (lambda: mc_equivocation(cb, bsc(0.1), np.float64(4), 0), "trials must be an integer"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                bad()
 
 
 class TestEncode:
