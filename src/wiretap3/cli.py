@@ -18,7 +18,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -28,7 +28,6 @@ from . import fixture_runs
 
 if TYPE_CHECKING:
     from .optim import SearchBudget
-    from .simulate import Caps
     from .specfmt import SpecDocument
 
 EXIT_OK = 0
@@ -342,16 +341,26 @@ def _channel_from_config(cfg_value, doc: Optional[SpecDocument]):
     return ConditionalPmf(cfg_value["matrix"])
 
 
-def _caps_from_config(cfg: dict) -> Caps:
-    from .simulate import Caps
-    given = cfg.get("caps", {})
+# every top-level key that ``cmd_simulate`` reads
+_CONFIG_KEYS = ("scheme", "spec", "dist", "channel", "rates", "n", "epsilon", "delta", "delta1",
+                "trials", "decoder", "s_rate", "caps")
+
+
+def _check_keys(what: str, given, known) -> dict:
+    """``given``, once it is an object whose keys are all ``known``."""
     if not isinstance(given, dict):
-        raise CliError("caps must be an object mapping cap names to integers")
-    known = [f.name for f in fields(Caps)]
+        raise CliError(f"{what} must be an object")
     unknown = sorted(set(given) - set(known))
     if unknown:
-        raise CliError(f"unknown caps key(s) {', '.join(unknown)}; known: {', '.join(known)}")
-    return Caps(**given)
+        raise CliError(f"unknown {what} key(s) {', '.join(unknown)}; known: {', '.join(known)}")
+    return given
+
+
+def _from_config(cls, what: str, given):
+    """A ``cls`` from the object ``given``; a field it lacks that has no default is a KeyError."""
+    known = fields(cls)
+    _check_keys(what, given, [f.name for f in known])
+    return cls(**{f.name: given[f.name] for f in known if f.name in given or f.default is MISSING})
 
 
 _EQUIVOCATION = "leakage_rate equivocation_rate message_rate"
@@ -361,14 +370,11 @@ def cmd_simulate(args) -> int:
     from . import simulate as sim
     _require_seed(args)
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        cfg = _check_keys("config", json.load(fh), _CONFIG_KEYS)
     doc = None
-    if "spec" in cfg:
-        spec_path = Path(cfg["spec"])
-        if not spec_path.is_absolute():
-            spec_path = Path(args.config).resolve().parent / spec_path
-        doc = _load_spec(str(spec_path))
-    caps = _caps_from_config(cfg)
+    if "spec" in cfg:   # relative to the config's directory; an absolute path stays as it is
+        doc = _load_spec(str(Path(args.config).resolve().parent / cfg["spec"]))
+    caps = _from_config(sim.Caps, "caps", cfg.get("caps", {}))
     scheme = cfg["scheme"]
     if scheme not in ("wiretap-equivocation", "marton-equivocation", "decode", "lemma1"):
         raise CliError(f"unknown scheme {scheme!r}")
@@ -377,17 +383,13 @@ def cmd_simulate(args) -> int:
         raise CliError("config n must be a blocklength or a non-empty list of them")
     dist = _dist_from_config(cfg, doc)
     chan = None if scheme == "lemma1" else _channel_from_config(cfg["channel"], doc)
+    typicality = {k: cfg[k] for k in ("epsilon", "delta", "delta1") if k in cfg}
     rows = []
     for n in n_list:
-        params = sim.TypicalityParams(n, cfg.get("epsilon", 0.5), cfg.get("delta", 0.05),
-                                      cfg.get("delta1", 0.1))
+        params = sim.TypicalityParams(n, **typicality)
         if scheme in ("wiretap-equivocation", "decode"):
-            r = cfg["rates"]
-            cb = sim.build_wiretap_codebook(
-                dist,
-                sim.WiretapRates(r["message"], r["total"], r.get("satellite", 0.0)),
-                params, args.seed, caps,
-            )
+            rates = _from_config(sim.WiretapRates, "rates", cfg["rates"])
+            cb = sim.build_wiretap_codebook(dist, rates, params, args.seed, caps)
         if scheme == "wiretap-equivocation":
             trials = cfg.get("trials", 0)
             rep = (sim.exact_equivocation(cb, chan, caps) if trials == 0
@@ -395,12 +397,8 @@ def cmd_simulate(args) -> int:
             rows.append({"n": n, **_fields(cb, "k_msg k_total"),
                          **_fields(rep, f"{_EQUIVOCATION} exact ci_halfwidth")})
         elif scheme == "marton-equivocation":
-            r = cfg["rates"]
-            cb = sim.build_marton_codebook(
-                dist,
-                sim.MartonRates(r["message"], r["total"], r["t1"], r["t2"], r["b1"], r["b2"]),
-                params, args.seed, caps,
-            )
+            rates = _from_config(sim.MartonRates, "rates", cfg["rates"])
+            cb = sim.build_marton_codebook(dist, rates, params, args.seed, caps)
             rep = sim.exact_equivocation(cb, chan, caps)
             rows.append({"n": n, **_fields(rep, f"{_EQUIVOCATION} encoding_failure_rate"),
                          "exact": True})

@@ -142,24 +142,33 @@ def _grid_simplex(cells: int, g: int) -> list[np.ndarray]:
     return []
 
 
-def _minimize_gap(
-    p_yx: ConditionalPmf,
-    p_zx: ConditionalPmf,
-    shape: tuple[int, ...],
-    budget: SearchBudget,
-) -> tuple[float, np.ndarray]:
-    """Search p over ``shape`` (see ``_gap``) for the least gap: (min, argmin).
+def _searched_verdict(
+    relation: str, p_yx: ConditionalPmf, p_zx: ConditionalPmf, shape: tuple[int, ...],
+    budget: SearchBudget, found: str, clean: str,
+) -> OrderingVerdict:
+    """The verdict on ``relation``: implied by degradedness, else searched.
 
-    The flat simplex gets grid seeds when it has at most 3 cells, then
-    restarts; the one table has one row, so a candidate row is a point.
+    The search of p over ``shape`` (see ``_gap``) seeds the flat simplex
+    with a grid when it has at most 3 cells, then restarts; the one table
+    has one row, so a candidate row is a point.  A least gap below
+    -VIOLATION_TOL resolves as ``found``, its law the counterexample;
+    otherwise the verdict is undetermined, resolved as ``clean`` and the
+    restarts.
     """
+    deg = check_degraded(p_yx, p_zx)
+    if deg.holds:
+        return OrderingVerdict(relation, True, deg.witness, None, "implied by degradedness")
     cells = int(np.prod(shape))
     gap = _gap(p_yx, p_zx, shape)
     extra = [[g.reshape(1, cells)] for g in _grid_simplex(cells, budget.grid_points)]
     res = search_factored(
         lambda tables, fi, r, owner, rows: -gap(rows), [(1, cells)], budget, extra_starts=extra
     )
-    return -res.value, res.params[0][0].reshape(shape)
+    least = -res.value
+    if least < -VIOLATION_TOL:
+        witness = JointPmf(("U", "X")[-len(shape):], res.params[0][0].reshape(shape))
+        return OrderingVerdict(relation, False, witness, -least, found)
+    return OrderingVerdict(relation, None, None, None, f"{clean}, {budget.restarts} restarts")
 
 
 def check_less_noisy(
@@ -169,25 +178,11 @@ def check_less_noisy(
     budget: SearchBudget = SearchBudget(),
 ) -> OrderingVerdict:
     """Is Y less noisy than Z: I(U;Y) >= I(U;Z) for all p(u,x)?"""
-    if p_yx.rows != p_zx.rows:
-        raise DistributionError("input alphabets differ")
     if aux_card < 1:
         raise ValueError("aux_card must be >= 1")
-    deg = check_degraded(p_yx, p_zx)
-    if deg.holds:
-        return OrderingVerdict(
-            "less_noisy", True, deg.witness, None, "implied by degradedness"
-        )
-    val, arg = _minimize_gap(p_yx, p_zx, (aux_card, p_yx.rows), budget)
-    if val < -VIOLATION_TOL:
-        return OrderingVerdict(
-            "less_noisy", False, JointPmf(("U", "X"), arg), -val,
-            f"counterexample at |U|={aux_card}",
-        )
-    return OrderingVerdict(
-        "less_noisy", None, None, None,
-        f"no violation found at |U|={aux_card}, {budget.restarts} restarts",
-    )
+    return _searched_verdict("less_noisy", p_yx, p_zx, (aux_card, p_yx.rows), budget,
+                             f"counterexample at |U|={aux_card}",
+                             f"no violation found at |U|={aux_card}")
 
 
 def check_more_capable(
@@ -196,20 +191,5 @@ def check_more_capable(
     budget: SearchBudget = SearchBudget(),
 ) -> OrderingVerdict:
     """Is Y more capable than Z: I(X;Y) >= I(X;Z) for all p(x)?"""
-    if p_yx.rows != p_zx.rows:
-        raise DistributionError("input alphabets differ")
-    deg = check_degraded(p_yx, p_zx)
-    if deg.holds:
-        return OrderingVerdict(
-            "more_capable", True, deg.witness, None, "implied by degradedness"
-        )
-    best_val, best = _minimize_gap(p_yx, p_zx, (p_yx.rows,), budget)
-    if best_val < -VIOLATION_TOL:
-        return OrderingVerdict(
-            "more_capable", False, JointPmf(("X",), best), -best_val,
-            "counterexample input pmf",
-        )
-    return OrderingVerdict(
-        "more_capable", None, None, None,
-        f"no violation found, {budget.restarts} restarts",
-    )
+    return _searched_verdict("more_capable", p_yx, p_zx, (p_yx.rows,), budget,
+                             "counterexample input pmf", "no violation found")

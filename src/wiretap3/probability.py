@@ -182,11 +182,6 @@ class ConditionalPmf:
     def cols(self) -> int:
         return int(self.matrix.shape[1])
 
-    def row(self, i: int) -> Pmf:
-        if self.exact is not None:
-            return Pmf(self.exact[i])
-        return Pmf(self.matrix[i])
-
     @staticmethod
     def identity(n: int) -> "ConditionalPmf":
         return ConditionalPmf([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
@@ -428,9 +423,6 @@ class FactoredDistribution:
     @property
     def axes(self) -> tuple[str, ...]:
         return tuple(a for a, _ in self.axis_sizes)
-
-    def size(self, axis: str) -> int:
-        return dict(self.axis_sizes)[axis]
 
     @property
     def realization(self) -> JointPmf:

@@ -33,6 +33,7 @@ decoding, counts and scores run once per block of trials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from typing import Iterator, Optional
@@ -51,9 +52,14 @@ class CapExceededError(RuntimeError):
 
 
 def _require(name: str, value, kind: type, noun: str) -> None:
-    """A ValueError unless ``value`` is a ``kind`` (``Integral`` or ``Real``) and no bool."""
+    """A ValueError unless ``value`` is a ``kind`` (``Integral`` or ``Real``), no bool, and finite.
+
+    An ``Integral`` is always finite, and ``math.isfinite`` overflows on a huge one.
+    """
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {noun}, got {value!r}")
+    if not (isinstance(value, Integral) or math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ class TypicalityParams:
     """
 
     n: int
-    epsilon: float
+    epsilon: float = 0.5
     delta: float = 0.05
     delta1: float = 0.1
 
@@ -199,6 +205,18 @@ def typical_mask(counts: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+class _BinnedLayer:
+    """2^k_msg messages, each a bin of 2^(k_total - k_msg) first-layer codewords."""
+
+    @property
+    def n_messages(self) -> int:
+        return 1 << self.k_msg
+
+    @property
+    def bin_size(self) -> int:
+        return 1 << (self.k_total - self.k_msg)
+
+
 @dataclass(frozen=True)
 class WiretapRates:
     message: float      # R
@@ -207,7 +225,7 @@ class WiretapRates:
 
 
 @dataclass(frozen=True, eq=False)
-class WiretapCodebook:
+class WiretapCodebook(_BinnedLayer):
     """Superposition codebook: i.i.d. v-layer with bins, x-satellites."""
 
     p_v: np.ndarray
@@ -221,12 +239,8 @@ class WiretapCodebook:
     seed: int
 
     @property
-    def n_messages(self) -> int:
-        return 1 << self.k_msg
-
-    @property
-    def bin_size(self) -> int:
-        return 1 << (self.k_total - self.k_msg)
+    def x_size(self) -> int:
+        return self.p_x_given_v.shape[1]
 
 
 def _wiretap_tables(dist) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +291,7 @@ class MartonRates:
 
 
 @dataclass(frozen=True, eq=False)
-class MartonCodebook:
+class MartonCodebook(_BinnedLayer):
     """Cloud centers with per-cloud Marton-paired satellite layers."""
 
     tables: tuple[np.ndarray, ...]   # p(q), p(v0|q), p(v1,v2|v0), p(x|v0,v1,v2)
@@ -298,16 +312,13 @@ class MartonCodebook:
     seed: int
 
     @property
-    def n_messages(self) -> int:
-        return 1 << self.k_msg
-
-    @property
-    def bin_size(self) -> int:
-        return 1 << (self.k_total - self.k_msg)
-
-    @property
     def encoding_failure_rate(self) -> float:
         return float((self.pairing[..., 0] < 0).mean())
+
+    def input_rows(self, l0, t1, t2) -> np.ndarray:
+        """The rows of p(x|v0,v1,v2), row-major in (v0, v1, v2), along the pairs (l0, t1, t2)."""
+        _, _, n1, n2 = self.sizes
+        return (self.v0_seqs[l0] * n1 + self.v1_seqs[l0, t1]) * n2 + self.v2_seqs[l0, t2]
 
 
 def _marton_tables(dist) -> tuple[tuple[np.ndarray, ...], tuple[int, int, int, int], int]:
@@ -414,27 +425,20 @@ def _wiretap_pick(cb: WiretapCodebook, message, rng):
 
 def encode(cb, message: int, seed: int) -> EncodeResult:
     """Uniform bin-member and satellite choice; emits the input sequence."""
+    if not 0 <= message < cb.n_messages:
+        raise ValueError(f"message {message} out of range")
+    rng = _rng(seed, 1)
     if isinstance(cb, WiretapCodebook):
-        if not 0 <= message < cb.n_messages:
-            raise ValueError(f"message {message} out of range")
-        l0, l1 = map(int, _wiretap_pick(cb, message, _rng(seed, 1)))
+        l0, l1 = map(int, _wiretap_pick(cb, message, rng))
         return EncodeResult(cb.x_seqs[l0, l1].copy(), l0, (l1,))
-    if isinstance(cb, MartonCodebook):
-        if not 0 <= message < cb.n_messages:
-            raise ValueError(f"message {message} out of range")
-        rng = _rng(seed, 1)
-        l0 = message * cb.bin_size + int(rng.integers(cb.bin_size))
-        b1 = int(rng.integers(cb.pairing.shape[1]))
-        b2 = int(rng.integers(cb.pairing.shape[2]))
-        t1, t2 = cb.pairing[l0, b1, b2]
-        if t1 < 0:
-            return EncodeResult(None, l0, (b1, b2))
-        _, n0, n1, n2 = cb.sizes
-        p_x = cb.tables[3]  # rows indexed row-major by (v0, v1, v2)
-        rows = (cb.v0_seqs[l0] * n1 + cb.v1_seqs[l0, t1]) * n2 + cb.v2_seqs[l0, t2]
-        x = sample_given(p_x, rows, rng)
-        return EncodeResult(x, l0, (int(t1), int(t2)))
-    raise TypeError(f"unknown codebook type {type(cb).__name__}")
+    l0 = message * cb.bin_size + int(rng.integers(cb.bin_size))
+    b1 = int(rng.integers(cb.pairing.shape[1]))
+    b2 = int(rng.integers(cb.pairing.shape[2]))
+    t1, t2 = cb.pairing[l0, b1, b2]
+    if t1 < 0:
+        return EncodeResult(None, l0, (b1, b2))
+    x = sample_given(cb.tables[3], cb.input_rows(l0, t1, t2), rng)
+    return EncodeResult(x, l0, (int(t1), int(t2)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +457,8 @@ class DecodeResult:
         return self.reason == "ok"
 
 
-def _channel_to(cb: WiretapCodebook, chan: ConditionalPmf) -> np.ndarray:
-    if chan.rows != cb.p_x_given_v.shape[1]:
+def _channel_to(cb, chan: ConditionalPmf) -> np.ndarray:
+    if chan.rows != cb.x_size:
         raise DistributionError("channel input must be the X alphabet")
     return chan.matrix
 
@@ -470,12 +474,12 @@ class _DecodePlan:
     decoding, (v, x, y) for indirect), numbered row-major.  ``bases[c, i]``
     is the cell of codeword c at position i when y_i = 0, so its cell
     sequence for y is ``bases[c] + y``.  A cell outside the support has the
-    window [0, 0], so a codeword that hits one is atypical: ``allowed[i, y]``
-    marks the codewords whose cell at position i is in the support when
-    y_i = y, and only codewords allowed at every position are counted, over
-    the support cells alone (``index`` numbers them; ``lb``/``ub`` are their
-    windows).  The same codewords pass as under a check of every cell.
-    ``screen`` is ``allowed`` packed eight codewords a byte, lowest bit first.
+    window [0, 0], so a codeword that hits one is atypical: a set bit marks
+    the codewords whose cell at position i is in the support when
+    y_i = y, packed eight codewords a byte, lowest bit first, in
+    ``screen[i, y]``.  Only codewords allowed at every position are counted,
+    over the support cells alone (``index`` numbers them; ``lb``/``ub`` are
+    their windows).  The same codewords pass as under a check of every cell.
     ``decode_block`` decodes a stack of outputs, ``decode`` one.
     """
 
@@ -483,7 +487,6 @@ class _DecodePlan:
     ub: np.ndarray
     index: np.ndarray
     bases: np.ndarray
-    allowed: np.ndarray
     screen: np.ndarray
     per_cloud: int       # codewords per v-sequence: 1 direct, the satellites indirect
     bin_size: int
@@ -535,7 +538,7 @@ def _decode_plan(
             raise DistributionError("indirect decoding needs a satellite layer")
         W = _channel_to(cb, chan)
         ny = W.shape[1]
-        nx = cb.p_x_given_v.shape[1]
+        nx = cb.x_size
         p = (cb.p_v[:, None] * cb.p_x_given_v)[:, :, None] * W[None, :, :]   # p(v, x, y)
         bases = ((cb.v_seqs[:, None, :] * nx + cb.x_seqs) * ny).reshape(-1, cb.n)
         per_cloud = cb.x_seqs.shape[1]
@@ -547,7 +550,7 @@ def _decode_plan(
     allowed = np.stack([support[bases.T + y] for y in range(ny)], axis=1)
     return _DecodePlan(
         lb=lb[support], ub=ub[support], index=index,
-        bases=bases, allowed=allowed, screen=np.packbits(allowed, axis=-1, bitorder="little"),
+        bases=bases, screen=np.packbits(allowed, axis=-1, bitorder="little"),
         per_cloud=per_cloud, bin_size=cb.bin_size,
     )
 
@@ -625,9 +628,8 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
             f"|Z|^n = {out_space} exceeds cap {caps.max_exact_outputs}; "
             "use mc_equivocation instead"
         )
-    W = chan.matrix
+    W = _channel_to(cb, chan)
     if isinstance(cb, WiretapCodebook):
-        _channel_to(cb, chan)
         n_cw = cb.v_seqs.shape[0] * cb.x_seqs.shape[1]
         if out_space * n_cw > caps.max_exact_work:
             raise CapExceededError("exact equivocation work above cap")
@@ -638,35 +640,26 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
         conds = (head.transpose(0, 2, 1) @ tail).reshape(n_m, out_space)
         conds /= per
         return conds, 0.0
-    if isinstance(cb, MartonCodebook):
-        nq, n0, n1, n2 = cb.sizes
-        p_x = cb.tables[3]
-        if W.shape[0] != p_x.shape[1]:
-            raise DistributionError("channel input must be the X alphabet")
-        Wc = p_x @ W  # (n0*n1*n2, nz): symbol-wise input sampling folded in
-        nb1, nb2 = cb.pairing.shape[1], cb.pairing.shape[2]
-        n_cw = cb.v0_seqs.shape[0] * nb1 * nb2
-        if out_space * n_cw > caps.max_exact_work:
-            raise CapExceededError("exact equivocation work above cap")
-        conds = np.zeros((cb.n_messages, out_space))
-        failures = 0
-        total = 0
-        per_msg = cb.bin_size * nb1 * nb2
-        for m in range(cb.n_messages):
-            # every (l0, b1, b2) of the bin in order, unpaired ones dropped
-            l0 = np.repeat(np.arange(m * cb.bin_size, (m + 1) * cb.bin_size), nb1 * nb2)
-            t1, t2 = cb.pairing[m * cb.bin_size:(m + 1) * cb.bin_size].reshape(-1, 2).T
-            paired = t1 >= 0
-            total += per_msg
-            failures += per_msg - int(np.count_nonzero(paired))
-            if not paired.any():
-                raise DistributionError(f"message {m} has no successfully paired bins")
-            l0, t1, t2 = l0[paired], t1[paired], t2[paired]
-            rows = (cb.v0_seqs[l0] * n1 + cb.v1_seqs[l0, t1]) * n2 + cb.v2_seqs[l0, t2]
-            # rows add one after another, as a running sum over the pairs would
-            conds[m] = _zn_pmf_batch(Wc.take(rows, axis=0)).sum(axis=0) / len(rows)
-        return conds, failures / total
-    raise TypeError(f"unknown codebook type {type(cb).__name__}")
+    Wc = cb.tables[3] @ W  # (n0*n1*n2, nz): symbol-wise input sampling folded in
+    nb1, nb2 = cb.pairing.shape[1], cb.pairing.shape[2]
+    n_cw = cb.v0_seqs.shape[0] * nb1 * nb2
+    if out_space * n_cw > caps.max_exact_work:
+        raise CapExceededError("exact equivocation work above cap")
+    conds = np.zeros((cb.n_messages, out_space))
+    failures = 0
+    per_msg = cb.bin_size * nb1 * nb2
+    for m in range(cb.n_messages):
+        # every (l0, b1, b2) of the bin in order, unpaired ones dropped
+        l0 = np.repeat(np.arange(m * cb.bin_size, (m + 1) * cb.bin_size), nb1 * nb2)
+        t1, t2 = cb.pairing[m * cb.bin_size:(m + 1) * cb.bin_size].reshape(-1, 2).T
+        paired = t1 >= 0
+        failures += per_msg - int(np.count_nonzero(paired))
+        if not paired.any():
+            raise DistributionError(f"message {m} has no successfully paired bins")
+        rows = cb.input_rows(l0[paired], t1[paired], t2[paired])
+        # rows add one after another, as a running sum over the pairs would
+        conds[m] = _zn_pmf_batch(Wc.take(rows, axis=0)).sum(axis=0) / len(rows)
+    return conds, failures / (cb.n_messages * per_msg)
 
 
 def exact_equivocation(

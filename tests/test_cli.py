@@ -610,6 +610,7 @@ class TestFmeCommand:
 REPO_EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 LEAKAGE_TREND = json.loads((REPO_EXAMPLES / "leakage_trend.json").read_text())
 CONCENTRATION = json.loads((REPO_EXAMPLES / "concentration.json").read_text())
+INDIRECT_DECODE = json.loads((REPO_EXAMPLES / "indirect_decode.json").read_text())
 
 
 class TestSimulateCommand:
@@ -637,6 +638,38 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("config,message", [
+        ({**LEAKAGE_TREND, "trails": 7}, "unknown config key(s) trails; known: scheme, spec,"),
+        ({**LEAKAGE_TREND, "rates": {"message": 0.2023, "total": float("inf")}},
+         "rates must be finite, got inf"),
+        ({**LEAKAGE_TREND, "rates": {**LEAKAGE_TREND["rates"], "satelite": 0.25}},
+         "unknown rates key(s) satelite; known: message, total, satellite"),
+        ({**INDIRECT_DECODE, "spec": str(REPO_EXAMPLES / "multilevel_product.chan"),
+          "epsilon": float("nan")}, "epsilon must be finite, got nan"),
+        ([LEAKAGE_TREND], "config must be an object"),
+        ({**LEAKAGE_TREND, "rates": [0.2023, 1.4]}, "rates must be an object"),
+    ])
+    def test_unaccepted_config_is_validation_error(self, tmp_path, capsys, config, message):
+        # each once ran with exit 0, or escaped main with a traceback
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_output_file_holds_the_printed_bytes(self, tmp_path, capsys, fmt):
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps({**LEAKAGE_TREND, "n": [2, 4]}))
+        argv = ["simulate", "--config", str(cfile), "--seed", "3", "--format", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        report = tmp_path / "report.txt"
+        assert main(argv + ["-o", str(report)]) == 0
+        assert capsys.readouterr().out == ""
+        assert report.read_bytes() == printed.encode()
 
     def test_csv_rows(self, spec_file, tmp_path, capsys):
         cfg = {

@@ -13,6 +13,7 @@ from wiretap3.simulate import (
     MartonRates,
     TypicalityParams,
     WiretapRates,
+    _rng,
     build_marton_codebook,
     build_wiretap_codebook,
     count_bounds,
@@ -25,6 +26,7 @@ from wiretap3.simulate import (
     mc_equivocation,
 )
 from reference_simulate import bin_range, message_of, transmit
+from reference_simulate import sample_given as ref_sample_given
 
 
 def vx_identity(nx=2):
@@ -383,6 +385,35 @@ class TestMarton:
                 found_erasure = True
                 break
         assert found_erasure
+
+    def test_paired_encode_draws_x_at_the_pair_rows(self):
+        # recomputed apart from encode: the _rng(seed, 1) draws of the bin
+        # member and the product bin, then x_i from the row of p(x|v0,v1,v2)
+        # at (v0_i, v1_i, v2_i), numbered row-major; every row differs
+        a = np.arange(1, 9) / 9
+        tables = [f.table.matrix for f in marton_dist().factors[:3]] + [np.stack([a, 1 - a], 1)]
+        dist = build_factored("theorem1", {"Q": 1, "V0": 2, "V1": 2, "V2": 2, "X": 2}, tables)
+        cb = build_marton_codebook(
+            dist, MartonRates(1 / 6, 0.5, 0.5, 0.5, 0.17, 0.17), TypicalityParams(6, 2.0), 5,
+        )
+        paired = 0
+        for seed in range(20):
+            m = seed % cb.n_messages
+            enc = encode(cb, m, seed)
+            rng = _rng(seed, 1)
+            l0 = m * cb.bin_size + int(rng.integers(cb.bin_size))
+            b1 = int(rng.integers(cb.pairing.shape[1]))
+            b2 = int(rng.integers(cb.pairing.shape[2]))
+            t1, t2 = (int(t) for t in cb.pairing[l0, b1, b2])
+            if t1 < 0:
+                assert enc.erased
+                continue
+            v = (cb.v0_seqs[l0], cb.v1_seqs[l0, t1], cb.v2_seqs[l0, t2])
+            rows = np.ravel_multi_index(v, cb.sizes[1:])
+            assert (enc.l0, enc.satellites) == (l0, (t1, t2))
+            assert np.array_equal(enc.x_seq, ref_sample_given(cb.tables[3], rows, rng))
+            paired += 1
+        assert paired > 0
 
 
 class TestLemma1:

@@ -71,6 +71,12 @@ def new_decode_trials(cb, chan, params, trials, seed, decoder):
     return out
 
 
+def allowed(plan):
+    """``plan.screen`` unpacked: [i, y, c] marks codeword c allowed at position i when y_i = y."""
+    n_codewords = len(plan.bases)
+    return np.unpackbits(plan.screen, axis=-1, count=n_codewords, bitorder="little").astype(bool)
+
+
 class TestDecodePlan:
     @pytest.mark.parametrize("decoder", ["direct", "indirect"])
     @pytest.mark.parametrize("chan", [to_y1, full_support], ids=["to_y1", "full_support"])
@@ -137,9 +143,9 @@ class TestDecodePlan:
         y = ref.transmit(to_y1(), sim.encode(cb, 0, 0).x_seq, 0)
         for decoder in ("direct", "indirect"):
             plan = sim._decode_plan(cb, full_support(), params, decoder)
-            assert plan.allowed.all()          # every codeword survives the screen
+            assert allowed(plan).all()          # every codeword survives the screen
             plan = sim._decode_plan(cb, to_y1(), params, decoder)
-            alive = plan.allowed[np.arange(8), y].all(axis=0)
+            alive = allowed(plan)[np.arange(8), y].all(axis=0)
             assert 0 < alive.sum() < alive.size   # the screen removes some, not all
 
     def test_survivors_are_exactly_the_fully_typical(self):
@@ -153,7 +159,7 @@ class TestDecodePlan:
         for t in range(20):
             y = ref.transmit(to_y1(), sim.encode(cb, t % cb.n_messages, t).x_seq, t)
             full = sim.typical_mask(sim.joint_counts(plan.bases + y, p.size), lb, ub)
-            cand = np.flatnonzero(plan.allowed[np.arange(8), y].all(axis=0))
+            cand = np.flatnonzero(allowed(plan)[np.arange(8), y].all(axis=0))
             counts = sim.joint_counts(plan.index[plan.bases[cand] + y], plan.lb.size)
             assert np.array_equal(cand[sim.typical_mask(counts, plan.lb, plan.ub)],
                                   np.flatnonzero(full))
