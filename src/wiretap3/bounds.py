@@ -149,21 +149,12 @@ class AuxSpec:
             "V2": x_size + 2,
             "X": x_size,
         }
-        axes, _ = PATTERNS[self.pattern]
-        out = {}
-        for a in axes:
-            out[a] = x_size if a == "X" else int(self.cards.get(a, defaults[a]))
-        return out
+        return {a: int(self.cards.get(a, defaults[a])) for a in PATTERNS[self.pattern][0]}
 
 
 def factor_shapes(pattern: str, sizes: Mapping[str, int]) -> list[tuple[int, int]]:
-    _, chain = PATTERNS[pattern]
-    shapes = []
-    for targets, given in chain:
-        rows = int(np.prod([sizes[g] for g in given])) if given else 1
-        cols = int(np.prod([sizes[t] for t in targets]))
-        shapes.append((rows, cols))
-    return shapes
+    return [(math.prod(sizes[g] for g in given), math.prod(sizes[t] for t in targets))
+            for targets, given in PATTERNS[pattern][1]]
 
 
 def source_joint(pattern: str, sizes: Mapping[str, int], tables: Params) -> JointPmf:
@@ -242,15 +233,13 @@ class MultilevelChannel:
     def x_size(self) -> int:
         return self.to_y1z3.rows
 
-    @property
-    def to_y1(self) -> ConditionalPmf:
+    def _output(self, summed: int) -> ConditionalPmf:
+        """p(z3 | x) (summed 1) or p(y1 | x) (summed 2) from the (y1, z3) columns."""
         m = self.to_y1z3.matrix.reshape(self.x_size, self.y1_size, self.z3_size)
-        return ConditionalPmf(m.sum(axis=2))
+        return ConditionalPmf(m.sum(axis=summed))
 
-    @property
-    def to_z3(self) -> ConditionalPmf:
-        m = self.to_y1z3.matrix.reshape(self.x_size, self.y1_size, self.z3_size)
-        return ConditionalPmf(m.sum(axis=1))
+    to_y1 = property(lambda self: self._output(2))
+    to_z3 = property(lambda self: self._output(1))
 
     @classmethod
     def from_joint(
@@ -864,6 +853,13 @@ def reversely_degraded_bound(components: Sequence[ProductComponent]) -> RevDegra
         raise DistributionError("need at least one component")
     k = len(components)
     j = JointPmf((), np.asarray(1.0).reshape(()))
+
+    def gain(ls, receiver, over):
+        """I(U_ls; receiver) - I(U_ls; Z) over components ``over``, on the joint so far."""
+        us = tuple(f"U{l}" for l in ls)
+        return (j.mutual_information(us, tuple(f"{receiver}{m}" for m in over))
+                - j.mutual_information(us, tuple(f"Z{m}" for m in over)))
+
     d1, d2 = [], []
     for l, comp in enumerate(components):
         u = np.asarray([float(v) for v in comp.u], dtype=float)
@@ -871,14 +867,8 @@ def reversely_degraded_bound(components: Sequence[ProductComponent]) -> RevDegra
         j = j.extend((f"U{l}",), [(f"X{l}", comp.x_given_u.cols)], comp.x_given_u)
         for name, chan in ((f"Y1_{l}", comp.to_y1), (f"Y2_{l}", comp.to_y2), (f"Z{l}", comp.to_z)):
             j = j.extend((f"X{l}",), [(name, chan.cols)], chan)
-        d1.append(
-            j.mutual_information((f"U{l}",), (f"Y1_{l}",))
-            - j.mutual_information((f"U{l}",), (f"Z{l}",))
-        )
-        d2.append(
-            j.mutual_information((f"U{l}",), (f"Y2_{l}",))
-            - j.mutual_information((f"U{l}",), (f"Z{l}",))
-        )
+        d1.append(gain((l,), "Y1_", (l,)))
+        d2.append(gain((l,), "Y2_", (l,)))
     tol = 1e-12
     A = tuple(l for l in range(k) if d1[l] >= -tol)
     B = tuple(l for l in range(k) if d2[l] >= -tol)
@@ -887,16 +877,9 @@ def reversely_degraded_bound(components: Sequence[ProductComponent]) -> RevDegra
         sum(max(0.0, d) for d in d1),
         sum(max(0.0, d) for d in d2),
     )
-    y1_axes = tuple(f"Y1_{l}" for l in range(k))
-    y2_axes = tuple(f"Y2_{l}" for l in range(k))
-    z_axes = tuple(f"Z{l}" for l in range(k))
-    ua = tuple(f"U{l}" for l in A)
-    ub = tuple(f"U{l}" for l in B)
-    uc = tuple(f"U{l}" for l in C)
-    r1 = j.mutual_information(ua, y1_axes) - j.mutual_information(ua, z_axes)
-    r2 = j.mutual_information(ub, y2_axes) - j.mutual_information(ub, z_axes)
-    axes = {"V0": uc, "V1": tuple(f"U{l}" for l in A if l not in C),
-            "V2": tuple(f"U{l}" for l in B if l not in C), "Z": z_axes}
+    r1, r2 = gain(A, "Y1_", range(k)), gain(B, "Y2_", range(k))
+    axes = {"V0": tuple(f"U{l}" for l in C), "V1": tuple(f"U{l}" for l in A if l not in C),
+            "V2": tuple(f"U{l}" for l in B if l not in C), "Z": tuple(f"Z{l}" for l in range(k))}
     slack = _signed_sum(_MARTON_SLACK, lambda t: j.conditional_mutual_information(
         *(sum((axes[a] for a in s), ()) for s in t))) if axes["V1"] and axes["V2"] else 0.0
     return RevDegradedResult(

@@ -341,9 +341,12 @@ def _channel_from_config(cfg_value, doc: Optional[SpecDocument]):
     return ConditionalPmf(cfg_value["matrix"])
 
 
-# every top-level key that ``cmd_simulate`` reads
-_CONFIG_KEYS = ("scheme", "spec", "dist", "channel", "rates", "n", "epsilon", "delta", "delta1",
-                "trials", "decoder", "s_rate", "caps")
+# the top-level config keys that every scheme reads, and each scheme's own
+_CONFIG_KEYS = ("scheme", "spec", "dist", "n", "epsilon", "delta", "delta1", "caps")
+_SCHEME_KEYS = {"wiretap-equivocation": ("channel", "rates", "trials"),
+                "marton-equivocation": ("channel", "rates"),
+                "decode": ("channel", "rates", "trials", "decoder"),
+                "lemma1": ("s_rate", "trials")}
 
 
 def _check_keys(what: str, given, known) -> dict:
@@ -370,14 +373,16 @@ def cmd_simulate(args) -> int:
     from . import simulate as sim
     _require_seed(args)
     with open(args.config) as fh:
-        cfg = _check_keys("config", json.load(fh), _CONFIG_KEYS)
+        cfg = json.load(fh)
+    # the scheme names the keys a config may hold; a config that is no object fails the key check
+    scheme = cfg["scheme"] if isinstance(cfg, dict) else None
+    if isinstance(cfg, dict) and not (isinstance(scheme, str) and scheme in _SCHEME_KEYS):
+        raise CliError(f"unknown scheme {scheme!r}")
+    _check_keys("config", cfg, _CONFIG_KEYS + _SCHEME_KEYS.get(scheme, ()))
     doc = None
     if "spec" in cfg:   # relative to the config's directory; an absolute path stays as it is
         doc = _load_spec(str(Path(args.config).resolve().parent / cfg["spec"]))
     caps = _from_config(sim.Caps, "caps", cfg.get("caps", {}))
-    scheme = cfg["scheme"]
-    if scheme not in ("wiretap-equivocation", "marton-equivocation", "decode", "lemma1"):
-        raise CliError(f"unknown scheme {scheme!r}")
     n_list = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
     if not n_list:
         raise CliError("config n must be a blocklength or a non-empty list of them")

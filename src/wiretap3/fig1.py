@@ -55,8 +55,6 @@ from .probability import (
     product_channel,
 )
 
-ACHIEVABLE = Fraction(5, 6)
-
 
 def _constant_channel(n_inputs: int) -> ConditionalPmf:
     return ConditionalPmf([[1]] * n_inputs)
@@ -223,37 +221,25 @@ class _IdentityTrace:
 
     At points that leak nothing to Z2 (I(V2;Z2|Q2) < 1e-9) it records
     |I(V2;Y12|Q2) - I(V2;Z2|Q2)|.  Only points the sequential search
-    evaluates count: a call's silent points stay pending until the next
-    call or ``settle``, and the search's ``logical`` mask drops the
-    speculative ones first.
+    evaluates count: the search's ``logical`` mask, passed after every call
+    that returns, selects them from that call's points.
     """
 
     def __init__(self, q2_card: int, v2_card: int):
         self.points_checked = 0
         self.max_deviation = 0.0
-        self._pending = None  # (silent mask, |iy - iz|) of the last call
         self._rows = _RowRealizer("ck", {"Q": q2_card, "V": v2_card, "X": 2})
 
     def __call__(self, *change):
-        self.settle()
-        iy, iz = _second_component_plan().information(self._rows(*change))
-        silent = iz < 1e-9
-        if silent.any():
-            self._pending = (silent, np.abs(iy - iz))
-        return rck_upper_bound_objective(iy, iz)
+        self._last = _second_component_plan().information(self._rows(*change))
+        return rck_upper_bound_objective(*self._last)
 
     def logical(self, mask: np.ndarray) -> None:
-        if self._pending is not None:
-            silent, dev = self._pending
-            self._pending = (silent & mask, dev)
-
-    def settle(self) -> None:
-        if self._pending is not None:
-            silent, dev = self._pending
-            self._pending = None
-            if silent.any():
-                self.points_checked += int(np.count_nonzero(silent))
-                self.max_deviation = max(self.max_deviation, float(dev[silent].max()))
+        iy, iz = self._last
+        silent = mask & (iz < 1e-9)
+        if silent.any():
+            self.points_checked += int(np.count_nonzero(silent))
+            self.max_deviation = max(self.max_deviation, float(np.abs(iy - iz)[silent].max()))
 
 
 def reproduce_example(
@@ -275,7 +261,6 @@ def reproduce_example(
     trace = _IdentityTrace(q2_card, v2_card)
     shapes = [(1, q2_card), (q2_card, v2_card), (v2_card, 2)]
     res = search_factored(trace, shapes, budget)
-    trace.settle()
     return ExampleReport(
         achievable=achievable,
         rck_best=res.value,

@@ -46,10 +46,9 @@ what it built from the others (``bounds`` does).  It returns one value per
 point, NaN marking an inadmissible point.  The values must be pure, each
 the same whatever else is in the call, because speculative points the
 sequential search never visits are evaluated too.  An objective that
-records what it sees may define ``logical(mask)``: right after a call in
-which some start moved, the search passes the boolean mask of that call's
-points that the sequential search evaluates (every point of any other
-call is one of them).
+records what it sees may define ``logical(mask)``: right after every call
+that returns, the search passes the boolean mask of that call's points
+that the sequential search evaluates, all true when no start moved.
 """
 
 from __future__ import annotations
@@ -119,6 +118,8 @@ def refine_rows(
     live = np.ones(n, dtype=bool)  # starts not yet stopped early
     improved = np.zeros(n, dtype=bool)
     logical = getattr(objective, "logical", None)
+    if logical is not None:
+        logical(np.ones(n, dtype=bool))
     eyes = [np.eye(t.shape[2]) for t in tables]
 
     def row_round(fi: int, r: int, starts: np.ndarray, first: np.ndarray, window: int):
@@ -167,6 +168,8 @@ def refine_rows(
         if not np.count_nonzero(gain):  # no start moves: every offered point was logical
             evals += flat.size
             first = first + window
+            if logical is not None:
+                logical(np.ones(flat.size, dtype=bool))
         else:
             k = gain.argmax(axis=1)
             at = np.arange(p) * width

@@ -189,14 +189,12 @@ class ConditionalPmf:
 
 def bsc(p: Number) -> ConditionalPmf:
     """Binary symmetric channel with crossover probability p."""
-    p = Fraction(p) if isinstance(p, (int, Fraction)) else p
     q = 1 - p
     return ConditionalPmf([[q, p], [p, q]])
 
 
 def erasure_channel(e: Number) -> ConditionalPmf:
     """Binary erasure channel with output alphabet ordered (0, E, 1)."""
-    e = Fraction(e) if isinstance(e, (int, Fraction)) else e
     return ConditionalPmf([[1 - e, e, 0], [0, e, 1 - e]])
 
 
@@ -205,8 +203,13 @@ def erase_further(e: Number) -> ConditionalPmf:
 
     Non-erasure symbols survive with probability 1-e; E stays E.
     """
-    e = Fraction(e) if isinstance(e, (int, Fraction)) else e
     return ConditionalPmf([[1 - e, e, 0], [0, 1, 0], [0, e, 1 - e]])
+
+
+def _tables(*chans: ConditionalPmf) -> list[np.ndarray]:
+    """The channels' exact entries as object arrays if all are exact, else their floats."""
+    exact = all(c.exact is not None for c in chans)
+    return [np.array(c.exact, dtype=object) if exact else c.matrix for c in chans]
 
 
 def cascade(f: ConditionalPmf, g: ConditionalPmf) -> ConditionalPmf:
@@ -216,16 +219,8 @@ def cascade(f: ConditionalPmf, g: ConditionalPmf) -> ConditionalPmf:
             f"cascade mismatch: first channel has {f.cols} outputs, "
             f"second expects {g.rows} inputs"
         )
-    if f.exact is not None and g.exact is not None:
-        prod = [
-            [
-                sum((f.exact[i][k] * g.exact[k][j] for k in range(f.cols)), Fraction(0))
-                for j in range(g.cols)
-            ]
-            for i in range(f.rows)
-        ]
-        return ConditionalPmf(prod)
-    return ConditionalPmf(f.matrix @ g.matrix)
+    a, b = _tables(f, g)
+    return ConditionalPmf(a @ b)
 
 
 def product_channel(components: Sequence[ConditionalPmf]) -> ConditionalPmf:
@@ -238,14 +233,8 @@ def product_channel(components: Sequence[ConditionalPmf]) -> ConditionalPmf:
         raise DistributionError("product_channel needs at least one component")
     out = components[0]
     for comp in components[1:]:
-        if out.exact is not None and comp.exact is not None:
-            rows = []
-            for ra in out.exact:
-                for rb in comp.exact:
-                    rows.append([a * b for a in ra for b in rb])
-            out = ConditionalPmf(rows)
-        else:
-            out = ConditionalPmf(np.kron(out.matrix, comp.matrix))
+        a, b = _tables(out, comp)
+        out = ConditionalPmf(np.kron(a, b))
     return out
 
 
@@ -294,22 +283,13 @@ class JointPmf:
         perm = tuple(remaining.index(a) for a in keep)
         return JointPmf(keep, np.transpose(t, perm))
 
-    def entropy(self, axes: Optional[Sequence[str]] = None) -> float:
-        if axes is None:
-            return entropy_of_vector(self.tensor)
+    def entropy(self, axes: Sequence[str]) -> float:
         keep = self._check_axes(axes)
         drop = tuple(i for i, a in enumerate(self.axes) if a not in keep)
         return entropy_of_vector(self.tensor.sum(axis=drop) if drop else self.tensor)
 
     def mutual_information(self, axes_a: Sequence[str], axes_b: Sequence[str]) -> float:
-        a = self._check_axes(axes_a)
-        b = self._check_axes(axes_b)
-        if set(a) & set(b):
-            raise AxisError(f"overlapping axis sets {a} and {b}")
-        value = self.entropy(a) + self.entropy(b) - self.entropy(a + b)
-        if value < -MEASURE_TOL:
-            raise DistributionError(f"mutual information {value} below -tolerance")
-        return max(value, 0.0)
+        return self.conditional_mutual_information(axes_a, axes_b, ())
 
     def conditional_mutual_information(
         self,
@@ -317,21 +297,15 @@ class JointPmf:
         axes_b: Sequence[str],
         axes_c: Sequence[str],
     ) -> float:
-        a = self._check_axes(axes_a)
-        b = self._check_axes(axes_b)
-        c = self._check_axes(axes_c)
-        if (set(a) & set(b)) or (set(a) & set(c)) or (set(b) & set(c)):
+        """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C); I(A;B) when C is empty."""
+        a, b, c = (self._check_axes(x) for x in (axes_a, axes_b, axes_c))
+        if len(set(a + b + c)) != len(a + b + c):
             raise AxisError("axis sets must be pairwise disjoint")
-        if not c:
-            return self.mutual_information(a, b)
-        value = (
-            self.entropy(a + c)
-            + self.entropy(b + c)
-            - self.entropy(a + b + c)
-            - self.entropy(c)
-        )
+        value = self.entropy(a + c) + self.entropy(b + c) - self.entropy(a + b + c)
+        if c:
+            value -= self.entropy(c)
         if value < -MEASURE_TOL:
-            raise DistributionError(f"conditional MI {value} below -tolerance")
+            raise DistributionError(f"mutual information {value} below -tolerance")
         return max(value, 0.0)
 
     def extend(

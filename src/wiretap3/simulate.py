@@ -52,13 +52,15 @@ class CapExceededError(RuntimeError):
 
 
 def _require(name: str, value, kind: type, noun: str) -> None:
-    """A ValueError unless ``value`` is a ``kind`` (``Integral`` or ``Real``), no bool, and finite.
-
-    An ``Integral`` is always finite, and ``math.isfinite`` overflows on a huge one.
-    """
+    """A ValueError unless ``value`` is a ``kind`` (``Integral`` or ``Real``), no bool, and a
+    finite float: an int too large for a float, on which ``math.isfinite`` overflows, is not."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {noun}, got {value!r}")
-    if not (isinstance(value, Integral) or math.isfinite(value)):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -534,8 +536,6 @@ def _decode_plan(
         bases = cb.v_seqs * ny
         per_cloud = 1
     elif decoder == "indirect":
-        if cb.x_seqs.shape[1] < 1:
-            raise DistributionError("indirect decoding needs a satellite layer")
         W = _channel_to(cb, chan)
         ny = W.shape[1]
         nx = cb.x_size

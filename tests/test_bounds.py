@@ -1,6 +1,7 @@
 """Rate-bound evaluators, region samples, and the maximizer."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -518,6 +519,22 @@ class TestMultilevelRegions:
             v_form = cmi(("V",), ("Y1",), ("U3",)) - cmi(("V",), ("Z3",), ("U3",))
             x_form = cmi(("X",), ("Y1",), ("U3",)) - cmi(("X",), ("Z3",), ("U3",))
             assert x_form >= v_form - 1e-10
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: BroadcastChannels(bsc(0.1), bsc(0.1), ConditionalPmf([[0.5, 0.5]] * 3)),
+     "receiver channels disagree on |X|"),
+    (lambda: MultilevelChannel(ConditionalPmf([[0.25] * 4] * 2), 2, 3, bsc(0.2)),
+     "y1/z3 sizes do not factor the joint columns"),
+    (lambda: MultilevelChannel(ConditionalPmf([[0.25] * 4] * 2), 2, 2,
+                               ConditionalPmf([[0.5, 0.5]] * 3)),
+     "z2 channel input must be the y1 alphabet"),
+    (lambda: MultilevelChannel.from_joint(ConditionalPmf([[0.125] * 8] * 2), 2, 2, 3),
+     "output sizes do not factor the joint columns"),
+])
+def test_channel_shape_mismatch_raises(make, message):
+    with pytest.raises(DistributionError, match=re.escape(message)):
+        make()
 
 
 class TestReverselyDegraded:

@@ -238,6 +238,7 @@ class TestExitCodes:
                 {"targets": ["Z"], "given": ["V"], "table": [[0.75, 0.25], [0.25, 0.75]]},
             ]}
             cfg["s_rate"] = 0.5
+            del cfg["channel"], cfg["rates"]   # lemma1 reads neither
         cfile = tmp_path / "cfg.json"
         cfile.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == 1
@@ -658,6 +659,57 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("config,key", [
+        ({**LEAKAGE_TREND, "s_rate": 0.5}, "s_rate"),
+        ({**LEAKAGE_TREND, "decoder": "direct"}, "decoder"),
+        ({**LEAKAGE_TREND, "scheme": "marton-equivocation"}, "trials"),
+        ({**LEAKAGE_TREND, "scheme": "marton-equivocation", "trials": None,
+          "decoder": "direct"}, "decoder, trials"),
+        ({**CONCENTRATION, "channel": {"matrix": [[1, 0], [0, 1]]}}, "channel"),
+        ({**CONCENTRATION, "rates": {"message": 0.25, "total": 0.5}}, "rates"),
+        ({**CONCENTRATION, "decoder": "direct"}, "decoder"),
+        ({**INDIRECT_DECODE, "s_rate": 0.5}, "s_rate"),
+    ])
+    def test_key_its_scheme_never_reads_is_validation_error(self, tmp_path, capsys, config, key):
+        # each ran with exit 0 and the key ignored while one key list served every scheme
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: unknown config key(s) {key}; known: scheme, ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("config,message", [
+        ({**LEAKAGE_TREND, "scheme": "lemma2", "trails": 7}, "unknown scheme 'lemma2'"),
+        ({**LEAKAGE_TREND, "scheme": ["decode"]}, "unknown scheme ['decode']"),
+    ])
+    def test_unknown_scheme_is_reported_before_its_keys(self, tmp_path, capsys, config, message):
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("config,name", [
+        ({**INDIRECT_DECODE, "epsilon": 10**400}, "epsilon"),
+        ({**INDIRECT_DECODE, "n": 10**400}, "blocklength n"),
+        ({**INDIRECT_DECODE, "rates": {**INDIRECT_DECODE["rates"], "total": 10**400}}, "rates"),
+        ({**LEAKAGE_TREND, "rates": {"message": 10**400, "total": 1.4}}, "rates"),
+        ({**CONCENTRATION, "delta": 10**400}, "delta"),
+        ({**CONCENTRATION, "s_rate": 10**400}, "rates"),
+        ({**CONCENTRATION, "trials": 10**400}, "trials"),
+    ])
+    def test_int_too_large_for_a_float_is_validation_error(self, tmp_path, capsys, config, name):
+        # each escaped main with OverflowError: int too large to convert to float
+        if config.get("spec"):
+            config = {**config, "spec": str(REPO_EXAMPLES / config["spec"])}
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be finite, got {10**400}\n"
 
     @pytest.mark.parametrize("fmt", ["human", "json"])
     def test_output_file_holds_the_printed_bytes(self, tmp_path, capsys, fmt):

@@ -20,10 +20,15 @@ from wiretap3.probability import bsc, erasure_channel
 
 def _scalar(objective):
     """A search objective as the scalar objective the reference expects: one
-    call whose one point is a one-start stack offered its own first row."""
+    call whose one point is a one-start stack offered its own first row,
+    followed, as the search follows every call that returns, by its
+    ``logical`` mask, which holds that one point."""
+    logical = getattr(objective, "logical", None)
 
     def fn(params):
         val = objective([p[None] for p in params], 0, 0, np.zeros(1, dtype=int), params[0][:1])[0]
+        if logical is not None:
+            logical(np.ones(1, dtype=bool))
         return None if np.isnan(val) else float(val)
 
     return fn
@@ -263,6 +268,50 @@ def test_speculative_point_does_not_raise_where_the_sequential_search_does_not()
     assert raised == [6]  # the whole first row in one call, then one vertex per call
     assert (values[0], evals) == (val, n)
     assert np.array_equal(tables[0][0], params[0])
+
+
+class _Recording:
+    """An objective that logs each call that returns and each ``logical`` mask."""
+
+    def __init__(self, objective):
+        self.objective, self.log = objective, []
+
+    def __call__(self, *change):
+        values = self.objective(*change)
+        self.log.append(("call", len(values)))
+        return values
+
+    def logical(self, mask):
+        self.log.append(("logical", mask.copy()))
+
+
+@pytest.mark.parametrize("objective,shapes,starts", [
+    (_example_objective, [(1, 3), (3, 4), (4, 2)], 5),
+    (_stacked_inadmissible, [(1, 3), (2, 4)], 150),
+])
+def test_every_returning_call_is_followed_by_one_logical_mask(objective, shapes, starts):
+    rng = np.random.default_rng(starts)
+    stack = [rng.dirichlet(np.ones(c), size=(starts, r)) for r, c in shapes]
+    rec = _Recording(objective)
+    _, _, evals, points = optim.refine_rows(rec, stack, 60)
+    calls, masks = rec.log[0::2], rec.log[1::2]
+    assert [kind for kind, _ in calls] == ["call"] * len(calls)
+    assert [kind for kind, _ in masks] == ["logical"] * len(calls)
+    for (_, n), (_, mask) in zip(calls, masks):
+        assert mask.dtype == bool and mask.shape == (n,)
+    assert sum(int(np.count_nonzero(mask)) for _, mask in masks) == evals
+    assert sum(n for _, n in calls) == points
+    assert any(not mask.all() for _, mask in masks)  # some call held speculative points
+
+
+def test_a_call_that_raises_gets_no_logical_mask():
+    raised = []
+    rec = _Recording(_first_row_objective(lambda row: row[:, 1] >= 0.5 - 1e-12, raised))
+    values, _, evals, _ = optim.refine_rows(rec, [np.full((1, 1, 3), 1 / 3)], 20)
+    assert raised == [6]
+    kinds = [kind for kind, _ in rec.log]
+    assert kinds == ["call", "logical"] * (len(kinds) // 2)
+    assert sum(int(np.count_nonzero(m)) for kind, m in rec.log if kind == "logical") == evals
 
 
 def test_logical_point_raises_like_the_reference():

@@ -119,6 +119,42 @@ class TestCodebookArithmetic:
                 bad()
 
 
+def _marton_codebook(n=4):
+    return build_marton_codebook(
+        marton_dist(), MartonRates(0.25, 0.5, 0.5, 0.5, 0.25, 0.25), TypicalityParams(n, 8.0), 3
+    )
+
+
+class TestValidation:
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: TypicalityParams(0), ValueError, "blocklength n must be >= 1"),
+        (lambda: TypicalityParams(4, 0), ValueError, "epsilon must be positive"),
+        (lambda: TypicalityParams(4, -0.5), ValueError, "epsilon must be positive"),
+        (lambda: build_wiretap_codebook(vx_identity(), WiretapRates(0.5, 1.0, -0.25),
+                                        TypicalityParams(4, 0.5), 0),
+         ValueError, "rates must be non-negative"),
+        (lambda: build_marton_codebook(vx_identity(), MartonRates(0.25, 0.5, 0.5, 0.5, 0.25, 0.25),
+                                       TypicalityParams(4, 8.0), 0),
+         ValueError, "Marton codebooks need a theorem1-pattern distribution"),
+        (lambda: build_marton_codebook(marton_dist(), MartonRates(0.25, 0.5, 0.25, 0.5, 0.5, 0.25),
+                                       TypicalityParams(4, 8.0), 0),
+         ValueError, "bin exponents cannot exceed their layer exponents"),
+        (lambda: build_marton_codebook(marton_dist(), MartonRates(0.25, 0.5, 0.5, 0.5, 0.25, 0.25),
+                                       TypicalityParams(4, 8.0), 0, Caps(max_codebook_entries=100)),
+         CapExceededError, "codebook needs 148 symbols > cap"),
+        (lambda: exact_equivocation(_marton_codebook(), bsc(0.1), Caps(max_exact_work=1)),
+         CapExceededError, "exact equivocation work above cap"),
+        (lambda: mc_equivocation(_marton_codebook(), bsc(0.1), 4, 0),
+         TypeError, "mc_equivocation supports superposition codebooks"),
+        (lambda: lemma1_experiment(TestLemma1().dist(), 0.5, TypicalityParams(8, 0.5), 50, 1,
+                                   Caps(max_codebook_entries=100)),
+         CapExceededError, "lemma1 experiment size above cap"),
+    ])
+    def test_out_of_range_input_raises(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+
 class TestEncode:
     def test_single_codeword_codebook(self):
         cb = build_wiretap_codebook(
