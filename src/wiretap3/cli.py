@@ -341,29 +341,33 @@ def _channel_from_config(cfg_value, doc: Optional[SpecDocument]):
     return ConditionalPmf(cfg_value["matrix"])
 
 
-# the top-level config keys that every scheme reads, and each scheme's own
+# the top-level config keys that every scheme reads, each scheme's own, and those with a default
 _CONFIG_KEYS = ("scheme", "spec", "dist", "n", "epsilon", "delta", "delta1", "caps")
 _SCHEME_KEYS = {"wiretap-equivocation": ("channel", "rates", "trials"),
                 "marton-equivocation": ("channel", "rates"),
                 "decode": ("channel", "rates", "trials", "decoder"),
                 "lemma1": ("s_rate", "trials")}
+_DEFAULTED = ("spec", "epsilon", "delta", "delta1", "caps", "trials", "decoder")
 
 
-def _check_keys(what: str, given, known) -> dict:
-    """``given``, once it is an object whose keys are all ``known``."""
+def _check_keys(what: str, given, known, required=()) -> dict:
+    """``given``, once it is an object whose keys are all ``known`` and include ``required``."""
     if not isinstance(given, dict):
         raise CliError(f"{what} must be an object")
     unknown = sorted(set(given) - set(known))
     if unknown:
         raise CliError(f"unknown {what} key(s) {', '.join(unknown)}; known: {', '.join(known)}")
+    missing = [k for k in required if k not in given]
+    if missing:
+        raise CliError(f"{what} is missing key {missing[0]!r}")
     return given
 
 
 def _from_config(cls, what: str, given):
-    """A ``cls`` from the object ``given``; a field it lacks that has no default is a KeyError."""
-    known = fields(cls)
-    _check_keys(what, given, [f.name for f in known])
-    return cls(**{f.name: given[f.name] for f in known if f.name in given or f.default is MISSING})
+    """A ``cls`` from the object ``given``, which must hold every field without a default."""
+    names = [f.name for f in fields(cls)]
+    _check_keys(what, given, names, [f.name for f in fields(cls) if f.default is MISSING])
+    return cls(**given)
 
 
 _EQUIVOCATION = "leakage_rate equivocation_rate message_rate"
@@ -374,11 +378,12 @@ def cmd_simulate(args) -> int:
     _require_seed(args)
     with open(args.config) as fh:
         cfg = json.load(fh)
-    # the scheme names the keys a config may hold; a config that is no object fails the key check
-    scheme = cfg["scheme"] if isinstance(cfg, dict) else None
-    if isinstance(cfg, dict) and not (isinstance(scheme, str) and scheme in _SCHEME_KEYS):
+    # the scheme names the keys a config may and must hold, so it is required first, any key known
+    scheme = _check_keys("config", cfg, cfg, ("scheme",))["scheme"]
+    if not (isinstance(scheme, str) and scheme in _SCHEME_KEYS):
         raise CliError(f"unknown scheme {scheme!r}")
-    _check_keys("config", cfg, _CONFIG_KEYS + _SCHEME_KEYS.get(scheme, ()))
+    known = _CONFIG_KEYS + _SCHEME_KEYS[scheme]
+    _check_keys("config", cfg, known, [k for k in known if k not in _DEFAULTED])
     doc = None
     if "spec" in cfg:   # relative to the config's directory; an absolute path stays as it is
         doc = _load_spec(str(Path(args.config).resolve().parent / cfg["spec"]))

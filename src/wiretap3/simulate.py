@@ -16,9 +16,10 @@ codeword with a symbol in a zero-probability cell is atypical, so only the
 others are counted, over the support cells.  The plan decodes a chunk of
 outputs at once: one screen, then one count over every survivor.
 
-Monte Carlo scores are computed in the log domain (sums of log2 W, then a
-max-shifted log-sum-exp over codewords and messages), so they neither
-underflow nor go negative at large n.
+Monte Carlo scores are computed in the log domain (log2 W summed over each
+codeword's joint type with the output, then a max-shifted log-sum-exp over
+codewords and messages), so they neither underflow nor go negative at large
+n, and the type counts are exact integers, so no BLAS kernel moves a bit.
 
 Randomness: every public operation takes an integer seed; internal
 streams derive from numpy SeedSequence(seed, spawn_key=...) with fixed
@@ -106,9 +107,8 @@ DEFAULT_CAPS = Caps()
 # Scores (trials x codewords) per Monte Carlo chunk; trials x codewords per
 # decode chunk and counted cells per lemma1 chunk.  Small temporaries keep the
 # heap from growing: freed heap memory stays resident and raises the peak of
-# later exact computations.  The Monte Carlo chunk also fixes bits: BLAS
-# picks a matmul's kernel and blocking by its shape, so another chunk size can
-# sum a score's logs in another order and change seeded scores.
+# later exact computations.  The chunks set memory, not bits: Monte Carlo
+# scores count joint types exactly whatever kernel BLAS picks for a shape.
 _SCORE_CHUNK = 1 << 14
 _COUNT_CHUNK = 1 << 16
 # Trial streams are seeded and advanced a block at a time in vectorized PCG64
@@ -135,11 +135,18 @@ def _check_trials(trials: int) -> None:
 
 
 def _exponent(n: int, rate: float) -> int:
-    """Codeword-count exponent ceil(n * rate), robust to float dust."""
+    """Codeword-count exponent ceil(n * rate), robust to float dust; at most 2^63, which is
+    past every cap, so a rate whose n * rate overflows a float still has one."""
     _require("rates", rate, Real, "real numbers")
     if rate < 0:
         raise ValueError("rates must be non-negative")
-    return int(np.ceil(n * rate - 1e-9))
+    return int(np.ceil(min(n * rate, 2 ** 63) - 1e-9))
+
+
+def _check_exponent(bits: int, cap: int, what: str) -> None:
+    """A CapExceededError, raised before any 1 << k allocates 2^k, if ``what`` >= 2^bits > cap."""
+    if bits >= cap.bit_length():
+        raise CapExceededError(f"{what} is at least 2^{bits} > cap {cap}")
 
 
 def _iid_symbols(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -183,19 +190,16 @@ def count_bounds(p: np.ndarray, n: int, eps: float) -> tuple[np.ndarray, np.ndar
     p = p.ravel()
     lb = np.maximum(np.ceil(n * p * (1 - eps) - 1e-9).astype(np.int64), 0)
     ub = np.floor(n * p * (1 + eps) + 1e-9).astype(np.int64)
-    lb[p <= 0] = 0
-    ub[p <= 0] = 0
+    lb[p <= 0] = ub[p <= 0] = 0
     return lb, ub
 
 
 def joint_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
     """Count cell occurrences along the last axis: (..., n) -> (..., n_cells)."""
     lead = cells.shape[:-1]
-    k = int(np.prod(lead)) if lead else 1
-    flat = cells.reshape(k, cells.shape[-1])
-    offs = flat + n_cells * np.arange(k, dtype=np.int64)[:, None]
-    counts = np.bincount(offs.ravel(), minlength=k * n_cells)
-    return counts.reshape(*lead, n_cells) if lead else counts.reshape(n_cells)
+    k = int(np.prod(lead))
+    offs = cells.reshape(k, cells.shape[-1]) + n_cells * np.arange(k, dtype=np.int64)[:, None]
+    return np.bincount(offs.ravel(), minlength=k * n_cells).reshape(*lead, n_cells)
 
 
 def typical_mask(counts: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -245,12 +249,6 @@ class WiretapCodebook(_BinnedLayer):
         return self.p_x_given_v.shape[1]
 
 
-def _wiretap_tables(dist) -> tuple[np.ndarray, np.ndarray]:
-    j = as_joint(dist).marginal(("V", "X")).tensor
-    p_v = j.sum(axis=1)
-    return p_v, conditional(j, p_v)
-
-
 def build_wiretap_codebook(
     dist,
     rates: WiretapRates,
@@ -259,13 +257,16 @@ def build_wiretap_codebook(
     caps: Caps = DEFAULT_CAPS,
 ) -> WiretapCodebook:
     """i.i.d. v-layer, conditionally i.i.d. x-satellites, exact bin split."""
-    p_v, p_xv = _wiretap_tables(dist)
+    j = as_joint(dist).marginal(("V", "X")).tensor
+    p_v = j.sum(axis=1)
+    p_xv = conditional(j, p_v)
     n = params.n
     k_msg = _exponent(n, rates.message)
     k_total = _exponent(n, rates.total)
     k_sat = _exponent(n, rates.satellite)
     if k_total < k_msg:
         raise ValueError("total v-layer rate must be >= message rate")
+    _check_exponent(k_total + k_sat, caps.max_codebook_entries, "codebook size")
     n_total, n_sat = 1 << k_total, 1 << k_sat
     entries = n_total * n * (1 + n_sat)
     if entries > caps.max_codebook_entries:
@@ -324,10 +325,7 @@ class MartonCodebook(_BinnedLayer):
 
 
 def _marton_tables(dist) -> tuple[tuple[np.ndarray, ...], tuple[int, int, int, int], int]:
-    if not isinstance(dist, FactoredDistribution) or dist.pattern not in (
-        "theorem1",
-        "theorem2",
-    ):
+    if not isinstance(dist, FactoredDistribution) or dist.pattern not in ("theorem1", "theorem2"):
         raise DistributionError("Marton codebooks need a theorem1-pattern distribution")
     sizes = {a: s for a, s in dist.axis_sizes}
     tabs = tuple(f.table.matrix for f in dist.factors)
@@ -356,6 +354,7 @@ def build_marton_codebook(
     k_b1, k_b2 = _exponent(n, rates.b1), _exponent(n, rates.b2)
     if k_total < k_msg or k_t1 < k_b1 or k_t2 < k_b2:
         raise ValueError("bin exponents cannot exceed their layer exponents")
+    _check_exponent(k_total + max(k_t1, k_t2), caps.max_codebook_entries, "codebook size")
     n_tot, nt1, nt2 = 1 << k_total, 1 << k_t1, 1 << k_t2
     entries = n * (1 + n_tot * (1 + nt1 + nt2))
     if entries > caps.max_codebook_entries:
@@ -529,21 +528,17 @@ class _DecodePlan:
 def _decode_plan(
     cb: WiretapCodebook, chan: ConditionalPmf, params: TypicalityParams, decoder: str
 ) -> _DecodePlan:
-    if decoder == "direct":
-        W = _channel_to(cb, chan)
-        ny = W.shape[1]
-        p = cb.p_v[:, None] * (cb.p_x_given_v @ W)   # p(v, y)
-        bases = cb.v_seqs * ny
-        per_cloud = 1
-    elif decoder == "indirect":
-        W = _channel_to(cb, chan)
-        ny = W.shape[1]
-        nx = cb.x_size
-        p = (cb.p_v[:, None] * cb.p_x_given_v)[:, :, None] * W[None, :, :]   # p(v, x, y)
-        bases = ((cb.v_seqs[:, None, :] * nx + cb.x_seqs) * ny).reshape(-1, cb.n)
-        per_cloud = cb.x_seqs.shape[1]
-    else:
+    if decoder not in ("direct", "indirect"):
         raise ValueError("decoder must be direct or indirect")
+    W = _channel_to(cb, chan)
+    ny = W.shape[1]
+    if decoder == "direct":
+        p = cb.p_v[:, None] * (cb.p_x_given_v @ W)   # p(v, y)
+        bases, per_cloud = cb.v_seqs * ny, 1
+    else:
+        p = (cb.p_v[:, None] * cb.p_x_given_v)[:, :, None] * W[None, :, :]   # p(v, x, y)
+        bases = ((cb.v_seqs[:, None, :] * cb.x_size + cb.x_seqs) * ny).reshape(-1, cb.n)
+        per_cloud = cb.x_seqs.shape[1]
     lb, ub = count_bounds(p, cb.n, params.epsilon)
     support = p.ravel() > 0
     index = np.cumsum(support) - 1
@@ -555,22 +550,14 @@ def _decode_plan(
     )
 
 
-def decode_direct(
-    cb: WiretapCodebook,
-    y_seq: np.ndarray,
-    params: TypicalityParams,
-    chan: ConditionalPmf,
-) -> DecodeResult:
+def decode_direct(cb: WiretapCodebook, y_seq: np.ndarray, params: TypicalityParams,
+                  chan: ConditionalPmf) -> DecodeResult:
     """Unique jointly typical v-sequence against the induced p(v, y)."""
     return _decode_plan(cb, chan, params, "direct").decode(y_seq)
 
 
-def decode_indirect(
-    cb: WiretapCodebook,
-    y_seq: np.ndarray,
-    params: TypicalityParams,
-    chan: ConditionalPmf,
-) -> DecodeResult:
+def decode_indirect(cb: WiretapCodebook, y_seq: np.ndarray, params: TypicalityParams,
+                    chan: ConditionalPmf) -> DecodeResult:
     """Unique cloud index with *some* satellite jointly typical with y."""
     return _decode_plan(cb, chan, params, "indirect").decode(y_seq)
 
@@ -662,11 +649,7 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
     return conds, failures / (cb.n_messages * per_msg)
 
 
-def exact_equivocation(
-    cb,
-    chan: ConditionalPmf,
-    caps: Caps = DEFAULT_CAPS,
-) -> SimReport:
+def exact_equivocation(cb, chan: ConditionalPmf, caps: Caps = DEFAULT_CAPS) -> SimReport:
     """H(M|Z^n)/n and I(M;Z^n)/n by exact enumeration, uniform messages.
 
     The two rates are computed by independent summations, so their sum
@@ -698,25 +681,50 @@ def exact_equivocation(
     )
 
 
-def _message_log_likelihoods(
-    onehot: np.ndarray, logw: np.ndarray, dead: Optional[np.ndarray], z: np.ndarray, n_m: int
-) -> np.ndarray:
+def _score_tables(flat_x: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+    """(x_ind, folds), the codebook side of ``_message_log_likelihoods``.
+
+    With symbol 0 as reference, ``x_ind`` (n, (|X| - 1) codewords) marks x_i = a, a block
+    per a >= 1, so [z = b] @ x_ind counts the joint type N(a, b), a, b >= 1, exactly in any
+    summation order.  By the symbol weights w, sum_(a,b) N(a, b) M[a, b] = sum_(a,b >= 1)
+    N(a, b) D[a, b] + bx[c] + bz[t], summed in this order, with r[b] = M[0, b] - M[0, 0],
+    D[a, b] = (M[a, b] - M[a, 0]) - r[b], bx = sum_a w_a (M[a, 0] - M[0, 0]) and bz =
+    n M[0, 0] + sum_b w_b r[b].  A fold (D, bx, r[1:], n M[0, 0]) is kept for M = log2 W
+    (0 where W is 0) and, if W has a zero, for [W = 0], which counts positions on zeros.
+    """
+    n, marks = flat_x.shape[1], flat_x == np.arange(1, W.shape[0])[:, None, None]
+    x_ind = marks.transpose(2, 0, 1).reshape(n, -1).astype(float, order="C")
+    folds = []
+    for m in [log2_cells(W)] + ([(W == 0).astype(float)] if (W == 0).any() else []):
+        r = m[0] - m[0, 0]
+        bx = sum((w * (m[a, 0] - m[0, 0]) for a, w in enumerate(marks.sum(axis=2), 1)),
+                 np.zeros(len(flat_x)))
+        folds.append(((m[1:, 1:] - m[1:, :1]) - r[1:], bx, r[1:], n * m[0, 0]))
+    return x_ind, folds
+
+
+def _message_log_likelihoods(x_ind: np.ndarray, folds: list, z: np.ndarray, n_m: int) -> np.ndarray:
     """log2 p(z^n | m) for a chunk of outputs z (T, n): (T, messages).
 
-    ``onehot[c, i*|X| + x]`` marks x = x_i of codeword c, so one matmul sums
-    log2 W[x_i, z_i] over the positions of every codeword.  ``logw[z, x]``, a
-    contiguous (|Z|, |X|) table gathered by ``take``, holds log2 W[x, z], 0
-    where W is 0, and ``dead`` (None when W has no zero) marks those cells
-    instead; a codeword with any of them has likelihood exactly -inf.  The
-    matmul keeps the view ``onehot.T``: BLAS picks its kernel by operand
-    layout, and a contiguous copy sums in another order at small shapes
-    (n = 1200: (6, 2400) @ (2400, 32)).  Each message mixes its codewords by
-    a max-shifted log-mean-exp.
+    One matmul counts every joint type, and each fold of ``_score_tables`` is summed
+    elementwise in a fixed order, so no bit depends on the BLAS kernel.  A position on a
+    zero of W makes a likelihood exactly -inf.  Messages mix codewords by log-mean-exp.
     """
-    t = len(z)
-    ll = logw.take(z, axis=0).reshape(t, -1) @ onehot.T
-    if dead is not None:
-        ll[dead.take(z, axis=0).reshape(t, -1) @ onehot.T > 0] = -np.inf
+    t, n = z.shape
+    (nx1, nz1), n_cw = folds[0][0].shape, len(folds[0][1])   # |X| - 1, |Z| - 1, codewords
+    z_ind = (z == np.arange(1, nz1 + 1)[:, None, None]).reshape(-1, n).astype(float)
+    counts = (z_ind @ x_ind).reshape(nz1, t, nx1, n_cw)   # N(a, b) at [b - 1, :, a - 1]
+    w_z = z_ind.reshape(nz1, t, n).sum(axis=2)
+    sums = []
+    for d, bx, r, corner in folds:
+        terms = [counts[b, :, a] * d[a, b] for a, b in np.ndindex(d.shape)] or [np.zeros((t, n_cw))]
+        s = sum(terms[1:], terms[0])
+        s += bx
+        s += sum((w * rb for w, rb in zip(w_z, r)), np.full(t, corner))[:, None]
+        sums.append(s)
+    ll, *dead = sums
+    if dead:
+        ll[dead[0] > 0] = -np.inf
     ll = ll.reshape(t, n_m, -1)
     top = ll.max(axis=2, keepdims=True)
     top[~np.isfinite(top)] = 0.0   # a message none of whose codewords can emit z
@@ -734,10 +742,7 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
     """
     n, n_m, nx = cb.n, cb.n_messages, W.shape[0]
     flat_x = cb.x_seqs.reshape(-1, n)
-    onehot = (flat_x[:, :, None] == np.arange(nx)).reshape(len(flat_x), n * nx).astype(float)
-    w_zx = np.ascontiguousarray(W.T)
-    logw = log2_cells(w_zx)
-    dead = (w_zx == 0).astype(float) if (W == 0).any() else None
+    x_ind, folds = _score_tables(flat_x, W)
     bounds = _symbol_bounds(W)
     chunk = max(1, _SCORE_CHUNK // max(len(flat_x), n * nx))
     samples = np.empty(trials)
@@ -748,7 +753,7 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
         cw = l0 * cb.x_seqs.shape[1] + l1
         for rows, u in block.random_chunks(n, chunk):
             z = _pick_symbols(bounds, flat_x.take(cw[rows], axis=0), u)
-            ell = _message_log_likelihoods(onehot, logw, dead, z, n_m)
+            ell = _message_log_likelihoods(x_ind, folds, z, n_m)
             top = ell.max(axis=1)
             with np.errstate(invalid="ignore"):
                 score = top - ell[np.arange(len(u)), sent[rows]] + np.log2(
@@ -759,12 +764,7 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
     return samples
 
 
-def mc_equivocation(
-    cb,
-    chan: ConditionalPmf,
-    trials: int,
-    seed: int,
-) -> SimReport:
+def mc_equivocation(cb, chan: ConditionalPmf, trials: int, seed: int) -> SimReport:
     """Monte Carlo equivocation: sample (m, z^n), score -log2 p(m|z^n).
 
     p(m|z^n) is computed exactly for each sampled z^n (mixture over the
@@ -791,14 +791,8 @@ def mc_equivocation(
     )
 
 
-def decoding_error_rate(
-    cb: WiretapCodebook,
-    chan: ConditionalPmf,
-    params: TypicalityParams,
-    trials: int,
-    seed: int,
-    decoder: str = "indirect",
-) -> tuple[float, int]:
+def decoding_error_rate(cb: WiretapCodebook, chan: ConditionalPmf, params: TypicalityParams,
+                        trials: int, seed: int, decoder: str = "indirect") -> tuple[float, int]:
     """Monte Carlo block error rate of direct or indirect decoding.
 
     The decode plan is built once; each trial draws its message and an
@@ -862,6 +856,7 @@ def lemma1_experiment(
     )
     n = params.n
     k = _exponent(n, s_rate)
+    _check_exponent(k, caps.max_codebook_entries * 8, "lemma1 experiment size")
     n_list = 1 << k
     if n_list * n * trials > caps.max_codebook_entries * 8:
         raise CapExceededError("lemma1 experiment size above cap")

@@ -10,8 +10,8 @@ conditionals and the lemma1 counts loop over bins and trials one at a time;
 the Marton codebook picks each bin's pair from its own ``argwhere`` list.
 The product laws of ``zn_pmf_batch`` come from one broadcast outer product
 per position, and ``message_log_likelihoods`` scores Monte Carlo outputs by
-fancy-indexing the transposed log table (the log-domain scoring as it was
-before its gathers became ``take``).
+one matmul of a one-hot codeword table with the gathered log2 W (the
+log-domain scoring before it counted joint types).
 Every trial seeds its own ``SeedSequence`` stream through ``_rng``, every
 output draw recomputes the channel's cumulative sums in ``sample_given``, and
 i.i.d. draws go through ``rng.choice``.  The encoders and the wiretap

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -612,6 +613,17 @@ REPO_EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 LEAKAGE_TREND = json.loads((REPO_EXAMPLES / "leakage_trend.json").read_text())
 CONCENTRATION = json.loads((REPO_EXAMPLES / "concentration.json").read_text())
 INDIRECT_DECODE = json.loads((REPO_EXAMPLES / "indirect_decode.json").read_text())
+MARTON = {
+    "scheme": "marton-equivocation",
+    "dist": {"pattern": "theorem1", "sizes": {"Q": 1, "V0": 2, "V1": 2, "V2": 2, "X": 2},
+             "tables": [[[1.0]], [[0.45, 0.55]],
+                        [[0.42, 0.18, 0.28, 0.12], [0.12, 0.28, 0.18, 0.42]],
+                        [[0.85, 0.15]] * 2 + [[0.2, 0.8]] * 2
+                        + [[0.7, 0.3]] * 2 + [[0.35, 0.65]] * 2]},
+    "channel": {"matrix": [[0.8, 0.2], [0.2, 0.8]]},
+    "rates": {"message": 0.25, "total": 0.5, "t1": 0.5, "t2": 0.5, "b1": 0.25, "b2": 0.25},
+    "n": [4], "epsilon": 8.0,
+}
 
 
 class TestSimulateCommand:
@@ -711,6 +723,46 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == f"error: {name} must be finite, got {10**400}\n"
 
+    @pytest.mark.parametrize("config,what,key", [
+        ({k: v for k, v in LEAKAGE_TREND.items() if k != "scheme"}, "config", "scheme"),
+        ({k: v for k, v in LEAKAGE_TREND.items() if k != "n"}, "config", "n"),
+        ({k: v for k, v in LEAKAGE_TREND.items() if k != "dist"}, "config", "dist"),
+        ({k: v for k, v in LEAKAGE_TREND.items() if k != "rates"}, "config", "rates"),
+        ({k: v for k, v in LEAKAGE_TREND.items() if k != "channel"}, "config", "channel"),
+        ({k: v for k, v in CONCENTRATION.items() if k != "s_rate"}, "config", "s_rate"),
+        ({**LEAKAGE_TREND, "rates": {"total": 1.4}}, "rates", "message"),
+    ])
+    def test_missing_key_is_named(self, tmp_path, capsys, config, what, key):
+        # each printed only the KeyError's repr, such as "error: 'scheme'"
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what} is missing key {key!r}\n"
+
+    @pytest.mark.parametrize("config", [
+        {**LEAKAGE_TREND, "rates": {**LEAKAGE_TREND["rates"], "total": 1e300}},
+        {**LEAKAGE_TREND, "rates": {**LEAKAGE_TREND["rates"], "satellite": 1e300}},
+        {**LEAKAGE_TREND, "rates": {**LEAKAGE_TREND["rates"], "total": 1e308}},
+        {**LEAKAGE_TREND, "rates": {**LEAKAGE_TREND["rates"], "total": 1e8}},
+        {**MARTON, "rates": {**MARTON["rates"], "total": 1e300}},
+        {**MARTON, "rates": {**MARTON["rates"], "t1": 1e300}},
+        {**CONCENTRATION, "s_rate": 1e300},
+        {**CONCENTRATION, "s_rate": 1e308},
+    ], ids=["total", "satellite", "total_overflows_float", "total_1e8", "marton_total",
+            "marton_t1", "s_rate", "s_rate_overflows_float"])
+    def test_huge_finite_rate_is_cap_error(self, tmp_path, capsys, config):
+        # each escaped main with an OverflowError from 1 << k or from int(inf), or (1e8,
+        # k = 2 * 10**8) built that integer and failed to print its digits
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfile), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: (codebook|lemma1 experiment) size is at least 2\^\d+ > cap \d+\n", captured.err)
+
     @pytest.mark.parametrize("fmt", ["human", "json"])
     def test_output_file_holds_the_printed_bytes(self, tmp_path, capsys, fmt):
         cfile = tmp_path / "cfg.json"
@@ -799,6 +851,17 @@ class TestShippedExamples:
         assert rc == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert rows[-1]["exceedance_frequency"] < 0.05
+
+    def test_mc_equivocation_config(self, capsys):
+        rc = main([
+            "simulate", "--config", str(REPO_EXAMPLES / "mc_equivocation.json"),
+            "--seed", "3", "--format", "json",
+        ])
+        assert rc == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["n"] for r in rows] == [16, 24] and not any(r["exact"] for r in rows)
+        assert all(0 < r["equivocation_rate"] < r["message_rate"] and r["ci_halfwidth"] > 0
+                   for r in rows)
 
     def test_indirect_decode_config(self, capsys):
         rc = main([

@@ -197,7 +197,19 @@ class TestMonteCarloScores:
         cb = build_wiretap_codebook(identity(), WiretapRates(0.25, 0.5), TypicalityParams(8, 0.5), 2)
         whole = sim._mc_samples(cb, bsc(0.2).matrix, 50, 4)
         monkeypatch.setattr(sim, "_SCORE_CHUNK", 7 * 16)  # 7 trials a chunk, last one short
-        np.testing.assert_allclose(sim._mc_samples(cb, bsc(0.2).matrix, 50, 4), whole, rtol=0, atol=1e-12)
+        assert np.array_equal(sim._mc_samples(cb, bsc(0.2).matrix, 50, 4), whole)
+
+    @pytest.mark.parametrize("nx,W", [
+        (2, [[1.0], [1.0]]),                     # |Z| = 1: no count matrix at all
+        (1, [[0.3, 0.7]]),                       # |X| = 1
+        (1, [[0.0, 1.0]]),                       # |X| = 1 with a zero cell
+    ], ids=["one_output", "one_input", "one_input_zero"])
+    def test_one_symbol_alphabets(self, nx, W):
+        chan = ConditionalPmf(W)
+        params = TypicalityParams(8, 0.5)
+        cb = build_wiretap_codebook(identity(nx), WiretapRates(0.25, 0.5), params, 1)
+        got = assert_no_warnings(sim._mc_samples, cb, chan.matrix, 40, 1)
+        np.testing.assert_allclose(got, ref.mc_samples(cb, chan, 40, 1), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("W", [
         [[1.0, 0.0], [0.3, 0.7]],          # Z channel
@@ -246,8 +258,30 @@ class TestMonteCarloScores:
             sim.mc_equivocation(cb, ConditionalPmf(rows), 10, 1)
 
 
+SCORE_CHANNELS = pytest.mark.parametrize("W", [
+    [[0.8, 0.2], [0.25, 0.75]],               # asymmetric, so W and W.T differ
+    [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],       # zeros: the dead-position path
+    [[1.0, 0.0], [0.3, 0.7]],                 # Z channel: a zero in row 0
+    [[0.7, 0.2, 0.1], [0.15, 0.25, 0.6], [0.1, 0.3, 0.6]],
+    [[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]],   # zeros at N(0, 0) and N(1, 1)
+], ids=["binary", "erasure", "z", "full3", "corner3"])
+
+
+def score_inputs(W, n, rates):
+    """A codebook over |X| = len(W), its ``_score_tables`` and three and a bit chunks of
+    outputs of random codewords, as ``_mc_samples`` scores them."""
+    W = np.asarray(W)
+    cb = build_wiretap_codebook(identity(len(W)), rates, TypicalityParams(n, 0.5), 3)
+    flat_x = cb.x_seqs.reshape(-1, n)
+    chunk = max(1, sim._SCORE_CHUNK // max(len(flat_x), n * len(W)))
+    rng = np.random.default_rng(n)
+    z = sim.sample_given(W, flat_x[rng.integers(len(flat_x), size=3 * chunk + 1)], rng)
+    return W, cb, sim._score_tables(flat_x, W), [z[i:i + chunk] for i in range(0, len(z), chunk)]
+
+
 class TestKernels:
-    """The product-law and scoring kernels against the loops they replaced, bit for bit."""
+    """The product-law kernel against the loop it replaced, bit for bit, and the joint-type
+    scores against the one-hot log-likelihood matmul they replaced."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
     @pytest.mark.parametrize("W", [
@@ -263,30 +297,42 @@ class TestKernels:
         assert got.shape == (11, len(W[0]) ** n)
         assert np.array_equal(got, ref.zn_pmf_batch(rows))
 
-    @pytest.mark.parametrize("W", [
-        [[0.8, 0.2], [0.25, 0.75]],               # asymmetric, so W and W.T differ
-        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],       # zeros: the dead-position path
-    ], ids=["binary", "erasure"])
+    @SCORE_CHANNELS
     @pytest.mark.parametrize("n,rates", [
         (12, WiretapRates(0.25, 0.5)),
         (16, WiretapRates(0.25, 0.5)),
-        (1200, WiretapRates(0.002, 0.004)),       # few codewords, n|X| = 2400
+        (1200, WiretapRates(0.002, 0.004)),       # few codewords, long counts
+        (24, WiretapRates(0.25, 0.5)),            # 4,096 codewords
     ])
     def test_message_log_likelihoods(self, W, n, rates):
-        W = np.asarray(W)
-        cb = build_wiretap_codebook(identity(), rates, TypicalityParams(n, 0.5), 3)
+        # the folded sums round differently from a BLAS sum of n logs: a few ulps of |ll|
+        W, cb, (x_ind, folds), chunks = score_inputs(W, n, rates)
         onehot, logw, dead = ref.score_tables(cb, W)
-        # the tables as _mc_samples builds them: contiguous (|Z|, |X|)
-        w_zx = np.ascontiguousarray(W.T)
-        new_logw = sim.log2_cells(w_zx)
-        new_dead = None if dead is None else (w_zx == 0).astype(float)
-        chunk = max(1, sim._SCORE_CHUNK // max(len(onehot), onehot.shape[1]))
-        z = np.random.default_rng(n).integers(W.shape[1], size=(3 * chunk + 1, n))
-        for start in range(0, len(z), chunk):
-            zs = z[start:start + chunk]
+        n_finite = n_inf = 0
+        for zs in chunks:
             want = ref.message_log_likelihoods(onehot, logw, dead, zs, cb.n_messages)
-            got = sim._message_log_likelihoods(onehot, new_logw, new_dead, zs, cb.n_messages)
-            assert np.array_equal(got, want)
+            got = assert_no_warnings(sim._message_log_likelihoods, x_ind, folds, zs, cb.n_messages)
+            assert np.array_equal(np.isneginf(got), np.isneginf(want)) and not np.isnan(got).any()
+            ok = np.isfinite(want)
+            assert (np.abs(got[ok] - want[ok]) <= 1e-14 * np.maximum(1.0, np.abs(want[ok]))).all()
+            n_finite += ok.sum()
+            n_inf += (~ok).sum()
+        assert n_finite and (n_inf or not (W == 0).any())   # both kinds where W has a zero
+
+    @SCORE_CHANNELS
+    @pytest.mark.parametrize("n,rates", [
+        (16, WiretapRates(0.25, 0.5)),
+        (1200, WiretapRates(0.002, 0.004)),
+    ])
+    def test_scores_do_not_depend_on_operand_layout(self, W, n, rates):
+        # the counts are exact integers, so BLAS may sum them in any order its kernel picks
+        _, cb, (x_ind, folds), chunks = score_inputs(W, n, rates)
+        for zs in chunks:
+            want = sim._message_log_likelihoods(x_ind, folds, zs, cb.n_messages)
+            for x_op in (x_ind, np.asfortranarray(x_ind)):
+                for z_op in (zs, np.asfortranarray(zs)):
+                    got = sim._message_log_likelihoods(x_op, folds, z_op, cb.n_messages)
+                    assert np.array_equal(got, want)
 
 
 UNDERFLOW = """
@@ -304,6 +350,31 @@ for n, trials in ((1200, 200), (2000, 100)):
             raise SystemExit(f"n={n} seed={seed}: {rep.equivocation_rate}")
 print("ok")
 """
+
+
+BLAS_THREADS = """
+import hashlib
+import numpy as np
+from wiretap3.bounds import build_factored
+from wiretap3.probability import bsc
+from wiretap3 import simulate as sim
+d = build_factored("wiretap", {"V": 2, "X": 2}, [np.array([[0.5, 0.5]]), np.eye(2)])
+for n, rates, trials in ((24, (0.25, 0.5), 300), (1200, (0.002, 0.004), 100)):
+    cb = sim.build_wiretap_codebook(d, sim.WiretapRates(*rates), sim.TypicalityParams(n, 0.5), 7)
+    print(n, hashlib.sha256(sim._mc_samples(cb, bsc(0.3).matrix, trials, 7).tobytes()).hexdigest())
+"""
+
+
+def test_scores_do_not_depend_on_blas_threads():
+    out = {}
+    for threads in ("1", "2"):
+        env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin",
+               "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        out[threads] = run.stdout
+    assert out["1"] == out["2"] and len(out["1"].splitlines()) == 2
 
 
 class TestUnderflow:
