@@ -134,19 +134,12 @@ def cmd_ordering(args) -> int:
         _require_seed(args)
         verdict = orderings.check_more_capable(y, z, _budget(args))
     holds = {True: "true", False: "false", None: "undetermined"}[verdict.holds]
-    payload = {
-        "subcommand": "ordering",
-        "relation": verdict.relation,
-        "holds": holds,
-        "resolution": verdict.resolution,
-    }
+    payload = {"subcommand": "ordering", "relation": verdict.relation, "holds": holds,
+               "resolution": verdict.resolution}
     if verdict.margin is not None:
         payload["violation_margin_bits"] = verdict.margin
-    if verdict.witness is not None:
-        w = verdict.witness
-        payload["witness"] = (
-            w.matrix.tolist() if hasattr(w, "matrix") else w.tensor.tolist()
-        )
+    if (w := verdict.witness) is not None:
+        payload["witness"] = (w.matrix if hasattr(w, "matrix") else w.tensor).tolist()
     human = f"{args.y} {args.relation} {args.z}: {holds} ({verdict.resolution})"
     _emit(args, payload, human)
     return EXIT_OK
@@ -211,15 +204,11 @@ def _region_payload(sample) -> dict:
 def _region_human(sample) -> str:
     lines = []
     for row in sample.rows:
-        lhs = " + ".join(
-            (f"{c:g}*{v}" if c != 1 else v) for v, c in row.lhs.items()
-        )
+        lhs = " + ".join((f"{c:g}*{v}" if c != 1 else v) for v, c in row.lhs.items())
         rhs = f"{row.rhs:.6f}"
         if row.clamp is not None:
             const, coeffs = row.clamp
-            inner = f"{const:.6f} " + " ".join(
-                f"{c:+g}*{v}" for v, c in coeffs.items()
-            )
+            inner = f"{const:.6f} " + " ".join(f"{c:+g}*{v}" for v, c in coeffs.items())
             rhs += f" + max(0, {inner})"
         lines.append(f"  {row.label}: {lhs} {row.relation} {rhs}")
     return "\n".join(lines)
@@ -268,13 +257,8 @@ def cmd_region(args) -> int:
 def cmd_fme(args) -> int:
     if args.fixture:
         res = fixture_runs.run_fixture(args.fixture)
-        payload = {
-            "subcommand": "fme",
-            "fixture": res.name,
-            "ok": res.ok,
-            "checks": dict(res.checks),
-            "certificates": res.certificates,
-        }
+        payload = {"subcommand": "fme", "fixture": res.name, "ok": res.ok,
+                   "checks": dict(res.checks), "certificates": res.certificates}
         human_lines = [f"fixture {res.name}: {'PASS' if res.ok else 'FAIL'}"]
         human_lines += [f"  {k}: {v}" for k, v in res.checks.items()]
         _emit(args, payload, "\n".join(human_lines))
@@ -311,20 +295,25 @@ def _dist_from_config(cfg: dict, doc: Optional[SpecDocument]):
     from .probability import Factor, FactoredDistribution
     d = cfg["dist"]
     if isinstance(d, dict) and "factored" in d:
+        _check_keys("dist", d, ("factored",))
         if doc is None:
             raise CliError("config references a spec factored name but no spec file")
         return doc.factored[d["factored"]]
     if isinstance(d, dict) and "pattern" in d:
         from .bounds import build_factored
+        _check_keys("dist", d, _PATTERN_KEYS, _PATTERN_KEYS)
         tables = [np.asarray(t, dtype=float) for t in d["tables"]]
         return build_factored(d["pattern"], d["sizes"], tables)
     if isinstance(d, dict) and "chain" in d:
-        sizes = d["sizes"]
-        factors = [
-            Factor(f["targets"], f.get("given", []), np.asarray(f["table"], dtype=float))
-            for f in d["chain"]
-        ]
-        axis_order = [a for f in d["chain"] for a in f["targets"]]
+        sizes = _check_keys("dist", d, ("sizes", "chain"), ("sizes", "chain"))["sizes"]
+        if not isinstance(d["chain"], list):
+            raise CliError("dist chain must be a list of factors")
+        chain = [_check_keys("dist chain factor", f, ("targets", "given", "table"),
+                             ("targets", "table")) for f in d["chain"]]
+        factors = [Factor(f["targets"], f.get("given", []), np.asarray(f["table"], dtype=float))
+                   for f in chain]
+        axis_order = [a for f in chain for a in f["targets"]]
+        sizes = _check_keys("dist sizes", sizes, sizes, axis_order)
         return FactoredDistribution([(a, sizes[a]) for a in axis_order], factors)
     raise CliError(
         "config dist must be {'factored': name}, inline pattern tables, "
@@ -338,7 +327,7 @@ def _channel_from_config(cfg_value, doc: Optional[SpecDocument]):
         if doc is None:
             raise CliError("config references a spec channel but no spec file")
         return doc.channel(cfg_value)
-    return ConditionalPmf(cfg_value["matrix"])
+    return ConditionalPmf(_check_keys("channel", cfg_value, ("matrix",), ("matrix",))["matrix"])
 
 
 # the top-level config keys that every scheme reads, each scheme's own, and those with a default
@@ -348,6 +337,7 @@ _SCHEME_KEYS = {"wiretap-equivocation": ("channel", "rates", "trials"),
                 "decode": ("channel", "rates", "trials", "decoder"),
                 "lemma1": ("s_rate", "trials")}
 _DEFAULTED = ("spec", "epsilon", "delta", "delta1", "caps", "trials", "decoder")
+_PATTERN_KEYS = ("pattern", "sizes", "tables")
 
 
 def _check_keys(what: str, given, known, required=()) -> dict:

@@ -104,12 +104,12 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-# Scores (trials x codewords) per Monte Carlo chunk; trials x codewords per
-# decode chunk and counted cells per lemma1 chunk.  Small temporaries keep the
-# heap from growing: freed heap memory stays resident and raises the peak of
-# later exact computations.  The chunks set memory, not bits: Monte Carlo
-# scores count joint types exactly whatever kernel BLAS picks for a shape.
-_SCORE_CHUNK = 1 << 14
+# Monte Carlo scores are worked in one buffer of _SCORE_CHUNK float64 cells
+# (512 KiB) per ``_mc_samples`` call, reused by every block of trials (see
+# ``_score_buffers``).  _COUNT_CHUNK bounds trials x codewords per decode chunk
+# and counted cells per lemma1 chunk.  The chunks set memory, not bits: Monte
+# Carlo scores count joint types exactly whatever kernel BLAS picks for a shape.
+_SCORE_CHUNK = 1 << 16
 _COUNT_CHUNK = 1 << 16
 # Trial streams are seeded and advanced a block at a time in vectorized PCG64
 # arithmetic (``streams.Streams``): numpy's per-call cost is spread over the
@@ -249,13 +249,8 @@ class WiretapCodebook(_BinnedLayer):
         return self.p_x_given_v.shape[1]
 
 
-def build_wiretap_codebook(
-    dist,
-    rates: WiretapRates,
-    params: TypicalityParams,
-    seed: int,
-    caps: Caps = DEFAULT_CAPS,
-) -> WiretapCodebook:
+def build_wiretap_codebook(dist, rates: WiretapRates, params: TypicalityParams, seed: int,
+                           caps: Caps = DEFAULT_CAPS) -> WiretapCodebook:
     """i.i.d. v-layer, conditionally i.i.d. x-satellites, exact bin split."""
     j = as_joint(dist).marginal(("V", "X")).tensor
     p_v = j.sum(axis=1)
@@ -276,11 +271,8 @@ def build_wiretap_codebook(
     rng = _rng(seed, 0)
     v_seqs = _iid_symbols(p_v, rng.random((n_total, n)))
     x_seqs = sample_given(p_xv, np.repeat(v_seqs[:, None, :], n_sat, axis=1), rng)
-    return WiretapCodebook(
-        p_v=p_v, p_x_given_v=p_xv, n=n,
-        k_msg=k_msg, k_total=k_total, k_sat=k_sat,
-        v_seqs=v_seqs, x_seqs=x_seqs, seed=seed,
-    )
+    return WiretapCodebook(p_v=p_v, p_x_given_v=p_xv, n=n, k_msg=k_msg, k_total=k_total,
+                           k_sat=k_sat, v_seqs=v_seqs, x_seqs=x_seqs, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -332,13 +324,8 @@ def _marton_tables(dist) -> tuple[tuple[np.ndarray, ...], tuple[int, int, int, i
     return tabs, (sizes[dist.factors[0].targets[0]], sizes["V0"], sizes["V1"], sizes["V2"]), sizes["X"]
 
 
-def build_marton_codebook(
-    dist,
-    rates: MartonRates,
-    params: TypicalityParams,
-    seed: int,
-    caps: Caps = DEFAULT_CAPS,
-) -> MartonCodebook:
+def build_marton_codebook(dist, rates: MartonRates, params: TypicalityParams, seed: int,
+                          caps: Caps = DEFAULT_CAPS) -> MartonCodebook:
     """Layered codebook with a jointly typical pair chosen per product bin.
 
     Pair selection is uniform over the typical pairs in the bin; a bin
@@ -525,9 +512,8 @@ class _DecodePlan:
         return DecodeResult(l0 // self.bin_size, l0, "ok")
 
 
-def _decode_plan(
-    cb: WiretapCodebook, chan: ConditionalPmf, params: TypicalityParams, decoder: str
-) -> _DecodePlan:
+def _decode_plan(cb: WiretapCodebook, chan: ConditionalPmf, params: TypicalityParams,
+                 decoder: str) -> _DecodePlan:
     if decoder not in ("direct", "indirect"):
         raise ValueError("decoder must be direct or indirect")
     W = _channel_to(cb, chan)
@@ -616,10 +602,11 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
             "use mc_equivocation instead"
         )
     W = _channel_to(cb, chan)
-    if isinstance(cb, WiretapCodebook):
-        n_cw = cb.v_seqs.shape[0] * cb.x_seqs.shape[1]
-        if out_space * n_cw > caps.max_exact_work:
-            raise CapExceededError("exact equivocation work above cap")
+    wiretap = isinstance(cb, WiretapCodebook)   # codewords: (l0, satellite) or (l0, b1, b2)
+    n_cw = (cb.x_seqs if wiretap else cb.pairing)[..., 0].size
+    if out_space * n_cw > caps.max_exact_work:
+        raise CapExceededError("exact equivocation work above cap")
+    if wiretap:
         n_m, h, per = cb.n_messages, n // 2, n_cw // cb.n_messages
         x = cb.x_seqs.reshape(n_cw, n)   # message by message, every bin codeword in order
         head = _zn_pmf_batch(W.take(x[:, :h], axis=0)).reshape(n_m, per, -1)
@@ -629,9 +616,6 @@ def _message_conditionals(cb, chan: ConditionalPmf, caps: Caps) -> tuple[np.ndar
         return conds, 0.0
     Wc = cb.tables[3] @ W  # (n0*n1*n2, nz): symbol-wise input sampling folded in
     nb1, nb2 = cb.pairing.shape[1], cb.pairing.shape[2]
-    n_cw = cb.v0_seqs.shape[0] * nb1 * nb2
-    if out_space * n_cw > caps.max_exact_work:
-        raise CapExceededError("exact equivocation work above cap")
     conds = np.zeros((cb.n_messages, out_space))
     failures = 0
     per_msg = cb.bin_size * nb1 * nb2
@@ -671,14 +655,9 @@ def exact_equivocation(cb, chan: ConditionalPmf, caps: Caps = DEFAULT_CAPS) -> S
         ratio = np.where(joint > 0, conds / np.where(p_z[None, :] > 0, p_z[None, :], 1.0), 1.0)
         leak = float((joint[joint > 0] * np.log2(ratio[joint > 0])).sum())
     n = cb.n
-    return SimReport(
-        equivocation_rate=hmz / n,
-        leakage_rate=leak / n,
-        message_rate=entropy_of_vector(p_m) / n,
-        trials=0,
-        encoding_failure_rate=fail_rate,
-        exact=True,
-    )
+    return SimReport(equivocation_rate=hmz / n, leakage_rate=leak / n,
+                     message_rate=entropy_of_vector(p_m) / n, trials=0,
+                     encoding_failure_rate=fail_rate, exact=True)
 
 
 def _score_tables(flat_x: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
@@ -703,33 +682,67 @@ def _score_tables(flat_x: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, list[t
     return x_ind, folds
 
 
-def _message_log_likelihoods(x_ind: np.ndarray, folds: list, z: np.ndarray, n_m: int) -> np.ndarray:
+def _score_buffers(folds: list, n: int, trials: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(chunk, buf, mask): the trials of a Monte Carlo block and the float and bool buffers
+    ``_message_log_likelihoods`` scores it in.  buf holds trials x codewords slabs: the
+    joint-type counts, which the fold of log2 W sums over in place (a slab where there is
+    no count), and where W has a zero, the dead-position fold, with a slab for its products
+    past the first.  A block fills at most _SCORE_CHUNK cells with its slabs, and with its
+    output one-hots, n |Z| cells a trial."""
+    (nx1, nz1), n_cw, dead = folds[0][0].shape, len(folds[0][1]), len(folds) > 1
+    k, nz = nx1 * nz1, nz1 + 1
+    slabs = max(k, 1) + dead * (1 + (k > 1))
+    chunk = min(trials, max(1, _SCORE_CHUNK // max(slabs * n_cw, n * nz)))
+    return chunk, np.empty(slabs * chunk * n_cw), np.empty(dead * chunk * n_cw, dtype=bool)
+
+
+def _message_log_likelihoods(x_ind: np.ndarray, folds: list, z: np.ndarray, n_m: int,
+                             buf: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """log2 p(z^n | m) for a chunk of outputs z (T, n): (T, messages).
 
     One matmul counts every joint type, and each fold of ``_score_tables`` is summed
     elementwise in a fixed order, so no bit depends on the BLAS kernel.  A position on a
     zero of W makes a likelihood exactly -inf.  Messages mix codewords by log-mean-exp.
+    Each T x codewords array is worked in place in ``_score_buffers``' buf and mask.
     """
     t, n = z.shape
     (nx1, nz1), n_cw = folds[0][0].shape, len(folds[0][1])   # |X| - 1, |Z| - 1, codewords
-    z_ind = (z == np.arange(1, nz1 + 1)[:, None, None]).reshape(-1, n).astype(float)
-    counts = (z_ind @ x_ind).reshape(nz1, t, nx1, n_cw)   # N(a, b) at [b - 1, :, a - 1]
-    w_z = z_ind.reshape(nz1, t, n).sum(axis=2)
-    sums = []
-    for d, bx, r, corner in folds:
-        terms = [counts[b, :, a] * d[a, b] for a, b in np.ndindex(d.shape)] or [np.zeros((t, n_cw))]
-        s = sum(terms[1:], terms[0])
+    k, cells = nx1 * nz1, t * n_cw
+
+    def slab(i):
+        return buf[i * cells:(i + 1) * cells].reshape(t, n_cw)
+
+    def fold(f, s, spare=None):
+        """s = the fold's sum; each product past the first goes to spare, or over its counts."""
+        d, bx, r, corner = f
+        if not k:
+            s[...] = 0.0
+        for i, (a, b) in enumerate(np.ndindex(d.shape)):
+            c = counts[b, :, a]
+            if i:
+                s += np.multiply(c, d[a, b], out=c if spare is None else spare)
+            else:
+                np.multiply(c, d[a, b], out=s)
         s += bx
         s += sum((w * rb for w, rb in zip(w_z, r)), np.full(t, corner))[:, None]
-        sums.append(s)
-    ll, *dead = sums
-    if dead:
-        ll[dead[0] > 0] = -np.inf
+        return s
+
+    z_ind = (z == np.arange(1, nz1 + 1)[:, None, None]).reshape(-1, n).astype(float)
+    counts = np.matmul(z_ind, x_ind, out=buf[:k * cells].reshape(nz1 * t, nx1 * n_cw))
+    counts = counts.reshape(nz1, t, nx1, n_cw)   # N(a, b) at [b - 1, :, a - 1]
+    w_z = z_ind.reshape(nz1, t, n).sum(axis=2)
+    if len(folds) > 1:   # before the fold of log2 W overwrites the counts
+        dead = fold(folds[1], slab(max(k, 1)), slab(max(k, 1) + 1) if k > 1 else None)
+        dead = np.greater(dead, 0, out=mask[:cells].reshape(t, n_cw))
+    ll = fold(folds[0], counts[0, :, 0] if k else slab(0))
+    if len(folds) > 1:
+        np.copyto(ll, -np.inf, where=dead)
     ll = ll.reshape(t, n_m, -1)
     top = ll.max(axis=2, keepdims=True)
     top[~np.isfinite(top)] = 0.0   # a message none of whose codewords can emit z
+    ll -= top
     with np.errstate(divide="ignore"):
-        return np.log2(np.exp2(ll - top).mean(axis=2)) + top[..., 0]
+        return np.log2(np.exp2(ll, out=ll).mean(axis=2)) + top[..., 0]
 
 
 def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> np.ndarray:
@@ -740,11 +753,11 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
     from the largest l_m'; the sum holds the exact term 1, so a score is
     never negative, and no likelihood product underflows.
     """
-    n, n_m, nx = cb.n, cb.n_messages, W.shape[0]
+    n, n_m = cb.n, cb.n_messages
     flat_x = cb.x_seqs.reshape(-1, n)
     x_ind, folds = _score_tables(flat_x, W)
     bounds = _symbol_bounds(W)
-    chunk = max(1, _SCORE_CHUNK // max(len(flat_x), n * nx))
+    chunk, buf, mask = _score_buffers(folds, n, trials)
     samples = np.empty(trials)
     for first, block in _trial_blocks(seed, trials, chunk):
         # each draw kind over the block's streams, in a trial's order
@@ -753,7 +766,7 @@ def _mc_samples(cb: WiretapCodebook, W: np.ndarray, trials: int, seed: int) -> n
         cw = l0 * cb.x_seqs.shape[1] + l1
         for rows, u in block.random_chunks(n, chunk):
             z = _pick_symbols(bounds, flat_x.take(cw[rows], axis=0), u)
-            ell = _message_log_likelihoods(x_ind, folds, z, n_m)
+            ell = _message_log_likelihoods(x_ind, folds, z, n_m, buf, mask)
             top = ell.max(axis=1)
             with np.errstate(invalid="ignore"):
                 score = top - ell[np.arange(len(u)), sent[rows]] + np.log2(
@@ -780,15 +793,9 @@ def mc_equivocation(cb, chan: ConditionalPmf, trials: int, seed: int) -> SimRepo
     half = float(1.96 * samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
     n = cb.n
     hm = float(np.log2(cb.n_messages)) / n
-    return SimReport(
-        equivocation_rate=mean / n,
-        leakage_rate=hm - mean / n,
-        message_rate=hm,
-        trials=trials,
-        encoding_failure_rate=0.0,
-        exact=False,
-        ci_halfwidth=None if half is None else half / n,
-    )
+    return SimReport(equivocation_rate=mean / n, leakage_rate=hm - mean / n, message_rate=hm,
+                     trials=trials, encoding_failure_rate=0.0, exact=False,
+                     ci_halfwidth=None if half is None else half / n)
 
 
 def decoding_error_rate(cb: WiretapCodebook, chan: ConditionalPmf, params: TypicalityParams,

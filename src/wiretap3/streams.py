@@ -152,12 +152,15 @@ class Streams:
             return ((rows, out[rows]) for rows in pieces)
         states, gen = w[:4].copy(), np.random.Generator(np.random.PCG64(0))
         w[0], w[1] = _affine(*w[:4], _jumps(k)[:, -1:])
+        # one state dict for every stream: only its state and increment change
+        pcg = {"state": 0, "inc": 0}
+        full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
 
         def draw(rows: slice) -> np.ndarray:
             out = np.empty((len(states[0, rows]), *shape))
             for row, (h, l, ih, il) in zip(out, states[:, rows].T.tolist()):
-                gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                           "state": {"state": h << 64 | l, "inc": ih << 64 | il}}
+                pcg["state"], pcg["inc"] = h << 64 | l, ih << 64 | il
+                gen.bit_generator.state = full
                 gen.random(out=row)
             return out
         return ((rows, draw(rows)) for rows in pieces)

@@ -662,6 +662,28 @@ class TestSimulateCommand:
           "epsilon": float("nan")}, "epsilon must be finite, got nan"),
         ([LEAKAGE_TREND], "config must be an object"),
         ({**LEAKAGE_TREND, "rates": [0.2023, 1.4]}, "rates must be an object"),
+        ({**LEAKAGE_TREND, "channel": {"matrx": [[1, 0], [0, 1]]}},
+         "unknown channel key(s) matrx; known: matrix"),
+        ({**LEAKAGE_TREND, "channel": {**LEAKAGE_TREND["channel"], "noise": 0.1}},
+         "unknown channel key(s) noise; known: matrix"),
+        ({**LEAKAGE_TREND, "channel": [[1, 0], [0, 1]]}, "channel must be an object"),
+        ({**LEAKAGE_TREND, "dist": {**LEAKAGE_TREND["dist"], "table": []}},
+         "unknown dist key(s) table; known: pattern, sizes, tables"),
+        ({**CONCENTRATION, "dist": {**CONCENTRATION["dist"], "pattern": "wiretap"}},
+         "unknown dist key(s) chain; known: pattern, sizes, tables"),
+        ({**CONCENTRATION, "dist": {**CONCENTRATION["dist"], "size": {"U": 2}}},
+         "unknown dist key(s) size; known: sizes, chain"),
+        ({**CONCENTRATION, "dist": {**CONCENTRATION["dist"], "chain": [
+            {**CONCENTRATION["dist"]["chain"][0], "targets": ["U"], "tabel": [[0.5, 0.5]]},
+            *CONCENTRATION["dist"]["chain"][1:]]}},
+         "unknown dist chain factor key(s) tabel; known: targets, given, table"),
+        ({**CONCENTRATION, "dist": {**CONCENTRATION["dist"], "chain": [[["U"], [], [[1.0]]]]}},
+         "dist chain factor must be an object"),
+        ({**CONCENTRATION, "dist": {**CONCENTRATION["dist"], "chain": 5}},
+         "dist chain must be a list of factors"),
+        ({**INDIRECT_DECODE, "spec": str(REPO_EXAMPLES / "multilevel_product.chan"),
+          "dist": {"factored": "d", "pattern": "wiretap"}},
+         "unknown dist key(s) pattern; known: factored"),
     ])
     def test_unaccepted_config_is_validation_error(self, tmp_path, capsys, config, message):
         # each once ran with exit 0, or escaped main with a traceback
@@ -731,6 +753,19 @@ class TestSimulateCommand:
         ({k: v for k, v in LEAKAGE_TREND.items() if k != "channel"}, "config", "channel"),
         ({k: v for k, v in CONCENTRATION.items() if k != "s_rate"}, "config", "s_rate"),
         ({**LEAKAGE_TREND, "rates": {"total": 1.4}}, "rates", "message"),
+        ({**LEAKAGE_TREND, "channel": {}}, "channel", "matrix"),
+        ({**LEAKAGE_TREND, "dist": {"pattern": "wiretap", "sizes": {"V": 2, "X": 2}}},
+         "dist", "tables"),
+        ({**LEAKAGE_TREND, "dist": {"pattern": "wiretap"}}, "dist", "sizes"),
+        ({**CONCENTRATION, "dist": {"chain": CONCENTRATION["dist"]["chain"]}}, "dist", "sizes"),
+        ({**CONCENTRATION, "dist": {**CONCENTRATION["dist"], "chain": [
+            {"given": [], "table": [[0.5, 0.5]]}, *CONCENTRATION["dist"]["chain"][1:]]}},
+         "dist chain factor", "targets"),
+        ({**CONCENTRATION, "dist": {**CONCENTRATION["dist"], "chain": [
+            {"targets": ["U"]}, *CONCENTRATION["dist"]["chain"][1:]]}},
+         "dist chain factor", "table"),
+        ({**CONCENTRATION, "dist": {**CONCENTRATION["dist"], "sizes": {"U": 2, "V": 2}}},
+         "dist sizes", "Z"),
     ])
     def test_missing_key_is_named(self, tmp_path, capsys, config, what, key):
         # each printed only the KeyError's repr, such as "error: 'scheme'"
@@ -862,6 +897,16 @@ class TestShippedExamples:
         assert [r["n"] for r in rows] == [16, 24] and not any(r["exact"] for r in rows)
         assert all(0 < r["equivocation_rate"] < r["message_rate"] and r["ci_halfwidth"] > 0
                    for r in rows)
+
+    def test_mc_erasure_config(self, capsys):
+        rc = main([
+            "simulate", "--config", str(REPO_EXAMPLES / "mc_erasure.json"),
+            "--seed", "3", "--format", "json",
+        ])
+        assert rc == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["n"] for r in rows] == [16, 24] and not any(r["exact"] for r in rows)
+        assert all(0 < r["equivocation_rate"] < r["message_rate"] for r in rows)
 
     def test_indirect_decode_config(self, capsys):
         rc = main([

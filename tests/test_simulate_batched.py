@@ -179,6 +179,17 @@ def assert_no_warnings(fn, *args):
         return fn(*args)
 
 
+SCORE_WS = [
+    [[0.8, 0.2], [0.25, 0.75]],               # asymmetric, so W and W.T differ
+    [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],       # zeros: the dead-position path
+    [[1.0, 0.0], [0.3, 0.7]],                 # Z channel: a zero in row 0
+    [[0.7, 0.2, 0.1], [0.15, 0.25, 0.6], [0.1, 0.3, 0.6]],
+    [[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]],   # zeros at N(0, 0) and N(1, 1)
+]
+SCORE_CHANNELS = pytest.mark.parametrize("W", SCORE_WS,
+                                         ids=["binary", "erasure", "z", "full3", "corner3"])
+
+
 class TestMonteCarloScores:
     @pytest.mark.parametrize("n", [4, 6, 10, 16])
     @pytest.mark.parametrize("dist,rates", [
@@ -194,10 +205,19 @@ class TestMonteCarloScores:
             assert (got >= 0).all()
 
     def test_chunks_do_not_change_scores(self, monkeypatch):
-        cb = build_wiretap_codebook(identity(), WiretapRates(0.25, 0.5), TypicalityParams(8, 0.5), 2)
-        whole = sim._mc_samples(cb, bsc(0.2).matrix, 50, 4)
-        monkeypatch.setattr(sim, "_SCORE_CHUNK", 7 * 16)  # 7 trials a chunk, last one short
-        assert np.array_equal(sim._mc_samples(cb, bsc(0.2).matrix, 50, 4), whole)
+        # 4,096 codewords: 40 trials are several default blocks, and 7 trials a block
+        # ends in a short one, and four times the default buffer is a larger block
+        default, params = sim._SCORE_CHUNK, TypicalityParams(24, 0.5)
+        for W in map(np.asarray, SCORE_WS):
+            cb = build_wiretap_codebook(identity(len(W)), WiretapRates(0.25, 0.5), params, 2)
+            monkeypatch.setattr(sim, "_SCORE_CHUNK", default)
+            whole = sim._mc_samples(cb, W, 40, 4)
+            folds = sim._score_tables(cb.x_seqs.reshape(-1, 24), W)[1]
+            chunk, buf, _ = sim._score_buffers(folds, 24, 40)
+            assert chunk < 40
+            for cells in (7 * len(buf) // chunk, 4 * default):
+                monkeypatch.setattr(sim, "_SCORE_CHUNK", cells)
+                assert np.array_equal(sim._mc_samples(cb, W, 40, 4), whole)
 
     @pytest.mark.parametrize("nx,W", [
         (2, [[1.0], [1.0]]),                     # |Z| = 1: no count matrix at all
@@ -258,25 +278,23 @@ class TestMonteCarloScores:
             sim.mc_equivocation(cb, ConditionalPmf(rows), 10, 1)
 
 
-SCORE_CHANNELS = pytest.mark.parametrize("W", [
-    [[0.8, 0.2], [0.25, 0.75]],               # asymmetric, so W and W.T differ
-    [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],       # zeros: the dead-position path
-    [[1.0, 0.0], [0.3, 0.7]],                 # Z channel: a zero in row 0
-    [[0.7, 0.2, 0.1], [0.15, 0.25, 0.6], [0.1, 0.3, 0.6]],
-    [[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]],   # zeros at N(0, 0) and N(1, 1)
-], ids=["binary", "erasure", "z", "full3", "corner3"])
-
-
 def score_inputs(W, n, rates):
     """A codebook over |X| = len(W), its ``_score_tables`` and three and a bit chunks of
     outputs of random codewords, as ``_mc_samples`` scores them."""
     W = np.asarray(W)
     cb = build_wiretap_codebook(identity(len(W)), rates, TypicalityParams(n, 0.5), 3)
     flat_x = cb.x_seqs.reshape(-1, n)
-    chunk = max(1, sim._SCORE_CHUNK // max(len(flat_x), n * len(W)))
+    x_ind, folds = sim._score_tables(flat_x, W)
+    chunk = sim._score_buffers(folds, n, sim._SCORE_CHUNK)[0]
     rng = np.random.default_rng(n)
     z = sim.sample_given(W, flat_x[rng.integers(len(flat_x), size=3 * chunk + 1)], rng)
-    return W, cb, sim._score_tables(flat_x, W), [z[i:i + chunk] for i in range(0, len(z), chunk)]
+    return W, cb, (x_ind, folds), [z[i:i + chunk] for i in range(0, len(z), chunk)]
+
+
+def fresh_scores(x_ind, folds, zs, n_m):
+    """``_message_log_likelihoods`` of one chunk in buffers of its own."""
+    _, buf, mask = sim._score_buffers(folds, zs.shape[1], len(zs))
+    return sim._message_log_likelihoods(x_ind, folds, zs, n_m, buf, mask)
 
 
 class TestKernels:
@@ -311,7 +329,7 @@ class TestKernels:
         n_finite = n_inf = 0
         for zs in chunks:
             want = ref.message_log_likelihoods(onehot, logw, dead, zs, cb.n_messages)
-            got = assert_no_warnings(sim._message_log_likelihoods, x_ind, folds, zs, cb.n_messages)
+            got = assert_no_warnings(fresh_scores, x_ind, folds, zs, cb.n_messages)
             assert np.array_equal(np.isneginf(got), np.isneginf(want)) and not np.isnan(got).any()
             ok = np.isfinite(want)
             assert (np.abs(got[ok] - want[ok]) <= 1e-14 * np.maximum(1.0, np.abs(want[ok]))).all()
@@ -328,11 +346,27 @@ class TestKernels:
         # the counts are exact integers, so BLAS may sum them in any order its kernel picks
         _, cb, (x_ind, folds), chunks = score_inputs(W, n, rates)
         for zs in chunks:
-            want = sim._message_log_likelihoods(x_ind, folds, zs, cb.n_messages)
+            want = fresh_scores(x_ind, folds, zs, cb.n_messages)
             for x_op in (x_ind, np.asfortranarray(x_ind)):
                 for z_op in (zs, np.asfortranarray(zs)):
-                    got = sim._message_log_likelihoods(x_op, folds, z_op, cb.n_messages)
+                    got = fresh_scores(x_op, folds, z_op, cb.n_messages)
                     assert np.array_equal(got, want)
+
+    @SCORE_CHANNELS
+    @pytest.mark.parametrize("n,rates", [
+        (16, WiretapRates(0.25, 0.5)),
+        (1200, WiretapRates(0.002, 0.004)),
+    ])
+    def test_reused_buffers_keep_inputs_and_bits(self, W, n, rates):
+        # as _mc_samples scores its blocks: every chunk, the short last one too, in one buffer
+        _, cb, (x_ind, folds), chunks = score_inputs(W, n, rates)
+        kept = [x_ind.copy()] + [a.copy() for f in folds for a in f[:3]]
+        _, buf, mask = sim._score_buffers(folds, n, len(chunks[0]))
+        for zs in chunks:
+            got = sim._message_log_likelihoods(x_ind, folds, zs, cb.n_messages, buf, mask)
+            assert np.array_equal(got, fresh_scores(x_ind, folds, zs, cb.n_messages))
+        after = [x_ind] + [a for f in folds for a in f[:3]]
+        assert all(np.array_equal(a, b) for a, b in zip(after, kept, strict=True))
 
 
 UNDERFLOW = """

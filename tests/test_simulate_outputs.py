@@ -51,6 +51,16 @@ CONFIGS = {
         "channel": {"matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]},
         "rates": {"message": 0.25, "total": 0.5}, "n": [12], "epsilon": 0.5, "trials": 200,
     },
+    # 4,096 and 1,024 codewords: 64 trials are several blocks of the score buffer
+    "wiretap_mc_n24": {
+        "scheme": "wiretap-equivocation", "dist": IDENTITY, "channel": BSC,
+        "rates": {"message": 0.25, "total": 0.5}, "n": [24], "epsilon": 0.5, "trials": 64,
+    },
+    "wiretap_mc_erasure_n20": {
+        "scheme": "wiretap-equivocation", "dist": IDENTITY,
+        "channel": {"matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]},
+        "rates": {"message": 0.25, "total": 0.5}, "n": [20], "epsilon": 0.5, "trials": 64,
+    },
     "wiretap_mc_n1200": {
         "scheme": "wiretap-equivocation", "dist": IDENTITY,
         # so noisy that the scores are not all 0 even at this n
@@ -79,11 +89,15 @@ CONFIGS = {
 # sum of n log-likelihoods to joint-type counts, whose folded sums round
 # differently: equivocation_rate 0.17805610517382128 -> 0.1780561051738213 (n16)
 # and 0.0025047141735553544 -> 0.002504714173555348 (n1200).  The erasure pin
-# kept its bytes: there every finite score is a sum of integer logs.
+# kept its bytes: there every finite score is a sum of integer logs.  The n24 and
+# erasure_n20 pins were taken before the scores moved into one reused buffer with
+# larger blocks, which kept every bit.
 SIMULATE_JSON_SHA256 = {
     "wiretap_exact": "f30852255acf9af13c4b0af4dd30550b1e9fb3155bbca02a3c04ff0ce8d3a0de",
     "wiretap_mc_n16": "64e1d02deb16e40ba06afb3bf98b74516c93f7d775cc7d7d52ba5dc14ec82b20",
     "wiretap_mc_erasure": "08ae7fd2b33f62d2ac7da0ab42abbba9eccb1582b5340a3189b234ebb69b6828",
+    "wiretap_mc_n24": "324036145492af5aae3ad40be748a739a0d6f323ef5b339a15f4bfc14ed2137f",
+    "wiretap_mc_erasure_n20": "cd52e23463e52b397bb9ed85d3c7b795ed7cb6544c696850d0f48409738b098d",
     "wiretap_mc_n1200": "16300a8e732fb832d439311c38821bbdb8951b9be0849075592622ad391a5129",
     "marton_exact": "82e0a4045b311f34dfcab536a9537164a264f98c6e95ccf250607c29c74b0c4f",
     "decode_direct": "94b6fd99b0128ec058714b70f5aebed9c55469a9ac518e6b70f20e40de45c4c1",
