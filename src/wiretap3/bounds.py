@@ -36,12 +36,12 @@ names at most one; the multilevel Z2 is p(y1|x) p(z2|y1)), so no joint
 over all receivers is built.  All are linear in the source law: a small
 plan reads every entropy's cells with one product per point, a large one
 by its routes (see ``_BoundPlan``), and every term then takes one more
-product, with the 0 log 0 rule of ``probability.log2_cells``.  A term
-below -MEASURE_TOL raises DistributionError; otherwise it is clamped at 0,
-as ``JointPmf`` does.  ``maximize`` runs a plan on realized candidates;
-the scalar and region evaluators run the same plan (``_plan`` keeps one per
-bound, pattern and receiver matrices) on a one-point stack; the orderings
-checks and the example's second-component measures compile their own.
+product, of p ``probability.log2_floored(p)`` (the sums absorb its -0.0 at
+exact zeros).  A term below -MEASURE_TOL raises DistributionError; otherwise it
+is clamped at 0, as ``JointPmf`` does.  ``maximize`` runs a plan on realized
+candidates; the scalar and region evaluators run the same plan (``_plan`` keeps
+one per bound, pattern and receiver matrices) on a one-point stack; the
+orderings checks and the example's second-component measures compile their own.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .probability import (
     JointPmf,
     as_joint,
     conditional,
-    log2_cells,
+    log2_floored,
 )
 
 ADMISSIBILITY_TOL = 1e-9
@@ -516,10 +516,11 @@ class _BoundPlan:
         m, routes, st = self._compiled[shape]
         # (B, 1, N) @ M: one product per point
         p = self._pmfs(routes, joint) if m is None else joint.reshape(len(joint), 1, len(m)) @ m
-        info = (0.0 - (p * log2_cells(p)) @ st)[:, 0].T
-        low = (info < -MEASURE_TOL).any(axis=1)
-        if low.any():
-            t = int(low.argmax())
+        plog = log2_floored(p)  # p log2 p in one buffer; 0.0 - x folds its -0.0 cells
+        info = (0.0 - np.multiply(p, plog, out=plog) @ st)[:, 0].T
+        # one reduction on the common path; a NaN point reads NaN there, so scan
+        if not info.min(initial=0.0) >= -MEASURE_TOL and (info < -MEASURE_TOL).any():
+            t = int((info < -MEASURE_TOL).any(axis=1).argmax())
             a, b, c = self.terms[t]
             raise DistributionError(f"I({a};{b}|{c}) = {info[t].min()} is below -{MEASURE_TOL}")
         return np.maximum(info, 0.0)

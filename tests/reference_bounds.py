@@ -14,6 +14,11 @@ memo dicts keyed by axis set.  The plan must give the same bits.
 search realized candidates row by row (``bounds._RowRealizer``): one check
 of every row of every table, then the chain product.  The row realizer must
 give its bits and raise its errors.
+
+``plan_information`` is ``bounds._BoundPlan.information`` as it was before
+its p log2 p cells took the floored log: ``p * log2_cells(p)``, a fresh
+array each, and a comparison scan of every term.  The plan must give its
+bits and raise its errors.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from wiretap3.probability import (
     FactoredDistribution,
     JointPmf,
     entropy_bits,
+    log2_cells,
 )
 
 
@@ -262,3 +268,19 @@ def bound_values(bound, axes, joint, channels):
     if gate is not None:
         value = np.where(gate < -ADMISSIBILITY_TOL, np.nan, value)
     return value
+
+
+def plan_information(plan, joint):
+    """``plan.information(joint)`` by the old formula: (terms, B), clamped at 0."""
+    shape = joint.shape[1:]
+    if shape not in plan._compiled:
+        plan._compiled[shape] = plan._compile(shape)
+    m, routes, st = plan._compiled[shape]
+    p = plan._pmfs(routes, joint) if m is None else joint.reshape(len(joint), 1, len(m)) @ m
+    info = (0.0 - (p * log2_cells(p)) @ st)[:, 0].T
+    low = (info < -MEASURE_TOL).any(axis=1)
+    if low.any():
+        t = int(low.argmax())
+        a, b, c = plan.terms[t]
+        raise DistributionError(f"I({a};{b}|{c}) = {info[t].min()} is below -{MEASURE_TOL}")
+    return np.maximum(info, 0.0)

@@ -303,6 +303,46 @@ def test_routed_plans_keep_the_term_check(monkeypatch):
     assert lines == EXPECTED
 
 
+def _edge_stack(pattern, sizes, rng):
+    """18 source laws at the edges of p log2 p: 8 random, 4 vertices (one-hot
+    rows: exact zeros and ones), 4 with every other row a vertex, one whose
+    -1e-13 entry the realizer clips to 0, and one with a NaN cell."""
+    shapes = bounds.factor_shapes(pattern, sizes)
+    tables = [rng.dirichlet(np.ones(c), size=(17, r)) for r, c in shapes]
+    for t in tables:
+        vertices = np.eye(t.shape[2])[rng.integers(t.shape[2], size=(8, t.shape[1]))]
+        t[8:12] = vertices[:4]
+        t[12:16, ::2] = vertices[4:, ::2]
+        if t.shape[2] > 1:
+            t[16, 0] = 0.0
+            t[16, 0, :2] = [1.0 + 1e-13, -1e-13]
+    joint = bounds._realize(pattern, sizes, tables)
+    nan = joint[:1].copy()
+    nan.reshape(-1)[3] = np.nan
+    return np.concatenate([joint, nan])
+
+
+@pytest.mark.parametrize("form", ["dense", "routed"])
+@pytest.mark.parametrize("name", ["example", "theorem1"])
+def test_floored_log_gives_the_old_formula_bits(monkeypatch, name, form):
+    # 0 * -1074 = -0.0 where the old form read 0 * 0 = 0.0; the ST sums and
+    # the 0.0 - x fold absorb the sign, so every term keeps its bits
+    if form == "routed":
+        monkeypatch.setattr(bounds, "_DENSE_CELLS", 0)
+    plan, _ = _fused_plans()[name]
+    pattern, sizes = {
+        "example": ("ck", {"Q": 3, "V": 4, "X": 2}),
+        "theorem1": ("theorem1", AuxSpec("theorem1", {"V0": 2, "V1": 2, "V2": 2}).resolve(4)),
+    }[name]
+    joint = _edge_stack(pattern, sizes, np.random.default_rng(37))
+    cells = joint.reshape(len(joint), -1)
+    assert (cells[:17] >= 0).all() and (cells[8:17] == 0).any(axis=1).all()
+    got = plan.information(joint)
+    assert _compiled_form(plan, joint) == form
+    assert got.tobytes() == reference_bounds.plan_information(plan, joint).tobytes()
+    assert np.isnan(got).any(axis=0).tolist() == [False] * 17 + [True]
+
+
 def test_one_point_evaluators_share_one_plan_per_channel_values(monkeypatch):
     compiles = []
     compile_ = bounds._BoundPlan._compile
@@ -409,9 +449,20 @@ try:
     bounds._BoundPlan(bounds._WIRETAP, ("V", "X"), chans)(doubled)
 except DistributionError as e:
     print("term rejected: " + str(e).split(" = ")[0])
+
+# a NaN point beside them makes the quick check read NaN: the term scan
+# still runs and rejects the same term with the same message
+nan_first = np.concatenate([np.full((1, 2, 2), np.nan), doubled])
+try:
+    bounds._BoundPlan(bounds._WIRETAP, ("V", "X"), chans)(nan_first)
+except DistributionError as e:
+    print("term rejected: " + str(e))
 """
 
-EXPECTED = ["table rejected", "table rejected", "term rejected: I(('V',);('Z',)|())"]
+EXPECTED = [
+    "table rejected", "table rejected", "term rejected: I(('V',);('Z',)|())",
+    "term rejected: I(('V',);('Z',)|()) = nan is below -1e-10",
+]
 
 
 def test_table_and_measure_checks_raise():

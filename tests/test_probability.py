@@ -24,6 +24,7 @@ from wiretap3.probability import (
     erase_further,
     erasure_channel,
     log2_cells,
+    log2_floored,
     product_channel,
 )
 
@@ -73,8 +74,8 @@ class TestEntropy:
         assert abs(lhs - rhs) < 1e-10
 
 
-def test_log2_cells_matches_the_masked_log2_bit_for_bit():
-    # the unmasked form must give the masked form's bits on every edge value
+def _log2_corpus(nonnegative=False):
+    """Edge values, then random ones down to the subnormals: flat, and as a strided view."""
     tiny = np.finfo(float).tiny
     edges = np.array([
         0.0, -0.0, 5e-324, -5e-324, tiny / 3, tiny, 1e-300, 0.5, 1.0 - 2**-53, 1.0, 2.0,
@@ -85,11 +86,33 @@ def test_log2_cells_matches_the_masked_log2_bit_for_bit():
         edges, rng.random(4096), rng.random(1024) * tiny, rng.standard_normal(1024),
         np.exp2(rng.uniform(-1074, 1023, 4096)),
     ])
-    for p in (corpus, corpus[: corpus.size // 8 * 8].reshape(-1, 1, 8)[:, :, ::-1]):
+    if nonnegative:
+        corpus = corpus[~(corpus < 0)]  # NaN stays
+    return corpus, corpus[: corpus.size // 8 * 8].reshape(-1, 1, 8)[:, :, ::-1]
+
+
+def test_log2_cells_matches_the_masked_log2_bit_for_bit():
+    # the unmasked form must give the masked form's bits on every edge value
+    for p in _log2_corpus():
         want = np.log2(p, out=np.zeros(p.shape), where=p > 0)
         got = log2_cells(p)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_log2_floored_weighted_by_p_matches_log2_cells_but_for_the_sign_of_zeros():
+    # the bounds engine's pmf cells are never negative
+    for p in _log2_corpus(nonnegative=True):
+        with np.errstate(over="ignore"):  # the float max times its log2
+            got, want = p * log2_floored(p), p * log2_cells(p)
+        assert got.shape == want.shape
+        nan, zero = np.isnan(p), p == 0
+        assert np.isnan(got[nan]).all()
+        assert (got[zero] == 0).all() and zero.any()
+        rest = ~nan & ~zero
+        assert got[rest].tobytes() == want[rest].tobytes()
+    # finite at 0: under flush-to-zero the floor would read 0 and 0 * log2 NaN
+    assert log2_floored(np.array([0.0, -0.0])).tolist() == [-1074.0, -1074.0]
 
 
 class TestMutualInformation:
