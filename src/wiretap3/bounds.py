@@ -248,9 +248,8 @@ class MultilevelChannel:
         y1_size: int,
         z2_size: int,
         z3_size: int,
-        tol: float = 1e-9,
     ) -> "MultilevelChannel":
-        """Split p(y1,z2,z3|x), verifying the multilevel factorization."""
+        """Split p(y1,z2,z3|x), verifying the multilevel factorization to 1e-9 per entry."""
         nx = joint.rows
         if joint.cols != y1_size * z2_size * z3_size:
             raise DistributionError("output sizes do not factor the joint columns")
@@ -260,7 +259,7 @@ class MultilevelChannel:
         num = np.stack([t[:, y1].sum(axis=(0, 2)) for y1 in range(y1_size)])
         z2g = conditional(num, num.sum(axis=1))
         recon = p_y1z3[:, :, None, :] * z2g[None, :, :, None]
-        if not np.allclose(recon, t, rtol=0, atol=tol):
+        if not np.allclose(recon, t, rtol=0, atol=1e-9):
             raise DistributionError(
                 "channel is not multilevel: p(y1,z2,z3|x) != p(y1,z3|x) p(z2|y1)"
             )
@@ -853,7 +852,7 @@ def reversely_degraded_bound(components: Sequence[ProductComponent]) -> RevDegra
     if not components:
         raise DistributionError("need at least one component")
     k = len(components)
-    j = JointPmf((), np.asarray(1.0).reshape(()))
+    j = JointPmf((), 1.0)
 
     def gain(ls, receiver, over):
         """I(U_ls; receiver) - I(U_ls; Z) over components ``over``, on the joint so far."""

@@ -155,6 +155,8 @@ def cmd_bound(args) -> int:
     doc = _load_spec(args.spec)
     chans = doc.broadcast(args.y1, args.y2, args.z)
     if args.dist:
+        if args.card:
+            raise CliError("--card sets a maximization's cardinalities; --dist fixes them")
         dist = doc.factored[args.dist]
         value = bounds.evaluate_bound(args.id, dist, chans)
         payload = {"subcommand": "bound", "id": args.id, "mode": "evaluate",
@@ -330,12 +332,12 @@ def _channel_from_config(cfg_value, doc: Optional[SpecDocument]):
     return ConditionalPmf(_check_keys("channel", cfg_value, ("matrix",), ("matrix",))["matrix"])
 
 
-# the top-level config keys that every scheme reads, each scheme's own, and those with a default
-_CONFIG_KEYS = ("scheme", "spec", "dist", "n", "epsilon", "delta", "delta1", "caps")
+# the top-level config keys that every scheme accepts, each scheme's own, and those with a default
+_CONFIG_KEYS = ("scheme", "spec", "dist", "n", "epsilon", "caps")
 _SCHEME_KEYS = {"wiretap-equivocation": ("channel", "rates", "trials"),
                 "marton-equivocation": ("channel", "rates"),
                 "decode": ("channel", "rates", "trials", "decoder"),
-                "lemma1": ("s_rate", "trials")}
+                "lemma1": ("delta", "delta1", "s_rate", "trials")}
 _DEFAULTED = ("spec", "epsilon", "delta", "delta1", "caps", "trials", "decoder")
 _PATTERN_KEYS = ("pattern", "sizes", "tables")
 

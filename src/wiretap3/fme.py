@@ -263,13 +263,10 @@ def normalize(sys: InequalitySystem) -> InequalitySystem:
             old_rhs, old_rel, old = best[lhs_key]
             # rows with equal lhs_key share one scale: compare rhs by cross-multiplying
             diff = rhs[0] * old_rhs[1] - old_rhs[0] * rhs[1]
-            if diff < 0:
-                pass
-            elif diff == 0 and rel == "<" and old_rel == "<=":
-                pass
-            elif diff == 0 and rel == old_rel and len(ineq.origin) < len(old.origin):
-                pass  # identical row, tighter history for Imbert pruning
-            else:
+            if not (diff < 0 or diff == 0 and (
+                    rel == "<" and old_rel == "<="   # the strict row wins
+                    # identical row, shorter history for Imbert pruning
+                    or rel == old_rel and len(ineq.origin) < len(old.origin))):
                 continue
         best[lhs_key] = (rhs, rel, ineq)
     return sys.with_rows([ineq for _, _, ineq in best.values()])

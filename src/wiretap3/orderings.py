@@ -42,12 +42,6 @@ class OrderingVerdict:
         raise TypeError("verdict truthiness is ambiguous; inspect .holds")
 
 
-def _exact_matrix(chan: ConditionalPmf):
-    if chan.exact is not None:
-        return [list(row) for row in chan.exact]
-    return [[Fraction(float(v)) for v in row] for row in chan.matrix]
-
-
 def check_degraded(p_yx: ConditionalPmf, p_zx: ConditionalPmf) -> OrderingVerdict:
     """Is Z a degraded version of Y, i.e. does a stochastic W solve Y.W = Z?
 
@@ -59,8 +53,8 @@ def check_degraded(p_yx: ConditionalPmf, p_zx: ConditionalPmf) -> OrderingVerdic
             f"input alphabets differ: {p_yx.rows} vs {p_zx.rows}"
         )
     exact = p_yx.exact is not None and p_zx.exact is not None
-    Y = _exact_matrix(p_yx)
-    Z = _exact_matrix(p_zx)
+    # feasible_eq takes each float entry at its exact binary value
+    Y, Z = (c.matrix if c.exact is None else c.exact for c in (p_yx, p_zx))
     nx, ny, nz = p_yx.rows, p_yx.cols, p_zx.cols
     tol = Fraction(0) if exact else Fraction(1, 10**9)
 

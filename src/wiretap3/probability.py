@@ -42,22 +42,11 @@ class AxisError(ValueError):
     """An operation referenced unknown, duplicate or overlapping axes."""
 
 
-def _as_fraction_or_none(values) -> Optional[tuple]:
-    """Return a nested tuple of Fractions if every entry is exact, else None."""
-    out = []
-    for v in values:
-        if isinstance(v, (list, tuple)):
-            sub = _as_fraction_or_none(v)
-            if sub is None:
-                return None
-            out.append(sub)
-        elif isinstance(v, (int, Fraction)) or (
-            isinstance(v, np.integer)
-        ):
-            out.append(Fraction(int(v)) if not isinstance(v, Fraction) else v)
-        else:
-            return None
-    return tuple(out)
+def _exact_row(values) -> Optional[tuple]:
+    """The entries as Fractions if every one is an int, numpy integer or Fraction, else None."""
+    if not all(isinstance(v, (int, np.integer, Fraction)) for v in values):
+        return None
+    return tuple(v if isinstance(v, Fraction) else Fraction(int(v)) for v in values)
 
 
 def log2_cells(p: np.ndarray) -> np.ndarray:
@@ -120,7 +109,7 @@ class Pmf:
     exact: Optional[tuple] = field(default=None, compare=False)
 
     def __init__(self, probs: Sequence[Number]):
-        exact = _as_fraction_or_none(list(probs))
+        exact = _exact_row(probs)
         arr = np.asarray([float(p) for p in probs], dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DistributionError("pmf must be a non-empty vector")
@@ -167,7 +156,8 @@ class ConditionalPmf:
     exact: Optional[tuple] = field(default=None, compare=False)
 
     def __init__(self, matrix: Sequence[Sequence[Number]]):
-        exact = _as_fraction_or_none([list(r) for r in matrix])
+        exact = tuple(map(_exact_row, matrix))
+        exact = None if None in exact else exact
         arr = np.asarray([[float(v) for v in row] for row in matrix], dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise DistributionError("conditional pmf must be a non-empty matrix")
@@ -412,9 +402,11 @@ class FactoredDistribution:
         return self._realization
 
     def _realize(self) -> JointPmf:
+        if not self.factors:
+            raise DistributionError("factored distribution has no factors")
         sizes = dict(self.axis_sizes)
         covered: list[str] = []
-        joint: Optional[JointPmf] = None
+        joint = JointPmf((), 1.0)
         for f in self.factors:
             for t in f.targets:
                 if t not in sizes:
@@ -426,18 +418,8 @@ class FactoredDistribution:
                     raise AxisError(
                         f"factor conditions on {g!r} before it is generated"
                     )
-            targets = [(t, sizes[t]) for t in f.targets]
-            if joint is None:
-                if f.given:
-                    raise AxisError("first factor cannot condition on anything")
-                joint = JointPmf((), np.asarray(1.0).reshape(())).extend(
-                    (), targets, f.table
-                )
-            else:
-                joint = joint.extend(f.given, targets, f.table)
+            joint = joint.extend(f.given, [(t, sizes[t]) for t in f.targets], f.table)
             covered.extend(f.targets)
-        if joint is None:
-            raise DistributionError("factored distribution has no factors")
         if tuple(covered) != self.axes:
             # realization axes follow generation order; reorder to declaration
             joint = joint.marginal(self.axes)

@@ -80,9 +80,7 @@ class TypicalityParams:
     delta1: float = 0.1
 
     def __post_init__(self):
-        _require("blocklength n", self.n, Integral, "an integer")
-        if self.n < 1:
-            raise ValueError("blocklength n must be >= 1")
+        _check_count("blocklength n", self.n)
         for name in ("epsilon", "delta", "delta1"):
             _require(name, getattr(self, name), Real, "a real number")
         if self.epsilon <= 0:
@@ -128,10 +126,10 @@ def _trial_blocks(seed: int, trials: int, chunk: int = 1) -> Iterator[tuple[int,
         yield first, Streams(seed, 3, np.arange(first, min(trials, first + per)))
 
 
-def _check_trials(trials: int) -> None:
-    _require("trials", trials, Integral, "an integer")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def _check_count(name: str, value: int) -> None:
+    _require(name, value, Integral, "an integer")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def _exponent(n: int, rate: float) -> int:
@@ -646,14 +644,14 @@ def exact_equivocation(cb, chan: ConditionalPmf, caps: Caps = DEFAULT_CAPS) -> S
     n_m = conds.shape[0]
     p_m = np.full(n_m, 1.0 / n_m)
     p_z = p_m @ conds
+    # both sums run over the cells where p(m, z) > 0, on each of which p(z) > 0
+    joint = conds * p_m[:, None]
+    cells = joint > 0
+    p_mz, p_zc = joint[cells], np.broadcast_to(p_z, joint.shape)[cells]
     # equivocation: H(M|Z^n) = -sum_z sum_m p(m, z) log2 p(m|z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        post = np.where(p_z[None, :] > 0, conds * p_m[:, None] / p_z[None, :], 0.0)
-        joint = conds * p_m[:, None]
-        hmz = float(-(joint[joint > 0] * np.log2(post[joint > 0])).sum())
-        # leakage: I(M;Z^n) = sum_{m,z} p(m,z) log2( p(z|m) / p(z) )
-        ratio = np.where(joint > 0, conds / np.where(p_z[None, :] > 0, p_z[None, :], 1.0), 1.0)
-        leak = float((joint[joint > 0] * np.log2(ratio[joint > 0])).sum())
+    hmz = float(-(p_mz * np.log2(p_mz / p_zc)).sum())
+    # leakage: I(M;Z^n) = sum_{m,z} p(m,z) log2( p(z|m) / p(z) )
+    leak = float((p_mz * np.log2(conds[cells] / p_zc)).sum())
     n = cb.n
     return SimReport(equivocation_rate=hmz / n, leakage_rate=leak / n,
                      message_rate=entropy_of_vector(p_m) / n, trials=0,
@@ -787,7 +785,7 @@ def mc_equivocation(cb, chan: ConditionalPmf, trials: int, seed: int) -> SimRepo
     """
     if not isinstance(cb, WiretapCodebook):
         raise TypeError("mc_equivocation supports superposition codebooks")
-    _check_trials(trials)
+    _check_count("trials", trials)
     samples = _mc_samples(cb, _channel_to(cb, chan), trials, seed)
     mean = float(samples.mean())
     half = float(1.96 * samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
@@ -808,7 +806,7 @@ def decoding_error_rate(cb: WiretapCodebook, chan: ConditionalPmf, params: Typic
     again, as a single decode would.  Both kinds of stream are seeded, and
     the outputs decoded, a block of trials at a time.
     """
-    _check_trials(trials)
+    _check_count("trials", trials)
     plan = _decode_plan(cb, chan, params, decoder)
     bounds = _symbol_bounds(chan.matrix)
     errors = 0
@@ -852,7 +850,7 @@ def lemma1_experiment(
     reports how often the typical count exceeds the concentration
     threshold (1 + delta1) 2^{n(S - I(V;Z|U) + delta)}.
     """
-    _check_trials(trials)
+    _check_count("trials", trials)
     t = as_joint(dist).marginal(("U", "V", "Z")).tensor
     nu, nv, nz = t.shape
     p_u, p_uv = t.sum(axis=(1, 2)), t.sum(axis=2)

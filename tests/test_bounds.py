@@ -36,8 +36,10 @@ from wiretap3.bounds import (
 )
 from wiretap3.optim import SearchBudget
 from wiretap3.probability import (
+    AxisError,
     ConditionalPmf,
     DistributionError,
+    JointPmf,
     binary_entropy,
     bsc,
     cascade,
@@ -535,6 +537,31 @@ class TestMultilevelRegions:
 def test_channel_shape_mismatch_raises(make, message):
     with pytest.raises(DistributionError, match=re.escape(message)):
         make()
+
+
+def _prop1_sample():
+    d = build_factored("prop1", {"U": 1, "X": 2}, [np.array([[1.0]]), np.array([[0.5, 0.5]])])
+    return prop1_region(d, chans_deg())
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: bounds._expr("I(V;Y) + H(V)"), ValueError,
+     "cannot parse information expression 'I(V;Y) + H(V)'"),
+    (lambda: bounds._BoundPlan(bounds.BoundTerms((bounds._expr("I(V;Y,Z)"),)), ("V", "X"),
+                               {"Y": np.eye(2), "Z": np.eye(2)}),
+     AxisError, "a term names more than one receiver: ['Y', 'Z']"),
+    (lambda: wiretap_rate(JointPmf(("X",), [0.5, 0.5]), bsc(0.1), bsc(0.2)),
+     PatternError, "distribution is missing axes ['V'] for 'wiretap'"),
+    (lambda: _prop1_sample().contains({"R0": 0.0, "R9": 0.0}), AxisError,
+     "unknown rate variables ['R9']"),
+    (lambda: _prop1_sample().row("r9"), KeyError, "r9"),
+    (lambda: reversely_degraded_bound([]), DistributionError, "need at least one component"),
+    (lambda: evaluate_bound("theorem9", uniform_vx(), chans_deg()), KeyError,
+     "unknown bound id 'theorem9'"),
+])
+def test_malformed_request_raises(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestReverselyDegraded:

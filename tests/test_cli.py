@@ -449,6 +449,18 @@ class TestBoundCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["value"] == pytest.approx(0.252932, abs=1e-6)
 
+    def test_card_with_dist_is_validation_error(self, spec_file, capsys):
+        # --dist fixes every cardinality; --card was once ignored with exit 0
+        rc = main([
+            "bound", "--spec", str(spec_file), "--id", "wiretap",
+            "--y1", "y1", "--y2", "y2", "--z", "z", "--dist", "d", "--card", "V=5",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --card sets a maximization's cardinalities; --dist fixes them\n")
+
     def test_maximize_meets_grid_oracle(self, spec_file, capsys):
         rc = main([
             "bound", "--spec", str(spec_file), "--id", "wiretap",
@@ -704,6 +716,11 @@ class TestSimulateCommand:
         ({**CONCENTRATION, "rates": {"message": 0.25, "total": 0.5}}, "rates"),
         ({**CONCENTRATION, "decoder": "direct"}, "decoder"),
         ({**INDIRECT_DECODE, "s_rate": 0.5}, "s_rate"),
+        # only lemma1 reads the concentration dials delta and delta1
+        ({**INDIRECT_DECODE, "delta": 0.3, "delta1": 7}, "delta, delta1"),
+        ({**LEAKAGE_TREND, "delta": 0.3, "delta1": 7}, "delta, delta1"),
+        ({**LEAKAGE_TREND, "scheme": "marton-equivocation", "trials": None, "delta": 0.3},
+         "delta, trials"),
     ])
     def test_key_its_scheme_never_reads_is_validation_error(self, tmp_path, capsys, config, key):
         # each ran with exit 0 and the key ignored while one key list served every scheme

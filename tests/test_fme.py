@@ -123,6 +123,39 @@ class TestEliminate:
         assert eliminate(sys2, "x").inequalities[0].relation == "<="
 
 
+class TestNormalize:
+    """One kept row per left-hand side: the lower rhs, then the strict row, then the shorter
+    history (Imbert pruning counts ancestors)."""
+
+    @staticmethod
+    def _kept(*rows):
+        return fme.normalize(InequalitySystem(("x",), rows)).inequalities
+
+    def test_tie_breaks(self):
+        lo, hi = (LinearInequality({"x": 2}, "<=", {}, c) for c in (2, 4))
+        strict = LinearInequality({"x": 1}, "<", {}, 1)
+        long_, short = (LinearInequality({"x": 1}, "<=", {}, 1, origin=o) for o in ({0, 1}, {2}))
+        assert self._kept(hi, lo) == self._kept(lo, hi) == (lo,)
+        assert self._kept(lo, strict) == self._kept(strict, lo) == (strict,)
+        assert self._kept(long_, short) == self._kept(short, long_) == (short,)
+        # an identical row with as long a history keeps the first
+        assert self._kept(short, LinearInequality({"x": 1}, "<=", {}, 1, origin={5})) == (short,)
+        assert self._kept(LinearInequality({}, "<=", {}, 1)) == ()
+
+
+class TestSystemChecks:
+    def test_undeclared_variable_rejected(self):
+        with pytest.raises(ValueError, match="undeclared variable 'y' in y <= 1"):
+            InequalitySystem(("x",), [LinearInequality({"y": 1}, "<=", {}, 1)])
+
+    def test_satisfies_strict_rows(self):
+        sys_ = InequalitySystem(("x",), [LinearInequality({"x": 1}, "<", {}, 1)])
+        assert sys_.satisfies({"x": 0.5}) and not sys_.satisfies({"x": 1.0})
+        # a positive tol widens the strict row to lhs < rhs + tol
+        assert sys_.satisfies({"x": 1.0}, tol=0.25)
+        assert not sys_.satisfies({"x": 1.25}, tol=0.25)
+
+
 class TestRemoveRedundant:
     def test_trivial_dominance(self):
         sys_, _ = parse_system("vars x\nx <= 1\nx <= 2\n")

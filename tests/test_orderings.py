@@ -87,6 +87,38 @@ class TestDegraded:
                 big, atol=1e-9 + 1e-12,
             )
 
+    @pytest.mark.parametrize("y,z,witness", [
+        (bsc(0.1), bsc(0.2), [
+            ["908651950243594878227393280370279/1038459371706965576146415092393575",
+             "129807421463370697919021812023296/1038459371706965576146415092393575"],
+            ["129807421463370669095984196852121/1038459371706965576146415092393575",
+             "908651950243594907050430895541454/1038459371706965576146415092393575"]]),
+        (bsc(0.1), bsc(0.3), [
+            ["259614842926741399440923325942989/346153123902321858715471697464525",
+             "86538280975580459274548371521536/346153123902321858715471697464525"],
+            ["86538280975580488097585986692711/346153123902321858715471697464525",
+             "259614842926741370617885710771814/346153123902321858715471697464525"]]),
+        (ConditionalPmf([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]]),
+         ConditionalPmf([[0.3, 0.4, 0.3], [0.35, 0.3, 0.35]]), [
+            ["71394081804853828371114587408305/623075623024179233278002356268567",
+             "324518553658426723180276318679858/623075623024179233278002356268567",
+             "75720995853632893908870483393468/207691874341393077759334118756189"],
+            ["1", "0", "0"],
+            ["123317050390202148251263943646905/623075623024179233278002356268567",
+             "220672616487730141066052836545004/623075623024179233278002356268567",
+             "93028652048748981320228525358886/207691874341393077759334118756189"]]),
+        # an exact Y against a float Z: the corridor, with Y's entries as given
+        (bsc(F(1, 10)), bsc(0.2), [
+            ["126100789566373887/144115188075855872", "18014398509481985/144115188075855872"],
+            ["18014398509481977/144115188075855872", "126100789566373895/144115188075855872"]]),
+    ])
+    def test_float_corridor_witness_is_pinned(self, y, z, witness):
+        # the LP reads each float entry at its exact binary value, so its
+        # vertex, and the witness, are exact rationals fixed by the inputs
+        v = check_degraded(y, z)
+        assert (v.holds, v.resolution) == (True, "LP feasible at 1e-9")
+        assert v.witness.exact == tuple(tuple(F(q) for q in row) for row in witness)
+
     def test_witness_recomposes_on_random_degraded_pairs(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

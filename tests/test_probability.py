@@ -16,6 +16,7 @@ from wiretap3.probability import (
     FactoredDistribution,
     JointPmf,
     Pmf,
+    as_joint,
     binary_entropy,
     bsc,
     cascade,
@@ -357,6 +358,78 @@ class TestFactoredDistribution:
                 [("A", 2), ("B", 2)],
                 [Factor(["A"], ["B"], np.full((2, 2), 0.5))],
             )
+
+    def test_declaration_order_differs_from_generation_order(self):
+        # B is generated first and declared last: the realization follows the declaration
+        pb, pab = np.array([0.25, 0.75]), np.array([[0.5, 0.5, 0.0], [0.1, 0.2, 0.7]])
+        fd = FactoredDistribution([("A", 3), ("B", 2)],
+                                  [Factor(["B"], [], [pb]), Factor(["A"], ["B"], pab)])
+        assert fd.realization.axes == ("A", "B")
+        assert np.array_equal(fd.realization.tensor, (pb[:, None] * pab).T)
+
+    @pytest.mark.parametrize("sizes,factors,error,message", [
+        ([("A", 2)], [Factor(["A", "C"], [], np.full((1, 4), 0.25))],
+         AxisError, "factor targets undeclared axis 'C'"),
+        ([("A", 2)], [Factor(["A"], [], [[0.5, 0.5]]), Factor(["A"], [], [[0.5, 0.5]])],
+         AxisError, "axis 'A' generated twice"),
+        ([("A", 2)], [], DistributionError, "factored distribution has no factors"),
+    ])
+    def test_malformed_chain_rejected(self, sizes, factors, error, message):
+        with pytest.raises(error, match=message):
+            FactoredDistribution(sizes, factors)
+
+    def test_as_joint(self):
+        j = JointPmf(("A",), [0.5, 0.5])
+        assert as_joint(j) is j
+        with pytest.raises(DistributionError, match="cannot interpret list as a distribution"):
+            as_joint([0.5, 0.5])
+
+
+class TestExactEntries:
+    """Entries that are all ints, numpy integers or Fractions are kept exact, row by row."""
+
+    def test_numpy_integers_become_python_int_fractions(self):
+        for exact in (Pmf(np.array([0, 1])).exact,
+                      ConditionalPmf(np.array([[1, 0], [0, 1]])).exact[1]):
+            assert exact == (F(0), F(1))
+            assert all(type(q.numerator) is int for q in exact)
+
+    def test_one_float_entry_makes_the_table_inexact(self):
+        assert Pmf([F(1, 2), 0.5]).exact is None
+        assert ConditionalPmf([[F(1, 2), F(1, 2)], [1, 0.0]]).exact is None
+        assert ConditionalPmf([[F(1, 2), F(1, 2)], [1, np.int8(0)]]).exact == (
+            (F(1, 2), F(1, 2)), (F(1), F(0)))
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ConditionalPmf([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 3)]]),
+         "exact row 1 does not sum to 1"),
+        (lambda: Pmf([]), "pmf must be a non-empty vector"),
+        (lambda: ConditionalPmf([]), "conditional pmf must be a non-empty matrix"),
+        (lambda: ConditionalPmf([[]]), "conditional pmf must be a non-empty matrix"),
+    ])
+    def test_invalid_tables_rejected(self, build, message):
+        with pytest.raises(DistributionError, match=message):
+            build()
+
+
+class TestJointPmfChecks:
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda: JointPmf(("A", "A"), np.full((2, 2), 0.25)), AxisError,
+         r"duplicate axis names: \('A', 'A'\)"),
+        (lambda: JointPmf(("A", "B"), [0.5, 0.5]), AxisError,
+         "tensor has 1 dimensions for 2 axes"),
+        (lambda: JointPmf(("A",), [0.5, 0.25]), DistributionError, "joint pmf sums to 0.75, not 1"),
+        (lambda: JointPmf(("A", "B"), np.full((2, 2), 0.25)).marginal(("A", "A")), AxisError,
+         r"duplicate axes in \('A', 'A'\)"),
+        (lambda: JointPmf(("A",), [0.5, 0.5]).extend((), [("A", 2)], ConditionalPmf([[0.5, 0.5]])),
+         AxisError, "target axis 'A' already present"),
+        (lambda: JointPmf(("A",), [0.5, 0.5]).extend(("A",), [("B", 2)],
+                                                     ConditionalPmf([[0.5, 0.5]])),
+         DistributionError, "channel shape 1x2 does not match given product 2 and target"),
+    ])
+    def test_invalid_input_rejected(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
 
 
 class TestNanRejected:

@@ -396,6 +396,12 @@ def test_taken_empty_premises_keep_the_width():
         implied_by(vecs.take([]), _target([1], 2))
 
 
+def test_simplex_rejects_a_ragged_matrix():
+    for A in ([[1, 1], [1]], IntRows.of([[1, 1], [1]]), [[1, 1, 0], [1, 0]]):
+        with pytest.raises(ValueError, match="ragged constraint matrix"):
+            simplex_min_eq(A, [1, 1], [0, 0])
+
+
 def test_verify_rejects_ragged_rows():
     with pytest.raises(ValueError, match="length 2, target of length 1"):
         verify_certificate(_rows(RAGGED[:1]), _target([1], 0), [1])

@@ -142,6 +142,10 @@ class TestValidation:
         (lambda: build_marton_codebook(marton_dist(), MartonRates(0.25, 0.5, 0.5, 0.5, 0.25, 0.25),
                                        TypicalityParams(4, 8.0), 0, Caps(max_codebook_entries=100)),
          CapExceededError, "codebook needs 148 symbols > cap"),
+        # 2^4 codewords pass the exponent check; 16 x 4 x (1 + 1) symbols do not
+        (lambda: build_wiretap_codebook(vx_identity(), WiretapRates(0.25, 1.0),
+                                        TypicalityParams(4), 0, Caps(max_codebook_entries=100)),
+         CapExceededError, "codebook needs 128 stored symbols > cap 100"),
         (lambda: exact_equivocation(_marton_codebook(), bsc(0.1), Caps(max_exact_work=1)),
          CapExceededError, "exact equivocation work above cap"),
         (lambda: mc_equivocation(_marton_codebook(), bsc(0.1), 4, 0),
