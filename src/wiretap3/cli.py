@@ -64,6 +64,17 @@ def _require_seed(args):
         raise CliError("--seed is required for randomized subcommands")
 
 
+def _given(args, names) -> dict:
+    """The options ``names`` (their dests) that this call sets, by dest."""
+    return {n: v for n in names if (v := getattr(args, n, None)) is not None}
+
+
+def _refuse(args, names: str, why: str):
+    """Exit 1 if this call sets any of ``names`` (dests), which ``why`` leaves unread."""
+    if given := _given(args, names.split()):
+        raise CliError(f"{', '.join('--' + n for n in given)} not read: {why}")
+
+
 def _assignments(flag: str, items, convert) -> dict:
     """``NAME=VALUE`` items of one flag, each VALUE read by ``convert``."""
     out = {}
@@ -79,13 +90,11 @@ def _assignments(flag: str, items, convert) -> dict:
 
 
 def _budget(args) -> SearchBudget:
+    """The seeded budget of the search options this call sets; SearchBudget states the rest."""
     from .optim import SearchBudget
-    return SearchBudget(
-        grid_points=getattr(args, "grid", SearchBudget.grid_points),
-        restarts=args.restarts,
-        seed=args.seed,
-        refine_sweeps=args.sweeps,
-    )
+    _require_seed(args)
+    fields = {"restarts": "restarts", "sweeps": "refine_sweeps", "grid": "grid_points"}
+    return SearchBudget(seed=args.seed, **{fields[k]: v for k, v in _given(args, fields).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +135,12 @@ def cmd_ordering(args) -> int:
     y = doc.channel(args.y)
     z = doc.channel(args.z)
     if args.relation == "degraded":
+        _refuse(args, "seed restarts sweeps grid", "degradedness is decided by one exact LP")
         verdict = orderings.check_degraded(y, z)
     elif args.relation == "less_noisy":
-        _require_seed(args)
-        verdict = orderings.check_less_noisy(y, z, args.aux_card, _budget(args))
+        _refuse(args, "grid", "the grid seeds only more_capable with |X| <= 3")
+        verdict = orderings.check_less_noisy(y, z, _budget(args))
     else:
-        _require_seed(args)
         verdict = orderings.check_more_capable(y, z, _budget(args))
     holds = {True: "true", False: "false", None: "undetermined"}[verdict.holds]
     payload = {"subcommand": "ordering", "relation": verdict.relation, "holds": holds,
@@ -157,6 +166,7 @@ def cmd_bound(args) -> int:
     if args.dist:
         if args.card:
             raise CliError("--card sets a maximization's cardinalities; --dist fixes them")
+        _refuse(args, "seed restarts sweeps", "--dist evaluates the bound, with no search")
         dist = doc.factored[args.dist]
         value = bounds.evaluate_bound(args.id, dist, chans)
         payload = {"subcommand": "bound", "id": args.id, "mode": "evaluate",
@@ -166,7 +176,6 @@ def cmd_bound(args) -> int:
         )
         _emit(args, payload, human)
         return EXIT_OK
-    _require_seed(args)
     cards = _assignments("--card", args.card or [], int)
     aux = bounds.AuxSpec(bounds.bound_pattern(args.id), cards)
     res = bounds.maximize(args.id, aux, chans, _budget(args))
@@ -258,6 +267,7 @@ def cmd_region(args) -> int:
 
 def cmd_fme(args) -> int:
     if args.fixture:
+        _refuse(args, "system eliminate reduce compare", "--fixture runs its own systems")
         res = fixture_runs.run_fixture(args.fixture)
         payload = {"subcommand": "fme", "fixture": res.name, "ok": res.ok,
                    "checks": dict(res.checks), "certificates": res.certificates}
@@ -436,12 +446,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_repro_example(args) -> int:
     from . import fig1
-    _require_seed(args)
-    rep = fig1.reproduce_example(
-        _budget(args),
-        q2_card=args.q2_card,
-        v2_card=args.v2_card,
-    )
+    rep = fig1.reproduce_example(_budget(args), **_given(args, ("q2_card", "v2_card")))
     payload = {
         "subcommand": "repro-example",
         **_fields(rep, "achievable rck_best rck_gap gap_is_strict identity_max_deviation "
@@ -478,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-o", "--output", default=None)
 
     def searched(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--restarts", type=int, default=64)
-        sp.add_argument("--sweeps", type=int, default=60)
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--restarts", type=int)
+        sp.add_argument("--sweeps", type=int)
 
     sp = sub.add_parser("info", help="information measures of spec objects")
     sp.add_argument("--spec", required=True)
@@ -494,13 +499,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", required=True)
     sp.add_argument("--relation", required=True,
                     choices=("degraded", "less_noisy", "more_capable"))
-    sp.add_argument("--aux-card", type=int, default=2)
     common(sp)
     searched(sp)
-    sp.add_argument("--grid", type=int, default=20,
-                    help="simplex grid seeds per edge; read only when the searched "
-                         "simplex has 2 or 3 cells (more_capable with |X| <= 3, "
-                         "less_noisy with aux-card*|X| <= 3), ignored otherwise")
+    sp.add_argument("--grid", type=int,
+                    help="simplex grid seeds per edge; read only by more_capable "
+                         "with |X| <= 3")
     sp.set_defaults(fn=cmd_ordering)
 
     sp = sub.add_parser(
@@ -545,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fme", help="eliminate / reduce / compare inequality systems")
     sp.add_argument("--system", default=None)
     sp.add_argument("--eliminate", default=None, help="comma-separated variables")
-    sp.add_argument("--reduce", action="store_true")
+    sp.add_argument("--reduce", action="store_true", default=None)
     sp.add_argument("--compare", default=None)
     sp.add_argument("--fixture", default=None, choices=fixture_runs.fixture_names())
     common(sp)
@@ -567,8 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "start left early. The zero-leakage identity trace counts only the "
                     "points of the sequential search.",
     )
-    sp.add_argument("--q2-card", type=int, default=3)
-    sp.add_argument("--v2-card", type=int, default=4)
+    sp.add_argument("--q2-card", type=int)
+    sp.add_argument("--v2-card", type=int)
     sp.add_argument("--export-channel", default=None,
                     help="also write the example channel as a spec file")
     common(sp)

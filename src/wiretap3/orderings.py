@@ -12,6 +12,11 @@ therefore three-valued:
 - holds=True   only when implied by degradedness (a proof),
 - holds=False  with a concrete counterexample distribution as witness,
 - holds=None   ("undetermined") when the search found no violation.
+
+Less noisy is searched at |U| = 2, which loses nothing: with f(p) =
+I(X;Y) - I(X;Z), I(U;Y) - I(U;Z) = f(p_X) - sum_u p(u) f(p_{X|U=u}), so a
+violation exists iff f is not concave, and then the ends of a chord above f
+are one as the two laws p_{X|U=u} (M. van Dijk, IEEE Trans. IT 43(2), 1997).
 """
 
 from __future__ import annotations
@@ -138,26 +143,23 @@ def _grid_simplex(cells: int, g: int) -> list[np.ndarray]:
 
 def _searched_verdict(
     relation: str, p_yx: ConditionalPmf, p_zx: ConditionalPmf, shape: tuple[int, ...],
-    budget: SearchBudget, found: str, clean: str,
+    budget: SearchBudget, found: str, clean: str, extra_starts=(),
 ) -> OrderingVerdict:
     """The verdict on ``relation``: implied by degradedness, else searched.
 
-    The search of p over ``shape`` (see ``_gap``) seeds the flat simplex
-    with a grid when it has at most 3 cells, then restarts; the one table
-    has one row, so a candidate row is a point.  A least gap below
-    -VIOLATION_TOL resolves as ``found``, its law the counterexample;
-    otherwise the verdict is undetermined, resolved as ``clean`` and the
-    restarts.
+    The search of p over ``shape`` (see ``_gap``) runs ``extra_starts``,
+    then the restarts; the one table has one row, so a candidate row is a
+    point.  A least gap below -VIOLATION_TOL resolves as ``found``, its law
+    the counterexample; otherwise the verdict is undetermined, resolved as
+    ``clean`` and the restarts.
     """
     deg = check_degraded(p_yx, p_zx)
     if deg.holds:
         return OrderingVerdict(relation, True, deg.witness, None, "implied by degradedness")
     cells = int(np.prod(shape))
     gap = _gap(p_yx, p_zx, shape)
-    extra = [[g.reshape(1, cells)] for g in _grid_simplex(cells, budget.grid_points)]
-    res = search_factored(
-        lambda tables, fi, r, owner, rows: -gap(rows), [(1, cells)], budget, extra_starts=extra
-    )
+    res = search_factored(lambda tables, fi, r, owner, rows: -gap(rows), [(1, cells)], budget,
+                          extra_starts=extra_starts)
     least = -res.value
     if least < -VIOLATION_TOL:
         witness = JointPmf(("U", "X")[-len(shape):], res.params[0][0].reshape(shape))
@@ -168,15 +170,11 @@ def _searched_verdict(
 def check_less_noisy(
     p_yx: ConditionalPmf,
     p_zx: ConditionalPmf,
-    aux_card: int = 2,
     budget: SearchBudget = SearchBudget(),
 ) -> OrderingVerdict:
-    """Is Y less noisy than Z: I(U;Y) >= I(U;Z) for all p(u,x)?"""
-    if aux_card < 1:
-        raise ValueError("aux_card must be >= 1")
-    return _searched_verdict("less_noisy", p_yx, p_zx, (aux_card, p_yx.rows), budget,
-                             f"counterexample at |U|={aux_card}",
-                             f"no violation found at |U|={aux_card}")
+    """Is Y less noisy than Z: I(U;Y) >= I(U;Z) for all p(u,x)?  Searched at |U| = 2."""
+    return _searched_verdict("less_noisy", p_yx, p_zx, (2, p_yx.rows), budget,
+                             "counterexample at |U|=2", "no violation found at |U|=2")
 
 
 def check_more_capable(
@@ -184,6 +182,11 @@ def check_more_capable(
     p_zx: ConditionalPmf,
     budget: SearchBudget = SearchBudget(),
 ) -> OrderingVerdict:
-    """Is Y more capable than Z: I(X;Y) >= I(X;Z) for all p(x)?"""
+    """Is Y more capable than Z: I(X;Y) >= I(X;Z) for all p(x)?
+
+    At |X| <= 3 the search first starts from each point of a simplex grid with
+    ``budget.grid_points`` steps per edge.
+    """
+    grid = [[g.reshape(1, -1)] for g in _grid_simplex(p_yx.rows, budget.grid_points)]
     return _searched_verdict("more_capable", p_yx, p_zx, (p_yx.rows,), budget,
-                             "counterexample input pmf", "no violation found")
+                             "counterexample input pmf", "no violation found", grid)

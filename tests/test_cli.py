@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wiretap3 import bounds, cli, fixture_runs, fme, orderings
+from wiretap3 import bounds, cli, fixture_runs, fme, optim, orderings
 from wiretap3.cli import build_parser, main
+from wiretap3.optim import SearchBudget
 from wiretap3.probability import AxisError, DistributionError
 from wiretap3.simulate import CapExceededError
 from wiretap3.specfmt import ChannelSpecError, parse_spec, write_spec
@@ -270,6 +271,27 @@ class TestExitCodes:
         assert main(argv + ["--seed", "1"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["ordering", "--y", "y1", "--z", "z", "--relation", "degraded", "--seed", "4",
+          "--restarts", "9", "--grid", "3"],
+         "--seed, --restarts, --grid not read: degradedness is decided by one exact LP"),
+        (["ordering", "--y", "y1", "--z", "z", "--relation", "degraded", "--sweeps", "0"],
+         "--sweeps not read: degradedness is decided by one exact LP"),
+        (["fme", "--fixture", "theorem1", "--reduce", "--compare", "nonexist"],
+         "--reduce, --compare not read: --fixture runs its own systems"),
+        (["fme", "--fixture", "theorem1", "--system", "s.ineq", "--eliminate", "T1"],
+         "--system, --eliminate not read: --fixture runs its own systems"),
+    ])
+    def test_options_a_mode_never_reads_are_validation_errors(self, spec_file, capsys, argv,
+                                                               message):
+        # each was once accepted with exit 0 and never read
+        if argv[0] == "ordering":
+            argv = argv + ["--spec", str(spec_file)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("card", ["V", "V=x", "=2"])
     def test_malformed_card_names_the_flag(self, spec_file, capsys, card):
         rc = main([
@@ -322,12 +344,26 @@ class TestParser:
     def test_search_options_kept_where_read(self):
         p = build_parser()
         args = p.parse_args(["ordering", "--spec", "s", "--y", "a", "--z", "b",
-                             "--relation", "less_noisy", "--grid", "4", "--restarts", "3"])
-        assert (args.grid, args.restarts, args.sweeps) == (4, 3, 60)
+                             "--relation", "more_capable", "--grid", "4", "--restarts", "3"])
+        assert (args.grid, args.restarts) == (4, 3)
         args = p.parse_args(["repro-example", "--seed", "1", "--restarts", "2", "--sweeps", "5"])
         assert (args.restarts, args.sweeps) == (2, 5)
         args = p.parse_args(["simulate", "--config", "c.json", "--format", "csv"])
         assert args.format == "csv"
+
+    @pytest.mark.parametrize("argv", [
+        ["ordering", "--spec", "s", "--y", "a", "--z", "b", "--relation", "more_capable"],
+        ["ordering", "--spec", "s", "--y", "a", "--z", "b", "--relation", "less_noisy"],
+        ["bound", "--spec", "s", "--id", "wiretap", "--y1", "a", "--y2", "b", "--z", "c"],
+        ["repro-example"],
+    ])
+    def test_budget_without_search_flags_is_the_default(self, argv):
+        # SearchBudget alone states the defaults: the parser leaves every unset option None
+        args = build_parser().parse_args(argv + ["--seed", "5"])
+        assert cli._budget(args) == SearchBudget(seed=5)
+        given = build_parser().parse_args(argv + ["--seed", "5", "--restarts", "3",
+                                                  "--sweeps", "2"])
+        assert cli._budget(given) == SearchBudget(restarts=3, seed=5, refine_sweeps=2)
 
 
 TERNARY = """
@@ -345,11 +381,11 @@ channel b : X -> Y
 
 
 class TestOrderingGrid:
-    """``--grid`` seeds only 2- and 3-cell searches and is ignored above."""
+    """``--grid`` seeds only more_capable at |X| <= 3; less_noisy refuses it."""
 
     def _seeds(self, monkeypatch, capsys, argv):
         seen = []
-        real = orderings.search_factored
+        real = optim.search_factored  # not a wrapper left by an earlier call of this test
 
         def recording(*args, extra_starts=(), **kwargs):
             seen.append(len(extra_starts))
@@ -363,33 +399,38 @@ class TestOrderingGrid:
         return seen, out
 
     @pytest.mark.parametrize("relation, extra, seeds", [
-        ("more_capable", [], [5]),                    # |X| = 2
-        ("less_noisy", ["--aux-card", "1"], [5]),     # 1 x 2 cells
+        ("more_capable", ["--grid", "4"], [5]),       # |X| = 2
+        ("less_noisy", ["--z", "y2"], [0]),           # 2 x 2 cells against a copy of y1
         ("less_noisy", [], [0]),                      # 2 x 2 cells: no grid
     ])
     def test_binary_input(self, spec_file, monkeypatch, capsys, relation, extra, seeds):
         argv = ["ordering", "--spec", str(spec_file), "--y", "z", "--z", "y1",
-                "--relation", relation, "--grid", "4"] + extra
+                "--relation", relation] + extra
         assert self._seeds(monkeypatch, capsys, argv)[0] == seeds
 
     def test_ternary_input(self, tmp_path, monkeypatch, capsys):
         spec = tmp_path / "ternary.chan"
         spec.write_text(TERNARY)
-        base = ["ordering", "--spec", str(spec), "--y", "a", "--z", "b"]
-        seen, _ = self._seeds(monkeypatch, capsys,
-                              base + ["--relation", "more_capable", "--grid", "4"])
-        assert seen == [15]                           # 3 cells
-        for grid in ("4", "40"):
-            seen, _ = self._seeds(monkeypatch, capsys, base + [
-                "--relation", "less_noisy", "--aux-card", "1", "--grid", grid])
-            assert seen == [15 if grid == "4" else 861]
+        base = ["ordering", "--spec", str(spec), "--y", "a", "--z", "b",
+                "--relation", "more_capable"]
+        for grid, seeds in (("4", 15), ("40", 861)):  # 3 cells
+            assert self._seeds(monkeypatch, capsys, base + ["--grid", grid])[0] == [seeds]
 
-    def test_ignored_above_three_cells(self, spec_file, monkeypatch, capsys):
+    def test_more_capable_ignores_grid_above_three_inputs(self, monkeypatch, capsys):
+        argv = ["ordering", "--spec", ML_SPEC, "--y", "to_y2", "--z", "to_y1",
+                "--relation", "more_capable"]          # |X| = 4
+        runs = [self._seeds(monkeypatch, capsys, argv + ["--grid", g]) for g in ("2", "20", "200")]
+        assert [seen for seen, _ in runs] == [[0]] * 3
+        assert len({out for _, out in runs}) == 1
+
+    def test_less_noisy_rejects_grid(self, spec_file, capsys):
         argv = ["ordering", "--spec", str(spec_file), "--y", "z", "--z", "y1",
-                "--relation", "less_noisy"]
-        outs = {self._seeds(monkeypatch, capsys, argv + ["--grid", g])[1]
-                for g in ("2", "20", "200")}
-        assert len(outs) == 1
+                "--relation", "less_noisy", "--seed", "1", "--grid", "4"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --grid not read: the grid seeds only more_capable with |X| <= 3\n")
 
 
 class TestRoundTrip:
@@ -460,6 +501,21 @@ class TestBoundCommand:
         assert captured.out == ""
         assert captured.err == (
             "error: --card sets a maximization's cardinalities; --dist fixes them\n")
+
+    @pytest.mark.parametrize("given", [["--seed", "1"], ["--restarts", "0", "--sweeps", "3"],
+                                       ["--sweeps", "2", "--seed", "0", "--restarts", "5"]])
+    def test_search_options_with_dist_are_validation_errors(self, spec_file, capsys, given):
+        # --dist runs no search; --seed, --restarts and --sweeps were once ignored with exit 0
+        rc = main([
+            "bound", "--spec", str(spec_file), "--id", "wiretap",
+            "--y1", "y1", "--y2", "y2", "--z", "z", "--dist", "d", *given,
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flags = ", ".join(f for f in ("--seed", "--restarts", "--sweeps") if f in given)
+        assert captured.err == (
+            f"error: {flags} not read: --dist evaluates the bound, with no search\n")
 
     def test_maximize_meets_grid_oracle(self, spec_file, capsys):
         rc = main([
@@ -1114,7 +1170,7 @@ REPORT_SHA256 = {
 HELP_SHA256 = {
     "": "b4b523fb485587037cfd51a7050aaefc5600ac15c6628e2f1696583752cfc460",
     "info": "401cd6a41ff58082ebb42e13cab355388a50a50953af56b48fb5cc0a0b1eb4c9",
-    "ordering": "048d69806303ee00be8f93649554f34fed1964dc95a329522be818a862fda1a1",
+    "ordering": "02f11a7a5b6a8e25f90ffecab2a91579e8e7c87695491f053fe68ee02a386291",
     "bound": "a31dc25047cf5b412b6cbc7e5d2840e7e2ee07baa63de5b26595111f19a68c98",
     "region": "9597649944310864612bb1b293497e677874a8309bce5a56f6c9afec295f5ae3",
     "fme": "58c600f7b60dcfe2ae552af93ec59d6eaeacbae7baa44c1f946584777b9de151",

@@ -15,7 +15,7 @@ from reference_search import per_point
 from wiretap3 import bounds, fig1, optim, orderings
 from wiretap3.bounds import AuxSpec, BroadcastChannels, maximize
 from wiretap3.optim import NoAdmissiblePointError, SearchBudget, search_factored
-from wiretap3.probability import bsc, erasure_channel
+from wiretap3.probability import ConditionalPmf, bsc, erasure_channel
 
 
 def _scalar(objective):
@@ -438,11 +438,12 @@ def test_theorem1_families_match_reference(monkeypatch):
         lambda budget: orderings.check_more_capable(
             erasure_channel(0.5), bsc(0.2), budget
         ),
-        lambda budget: orderings.check_less_noisy(
-            erasure_channel(0.5), bsc(0.2), aux_card=1, budget=budget
+        lambda budget: orderings.check_more_capable(
+            ConditionalPmf([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]),
+            ConditionalPmf([[1, 0], [0, 1], [0, 1]]), budget
         ),
     ],
-    ids=["more_capable", "less_noisy"],
+    ids=["more_capable", "more_capable_ternary"],
 )
 def test_orderings_grid_seeds_match_reference(monkeypatch, check):
     budget = SearchBudget(grid_points=6, restarts=2, seed=5, refine_sweeps=20)

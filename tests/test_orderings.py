@@ -132,16 +132,16 @@ class TestDegraded:
 
 class TestLessNoisy:
     def test_degraded_pair_is_less_noisy(self):
-        v = check_less_noisy(bsc(F(1, 10)), bsc(F(1, 5)), 2, FAST)
+        v = check_less_noisy(bsc(F(1, 10)), bsc(F(1, 5)), FAST)
         assert v.holds is True
         assert "degraded" in v.resolution
 
     def test_identical_channels(self):
-        v = check_less_noisy(bsc(F(1, 4)), bsc(F(1, 4)), 2, FAST)
+        v = check_less_noisy(bsc(F(1, 4)), bsc(F(1, 4)), FAST)
         assert v.holds is True
 
     def test_erasure_vs_identity_counterexample(self):
-        v = check_less_noisy(erasure_channel(F(9, 10)), ConditionalPmf.identity(2), 2, FAST)
+        v = check_less_noisy(erasure_channel(F(9, 10)), ConditionalPmf.identity(2), FAST)
         assert v.holds is False
         assert v.margin > 1e-9
         # re-evaluate the witness through the information measures
@@ -151,11 +151,21 @@ class TestLessNoisy:
         gap = j.mutual_information(("U",), ("Y",)) - j.mutual_information(("U",), ("Z",))
         assert gap == pytest.approx(-v.margin, abs=1e-9)
 
+    def test_bec_vs_bsc_verdicts(self):
+        # BEC(e) is less noisy than BSC(s) iff e <= 4s(1-s) = 16/25 here; a
+        # violation, where there is one, has a witness at |U| = 2
+        budget = SearchBudget(restarts=64, seed=7)
+        v = check_less_noisy(erasure_channel(F(7, 10)), bsc(F(1, 5)), budget)
+        assert (v.holds, v.resolution) == (False, "counterexample at |U|=2")
+        assert v.margin == pytest.approx(0.0145247027, abs=1e-9)
+        v = check_less_noisy(erasure_channel(F(1, 2)), bsc(F(1, 5)), budget)
+        assert (v.holds, v.resolution) == (None, "no violation found at |U|=2, 64 restarts")
+
     def test_no_counterexample_is_undetermined_not_true(self):
         # a genuinely less-noisy but non-degraded pair would land here too;
         # for a BSC vs an unrelated channel the search may simply fail
         y = ConditionalPmf([[0.7, 0.3], [0.25, 0.75]])
-        v = check_less_noisy(y, cascade(y, bsc(0.05)), 2, FAST)
+        v = check_less_noisy(y, cascade(y, bsc(0.05)), FAST)
         assert v.holds is True  # still degraded (explicit composition)
 
 
@@ -208,7 +218,7 @@ class TestBatchedSearch:
         monkeypatch.setattr(orderings, "search_factored", recording)
         monkeypatch.setattr(optim, "refine_rows", recording_refine)
         if relation == "less_noisy":
-            verdict, shape = check_less_noisy(y, z, 2, budget), (2, y.rows)
+            verdict, shape = check_less_noisy(y, z, budget), (2, y.rows)
         else:
             verdict, shape = check_more_capable(y, z, budget), (y.rows,)
         want, least, _ = reference_search.minimize_gap(y, z, shape, budget)
