@@ -73,6 +73,7 @@ ADMISSIBILITY_TOL = 1e-9
 REEVAL_TOL = 1e-9
 # a plan's dense M and the identity it is read from hold at most this many
 # entries together (1 MiB); larger plans run their routes (see ``_BoundPlan``)
+# small plans keep M: their routes run 2-3x slower a call (the example plan, B = 8-128)
 _DENSE_CELLS = 1 << 17
 
 

@@ -137,11 +137,12 @@ def cmd_ordering(args) -> int:
     if args.relation == "degraded":
         _refuse(args, "seed restarts sweeps grid", "degradedness is decided by one exact LP")
         verdict = orderings.check_degraded(y, z)
-    elif args.relation == "less_noisy":
-        _refuse(args, "grid", "the grid seeds only more_capable with |X| <= 3")
-        verdict = orderings.check_less_noisy(y, z, _budget(args))
     else:
-        verdict = orderings.check_more_capable(y, z, _budget(args))
+        if args.relation == "less_noisy" or y.rows > 3:
+            _refuse(args, "grid", "the grid seeds only more_capable with |X| <= 3")
+        check = (orderings.check_less_noisy if args.relation == "less_noisy"
+                 else orderings.check_more_capable)
+        verdict = check(y, z, _budget(args))
     holds = {True: "true", False: "false", None: "undetermined"}[verdict.holds]
     payload = {"subcommand": "ordering", "relation": verdict.relation, "holds": holds,
                "resolution": verdict.resolution}
@@ -227,12 +228,14 @@ def _region_human(sample) -> str:
 
 def cmd_region(args) -> int:
     from . import bounds
+    broadcast = args.id in ("theorem2", "prop1")
+    read, unread = ("y1 y2 z", "y1z3 z2") if broadcast else ("y1z3 z2", "y1 y2 z")
+    if missing := [f"--{n}" for n in read.split() if getattr(args, n) is None]:
+        raise CliError(f"{args.id} regions need {', '.join(missing)}")
+    _refuse(args, unread, f"{args.id} regions read only --{read.replace(' ', ', --')}")
     doc = _load_spec(args.spec)
     dist = doc.factored[args.dist]
-    if args.id in ("theorem2", "prop1"):
-        missing = [f"--{n}" for n in ("y1", "y2", "z") if getattr(args, n) is None]
-        if missing:
-            raise CliError(f"{args.id} regions need {', '.join(missing)}")
+    if broadcast:
         chans = doc.broadcast(args.y1, args.y2, args.z)
         if args.id == "theorem2":
             sample = bounds.theorem2_region(dist, chans)
@@ -242,8 +245,6 @@ def cmd_region(args) -> int:
                 return EXIT_OK
         else:
             sample = bounds.prop1_region(dist, chans)
-    elif not (args.y1z3 and args.z2):
-        raise CliError("multilevel regions need --y1z3 and --z2")
     else:
         ml = doc.multilevel(args.y1z3, args.z2)
         fn = bounds.prop2_inner_region if args.id == "prop2-inner" else bounds.prop3_outer_region
@@ -446,7 +447,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_repro_example(args) -> int:
     from . import fig1
-    rep = fig1.reproduce_example(_budget(args), **_given(args, ("q2_card", "v2_card")))
+    rep = fig1.reproduce_example(_budget(args))
     payload = {
         "subcommand": "repro-example",
         **_fields(rep, "achievable rck_best rck_gap gap_is_strict identity_max_deviation "
@@ -570,8 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "start left early. The zero-leakage identity trace counts only the "
                     "points of the sequential search.",
     )
-    sp.add_argument("--q2-card", type=int)
-    sp.add_argument("--v2-card", type=int)
     sp.add_argument("--export-channel", default=None,
                     help="also write the example channel as a spec file")
     common(sp)

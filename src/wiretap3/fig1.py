@@ -164,6 +164,10 @@ def achievable_rate() -> float:
     return corollary1_rate(achievability_distribution(), _FIG1.broadcast())
 
 
+# the search's |Q2| and |V2|, at which its seeded results are recorded: the
+# leg reads p(q2, v2, x2) only through t = I(V2;X2|Q2) in [0, 1] (Z2 is a
+# 1/2-erasure of Y12 = X2, so I(V2;Z2|Q2) = t/2), which |Q2| = 1, |V2| = 2 span
+_Q2, _V2 = 3, 4
 _SECOND_COMPONENT = BoundTerms((_expr("I(V2;Y12|Q2)"), _expr("I(V2;Z2|Q2)")))
 
 
@@ -225,10 +229,10 @@ class _IdentityTrace:
     that returns, selects them from that call's points.
     """
 
-    def __init__(self, q2_card: int, v2_card: int):
+    def __init__(self):
         self.points_checked = 0
         self.max_deviation = 0.0
-        self._rows = _RowRealizer("ck", {"Q": q2_card, "V": v2_card, "X": 2})
+        self._rows = _RowRealizer("ck", {"Q": _Q2, "V": _V2, "X": 2})
 
     def __call__(self, *change):
         self._last = _second_component_plan().information(self._rows(*change))
@@ -242,11 +246,7 @@ class _IdentityTrace:
             self.max_deviation = max(self.max_deviation, float(np.abs(iy - iz)[silent].max()))
 
 
-def reproduce_example(
-    budget: SearchBudget = SearchBudget(restarts=256, seed=20260810),
-    q2_card: int = 3,
-    v2_card: int = 4,
-) -> ExampleReport:
+def reproduce_example(budget: SearchBudget) -> ExampleReport:
     """Run both legs of the example end to end.
 
     (i) evaluates the achievability leg exactly (5/6); (ii) maximizes the
@@ -254,12 +254,9 @@ def reproduce_example(
     and reports its gap below 5/6; (iii) checks, along the search trace,
     that points leaking nothing to Z2 also gain nothing at Y12.
     """
-    for name, card in (("Q2", q2_card), ("V2", v2_card)):
-        if card < 1:
-            raise ValueError(f"cardinality of {name} must be >= 1, got {card}")
     achievable = achievable_rate()
-    trace = _IdentityTrace(q2_card, v2_card)
-    shapes = [(1, q2_card), (q2_card, v2_card), (v2_card, 2)]
+    trace = _IdentityTrace()
+    shapes = [(1, _Q2), (_Q2, _V2), (_V2, 2)]
     res = search_factored(trace, shapes, budget)
     return ExampleReport(
         achievable=achievable,

@@ -77,9 +77,7 @@ def test_criterion_1_example_achievability():
 
 def test_criterion_2_example_gap():
     t0 = time.time()
-    rep = reproduce_example(
-        SearchBudget(restarts=256, seed=20260810), q2_card=3, v2_card=4
-    )
+    rep = reproduce_example(SearchBudget(restarts=256, seed=20260810))
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(200):

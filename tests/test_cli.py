@@ -311,6 +311,29 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {region_id} regions need {missing}\n"
 
+    BROADCAST_FLAGS = ["--y1", "y1", "--y2", "y2", "--z", "z"]
+    MULTILEVEL_FLAGS = ["--y1z3", "w", "--z2", "v"]
+
+    @pytest.mark.parametrize("region_id,given,message", [
+        ("prop3-outer", ["--y1z3", "w"], "prop3-outer regions need --z2"),
+        ("theorem2", BROADCAST_FLAGS + ["--y1z3", "w"],
+         "--y1z3 not read: theorem2 regions read only --y1, --y2, --z"),
+        ("prop1", BROADCAST_FLAGS + MULTILEVEL_FLAGS,
+         "--y1z3, --z2 not read: prop1 regions read only --y1, --y2, --z"),
+        ("prop2-inner", MULTILEVEL_FLAGS + BROADCAST_FLAGS,
+         "--y1, --y2, --z not read: prop2-inner regions read only --y1z3, --z2"),
+        ("prop3-outer", MULTILEVEL_FLAGS + ["--z", "nonexist"],
+         "--z not read: prop3-outer regions read only --y1z3, --z2"),
+    ])
+    def test_region_reads_only_its_familys_channels(self, spec_file, capsys, region_id, given,
+                                                    message):
+        # a refused flag was once accepted and never read, even naming a channel the spec lacks
+        rc = main(["region", "--spec", str(spec_file), "--id", region_id, "--dist", "d", *given])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestParser:
     @pytest.mark.parametrize("argv", [
@@ -381,7 +404,7 @@ channel b : X -> Y
 
 
 class TestOrderingGrid:
-    """``--grid`` seeds only more_capable at |X| <= 3; less_noisy refuses it."""
+    """``--grid`` seeds only more_capable at |X| <= 3; less_noisy and larger inputs refuse it."""
 
     def _seeds(self, monkeypatch, capsys, argv):
         seen = []
@@ -416,12 +439,14 @@ class TestOrderingGrid:
         for grid, seeds in (("4", 15), ("40", 861)):  # 3 cells
             assert self._seeds(monkeypatch, capsys, base + ["--grid", grid])[0] == [seeds]
 
-    def test_more_capable_ignores_grid_above_three_inputs(self, monkeypatch, capsys):
+    def test_more_capable_rejects_grid_above_three_inputs(self, capsys):
         argv = ["ordering", "--spec", ML_SPEC, "--y", "to_y2", "--z", "to_y1",
-                "--relation", "more_capable"]          # |X| = 4
-        runs = [self._seeds(monkeypatch, capsys, argv + ["--grid", g]) for g in ("2", "20", "200")]
-        assert [seen for seen, _ in runs] == [[0]] * 3
-        assert len({out for _, out in runs}) == 1
+                "--relation", "more_capable", "--seed", "1", "--grid", "20"]   # |X| = 4
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --grid not read: the grid seeds only more_capable with |X| <= 3\n")
 
     def test_less_noisy_rejects_grid(self, spec_file, capsys):
         argv = ["ordering", "--spec", str(spec_file), "--y", "z", "--z", "y1",
@@ -924,9 +949,21 @@ class TestReproExample:
     @pytest.mark.parametrize("flag,name", [("--q2-card", "Q2"), ("--v2-card", "V2")])
     @pytest.mark.parametrize("card", [0, -1])
     def test_cardinality_below_one_is_validation_error(self, capsys, flag, name, card):
-        # as bound --card V=0 is, before any search runs
-        assert main(["repro-example", "--seed", "1", "--restarts", "1", flag, str(card)]) == 1
-        assert capsys.readouterr().err == f"error: cardinality of {name} must be >= 1, got {card}\n"
+        # the flags are gone, so argparse refuses them before any search or cardinality check
+        with pytest.raises(SystemExit) as exc:
+            main(["repro-example", "--seed", "1", "--restarts", "1", flag, str(card)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {card}" in err
+        assert f"cardinality of {name}" not in err
+
+    @pytest.mark.parametrize("flag", ["--q2-card", "--v2-card"])
+    def test_cardinality_options_are_gone(self, capsys, flag):
+        # refused even at the old defaults: |Q2| = 3, |V2| = 4 are fig1 constants
+        with pytest.raises(SystemExit) as exc:
+            main(["repro-example", "--seed", "1", "--restarts", "1", flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     def test_channel_export_round_trips(self, tmp_path, capsys):
         target = tmp_path / "fig1.chan"
@@ -1175,7 +1212,7 @@ HELP_SHA256 = {
     "region": "9597649944310864612bb1b293497e677874a8309bce5a56f6c9afec295f5ae3",
     "fme": "58c600f7b60dcfe2ae552af93ec59d6eaeacbae7baa44c1f946584777b9de151",
     "simulate": "bff7aa8a9fc98926cbd001f57d48eedb08f4c6663c4ae1b3f2a11231335dbd3c",
-    "repro-example": "e27ee71e56cf2ef7032ac34fc490ff0966b51866515349e24e3f598363bec58d",
+    "repro-example": "dfdfbe95d76ae7914c51dbdc37058b6f784ab92832789b273bc8bfff65d977a1",
 }
 
 
