@@ -39,14 +39,15 @@ by its routes (see ``_BoundPlan``), and every term then takes one more
 product, of p ``probability.log2_floored(p)`` (the sums absorb its -0.0 at
 exact zeros).  A term below -MEASURE_TOL raises DistributionError; otherwise it
 is clamped at 0, as ``JointPmf`` does.  ``maximize`` runs a plan on realized
-candidates; the scalar and region evaluators run the same plan (``_plan`` keeps
-one per bound, pattern and receiver matrices) on a one-point stack; the
-orderings checks and the example's second-component measures compile their own.
+candidates; the scalar evaluators and ``region`` run the same plan on a
+one-point stack; ``_plan`` keeps one per bound, source axes and receiver
+matrices, and the orderings checks and the example's measures take theirs there.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -136,6 +137,8 @@ class AuxSpec:
                     f"pattern {self.pattern!r} has auxiliaries {list(auxiliaries)}, not {k!r}"
                     " (|X| is fixed by the channel input)"
                 )
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"cardinality of {k} must be an integer, got {v!r}")
             if v < 1:
                 raise ValueError(f"cardinality of {k} must be >= 1, got {v}")
 
@@ -538,16 +541,16 @@ class _BoundPlan:
 
 
 @lru_cache(maxsize=64)
-def _cached_plan(bound: BoundTerms, pattern: str, matrices: tuple) -> _BoundPlan:
+def _cached_plan(bound: BoundTerms, axes: tuple, matrices: tuple) -> _BoundPlan:
     channels = {r: np.frombuffer(data).reshape(shape) for r, shape, data in matrices}
-    return _BoundPlan(bound, PATTERNS[pattern][0], channels)
+    return _BoundPlan(bound, axes, channels)
 
 
-def _plan(bound: BoundTerms, pattern: str, channels: Mapping[str, np.ndarray]) -> _BoundPlan:
-    """The plan of ``bound`` on ``pattern``'s axes, one per receiver matrices'
+def _plan(bound: BoundTerms, axes: tuple, channels: Mapping[str, np.ndarray]) -> _BoundPlan:
+    """The plan of ``bound`` on source ``axes``, one per receiver matrices'
     values: later calls reuse it and every source shape it has compiled."""
     return _cached_plan(
-        bound, pattern, tuple((r, w.shape, w.astype(float).tobytes()) for r, w in channels.items())
+        bound, axes, tuple((r, w.shape, w.astype(float).tobytes()) for r, w in channels.items())
     )
 
 
@@ -584,7 +587,7 @@ def _at_point(
 ) -> float:
     """``bound`` at one distribution: the batched engine on a one-point stack."""
     joint = _one_point(pattern, dist, channels, strict_tag)
-    return float(_plan(bound, pattern, channels)(joint)[0])
+    return float(_plan(bound, PATTERNS[pattern][0], channels)(joint)[0])
 
 
 def wiretap_rate(dist, chan_y: ConditionalPmf, chan_z: ConditionalPmf) -> float:
@@ -738,17 +741,41 @@ _PROP3_ROWS = (
 )
 
 
-def _region(
-    rows: Sequence[tuple], pattern: str, dist, channels: Mapping[str, np.ndarray], gate: Expr = ()
-) -> Optional[RateRegionSample]:
-    """The region of ``rows`` (see ``_row``) at one distribution.
+def _multilevel_channels(ml: MultilevelChannel) -> dict[str, np.ndarray]:
+    """Y1, Z3 and the cascade Z2 of Y1, each as a matrix from X."""
+    y1 = ml.to_y1.matrix
+    return {"Y1": y1, "Z3": ml.to_z3.matrix, "Z2": y1 @ ml.z2_given_y1.matrix}
 
-    None where ``gate`` falls below -ADMISSIBILITY_TOL.  The rate variables
-    are the rows' lhs keys, in order of first use.  Every signed sum of
-    every row is a rate of one plan, run on a one-point stack.
+
+# region id -> (rows, pattern, channel type, its receiver matrices, gate)
+_REGIONS: dict[str, tuple] = {
+    # inner bound with common message and equivocation; None where Marton admissibility fails
+    "theorem2": (_THEOREM2_ROWS, "theorem2", BroadcastChannels, _channels, _MARTON_SLACK),
+    # capacity region when both receivers are less noisy than Z (the caller checks the ordering)
+    "prop1": (_PROP1_ROWS, "prop1", BroadcastChannels, _channels, ()),
+    # multilevel inner bound; [I(U3;Z3) - R0 - I(U3;Z2|U)]^+ is the clamp of its R0-coupled row
+    "prop2-inner": (_PROP2_ROWS, "multilevel", MultilevelChannel, _multilevel_channels, ()),
+    # multilevel outer bound (six inequalities)
+    "prop3-outer": (_PROP3_ROWS, "multilevel", MultilevelChannel, _multilevel_channels, ()),
+}
+
+
+def region(region_id: str, dist, chans) -> Optional[RateRegionSample]:
+    """Region ``region_id`` (see ``_REGIONS``) at one distribution.
+
+    None where the region's gate falls below -ADMISSIBILITY_TOL.  The rate
+    variables are the rows' lhs keys, in order of first use; a row's min
+    over signed sums is emitted evaluated.  Every signed sum of every row
+    is a rate of one plan, run on a one-point stack.
     """
+    if region_id not in _REGIONS:
+        raise KeyError(f"unknown region id {region_id!r}; have {sorted(_REGIONS)}")
+    rows, pattern, family, matrices, gate = _REGIONS[region_id]
+    if not isinstance(chans, family):
+        raise TypeError(f"{region_id!r} needs a {family.__name__}, not {type(chans).__name__}")
+    channels = matrices(chans)
     exprs = [e for *_, rhs, _, clamp in rows for e in rhs + (clamp[:1] if clamp else ())]
-    plan = _plan(BoundTerms(tuple(map(_expr, exprs)), gate), pattern, channels)
+    plan = _plan(BoundTerms(tuple(map(_expr, exprs)), gate), PATTERNS[pattern][0], channels)
     info = plan.information(_one_point(pattern, dist, channels)).__getitem__
     if gate and _signed_sum(plan.gate, info)[0] < -ADMISSIBILITY_TOL:
         return None
@@ -763,47 +790,6 @@ def _region(
         out.append(RegionRow(label, lhs, relation, bound, clamp))
     variables = tuple(dict.fromkeys(v for row in rows for v in row[1]))
     return RateRegionSample(variables, tuple(out))
-
-
-def _multilevel_channels(ml: MultilevelChannel) -> dict[str, np.ndarray]:
-    """Y1, Z3 and the cascade Z2 of Y1, each as a matrix from X."""
-    y1 = ml.to_y1.matrix
-    return {"Y1": y1, "Z3": ml.to_z3.matrix, "Z2": y1 @ ml.z2_given_y1.matrix}
-
-
-def theorem2_region(dist, chans: BroadcastChannels) -> Optional[RateRegionSample]:
-    """The ten-inequality inner bound with common message and equivocation.
-
-    Returns None when the distribution violates Marton admissibility.
-    Rows stated as a min over two information expressions are emitted
-    with the min already evaluated.
-    """
-    return _region(_THEOREM2_ROWS, "theorem2", dist, _channels(chans), _MARTON_SLACK)
-
-
-def prop1_region(dist, chans: BroadcastChannels) -> RateRegionSample:
-    """Secrecy capacity region when both receivers are less noisy than Z.
-
-    The ordering hypothesis is the caller's responsibility (check it with
-    the orderings module); this evaluator just samples the three bounds.
-    """
-    return _region(_PROP1_ROWS, "prop1", dist, _channels(chans))
-
-
-def prop2_inner_region(dist, ml: MultilevelChannel) -> RateRegionSample:
-    """Inner bound for the 1-receiver, 2-eavesdropper multilevel channel.
-
-    The region is stated with seven inequalities; min{R1, .} rows are
-    split into separate linear rows here, and the
-    [I(U3;Z3) - R0 - I(U3;Z2|U)]^+ term is carried as a clamp on the
-    R0-coupled equivocation row.
-    """
-    return _region(_PROP2_ROWS, "multilevel", dist, _multilevel_channels(ml))
-
-
-def prop3_outer_region(dist, ml: MultilevelChannel) -> RateRegionSample:
-    """Outer bound for the multilevel channel (six inequalities)."""
-    return _region(_PROP3_ROWS, "multilevel", dist, _multilevel_channels(ml))
 
 
 # rows of prop2 whose right-hand sides are dominated by the same-label
@@ -996,7 +982,7 @@ def maximize(
     if aux.pattern != pattern:
         raise PatternError(f"bound {bound_id!r} needs pattern {pattern!r}")
     sizes = aux.resolve(chans.x_size)
-    plan = _plan(_BOUND_TERMS[bound_id], pattern, _channels(chans))
+    plan = _plan(_BOUND_TERMS[bound_id], PATTERNS[pattern][0], _channels(chans))
     best = None
     search_evaluations = objective_points = 0
     for shapes, family in _search_spaces(pattern, sizes):

@@ -237,18 +237,13 @@ def cmd_region(args) -> int:
     dist = doc.factored[args.dist]
     if broadcast:
         chans = doc.broadcast(args.y1, args.y2, args.z)
-        if args.id == "theorem2":
-            sample = bounds.theorem2_region(dist, chans)
-            if sample is None:
-                _emit(args, {"subcommand": "region", "id": args.id, "result": "inadmissible"},
-                      "inadmissible distribution (Marton constraint violated)")
-                return EXIT_OK
-        else:
-            sample = bounds.prop1_region(dist, chans)
     else:
-        ml = doc.multilevel(args.y1z3, args.z2)
-        fn = bounds.prop2_inner_region if args.id == "prop2-inner" else bounds.prop3_outer_region
-        sample = fn(dist, ml)
+        chans = doc.multilevel(args.y1z3, args.z2)
+    sample = bounds.region(args.id, dist, chans)
+    if sample is None:  # theorem2 only
+        _emit(args, {"subcommand": "region", "id": args.id, "result": "inadmissible"},
+              "inadmissible distribution (Marton constraint violated)")
+        return EXIT_OK
     payload = {"subcommand": "region", "id": args.id, **_region_payload(sample)}
     human = f"region {args.id} at {args.dist}:\n" + _region_human(sample)
     if args.point:

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
 from .bounds import (
-    BoundTerms, BroadcastChannels, _BoundPlan, _expr, _realize, _RowRealizer, build_factored,
-    corollary1_rate,
+    BoundTerms, BroadcastChannels, _BoundPlan, _expr, _plan, _realize, _RowRealizer,
+    build_factored, corollary1_rate,
 )
 from .optim import SearchBudget, search_factored
 from .probability import (
@@ -171,9 +170,8 @@ _Q2, _V2 = 3, 4
 _SECOND_COMPONENT = BoundTerms((_expr("I(V2;Y12|Q2)"), _expr("I(V2;Z2|Q2)")))
 
 
-@cache
 def _second_component_plan() -> _BoundPlan:
-    return _BoundPlan(
+    return _plan(
         _SECOND_COMPONENT, ("Q2", "V2", "X2"), {"Y12": _FIG1.y12.matrix, "Z2": _FIG1.z2.matrix}
     )
 
@@ -233,9 +231,10 @@ class _IdentityTrace:
         self.points_checked = 0
         self.max_deviation = 0.0
         self._rows = _RowRealizer("ck", {"Q": _Q2, "V": _V2, "X": 2})
+        self._plan = _second_component_plan()  # fetched once: the lookup hashes the channels
 
     def __call__(self, *change):
-        self._last = _second_component_plan().information(self._rows(*change))
+        self._last = self._plan.information(self._rows(*change))
         return rck_upper_bound_objective(*self._last)
 
     def logical(self, mask: np.ndarray) -> None:

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundTerms, _BoundPlan, _expr
+from .bounds import BoundTerms, _expr, _plan
 from .optim import SearchBudget, search_factored
 from .probability import ConditionalPmf, DistributionError, JointPmf
 from .rationallp import feasible_eq
@@ -114,13 +114,13 @@ def check_degraded(p_yx: ConditionalPmf, p_zx: ConditionalPmf) -> OrderingVerdic
 
 
 def _gap(p_yx: ConditionalPmf, p_zx: ConditionalPmf, shape: tuple[int, ...]):
-    """I(A;Y) - I(A;Z) on a stack of flat laws (B, cells), one plan per check.
+    """I(A;Y) - I(A;Z) on a stack of flat laws (B, cells), by the cached plan of the channels.
 
     ``shape`` is (|U|, |X|) for p(u,x), with A = U, or (|X|,) for p(x), with
     A = X.
     """
     axes = ("U", "X")[-len(shape):]
-    plan = _BoundPlan(
+    plan = _plan(
         BoundTerms((_expr(f"I({axes[0]};Y) - I({axes[0]};Z)"),)),
         axes,
         {"Y": p_yx.matrix, "Z": p_zx.matrix},

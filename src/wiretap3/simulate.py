@@ -331,7 +331,7 @@ def build_marton_codebook(dist, rates: MartonRates, params: TypicalityParams, se
     """
     tabs, (nq, n0, n1, n2), nx = _marton_tables(dist)
     p_q, p_v0_q, p_v12_v0, _ = tabs
-    p_q = p_q[0] if p_q.ndim > 1 else p_q
+    p_q = p_q[0]
     n = params.n
     k_msg = _exponent(n, rates.message)
     k_total = _exponent(n, rates.total)

@@ -21,8 +21,7 @@ from wiretap3.bounds import (
     ck_extension_rate,
     corollary1_rate,
     maximize,
-    prop2_inner_region,
-    prop3_outer_region,
+    region,
     theorem1_rate,
     ALIGNED_MULTILEVEL_ROWS,
 )
@@ -384,8 +383,8 @@ def test_criterion_10_region_consistency():
             [rng.dirichlet(np.ones(2), size=1), rng.dirichlet(np.ones(2), size=2),
              rng.dirichlet(np.ones(2), size=2), np.eye(2)],
         )
-        inner = prop2_inner_region(d, ml)
-        outer = prop3_outer_region(d, ml)
+        inner = region("prop2-inner", d, ml)
+        outer = region("prop3-outer", d, ml)
         for label in ALIGNED_MULTILEVEL_ROWS:
             worst_ml = max(worst_ml, inner.rhs(label) - outer.rhs(label))
     ok = (

@@ -209,7 +209,11 @@ def _fused_plans():
     tables = _tables_for("theorem1", cards, chans, "mixed", seed=31)
     theorem1 = bounds._realize("theorem1", AuxSpec("theorem1", cards).resolve(4), tables)
     return {
-        "example": (fig1._second_component_plan.__wrapped__(), example),
+        "example": (
+            bounds._BoundPlan(fig1._SECOND_COMPONENT, ("Q2", "V2", "X2"),
+                              {"Y12": fig1._FIG1.y12.matrix, "Z2": fig1._FIG1.z2.matrix}),
+            example,
+        ),
         "theorem1": (
             bounds._BoundPlan(bounds._THEOREM1, bounds.PATTERNS["theorem1"][0],
                               bounds._channels(chans)),

@@ -25,12 +25,9 @@ from wiretap3.bounds import (
     corollary1_rate,
     evaluate_bound,
     maximize,
-    prop1_region,
-    prop2_inner_region,
-    prop3_outer_region,
+    region,
     reversely_degraded_bound,
     theorem1_rate,
-    theorem2_region,
     wiretap_rate,
     ALIGNED_MULTILEVEL_ROWS,
 )
@@ -255,7 +252,7 @@ class TestTheorem2Region:
         )
         y = bsc(0.1)
         ch = BroadcastChannels(y, y, bsc(0.25))
-        sample = theorem2_region(d, ch)
+        sample = region("theorem2", d, ch)
         assert sample is not None
         j = d.realization
         j = j.extend(("X",), [("Y", 2)], y).extend(("X",), [("Z", 2)], bsc(0.25))
@@ -296,7 +293,7 @@ class TestTheorem2Region:
             [pu, pv0, copy, px],
         )
         ch = chans_deg()
-        sample = theorem2_region(d, ch)
+        sample = region("theorem2", d, ch)
         assert sample is not None
         j = d.realization
         j = j.extend(("X",), [("Y1", 2)], ch.to_y1)
@@ -330,7 +327,7 @@ class TestTheorem2Region:
             ConditionalPmf.identity(2), ConditionalPmf.identity(2),
             ConditionalPmf.identity(2),
         )
-        assert theorem2_region(d, ch) is None
+        assert region("theorem2", d, ch) is None
 
     def test_all_constant_dist_zero_region(self):
         d = build_factored(
@@ -341,7 +338,7 @@ class TestTheorem2Region:
             ConditionalPmf([[0.5, 0.5]]), ConditionalPmf([[0.5, 0.5]]),
             ConditionalPmf([[0.5, 0.5]]),
         )
-        sample = theorem2_region(d, ch)
+        sample = region("theorem2", d, ch)
         for label in ("r0", "r0r1-private", "re"):
             assert sample.rhs(label) == pytest.approx(0.0, abs=1e-12)
         assert sample.contains({"R0": 0, "R1": 0, "Re": 0}, tol=1e-12)
@@ -352,7 +349,7 @@ class TestProp1Region:
     def test_constant_u(self):
         d = build_factored("prop1", {"U": 1, "X": 2}, [np.array([[1.0]]), np.array([[0.5, 0.5]])])
         ch = chans_deg()
-        s = prop1_region(d, ch)
+        s = region("prop1", d, ch)
         assert s.rhs("r0") == pytest.approx(0.0, abs=1e-12)
         j = d.realization.extend(("X",), [("Y1", 2)], ch.to_y1)
         j = j.extend(("X",), [("Y2", 3)], ch.to_y2)
@@ -365,7 +362,7 @@ class TestProp1Region:
     def test_no_secrecy_against_yourself(self):
         ch = BroadcastChannels(bsc(0.1), bsc(0.1), bsc(0.1))
         d = random_dist("prop1", {"U": 2, "X": 2}, np.random.default_rng(0))
-        s = prop1_region(d, ch)
+        s = region("prop1", d, ch)
         assert s.rhs("re") == pytest.approx(0.0, abs=1e-10)
 
     def test_bsc_pair_numeric_vs_direct_summation(self):
@@ -390,7 +387,7 @@ class TestProp1Region:
         pxu = np.array([[0.9, 0.1], [0.2, 0.8]])
         d = build_factored("prop1", {"U": 2, "X": 2}, [pu, pxu])
         ch = BroadcastChannels(bsc(0.05), bsc(0.1), bsc(0.25))
-        s = prop1_region(d, ch)
+        s = region("prop1", d, ch)
         p_ux = pu[0][:, None] * pxu
         diffs = []
         for chan in (bsc(0.05), bsc(0.1)):
@@ -443,23 +440,23 @@ class TestMultilevelRegions:
             "multilevel", {"U": 1, "U3": 1, "V": 1, "X": 2},
             [np.array([[1.0]])] * 3 + [np.array([[0.5, 0.5]])],
         )
-        s = prop2_inner_region(d, ml)
+        s = region("prop2-inner", d, ml)
         assert s.rhs("r0") == pytest.approx(0.0, abs=1e-12)
         assert s.rhs("r1") == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("region", [prop2_inner_region, prop3_outer_region])
-    def test_input_alphabet_mismatch_is_rejected(self, region):
+    @pytest.mark.parametrize("region_id", ["prop2-inner", "prop3-outer"])
+    def test_input_alphabet_mismatch_is_rejected(self, region_id):
         # |X| = 3 against the channel's 2 inputs: the bound and region
         # evaluators share one message for it
         d = random_dist("multilevel", {"U": 2, "U3": 2, "V": 2, "X": 3}, np.random.default_rng(4))
         with pytest.raises(DistributionError, match="channel input alphabet does not match X"):
-            region(d, multilevel_channel())
+            region(region_id, d, multilevel_channel())
 
     def test_clamp_behaviour(self):
         ml = multilevel_channel()
         d = random_dist("multilevel", {"U": 2, "U3": 2, "V": 2, "X": 2},
                         np.random.default_rng(3))
-        s = prop2_inner_region(d, ml)
+        s = region("prop2-inner", d, ml)
         row = s.row("re2-clamp")
         clamp_const, coeffs = row.clamp
         # R0 big enough to zero the clamp: RHS is the base value
@@ -481,8 +478,8 @@ class TestMultilevelRegions:
                 "multilevel", {"U": 2, "U3": 2, "V": 2, "X": 2},
                 [pu, pu3, pv, np.eye(2)],
             )
-            inner = prop2_inner_region(d, ml)
-            outer = prop3_outer_region(d, ml)
+            inner = region("prop2-inner", d, ml)
+            outer = region("prop3-outer", d, ml)
             for label in ALIGNED_MULTILEVEL_ROWS:
                 assert inner.rhs(label) <= outer.rhs(label) + 1e-10
 
@@ -494,8 +491,8 @@ class TestMultilevelRegions:
             [np.array([[0.5, 0.5]]), np.array([[0.8, 0.2], [0.3, 0.7]]),
              np.array([[0.9, 0.1], [0.15, 0.85]]), np.eye(2)],
         )
-        inner = prop2_inner_region(d, ml)
-        outer = prop3_outer_region(d, ml)
+        inner = region("prop2-inner", d, ml)
+        outer = region("prop3-outer", d, ml)
         assert inner.rhs("re3") == pytest.approx(outer.rhs("re3"), abs=1e-10)
 
     def test_re3_x_substitution_dominates_v_form_when_more_capable(self):
@@ -541,7 +538,7 @@ def test_channel_shape_mismatch_raises(make, message):
 
 def _prop1_sample():
     d = build_factored("prop1", {"U": 1, "X": 2}, [np.array([[1.0]]), np.array([[0.5, 0.5]])])
-    return prop1_region(d, chans_deg())
+    return region("prop1", d, chans_deg())
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -558,6 +555,12 @@ def _prop1_sample():
     (lambda: reversely_degraded_bound([]), DistributionError, "need at least one component"),
     (lambda: evaluate_bound("theorem9", uniform_vx(), chans_deg()), KeyError,
      "unknown bound id 'theorem9'"),
+    (lambda: region("prop4", uniform_vx(), chans_deg()), KeyError,
+     "unknown region id 'prop4'; have ['prop1', 'prop2-inner', 'prop3-outer', 'theorem2']"),
+    (lambda: region("theorem2", uniform_vx(), multilevel_channel()), TypeError,
+     "'theorem2' needs a BroadcastChannels, not MultilevelChannel"),
+    (lambda: region("prop3-outer", uniform_vx(), chans_deg()), TypeError,
+     "'prop3-outer' needs a MultilevelChannel, not BroadcastChannels"),
 ])
 def test_malformed_request_raises(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
@@ -684,6 +687,15 @@ class TestAuxSpec:
     def test_bad_cardinality(self):
         with pytest.raises(ValueError):
             AuxSpec("ck", {"Q": 0})
+
+    @pytest.mark.parametrize("card", [2.7, 2.0, True, np.bool_(True), "2"])
+    def test_non_integer_cardinality_rejected(self, card):
+        # int() would truncate these without a word: 2.7 to |V| = 2, True to 1
+        with pytest.raises(ValueError, match="cardinality of V must be an integer"):
+            AuxSpec("wiretap", {"V": card})
+
+    def test_numpy_integer_cardinality_accepted(self):
+        assert AuxSpec("wiretap", {"V": np.int64(3)}).resolve(2) == {"V": 3, "X": 2}
 
     def test_unknown_auxiliary_rejected(self):
         with pytest.raises(PatternError, match="'v'"):

@@ -64,6 +64,53 @@ def test_bound_loads_no_simulator_example_or_orderings():
     assert not {"wiretap3.simulate", "wiretap3.fig1", "wiretap3.orderings"} & loaded
 
 
+# binary X, three receiver channels and a prop1 distribution
+PROP1_SPEC = """alphabet U 2
+alphabet X 2
+alphabet Y 2
+alphabet Z 2
+pmf pu : U
+1/2 1/2
+channel pxu : U -> X
+9/10 1/10
+1/5 4/5
+channel y1 : X -> Y
+9/10 1/10
+1/10 9/10
+channel y2 : X -> Y
+4/5 1/5
+1/5 4/5
+channel z : X -> Z
+7/10 3/10
+3/10 7/10
+factored d prop1
+factor U | = pu
+factor X | U = pxu
+end
+"""
+
+
+def test_region_loads_no_simulator_example_or_orderings(tmp_path):
+    spec = tmp_path / "prop1.chan"
+    spec.write_text(PROP1_SPEC)
+    loaded = _modules_after([
+        "region", "--spec", str(spec), "--id", "prop1", "--dist", "d", "--y1", "y1",
+        "--y2", "y2", "--z", "z", "--format", "json",
+    ])
+    assert {"wiretap3.probability", "wiretap3.bounds", "wiretap3.optim"} <= loaded
+    assert not {"wiretap3.simulate", "wiretap3.fig1", "wiretap3.orderings"} & loaded
+
+
+def test_ordering_loads_the_bound_set_and_orderings_only():
+    loaded = _modules_after([
+        "ordering", "--spec", str(SPEC), "--y", "y11", "--z", "z1", "--relation",
+        "less_noisy", "--seed", "1", "--restarts", "1", "--sweeps", "1", "--format", "json",
+    ])
+    assert {"wiretap3.probability", "wiretap3.bounds", "wiretap3.optim", "wiretap3.specfmt",
+            "wiretap3.orderings"} <= loaded
+    assert not {"wiretap3.simulate", "wiretap3.fig1"} & loaded
+
+
 def test_import_package_loads_no_submodule():
     out = _fresh("import sys, wiretap3; print([m for m in sys.modules if m.startswith('wiretap3.')])")
     assert out.split() == ["[]"]

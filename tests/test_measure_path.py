@@ -124,7 +124,7 @@ def test_theorem2_and_prop1_rows(ch):
         w1, w2 = i(("V0", "V1"), ("Z",), ("U",)), i(("V0", "V2"), ("Z",), ("U",))
         z0 = i(("V0",), ("Z",), ("U",))
         c = i(("V1",), ("V2",), ("V0",))
-        assert_rows(bounds.theorem2_region(d, ch), {
+        assert_rows(bounds.region("theorem2", d, ch), {
             "r0": (zu, None),
             "r0r1-private": (zu + min(h1 - z1, h2 - z2), None),
             "r0r1-total": (min(g1 - z1, g2 - z2), None),
@@ -140,7 +140,7 @@ def test_theorem2_and_prop1_rows(ch):
         d = sampling.random_dist("prop1", {"U": 3, "X": 2}, rng)
         i = measures(broadcast_joint(d, ch))
         x1, x2, xz = (i(("X",), (y,), ("U",)) for y in ("Y1", "Y2", "Z"))
-        assert_rows(bounds.prop1_region(d, ch), {
+        assert_rows(bounds.region("prop1", d, ch), {
             "r0": (i(("U",), ("Z",)), None),
             "r1": (min(x1, x2), None),
             "re-le-r1": (0.0, None),
@@ -162,7 +162,7 @@ def test_multilevel_rows():
         s3 = i(("V",), ("Y1",), ("U3",))
         clamp = i(("U3",), ("Z3",)) - i(("U3",), ("Z2",), ("U",))
         d2u3 = s3 - i(("V",), ("Z2",), ("U3",))
-        assert_rows(bounds.prop2_inner_region(d, ml), {
+        assert_rows(bounds.region("prop2-inner", d, ml), {
             "r0": (r0, None),
             "r1": (r1v, None),
             "r0r1": (i(("U3",), ("Z3",)) + s3, None),
@@ -173,7 +173,7 @@ def test_multilevel_rows():
             "re3": (max(0.0, s3 - i(("V",), ("Z3",), ("U3",))), None),
             "re2re3": (d2u3, None),
         })
-        assert_rows(bounds.prop3_outer_region(d, ml), {
+        assert_rows(bounds.region("prop3-outer", d, ml), {
             "r0": (r0, None),
             "r1": (r1v, None),
             "r0r1": (i(("U3",), ("Z3",)) + s3, None),

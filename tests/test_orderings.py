@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference_search
-from wiretap3 import optim, orderings
+from wiretap3 import bounds, optim, orderings
 from wiretap3.optim import SearchBudget
 from wiretap3.orderings import (
     VIOLATION_TOL,
@@ -160,6 +160,26 @@ class TestLessNoisy:
         assert v.margin == pytest.approx(0.0145247027, abs=1e-9)
         v = check_less_noisy(erasure_channel(F(1, 2)), bsc(F(1, 5)), budget)
         assert (v.holds, v.resolution) == (None, "no violation found at |U|=2, 64 restarts")
+
+    def test_repeated_checks_compile_one_plan(self, monkeypatch):
+        # the gap's plan comes from the bound engine's cache, so a second
+        # check of the same channels reuses the first one's compiled form
+        compiles = []
+        compile_ = bounds._BoundPlan._compile
+
+        def counted(plan, sizes):
+            compiles.append(sizes)
+            return compile_(plan, sizes)
+
+        monkeypatch.setattr(bounds._BoundPlan, "_compile", counted)
+        bounds._cached_plan.cache_clear()
+        y, z = erasure_channel(F(9, 10)), ConditionalPmf.identity(2)
+        first, second = (check_less_noisy(y, z, FAST) for _ in range(2))
+        info = bounds._cached_plan.cache_info()
+        assert (info.hits, info.misses, len(compiles)) == (1, 1, 1)
+        assert first.holds is second.holds is False
+        assert (first.margin, first.resolution) == (second.margin, second.resolution)
+        assert first.witness.tensor.tobytes() == second.witness.tensor.tobytes()
 
     def test_no_counterexample_is_undetermined_not_true(self):
         # a genuinely less-noisy but non-degraded pair would land here too;
